@@ -4,7 +4,15 @@ The three presentations are interconvertible with Grothendieck topologies;
 :func:`verify_commuting_diagram` replays every conversion round trip on
 every topology of a small poset.  Nuclei are stored as full lookup tables
 over down-set ids, congruences as partitions of those ids, sublocales as
-id sets, so law checking is exhaustive at desk scale.
+id sets.
+
+Every presentation is validated on construction, at any frame size.  Each
+one is generated by a subset X of the poset, so a constructor first reads
+a candidate X off its input, rebuilds the form X generates in O(|D|·n) on
+down-set bitmasks, and accepts on a match: the forms a subset generates
+are a nucleus, a congruence and a sublocale, so a match is a proof.  On a
+mismatch the exhaustive law scan runs.  It raises the witness of the first
+violated law or, finding none, accepts.
 
 Ordering conventions: nuclei, congruences, and topologies are compared
 pointwise; sublocales are ordered by inclusion, and the nucleus/sublocale
@@ -37,7 +45,6 @@ from .poset import (
 from .sites import GrothTopology, enumerate_all_topologies, validate_topology
 from .sites import is_complete as topology_is_complete
 
-LAW_CHECK_CAP = 2**12
 COMPLETENESS_GUARD = 20
 
 
@@ -45,11 +52,44 @@ def _members(frame: DownSetFrame, i: int) -> list[str]:
     return sorted(frame.poset.labels[e] for e in frame.downset(i))
 
 
+def _is_id(frame: DownSetFrame, i: object) -> bool:
+    return isinstance(i, int) and 0 <= i < len(frame)
+
+
+def _punctured(down: int, p: int) -> int:
+    """The principal down-set mask of p with p itself removed."""
+    return down & ~(1 << p)
+
+
+def _implication_masks(frame: DownSetFrame, xs: int) -> list[int]:
+    """Implication from the subset mask ``xs``, as a mask for every down-set id:
+    d -> {q : down(q) & xs <= d}."""
+    always = 0
+    cuts = []
+    for q, down in enumerate(frame.principal):
+        cut = down & xs
+        if cut:
+            cuts.append((1 << q, cut))
+        else:
+            always |= 1 << q
+    out = []
+    for d in frame.masks:
+        value = always
+        for bit, cut in cuts:
+            if cut & d == cut:
+                value |= bit
+        out.append(value)
+    return out
+
+
 class Nucleus:
     """An inflationary, idempotent, meet-preserving endomap of a frame.
 
-    Laws are checked exhaustively on construction for frames of at most
-    ``LAW_CHECK_CAP`` down-sets.
+    Table entries must be down-set ids.  The table is accepted on
+    construction when it is implication from the subset
+    X = {p : p not in j(down(p) - {p})}, the map d -> {q : down(q) & X <= d}.
+    Otherwise inflation, idempotence and binary meets are scanned
+    exhaustively, and the first violation raises with its witness.
     """
 
     __slots__ = ("frame", "table")
@@ -61,8 +101,22 @@ class Nucleus:
             raise NotANucleusError(
                 f"table has {len(self.table)} entries for a {len(frame)}-element frame"
             )
-        if check and len(frame) <= LAW_CHECK_CAP:
+        for a, t in enumerate(self.table):
+            if not _is_id(frame, t):
+                raise NotANucleusError(
+                    f"table entry {t!r} is not a down-set id",
+                    witness={"a": _members(frame, a), "value": t},
+                )
+        if check and not self._is_subset_form():
             self._check_laws()
+
+    def _is_subset_form(self) -> bool:
+        frame, table, masks = self.frame, self.table, self.frame.masks
+        xs = 0
+        for p, down in enumerate(frame.principal):
+            if not masks[table[frame.mask_index[_punctured(down, p)]]] >> p & 1:
+                xs |= 1 << p
+        return all(masks[t] == j for t, j in zip(table, _implication_masks(frame, xs)))
 
     def _check_laws(self) -> None:
         frame, table = self.frame, self.table
@@ -121,6 +175,10 @@ class Nucleus:
         frame = frame if frame is not None else frame_for_json(doc)
         table = [0] * len(frame)
         for i, t in doc["pairs"]:
+            if not _is_id(frame, i):
+                raise NotANucleusError(
+                    f"pair index {i!r} is not a down-set id", witness={"pair": [i, t]}
+                )
             table[i] = t
         return cls(frame, table)
 
@@ -128,17 +186,30 @@ class Nucleus:
 class Congruence:
     """A partition of a frame compatible with binary meets and all joins.
 
-    On a finite frame arbitrary joins collapse to finite ones, so
-    validation checks one-sided binary compatibility against a class
-    representative, which implies compatibility of every finite family.
+    Accepted on construction when the classes are the fibres of d -> d & X
+    for X = {p : down(p) and down(p) - {p} are unrelated}.  Otherwise the
+    laws are scanned for a witness: on a finite frame arbitrary joins
+    collapse to finite ones, so the scan checks one-sided binary
+    compatibility against a class representative, which implies
+    compatibility of every finite family.
     """
 
     __slots__ = ("frame", "classes", "class_of")
 
     def __init__(self, frame: DownSetFrame, classes: Iterable[Iterable[int]], check: bool = True):
         self.frame = frame
-        normalized = sorted((frozenset(c) for c in classes), key=min)
-        self.classes = tuple(normalized)
+        normalized = []
+        for c in classes:
+            cls = frozenset(c)
+            for a in cls:
+                if not _is_id(frame, a):
+                    raise NotACongruenceError(
+                        f"{a!r} is not a down-set id", witness={"id": a}
+                    )
+            if not cls:
+                raise NotACongruenceError("a class is empty", witness={"class": []})
+            normalized.append(cls)
+        self.classes = tuple(sorted(normalized, key=min))
         class_of = [-1] * len(frame)
         for ci, cls in enumerate(self.classes):
             for a in cls:
@@ -148,8 +219,18 @@ class Congruence:
         if any(c == -1 for c in class_of):
             raise NotACongruenceError("classes do not partition the frame")
         self.class_of = tuple(class_of)
-        if check and len(frame) <= LAW_CHECK_CAP:
+        if check and not self._is_subset_form():
             self._check_laws()
+
+    def _is_subset_form(self) -> bool:
+        xs = sum(1 << p for p in extract_subset(self))
+        # every class is non-empty, so cut -> class is onto; one-to-one iff
+        # there are as many cuts as classes
+        class_of_cut: dict[int, int] = {}
+        for d, c in zip(self.frame.masks, self.class_of):
+            if class_of_cut.setdefault(d & xs, c) != c:
+                return False
+        return len(class_of_cut) == len(self.classes)
 
     def _check_laws(self) -> None:
         frame, class_of = self.frame, self.class_of
@@ -216,7 +297,12 @@ class Congruence:
 
 class Sublocale:
     """Down-set ids closed under all intersections and under implication
-    from arbitrary down-sets into members."""
+    from arbitrary down-sets into members.
+
+    Accepted on construction when the members are the fixed points of
+    implication from X = {p : some member contains down(p) - {p} but not
+    p}; otherwise the laws are scanned for a witness.
+    """
 
     __slots__ = ("frame", "members")
 
@@ -224,10 +310,21 @@ class Sublocale:
         self.frame = frame
         self.members = frozenset(members)
         for i in self.members:
-            if not (0 <= i < len(frame)):
+            if not _is_id(frame, i):
                 raise NotASublocaleError(f"{i} is not a down-set id")
-        if check and len(frame) <= LAW_CHECK_CAP:
+        if check and not self._is_subset_form():
             self._check_laws()
+
+    def _is_subset_form(self) -> bool:
+        frame, members, masks = self.frame, self.members, self.frame.masks
+        member_masks = [masks[i] for i in members]
+        xs = 0
+        for p, down in enumerate(frame.principal):
+            below = _punctured(down, p)
+            if any(m & down == below for m in member_masks):
+                xs |= 1 << p
+        fixed = _implication_masks(frame, xs)
+        return all((j == d) == (i in members) for i, (d, j) in enumerate(zip(masks, fixed)))
 
     def _check_laws(self) -> None:
         frame, members = self.frame, self.members
@@ -324,10 +421,8 @@ def congruence_from_nucleus(nucleus: Nucleus) -> Congruence:
 def nucleus_from_congruence(congruence: Congruence) -> Nucleus:
     """Send a down-set to the union (join) of its class."""
     frame = congruence.frame
-    table = []
-    for a in range(len(frame)):
-        table.append(frame.join_all(congruence.classes[congruence.class_of[a]]))
-    return Nucleus(frame, table)
+    joins = [frame.join_all(c) for c in congruence.classes]
+    return Nucleus(frame, [joins[c] for c in congruence.class_of])
 
 
 def sublocale_from_nucleus(nucleus: Nucleus) -> Sublocale:
@@ -335,16 +430,29 @@ def sublocale_from_nucleus(nucleus: Nucleus) -> Sublocale:
 
 
 def nucleus_from_sublocale(sublocale: Sublocale) -> Nucleus:
-    """Send a down-set to the least member above it."""
+    """Send a down-set to the least member above it.
+
+    A member is its own least member above.  Any other down-set a lies
+    strictly below every member above it, so each of those contains some
+    one-element extension a | {p}; the least member above a is therefore
+    the meet of the least members above its one-element extensions.  Those
+    have larger ids, so one pass by decreasing id fills the table.
+    """
     frame = sublocale.frame
-    table = []
-    for a in range(len(frame)):
-        table.append(
-            frame.meet_all(
-                m for m in sublocale.members if frame.downset(a) <= frame.downset(m)
-            )
-        )
-    return Nucleus(frame, table)
+    masks, mask_index = frame.masks, frame.mask_index
+    top = (1 << frame.poset.n) - 1
+    least = [0] * len(frame)  # id -> mask of the least member above it
+    for a in reversed(range(len(frame))):
+        d = masks[a]
+        if a in sublocale.members:
+            least[a] = d
+            continue
+        acc = top
+        for p, down in enumerate(frame.principal):
+            if down & ~d == 1 << p:  # p is minimal outside a
+                acc &= least[mask_index[d | 1 << p]]
+        least[a] = acc
+    return Nucleus(frame, [mask_index[m] for m in least])
 
 
 def congruence_from_topology(
@@ -623,13 +731,30 @@ def homomorphism_factorization(f: FrameMap) -> FactorizationWitness:
     kernel = Congruence.from_key(f.source, f.table)
     quotient = QuotientFrame(kernel)
     iso = tuple(f.table[quotient.rep(c)] for c in range(quotient.size))
-    assert len(set(iso)) == quotient.size
+    if len(set(iso)) != quotient.size:
+        raise NotAFrameMorphismError(
+            "induced map on the quotient is not injective",
+            witness={"law": "injective", "classes": quotient.size, "images": len(set(iso))},
+        )
+    laws = (("meet", quotient.meet, f.target.meet), ("join", quotient.join, f.target.join))
     for c1 in range(quotient.size):
         for c2 in range(quotient.size):
-            assert iso[quotient.meet(c1, c2)] == f.target.meet(iso[c1], iso[c2])
-            assert iso[quotient.join(c1, c2)] == f.target.join(iso[c1], iso[c2])
+            for law, on_classes, on_target in laws:
+                if iso[on_classes(c1, c2)] != on_target(iso[c1], iso[c2]):
+                    raise NotAFrameMorphismError(
+                        f"induced map on the quotient does not preserve {law}",
+                        witness={
+                            "law": law,
+                            "a": _members(f.source, quotient.rep(c1)),
+                            "b": _members(f.source, quotient.rep(c2)),
+                        },
+                    )
     for a in range(len(f.source)):
-        assert f.table[a] == iso[kernel.class_of[a]]
+        if f.table[a] != iso[kernel.class_of[a]]:
+            raise NotAFrameMorphismError(
+                "factorization does not recompose to the map",
+                witness={"law": "recomposition", "a": _members(f.source, a)},
+            )
     return FactorizationWitness(kernel, quotient, iso)
 
 

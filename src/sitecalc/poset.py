@@ -8,7 +8,8 @@ dominate every inner loop.
 Down-sets are plain ``frozenset[int]`` values.  A :class:`DownSetFrame`
 materializes all down-sets of a poset with stable integer ids, ordered
 lexicographically on characteristic vectors so that golden files stay
-byte-identical across runs.
+byte-identical across runs; inside the frame each down-set is also an int
+bitmask, on which its meets, joins and implications are computed.
 
 All types are immutable after construction and safe to share across
 concurrent readers.  The sieve cache on :class:`FinitePoset` is write-once
@@ -276,6 +277,13 @@ def export_dot(poset: FinitePoset) -> str:
 # -- down-set enumeration ----------------------------------------------
 
 
+def _mask(subset: Iterable[int]) -> int:
+    out = 0
+    for p in subset:
+        out |= 1 << p
+    return out
+
+
 def _char_key(poset_n: int, downset: frozenset[int]) -> tuple[int, ...]:
     return tuple(1 if i in downset else 0 for i in range(poset_n))
 
@@ -304,16 +312,25 @@ class DownSetFrame:
     """The frame D(P) of all down-sets of a finite poset.
 
     Ids are positions in the lexicographic-on-characteristic-vector order,
-    so they are stable for a fixed poset.  Meets are intersections and
-    joins are unions.
+    so they are stable for a fixed poset, and adding an element to a
+    down-set always gives a larger id.  Meets are intersections and joins
+    are unions.
+
+    Alongside the frozensets, each down-set is held as an int bitmask
+    (bit p set iff p is in it) in ``masks``, with ``mask_index`` mapping a
+    mask back to its id and ``principal`` holding the mask of each
+    principal down-set.  The frame operations run on the masks.
     """
 
-    __slots__ = ("poset", "downsets", "index")
+    __slots__ = ("poset", "downsets", "index", "masks", "mask_index", "principal")
 
     def __init__(self, poset: FinitePoset, downsets: Sequence[frozenset[int]]):
         self.poset = poset
         self.downsets = tuple(downsets)
         self.index = {d: i for i, d in enumerate(self.downsets)}
+        self.masks = tuple(_mask(d) for d in self.downsets)
+        self.mask_index = {m: i for i, m in enumerate(self.masks)}
+        self.principal = tuple(_mask(poset.down(p)) for p in range(poset.n))
 
     def __len__(self) -> int:
         return len(self.downsets)
@@ -339,25 +356,30 @@ class DownSetFrame:
         return self.index[frozenset(range(self.poset.n))]
 
     def meet(self, i: int, j: int) -> int:
-        return self.index[self.downsets[i] & self.downsets[j]]
+        return self.mask_index[self.masks[i] & self.masks[j]]
 
     def join(self, i: int, j: int) -> int:
-        return self.index[self.downsets[i] | self.downsets[j]]
+        return self.mask_index[self.masks[i] | self.masks[j]]
 
     def meet_all(self, ids: Iterable[int]) -> int:
-        acc = frozenset(range(self.poset.n))
+        acc = (1 << self.poset.n) - 1
         for i in ids:
-            acc &= self.downsets[i]
-        return self.index[acc]
+            acc &= self.masks[i]
+        return self.mask_index[acc]
 
     def join_all(self, ids: Iterable[int]) -> int:
-        acc: frozenset[int] = frozenset()
+        acc = 0
         for i in ids:
-            acc |= self.downsets[i]
-        return self.index[acc]
+            acc |= self.masks[i]
+        return self.mask_index[acc]
 
     def heyting(self, i: int, j: int) -> int:
-        return self.index[heyting_implication(self.poset, self.downsets[i], self.downsets[j])]
+        outside = self.masks[i] & ~self.masks[j]
+        out = 0
+        for p, down in enumerate(self.principal):
+            if not down & outside:
+                out |= 1 << p
+        return self.mask_index[out]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -1,8 +1,9 @@
-"""Shared oracles and iteration helpers.
+"""Shared oracles, iteration helpers and poset families.
 
 The oracles here deliberately avoid the library's own computation paths:
 down-sets by raw subset filtering, counts by interval recursion, Heyting
-implication by its defining union.
+implication by its defining union, and the nuclei of congruences and
+sublocales by their direct formulas on frozensets.
 """
 
 from __future__ import annotations
@@ -59,3 +60,55 @@ def powerset(iterable):
 @pytest.fixture(params=CATALOG_NAMES)
 def catalog_pair(request):
     return request.param, catalog()[request.param]
+
+
+def class_join_table(congruence) -> tuple[int, ...]:
+    """Each down-set sent to the union of its whole class, element by element."""
+    frame = congruence.frame
+    table = []
+    for a in range(len(frame)):
+        acc: frozenset[int] = frozenset()
+        for b in congruence.classes[congruence.class_of[a]]:
+            acc |= frame.downset(b)
+        table.append(frame.id_of(acc))
+    return tuple(table)
+
+
+def least_member_table(sublocale) -> tuple[int, ...]:
+    """Each down-set sent to the intersection of all members above it."""
+    frame = sublocale.frame
+    table = []
+    for a in range(len(frame)):
+        acc = frozenset(range(frame.poset.n))
+        for m in sublocale.members:
+            if frame.downset(a) <= frame.downset(m):
+                acc &= frame.downset(m)
+        table.append(frame.id_of(acc))
+    return tuple(table)
+
+
+def antichain(n: int) -> FinitePoset:
+    return FinitePoset([f"a{i}" for i in range(n)])
+
+
+def fence(n: int) -> FinitePoset:
+    """Zigzag f0 < f1 > f2 < f3 ...; even positions are minimal."""
+    pairs = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)]
+    return FinitePoset([f"f{i}" for i in range(n)], pairs)
+
+
+def grid(rows: int, cols: int) -> FinitePoset:
+    """Product of two chains, ordered componentwise."""
+    pairs = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if r + 1 < rows:
+                pairs.append((i, i + cols))
+            if c + 1 < cols:
+                pairs.append((i, i + 1))
+    return FinitePoset([f"g{r}_{c}" for r in range(rows) for c in range(cols)], pairs)
+
+
+# Posets beyond the catalog, small enough to enumerate every topology.
+LADDER = {"fence5": fence(5), "antichain4": antichain(4), "grid2x3": grid(2, 3)}

@@ -109,6 +109,34 @@ def test_convert_round_trip(capsys, tmp_path, chain2_file):
         assert json.loads(back) == json.loads(topo_file.read_text())
 
 
+@pytest.mark.parametrize(
+    "kind, field, corrupt, code",
+    [
+        ("nucleus", "pairs", lambda pairs: pairs[0].__setitem__(1, 99), "NotANucleusError"),
+        ("nucleus", "pairs", lambda pairs: pairs.append([99, 0]), "NotANucleusError"),
+        ("congruence", "classes", lambda classes: classes[0].append(99), "NotACongruenceError"),
+    ],
+)
+def test_convert_rejects_out_of_range_ids(capsys, tmp_path, chain2_file, kind, field, corrupt, code):
+    _, out = run(capsys, "topology", "--poset", chain2_file, "--subset", "0")
+    topo_file = tmp_path / "j.json"
+    topo_file.write_text(out)
+    _, out = run(
+        capsys, "convert", "--poset", chain2_file, "--topology", str(topo_file), "--to", kind
+    )
+    doc = json.loads(out)
+    corrupt(doc[field])
+    obj_file = tmp_path / f"{kind}.json"
+    obj_file.write_text(json.dumps(doc))
+    exit_code, out = run(
+        capsys, "convert", "--poset", chain2_file, "--from", kind, "--input", str(obj_file)
+    )
+    assert exit_code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == code
+    assert error["witness"] is not None
+
+
 def test_sheaf_check(capsys, tmp_path, chain2_file):
     code, topo = run(capsys, "topology", "--poset", chain2_file, "--subset", "0")
     topo_file = tmp_path / "j.json"
