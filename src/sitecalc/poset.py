@@ -204,10 +204,36 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FinitePoset":
+        """Read ``{"elements": [str, ...], "le_pairs": [[i, j], ...]}``.
+
+        Anything else, including a non-list, a non-string label or a pair
+        that is not two in-range integer ids, is a ParseError with the
+        offending value as its witness.
+        """
         if not isinstance(doc, dict) or "elements" not in doc:
             raise ParseError("poset JSON must contain an 'elements' list")
-        pairs = [tuple(p) for p in doc.get("le_pairs", [])]
-        return cls(doc["elements"], pairs)
+        elements, pairs = doc["elements"], doc.get("le_pairs", [])
+        if not isinstance(elements, list):
+            raise ParseError("'elements' is not a list", witness={"elements": elements})
+        for label in elements:
+            if not isinstance(label, str):
+                raise ParseError(
+                    f"element {label!r} is not a string", witness={"element": label}
+                )
+        if not isinstance(pairs, list):
+            raise ParseError("'le_pairs' is not a list", witness={"le_pairs": pairs})
+        n = len(elements)
+        for pair in pairs:
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(type(i) is int and 0 <= i < n for i in pair)
+            ):
+                raise ParseError(
+                    f"le_pairs entry {pair!r} is not a pair of ids below {n}",
+                    witness={"pair": pair},
+                )
+        return cls(elements, [tuple(p) for p in pairs])
 
 
 def parse_poset(text: str) -> FinitePoset:

@@ -141,11 +141,6 @@ class Presheaf:
         return cls(poset, sizes, maps)
 
 
-def validate_presheaf(presheaf: Presheaf) -> Presheaf:
-    """Functor laws are enforced by the constructor; revalidate a value."""
-    return Presheaf(presheaf.poset, presheaf.sizes, presheaf.maps)
-
-
 @dataclass(frozen=True)
 class MatchingFamily:
     """A compatible choice of local values over a cover sieve."""

@@ -1,17 +1,23 @@
 """Grothendieck topologies on finite posets.
 
 A topology is stored as, per element ``p``, the set of cover sieves on
-``p``; every constructor validates its output against the three axioms
-(maximality, stability, transitivity).  Witness searches iterate elements
-in index order and sieves in sorted-member order, so reported
-counterexamples are deterministic; JSON listings instead order sieves by
-their stable frame id.
+``p``.  On a finite poset every topology is J(X) for the subset X of
+elements whose only cover is their maximal sieve: a sieve s covers p iff
+X & down(p) <= s.  Validation reads X off its input, rebuilds J(X) and
+accepts on a match; J(X) is always a topology, so a match is a proof.  On
+a mismatch the axiom scan (maximality, stability, transitivity) runs to
+find the exact witness.  The stock constructors build J(X) directly, and
+meet and join are J of the union and of the intersection of generating
+subsets.
+
+Witness searches iterate elements in index order and sieves in
+sorted-member order, so reported counterexamples are deterministic; JSON
+listings instead order sieves by their stable frame id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -65,19 +71,11 @@ def _members_key(s: frozenset[int]) -> list[int]:
 class GrothTopology:
     """Per-element families of cover sieves satisfying the site axioms."""
 
-    __slots__ = ("poset", "covers", "generated_by", "min_covers", "_hash")
+    __slots__ = ("poset", "covers", "_hash")
 
-    def __init__(
-        self,
-        poset: FinitePoset,
-        covers: Sequence[frozenset[frozenset[int]]],
-        generated_by: frozenset[int] | None = None,
-        min_covers: tuple[frozenset[int], ...] | None = None,
-    ):
+    def __init__(self, poset: FinitePoset, covers: Sequence[frozenset[frozenset[int]]]):
         self.poset = poset
         self.covers = tuple(frozenset(c) for c in covers)
-        self.generated_by = generated_by
-        self.min_covers = min_covers
         self._hash = hash((poset, self.covers))
 
     def covers_on(self, p: int) -> tuple[frozenset[int], ...]:
@@ -98,10 +96,9 @@ class GrothTopology:
         return self._hash
 
     def __repr__(self) -> str:
-        tag = ""
-        if self.generated_by is not None:
-            tag = f" generated_by={sorted(self.poset.labels[i] for i in self.generated_by)}"
-        return f"<GrothTopology on {list(self.poset.labels)}{tag}>"
+        labels = self.poset.labels
+        gens = sorted(labels[i] for i in generating_subset(self))
+        return f"<GrothTopology on {list(labels)} generated_by={gens}>"
 
     def to_json(self) -> dict:
         labels = self.poset.labels
@@ -195,18 +192,35 @@ def find_axiom_violation(
     return None
 
 
+def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[frozenset[frozenset[int]]]:
+    """J(X): the covers of p are the sieves containing X & down(p)."""
+    covers = []
+    for p in range(poset.n):
+        cut = xs & poset.down(p)
+        covers.append(frozenset(s for s in sieves_on(poset, p) if cut <= s))
+    return covers
+
+
+def _axiom_violation(
+    poset: FinitePoset, covers: Sequence[frozenset[frozenset[int]]]
+) -> AxiomViolation | None:
+    """None when the covers are J(X) for the X read off them, else the scan's
+    verdict: the first failing axiom, or None if it finds none."""
+    xs = frozenset(p for p in range(poset.n) if covers[p] == frozenset((poset.down(p),)))
+    if list(covers) == _subset_covers(poset, xs):
+        return None
+    return find_axiom_violation(poset, covers)
+
+
 def validate_topology(
-    poset: FinitePoset,
-    covers: Mapping[int, Iterable] | Sequence[Iterable],
-    generated_by: frozenset[int] | None = None,
-    min_covers: tuple[frozenset[int], ...] | None = None,
+    poset: FinitePoset, covers: Mapping[int, Iterable] | Sequence[Iterable]
 ) -> GrothTopology:
     """The validated topology, or AxiomViolation with the exact witness."""
     fams = _normalize_covers(poset, covers)
-    violation = find_axiom_violation(poset, fams)
+    violation = _axiom_violation(poset, fams)
     if violation is not None:
         raise violation
-    return GrothTopology(poset, fams, generated_by=generated_by, min_covers=min_covers)
+    return GrothTopology(poset, fams)
 
 
 # -- constructors ---------------------------------------------------------
@@ -219,16 +233,7 @@ def subset_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
     topology.  A degenerate cut (empty intersection with the down-set of
     p) admits every sieve, including the empty one.
     """
-    xs = frozenset(subset)
-    covers = []
-    min_covers = []
-    for p in range(poset.n):
-        cut = xs & poset.down(p)
-        min_covers.append(poset.down_closure(cut))
-        covers.append(frozenset(s for s in sieves_on(poset, p) if cut <= s))
-    return validate_topology(
-        poset, covers, generated_by=xs, min_covers=tuple(min_covers)
-    )
+    return GrothTopology(poset, _subset_covers(poset, frozenset(subset)))
 
 
 def generating_subset(topology: GrothTopology) -> frozenset[int]:
@@ -240,39 +245,35 @@ def generating_subset(topology: GrothTopology) -> frozenset[int]:
 
 
 def indiscrete_topology(poset: FinitePoset) -> GrothTopology:
-    covers = [frozenset((poset.down(p),)) for p in range(poset.n)]
-    return validate_topology(poset, covers, generated_by=frozenset(range(poset.n)))
+    """Only maximal sieves cover: J(P)."""
+    return subset_topology(poset, range(poset.n))
 
 
 def discrete_topology(poset: FinitePoset) -> GrothTopology:
-    covers = [frozenset(sieves_on(poset, p)) for p in range(poset.n)]
-    return validate_topology(poset, covers, generated_by=frozenset())
+    """Every sieve covers: J of the empty subset."""
+    return subset_topology(poset, ())
 
 
 def atomic_topology(poset: FinitePoset) -> GrothTopology:
-    """All nonempty sieves; defined only on downwards directed posets."""
+    """All nonempty sieves; defined only on downwards directed posets.
+
+    A downwards directed finite poset has a least element, its only minimal
+    element, and a sieve is nonempty iff it contains it: J({bottom}).
+    """
     if not poset.is_downwards_directed():
         raise NotDownwardsDirectedError(
             "the atomic topology needs a downwards directed poset"
         )
-    covers = [
-        frozenset(s for s in sieves_on(poset, p) if s) for p in range(poset.n)
-    ]
-    return validate_topology(poset, covers)
+    return subset_topology(poset, poset.minimal_elements())
 
 
 def dense_topology(poset: FinitePoset) -> GrothTopology:
-    """Covers of p are the sieves whose up-closure reaches everything below p."""
-    covers = []
-    for p in range(poset.n):
-        covers.append(
-            frozenset(
-                s
-                for s in sieves_on(poset, p)
-                if poset.down(p) <= poset.up_closure(s)
-            )
-        )
-    return validate_topology(poset, covers)
+    """Covers of p are the sieves whose up-closure reaches everything below p.
+
+    A sieve does so iff it holds every minimal element below p, so this is
+    J of the minimal elements.
+    """
+    return subset_topology(poset, poset.minimal_elements())
 
 
 def canonical_constructors(poset: FinitePoset) -> dict[str, GrothTopology]:
@@ -288,16 +289,16 @@ def canonical_constructors(poset: FinitePoset) -> dict[str, GrothTopology]:
 
 
 def derived_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
-    """The subset topology with the empty sieve removed everywhere."""
+    """The subset topology with the empty sieve removed everywhere.
+
+    A sieve is nonempty iff it holds the least element, so this is
+    J(subset | {bottom}).
+    """
     if not poset.is_downwards_directed():
         raise NotDownwardsDirectedError(
             "the derived topology needs a downwards directed poset"
         )
-    base = subset_topology(poset, subset)
-    covers = [
-        frozenset(s for s in base.covers[p] if s) for p in range(poset.n)
-    ]
-    return validate_topology(poset, covers)
+    return subset_topology(poset, frozenset(subset) | poset.minimal_elements())
 
 
 def lx_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
@@ -334,8 +335,7 @@ def restrict_topology(
 ) -> GrothTopology:
     """The induced topology on the subset, which must be dense for the input.
 
-    Both presentations are computed, as intersection images and as sieves
-    whose down-closure covers, and asserted equal.
+    Covers of a subset point are the intersection images of its covers.
     """
     if topology.poset != poset:
         raise PosetMismatchError("topology is not defined on the given poset")
@@ -348,20 +348,10 @@ def restrict_topology(
         )
     elems, pos = _sub_positions(xs)
     sub = poset.induced(elems)
-    covers = []
-    alternate = []
-    for k, x in enumerate(elems):
-        fam = frozenset(
-            frozenset(pos[e] for e in s if e in pos) for s in topology.covers[x]
-        )
-        covers.append(fam)
-        alt = frozenset(
-            sbar
-            for sbar in sieves_on(sub, k)
-            if poset.down_closure(elems[i] for i in sbar) in topology.covers[x]
-        )
-        alternate.append(alt)
-    assert covers == alternate, "the two induced-topology presentations disagree"
+    covers = [
+        frozenset(frozenset(pos[e] for e in s if e in pos) for s in topology.covers[x])
+        for x in elems
+    ]
     return validate_topology(sub, covers)
 
 
@@ -379,7 +369,7 @@ def extend_topology(
         raise InvalidInnerTopologyError(
             "inner topology is not defined on the induced subposet"
         )
-    inner_violation = find_axiom_violation(sub, inner.covers)
+    inner_violation = _axiom_violation(sub, inner.covers)
     if inner_violation is not None:
         raise InvalidInnerTopologyError(
             f"inner topology is invalid: {inner_violation.message}"
@@ -434,51 +424,17 @@ def topology_leq(j: GrothTopology, k: GrothTopology) -> bool:
 
 
 def meet(j: GrothTopology, k: GrothTopology) -> GrothTopology:
-    """Pointwise intersection of cover families."""
+    """Pointwise intersection of cover families: J of the union of the
+    generating subsets, since J reverses inclusion."""
     poset = _require_same_poset(j, k)
-    covers = [j.covers[p] & k.covers[p] for p in range(poset.n)]
-    return validate_topology(poset, covers)
+    return subset_topology(poset, generating_subset(j) | generating_subset(k))
 
 
 def join(j: GrothTopology, k: GrothTopology) -> GrothTopology:
-    """Least topology above both, by saturating the pointwise union.
-
-    The union is closed to a fixpoint under supersets, binary
-    intersections, stability restrictions, and transitivity; every added
-    sieve is forced in any topology containing the union, so the fixpoint
-    is the least upper bound.
-    """
+    """Least topology above both: J of the intersection of the generating
+    subsets, since J reverses inclusion."""
     poset = _require_same_poset(j, k)
-    fams = [set(j.covers[p] | k.covers[p]) for p in range(poset.n)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(poset.n):
-            fam = fams[p]
-            additions: set[frozenset[int]] = set()
-            for s in fam:
-                for r in sieves_on(poset, p):
-                    if s <= r and r not in fam:
-                        additions.add(r)
-            for s, r in combinations(fam, 2):
-                if s & r not in fam:
-                    additions.add(s & r)
-            for r in sieves_on(poset, p):
-                if r in fam or r in additions:
-                    continue
-                if any(
-                    all(r & poset.down(q) in fams[q] for q in s) for s in fam
-                ):
-                    additions.add(r)
-            if additions:
-                fam |= additions
-                changed = True
-            for s in list(fam):
-                for q in poset.down(p):
-                    if q != p and s & poset.down(q) not in fams[q]:
-                        fams[q].add(s & poset.down(q))
-                        changed = True
-    return validate_topology(poset, fams)
+    return subset_topology(poset, generating_subset(j) & generating_subset(k))
 
 
 def is_complete(topology: GrothTopology) -> bool:
@@ -576,14 +532,16 @@ def enumerate_all_topologies(
 class SiteMorphismReport:
     """Cover-preservation and covering-lifting diagnostics for one map."""
 
-    preserves_covers: bool
-    has_clp: bool
     cover_violations: tuple[tuple[int, frozenset[int]], ...]
     clp_violations: tuple[tuple[int, frozenset[int]], ...]
 
-    def __post_init__(self) -> None:
-        assert self.preserves_covers == (not self.cover_violations)
-        assert self.has_clp == (not self.clp_violations)
+    @property
+    def preserves_covers(self) -> bool:
+        return not self.cover_violations
+
+    @property
+    def has_clp(self) -> bool:
+        return not self.clp_violations
 
 
 def site_morphism_report(
@@ -609,24 +567,7 @@ def site_morphism_report(
         for s in sorted(target.covers[fp], key=_members_key):
             if not any(phi.image_of(r) <= s for r in source.covers[p]):
                 clp_violations.append((p, s))
-    return SiteMorphismReport(
-        preserves_covers=not cover_violations,
-        has_clp=not clp_violations,
-        cover_violations=tuple(cover_violations),
-        clp_violations=tuple(clp_violations),
-    )
-
-
-def preserves_covers(
-    phi: OrderMorphism, source: GrothTopology, target: GrothTopology
-) -> SiteMorphismReport:
-    return site_morphism_report(phi, source, target)
-
-
-def has_clp(
-    phi: OrderMorphism, source: GrothTopology, target: GrothTopology
-) -> SiteMorphismReport:
-    return site_morphism_report(phi, source, target)
+    return SiteMorphismReport(tuple(cover_violations), tuple(clp_violations))
 
 
 def is_site_isomorphism(

@@ -3,11 +3,16 @@
 The oracles here deliberately avoid the library's own computation paths:
 down-sets by raw subset filtering, counts by interval recursion, Heyting
 implication by its defining union, and the nuclei of congruences and
-sublocales by their direct formulas on frozensets.
+sublocales by their direct formulas on frozensets.  Topologies have their
+own: the stock constructors by their defining formulas, meet as pointwise
+intersection, join by saturating the pointwise union, restriction by
+down-closure, and completeness by scanning every family of fibers or
+classes.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, combinations
 
 import pytest
@@ -85,6 +90,111 @@ def least_member_table(sublocale) -> tuple[int, ...]:
                 acc &= frame.downset(m)
         table.append(frame.id_of(acc))
     return tuple(table)
+
+
+@cache
+def brute_sieves(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
+    """The down-sets below p, by filtering every down-set."""
+    return tuple(d for d in brute_downsets(poset) if d <= poset.down(p))
+
+
+def stock_covers(poset: FinitePoset, name: str, subset=frozenset()) -> list[frozenset]:
+    """Cover families of a stock topology, straight from its definition."""
+    covers = []
+    for p in range(poset.n):
+        sieves = brute_sieves(poset, p)
+        if name == "indiscrete":
+            fam = [poset.down(p)]
+        elif name == "discrete":
+            fam = sieves
+        elif name == "dense":
+            fam = [s for s in sieves if poset.down(p) <= poset.up_closure(s)]
+        elif name == "atomic":
+            fam = [s for s in sieves if s]
+        else:  # "derived": the sieves over the subset cut, minus the empty one
+            fam = [s for s in sieves if s and subset & poset.down(p) <= s]
+        covers.append(frozenset(fam))
+    return covers
+
+
+def pointwise_meet_covers(j, k) -> list[frozenset]:
+    return [a & b for a, b in zip(j.covers, k.covers)]
+
+
+def saturated_join_covers(j, k) -> list[frozenset]:
+    """The pointwise union of two topologies closed to a fixpoint under
+    supersets, binary intersections, stability restrictions and
+    transitivity.  Every added sieve is forced in any topology containing
+    the union, so the fixpoint is the least upper bound."""
+    poset = j.poset
+    sieves = [brute_sieves(poset, p) for p in range(poset.n)]
+    fams = [set(a | b) for a, b in zip(j.covers, k.covers)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(poset.n):
+            fam = fams[p]
+            additions: set[frozenset[int]] = set()
+            for s in fam:
+                for r in sieves[p]:
+                    if s <= r and r not in fam:
+                        additions.add(r)
+            for s, r in combinations(fam, 2):
+                if s & r not in fam:
+                    additions.add(s & r)
+            for r in sieves[p]:
+                if r in fam or r in additions:
+                    continue
+                if any(all(r & poset.down(q) in fams[q] for q in s) for s in fam):
+                    additions.add(r)
+            if additions:
+                fam |= additions
+                changed = True
+            for s in list(fam):
+                for q in poset.down(p):
+                    if q != p and s & poset.down(q) not in fams[q]:
+                        fams[q].add(s & poset.down(q))
+                        changed = True
+    return [frozenset(f) for f in fams]
+
+
+def restricted_covers(poset: FinitePoset, topology, subset) -> list[frozenset]:
+    """Covers of each subset point: the subposet sieves whose down-closure
+    in the whole poset covers it."""
+    elems = sorted(subset)
+    sub = poset.induced(elems)
+    covers = []
+    for k, x in enumerate(elems):
+        covers.append(frozenset(
+            s for s in brute_sieves(sub, k)
+            if poset.down_closure(elems[i] for i in s) in topology.covers[x]
+        ))
+    return covers
+
+
+def nucleus_complete_scan(nucleus) -> bool:
+    """For every set of image values, the intersection of their pooled
+    fibers maps to the intersection of the values."""
+    frame, table = nucleus.frame, nucleus.table
+    image = sorted(set(table))
+    fibers = {m: [i for i, t in enumerate(table) if t == m] for m in image}
+    for chosen in powerset(image):
+        pooled = [a for m in chosen for a in fibers[m]]
+        if table[frame.meet_all(pooled)] != frame.meet_all(chosen):
+            return False
+    return True
+
+
+def congruence_complete_scan(congruence) -> bool:
+    """For every set of classes, the intersection of their members is
+    congruent to the intersection of their joins."""
+    frame, classes = congruence.frame, congruence.classes
+    joins = [frame.join_all(c) for c in classes]
+    for chosen in powerset(range(len(classes))):
+        pooled = [a for i in chosen for a in classes[i]]
+        if not congruence.related(frame.meet_all(pooled), frame.meet_all(joins[i] for i in chosen)):
+            return False
+    return True
 
 
 def antichain(n: int) -> FinitePoset:

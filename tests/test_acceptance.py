@@ -24,17 +24,16 @@ from sitecalc import (
     enumerate_all_topologies,
     enumerate_downsets,
     extract_subset,
-    has_clp,
     heyting_implication,
     is_sheaf,
     is_site_isomorphism,
     is_subcanonical,
     lx_topology,
     parse_poset,
-    preserves_covers,
     representable_is_sheaf,
     restrict_topology,
     sieves_on,
+    site_morphism_report,
     subset_forms,
     subset_of_labels,
     subset_subcanonicity_witnesses,
@@ -258,7 +257,7 @@ def test_criterion_10_site_morphism_characterizations():
                     image = phi.image_of(x)
                     for y, jy in jq.items():
                         assert is_site_isomorphism(phi, jx, jy) == (image == y)
-                        assert preserves_covers(phi, jx, jy).preserves_covers == (
+                        assert site_morphism_report(phi, jx, jy).preserves_covers == (
                             y <= image
                         )
                         iso_checked += 1
@@ -266,7 +265,7 @@ def test_criterion_10_site_morphism_characterizations():
                 for x, jx in jp.items():
                     image = phi.image_of(x)
                     for y, jy in jq.items():
-                        assert has_clp(phi, jx, jy).has_clp == (image <= y), (
+                        assert site_morphism_report(phi, jx, jy).has_clp == (image <= y), (
                             name_p,
                             name_q,
                             phi.mapping,

@@ -282,6 +282,28 @@ def test_missing_file_is_a_domain_error(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "doc, witness",
+    [
+        ({"elements": ["a", "b"], "le_pairs": [["a", 0]]}, {"pair": ["a", 0]}),
+        ({"elements": ["a", "b"], "le_pairs": [[0]]}, {"pair": [0]}),
+        ({"elements": ["a", "b"], "le_pairs": [[0, 2]]}, {"pair": [0, 2]}),
+        ({"elements": ["a", "b"], "le_pairs": [[0, True]]}, {"pair": [0, True]}),
+        ({"elements": ["a", "b"], "le_pairs": {"0": 1}}, {"le_pairs": {"0": 1}}),
+        ({"elements": "abc"}, {"elements": "abc"}),
+        ({"elements": [1, 2]}, {"element": 1}),
+    ],
+)
+def test_malformed_poset_json_is_a_parse_error(capsys, tmp_path, doc, witness):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", "--poset", str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "ParseError"
+    assert error["witness"] == witness
+
+
 def test_presheaf_json_round_trip_via_cli_format():
     f = Presheaf(catalog_poset("chain2"), (2, 1), {(0, 1): (0,)})
     assert Presheaf.from_json(f.to_json()) == f

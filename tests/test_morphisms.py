@@ -14,11 +14,9 @@ from sitecalc import (
     catalog,
     catalog_poset,
     derived_topology,
-    has_clp,
     indiscrete_topology,
     is_site_isomorphism,
     is_subcanonical,
-    preserves_covers,
     representable_is_sheaf,
     site_morphism_report,
     subcanonicity_report,
@@ -58,7 +56,7 @@ def test_inclusion_has_clp():
     inc = OrderMorphism(point, chain2, (0,))
     j_src = subset_topology(point, {0})
     j_tgt = subset_topology(chain2, {0})
-    report = has_clp(inc, j_src, j_tgt)
+    report = site_morphism_report(inc, j_src, j_tgt)
     assert report.has_clp
     assert report.clp_violations == ()
 
@@ -69,7 +67,7 @@ def test_clp_characterization_small():
     for phi in all_order_morphisms(p, q):
         for x in all_subsets(p.n):
             for y in all_subsets(q.n):
-                report = has_clp(phi, subset_topology(p, x), subset_topology(q, y))
+                report = site_morphism_report(phi, subset_topology(p, x), subset_topology(q, y))
                 assert report.has_clp == (phi.image_of(x) <= y)
 
 
@@ -78,7 +76,7 @@ def test_cover_preservation_characterization_for_isomorphisms():
     for phi in all_order_isomorphisms(p, p):
         for x in all_subsets(p.n):
             for y in all_subsets(p.n):
-                report = preserves_covers(phi, subset_topology(p, x), subset_topology(p, y))
+                report = site_morphism_report(phi, subset_topology(p, x), subset_topology(p, y))
                 assert report.preserves_covers == (y <= phi.image_of(x))
 
 
