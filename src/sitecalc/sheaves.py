@@ -11,7 +11,7 @@ naturality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -402,9 +402,6 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     poset = f.poset
     comps: dict[int, tuple[int, ...]] = {}
 
-    def bijections(m: int) -> Iterator[tuple[int, ...]]:
-        return (perm for perm in product(range(m), repeat=m) if len(set(perm)) == m)
-
     def consistent(p: int, comp: tuple[int, ...]) -> bool:
         for q, cq in comps.items():
             if poset.lt(q, p):
@@ -424,7 +421,7 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     def assign(p: int) -> bool:
         if p == poset.n:
             return True
-        for comp in bijections(f.sizes[p]):
+        for comp in permutations(range(f.sizes[p])):
             if consistent(p, comp):
                 comps[p] = comp
                 if assign(p + 1):

@@ -7,8 +7,10 @@ X & down(p) <= s.  Validation reads X off its input, rebuilds J(X) and
 accepts on a match; J(X) is always a topology, so a match is a proof.  On
 a mismatch the axiom scan (maximality, stability, transitivity) runs to
 find the exact witness.  The stock constructors build J(X) directly, and
-meet and join are J of the union and of the intersection of generating
-subsets.
+meet and join validate their inputs the same way and return J of the union
+and of the intersection of generating subsets.  The finest subcanonical
+subset topology is J(C) for a closed-form least subset C, with no search
+over subsets.
 
 Witness searches iterate elements in index order and sieves in
 sorted-member order, so reported counterexamples are deterministic; JSON
@@ -423,10 +425,19 @@ def topology_leq(j: GrothTopology, k: GrothTopology) -> bool:
     return all(j.covers[p] <= k.covers[p] for p in range(j.poset.n))
 
 
+def _require_valid(*topologies: GrothTopology) -> None:
+    """Raise the first axiom witness of an input built without validation."""
+    for t in topologies:
+        violation = _axiom_violation(t.poset, t.covers)
+        if violation is not None:
+            raise violation
+
+
 def meet(j: GrothTopology, k: GrothTopology) -> GrothTopology:
     """Pointwise intersection of cover families: J of the union of the
     generating subsets, since J reverses inclusion."""
     poset = _require_same_poset(j, k)
+    _require_valid(j, k)
     return subset_topology(poset, generating_subset(j) | generating_subset(k))
 
 
@@ -434,6 +445,7 @@ def join(j: GrothTopology, k: GrothTopology) -> GrothTopology:
     """Least topology above both: J of the intersection of the generating
     subsets, since J reverses inclusion."""
     poset = _require_same_poset(j, k)
+    _require_valid(j, k)
     return subset_topology(poset, generating_subset(j) & generating_subset(k))
 
 
@@ -662,29 +674,36 @@ def subset_subcanonicity_witnesses(
 
 @dataclass(frozen=True)
 class CanonicalSubsetReport:
-    """Minimal generating subsets for the finest subcanonical subset topology."""
+    """The least generating subset of the finest subcanonical subset topology.
+
+    ``minimal_subsets`` always holds exactly one subset and ``unique`` is
+    always true: the least subcanonical generator exists on every finite
+    poset (see :func:`canonical_subset_report`).
+    """
 
     minimal_subsets: tuple[frozenset[int], ...]
     unique: bool
 
     @property
     def subset(self) -> frozenset[int]:
-        if not self.unique:
-            raise ValueError("no unique smallest subcanonical generating subset")
         return self.minimal_subsets[0]
 
 
 def canonical_subset_report(poset: FinitePoset) -> CanonicalSubsetReport:
-    """Search all subsets for the inclusion-minimal subcanonical generators.
+    """The least subcanonical generating subset, in closed form.
 
-    The family of qualifying subsets is upward closed, so minimal members
-    determine it; non-uniqueness is flagged rather than resolved.
+    J(X) is subcanonical iff X meets down(q) - down(p) for every q not <= p.
+    For m minimal in such a difference, down(m) - down(p) = {m}, so m lies in
+    C = {q : some p with q not <= p has down(q) - {q} <= down(p)}.  Every
+    subcanonical X contains C, its singleton differences, and C meets every
+    difference, so C is the unique least generator; O(n^2) subset tests.
     """
-    good = []
-    for bits in range(1 << poset.n):
-        xs = frozenset(i for i in range(poset.n) if bits >> i & 1)
-        if not subset_subcanonicity_witnesses(poset, xs):
-            good.append(xs)
-    minimal = [x for x in good if not any(y < x for y in good)]
-    minimal.sort(key=lambda x: (len(x), sorted(x)))
-    return CanonicalSubsetReport(tuple(minimal), unique=len(minimal) == 1)
+    least = frozenset(
+        q
+        for q in range(poset.n)
+        if any(
+            not poset.leq(q, p) and poset.down(q) - {q} <= poset.down(p)
+            for p in range(poset.n)
+        )
+    )
+    return CanonicalSubsetReport((least,), unique=True)

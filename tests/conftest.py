@@ -7,7 +7,8 @@ sublocales by their direct formulas on frozensets.  Topologies have their
 own: the stock constructors by their defining formulas, meet as pointwise
 intersection, join by saturating the pointwise union, restriction by
 down-closure, and completeness by scanning every family of fibers or
-classes.
+classes.  The least subcanonical generating subset has the scan over every
+subset that its closed form replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from sitecalc import CATALOG_NAMES, FinitePoset, catalog
+from sitecalc import CATALOG_NAMES, FinitePoset, catalog, subset_subcanonicity_witnesses
 
 
 def all_subsets(n: int):
@@ -195,6 +196,15 @@ def congruence_complete_scan(congruence) -> bool:
         if not congruence.related(frame.meet_all(pooled), frame.meet_all(joins[i] for i in chosen)):
             return False
     return True
+
+
+def canonical_scan_oracle(poset: FinitePoset) -> list[frozenset[int]]:
+    """The inclusion-minimal subsets with no subcanonicity witness, found by
+    testing every subset; sorted by size, then by members."""
+    good = [x for x in all_subsets(poset.n) if not subset_subcanonicity_witnesses(poset, x)]
+    minimal = [x for x in good if not any(y < x for y in good)]
+    minimal.sort(key=lambda x: (len(x), sorted(x)))
+    return minimal
 
 
 def antichain(n: int) -> FinitePoset:

@@ -1,5 +1,7 @@
 """Presheaves, matching families, sheaf conditions, and the equivalences."""
 
+from itertools import permutations, product
+
 import pytest
 from conftest import all_subsets
 
@@ -414,11 +416,51 @@ def test_kx_equivalence_needs_directedness():
         kx_sheaf_equivalence_check(pruned, frozenset())
 
 
+def _isomorphisms(f, g):
+    """Every componentwise bijection f -> g commuting with restrictions."""
+    poset = f.poset
+    found = []
+    for comps in product(*(permutations(range(m)) for m in f.sizes)):
+        if all(
+            g.restriction(q, p)[comps[p][a]] == comps[q][f.restriction(q, p)[a]]
+            for q in range(poset.n)
+            for p in range(poset.n)
+            if poset.lt(q, p)
+            for a in range(f.sizes[p])
+        ):
+            found.append(comps)
+    return found
+
+
 def test_natural_iso_search():
     f = Presheaf(CHAIN2, (2, 2), {(0, 1): (0, 1)})
     g = Presheaf(CHAIN2, (2, 2), {(0, 1): (1, 0)})
     h = Presheaf(CHAIN2, (2, 2), {(0, 1): (0, 0)})
     assert natural_iso_exists(f, g)
+    assert not natural_iso_exists(f, h)
+    # On V (y, z < x) a presheaf is a bipartite multigraph: the values at x
+    # are edges between the values at y and at z.  This one is a 3-edge path
+    # b0-c0-b1-c1, an edge b2-c2 and isolated b3, c3: it has no automorphism
+    # but the identity, so the only isomorphism onto its relabelling by
+    # sigma is sigma itself.
+    v = catalog_poset("V")
+    x, y, z = (v.index_of(s) for s in "xyz")
+    ry, rz = (0, 1, 1, 2), (0, 0, 1, 2)
+    f = Presheaf(v, (4, 4, 4), {(y, x): ry, (z, x): rz})
+    sigma = {x: (1, 2, 3, 0), y: (3, 0, 2, 1), z: (2, 3, 1, 0)}
+
+    def relabel(r, low):
+        out = [0] * 4
+        for a in range(4):
+            out[sigma[x][a]] = sigma[low][r[a]]
+        return tuple(out)
+
+    g = Presheaf(v, (4, 4, 4), {(y, x): relabel(ry, y), (z, x): relabel(rz, z)})
+    assert _isomorphisms(f, g) == [tuple(sigma[p] for p in range(v.n))]
+    assert natural_iso_exists(f, g) and natural_iso_exists(g, f)
+    # a star b1-{c0, c1, c2} with a pendant edge b0-c0 is not the same graph
+    h = Presheaf(v, (4, 4, 4), {(y, x): (0, 1, 1, 1), (z, x): rz})
+    assert _isomorphisms(f, h) == []
     assert not natural_iso_exists(f, h)
 
 

@@ -311,6 +311,18 @@ def test_lattice_operations_reject_poset_mismatch():
         )
 
 
+@pytest.mark.parametrize("op", [meet, join])
+def test_lattice_operations_reject_unvalidated_input(op):
+    # the constructor does not validate; on {0 < 1} the covers {{0}} at both
+    # points miss the maximal sieve {0, 1} of 1
+    p = catalog_poset("chain3").induced([0, 1])
+    bogus = GrothTopology(p, [frozenset({frozenset({0})})] * 2)
+    for args in [(bogus, bogus), (indiscrete_topology(p), bogus)]:
+        with pytest.raises(AxiomViolation) as exc:
+            op(*args)
+        assert (exc.value.axiom, exc.value.p) == ("maximality", 1)
+
+
 def test_every_finite_topology_is_complete(catalog_pair):
     _, p = catalog_pair
     for t in enumerate_all_topologies(p):
