@@ -77,6 +77,11 @@ class AxiomViolation(SiteCalcError):
         self.other = other
 
 
+class NotSubsetGeneratedError(SiteCalcError):
+    """Cover families satisfying every axiom but not J(X): a counterexample
+    to the normal form, which no finite poset should produce."""
+
+
 class NotDownwardsDirectedError(SiteCalcError):
     pass
 

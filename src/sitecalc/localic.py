@@ -4,7 +4,17 @@ The three presentations are interconvertible with Grothendieck topologies;
 :func:`verify_commuting_diagram` replays every conversion round trip on
 every topology of a small poset.  Nuclei are stored as full lookup tables
 over down-set ids, congruences as partitions of those ids, sublocales as
-id sets.
+id sets.  A topology is stored as its generating subset X, and every
+conversion goes through X in closed form, with one kernel, implication
+from X, d -> {p : X & down(p) <= d}:
+
+- to a nucleus: d & down(p) covers p iff it holds X & down(p), iff d does.
+- to a congruence: the fibres of d -> d & X, which fixes j(d) = j(d & X)
+  and is fixed by it, as j(d) & X = d & X.
+- to a sublocale: the fixed points, the d holding every p they cover.
+- back: X = {p : down(p) - {p} does not cover p}, read off as
+  p not in j(down(p) - {p}), down(p) not congruent to down(p) - {p}
+  (:func:`extract_subset`), or some member cutting down(p) to down(p) - {p}.
 
 Every presentation is validated on construction, at any frame size.  Each
 one is generated by a subset X of the poset, so a constructor first reads
@@ -31,18 +41,20 @@ from .errors import (
     NotANucleusError,
     NotASublocaleError,
     NotSurjectiveError,
+    ParseError,
+    PosetMismatchError,
 )
 from .poset import (
     DownSetFrame,
     FinitePoset,
     FrameMap,
+    _mask,
     double_negation,
     enumerate_downsets,
     frame_morphism_violation,
     heyting_implication,
-    sieves_on,
 )
-from .sites import GrothTopology, enumerate_all_topologies, validate_topology
+from .sites import GrothTopology, enumerate_all_topologies
 from .sites import is_complete as topology_is_complete
 
 
@@ -51,7 +63,16 @@ def _members(frame: DownSetFrame, i: int) -> list[str]:
 
 
 def _is_id(frame: DownSetFrame, i: object) -> bool:
-    return isinstance(i, int) and 0 <= i < len(frame)
+    return type(i) is int and 0 <= i < len(frame)
+
+
+def _json_list(doc: object, field: str, kind: str) -> list:
+    """The list ``doc[field]``, else a ParseError with the offending value."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{kind} JSON must be an object", witness={"document": doc})
+    if not isinstance(doc.get(field), list):
+        raise ParseError(f"'{field}' is not a list", witness={field: doc.get(field)})
+    return doc[field]
 
 
 def _punctured(down: int, p: int) -> int:
@@ -78,6 +99,27 @@ def _implication_masks(frame: DownSetFrame, xs: int) -> list[int]:
                 value |= bit
         out.append(value)
     return out
+
+
+def _nucleus_subset(frame: DownSetFrame, table: Sequence[int]) -> frozenset[int]:
+    """X = {p : p not in j(down(p) - {p})} read off a nucleus table."""
+    masks, index = frame.masks, frame.mask_index
+    return frozenset(
+        p
+        for p, down in enumerate(frame.principal)
+        if not masks[table[index[_punctured(down, p)]]] >> p & 1
+    )
+
+
+def _sublocale_subset(frame: DownSetFrame, members: Iterable[int]) -> frozenset[int]:
+    """X = {p : some member cuts down(p) to down(p) - {p}}."""
+    member_masks = [frame.masks[i] for i in members]
+    xs = set()
+    for p, down in enumerate(frame.principal):
+        below = _punctured(down, p)
+        if any(m & down == below for m in member_masks):
+            xs.add(p)
+    return frozenset(xs)
 
 
 class Nucleus:
@@ -110,10 +152,7 @@ class Nucleus:
 
     def _is_subset_form(self) -> bool:
         frame, table, masks = self.frame, self.table, self.frame.masks
-        xs = 0
-        for p, down in enumerate(frame.principal):
-            if not masks[table[frame.mask_index[_punctured(down, p)]]] >> p & 1:
-                xs |= 1 << p
+        xs = _mask(_nucleus_subset(frame, table))
         return all(masks[t] == j for t, j in zip(table, _implication_masks(frame, xs)))
 
     def _check_laws(self) -> None:
@@ -170,9 +209,13 @@ class Nucleus:
 
     @classmethod
     def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Nucleus":
+        pairs = _json_list(doc, "pairs", "nucleus")
         frame = frame if frame is not None else frame_for_json(doc)
         table = [0] * len(frame)
-        for i, t in doc["pairs"]:
+        for pair in pairs:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ParseError(f"pairs entry {pair!r} is not a pair", witness={"pair": pair})
+            i, t = pair
             if not _is_id(frame, i):
                 raise NotANucleusError(
                     f"pair index {i!r} is not a down-set id", witness={"pair": [i, t]}
@@ -221,7 +264,7 @@ class Congruence:
             self._check_laws()
 
     def _is_subset_form(self) -> bool:
-        xs = sum(1 << p for p in extract_subset(self))
+        xs = _mask(extract_subset(self))
         # every class is non-empty, so cut -> class is onto; one-to-one iff
         # there are as many cuts as classes
         class_of_cut: dict[int, int] = {}
@@ -289,8 +332,12 @@ class Congruence:
 
     @classmethod
     def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Congruence":
+        classes = _json_list(doc, "classes", "congruence")
+        for c in classes:
+            if not (isinstance(c, list) and all(isinstance(a, int) for a in c)):
+                raise ParseError(f"class {c!r} is not a list of ids", witness={"class": c})
         frame = frame if frame is not None else frame_for_json(doc)
-        return cls(frame, doc["classes"])
+        return cls(frame, classes)
 
 
 class Sublocale:
@@ -309,18 +356,13 @@ class Sublocale:
         self.members = frozenset(members)
         for i in self.members:
             if not _is_id(frame, i):
-                raise NotASublocaleError(f"{i} is not a down-set id")
+                raise NotASublocaleError(f"{i!r} is not a down-set id", witness={"id": i})
         if check and not self._is_subset_form():
             self._check_laws()
 
     def _is_subset_form(self) -> bool:
         frame, members, masks = self.frame, self.members, self.frame.masks
-        member_masks = [masks[i] for i in members]
-        xs = 0
-        for p, down in enumerate(frame.principal):
-            below = _punctured(down, p)
-            if any(m & down == below for m in member_masks):
-                xs |= 1 << p
+        xs = _mask(_sublocale_subset(frame, members))
         fixed = _implication_masks(frame, xs)
         return all((j == d) == (i in members) for i, (d, j) in enumerate(zip(masks, fixed)))
 
@@ -370,46 +412,39 @@ class Sublocale:
 
     @classmethod
     def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Sublocale":
+        members = _json_list(doc, "members", "sublocale")
+        for i in members:
+            if not isinstance(i, int):
+                raise ParseError(f"member {i!r} is not an id", witness={"member": i})
         frame = frame if frame is not None else frame_for_json(doc)
-        return cls(frame, doc["members"])
+        return cls(frame, members)
 
 
 def frame_for_json(doc: dict) -> DownSetFrame:
-    return enumerate_downsets(FinitePoset.from_json(doc["poset"]))
+    return enumerate_downsets(FinitePoset.from_json(doc.get("poset")))
 
 
 # -- conversions between the four presentations ----------------------------
+
+
+def _topology_frame(topology: GrothTopology, frame: DownSetFrame | None) -> DownSetFrame:
+    frame = frame if frame is not None else enumerate_downsets(topology.poset)
+    if frame.poset != topology.poset:
+        raise PosetMismatchError("topology and frame live on different posets")
+    return frame
 
 
 def nucleus_from_topology(
     topology: GrothTopology, frame: DownSetFrame | None = None
 ) -> Nucleus:
     """Send a down-set to the elements whose cut along it is a cover."""
-    poset = topology.poset
-    frame = frame if frame is not None else enumerate_downsets(poset)
-    table = []
-    for d in frame:
-        value = frozenset(
-            p for p in range(poset.n) if (d & poset.down(p)) in topology.covers[p]
-        )
-        table.append(frame.id_of(value))
-    return Nucleus(frame, table)
+    return _implication_nucleus(_topology_frame(topology, frame), _mask(topology.subset))
 
 
 def topology_from_nucleus(nucleus: Nucleus) -> GrothTopology:
     """Covers of p are the sieves whose image under the nucleus reaches p."""
     frame = nucleus.frame
-    poset = frame.poset
-    covers = []
-    for p in range(poset.n):
-        covers.append(
-            frozenset(
-                s
-                for s in sieves_on(poset, p)
-                if p in frame.downset(nucleus.table[frame.id_of(s)])
-            )
-        )
-    return validate_topology(poset, covers)
+    return GrothTopology(frame.poset, _nucleus_subset(frame, nucleus.table))
 
 
 def congruence_from_nucleus(nucleus: Nucleus) -> Congruence:
@@ -424,7 +459,8 @@ def nucleus_from_congruence(congruence: Congruence) -> Nucleus:
 
 
 def sublocale_from_nucleus(nucleus: Nucleus) -> Sublocale:
-    return Sublocale(nucleus.frame, nucleus.fixed_point_ids())
+    """The fixed points, a sublocale for every nucleus."""
+    return Sublocale(nucleus.frame, nucleus.fixed_point_ids(), check=False)
 
 
 def nucleus_from_sublocale(sublocale: Sublocale) -> Nucleus:
@@ -457,68 +493,27 @@ def congruence_from_topology(
     topology: GrothTopology, frame: DownSetFrame | None = None
 ) -> Congruence:
     """Relate two down-sets when they cut to covers at exactly the same elements."""
-    poset = topology.poset
-    frame = frame if frame is not None else enumerate_downsets(poset)
-    keys = []
-    for d in frame:
-        keys.append(
-            frozenset(
-                p for p in range(poset.n) if (d & poset.down(p)) in topology.covers[p]
-            )
-        )
-    return Congruence.from_key(frame, keys)
+    frame = _topology_frame(topology, frame)
+    xs = _mask(topology.subset)
+    return Congruence.from_key(frame, [d & xs for d in frame.masks])
 
 
 def topology_from_congruence(congruence: Congruence) -> GrothTopology:
     """Covers of p are the sieves congruent to the maximal sieve on p."""
-    frame = congruence.frame
-    poset = frame.poset
-    covers = []
-    for p in range(poset.n):
-        top = frame.id_of(poset.down(p))
-        covers.append(
-            frozenset(
-                s
-                for s in sieves_on(poset, p)
-                if congruence.related(frame.id_of(s), top)
-            )
-        )
-    return validate_topology(poset, covers)
+    return GrothTopology(congruence.frame.poset, extract_subset(congruence))
 
 
 def sublocale_from_topology(
     topology: GrothTopology, frame: DownSetFrame | None = None
 ) -> Sublocale:
     """Members are the down-sets containing every element they cover."""
-    poset = topology.poset
-    frame = frame if frame is not None else enumerate_downsets(poset)
-    members = []
-    for i, d in enumerate(frame):
-        if all(
-            p in d
-            for p in range(poset.n)
-            if (d & poset.down(p)) in topology.covers[p]
-        ):
-            members.append(i)
-    return Sublocale(frame, members)
+    return sublocale_from_nucleus(nucleus_from_topology(topology, frame))
 
 
 def topology_from_sublocale(sublocale: Sublocale) -> GrothTopology:
     """Covers of p are the sieves contained in no member that omits p."""
     frame = sublocale.frame
-    poset = frame.poset
-    covers = []
-    for p in range(poset.n):
-        fam = []
-        for s in sieves_on(poset, p):
-            if all(
-                p in frame.downset(m)
-                for m in sublocale.members
-                if s <= frame.downset(m)
-            ):
-                fam.append(s)
-        covers.append(frozenset(fam))
-    return validate_topology(poset, covers)
+    return GrothTopology(frame.poset, _sublocale_subset(frame, sublocale.members))
 
 
 # -- subset-generated presentations -----------------------------------------
@@ -531,6 +526,12 @@ class SubsetForms:
     sublocale: Sublocale
 
 
+def _implication_nucleus(frame: DownSetFrame, xs: int) -> Nucleus:
+    """Implication from the subset mask ``xs``, a nucleus by construction."""
+    mask_index = frame.mask_index
+    return Nucleus(frame, [mask_index[j] for j in _implication_masks(frame, xs)], check=False)
+
+
 def subset_forms(
     poset: FinitePoset, subset: Iterable[int], frame: DownSetFrame | None = None
 ) -> SubsetForms:
@@ -541,12 +542,10 @@ def subset_forms(
     implication-fixed down-sets.
     """
     frame = frame if frame is not None else enumerate_downsets(poset)
-    xs = frozenset(subset)
-    table = tuple(frame.id_of(heyting_implication(poset, xs, d)) for d in frame)
-    nucleus = Nucleus(frame, table)
-    congruence = Congruence.from_key(frame, [d & xs for d in frame])
-    sublocale = Sublocale(frame, nucleus.fixed_point_ids())
-    return SubsetForms(nucleus, congruence, sublocale)
+    xs = _mask(subset)
+    nucleus = _implication_nucleus(frame, xs)
+    congruence = Congruence.from_key(frame, [d & xs for d in frame.masks])
+    return SubsetForms(nucleus, congruence, sublocale_from_nucleus(nucleus))
 
 
 def double_negation_nucleus(
@@ -741,14 +740,12 @@ def homomorphism_factorization(f: FrameMap) -> FactorizationWitness:
 def extract_subset(congruence: Congruence) -> frozenset[int]:
     """Elements whose principal down-set is separated from its punctured form."""
     frame = congruence.frame
-    poset = frame.poset
-    out = []
-    for p in range(poset.n):
-        whole = frame.id_of(poset.down(p))
-        punctured = frame.id_of(poset.down(p) - {p})
-        if not congruence.related(whole, punctured):
-            out.append(p)
-    return frozenset(out)
+    index = frame.mask_index
+    return frozenset(
+        p
+        for p, down in enumerate(frame.principal)
+        if not congruence.related(index[down], index[_punctured(down, p)])
+    )
 
 
 # -- the commuting diagram ----------------------------------------------------

@@ -117,7 +117,7 @@ class FinitePoset:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise ParseError(f"unknown element {label!r}") from None
+            raise ParseError(f"unknown element {label!r}", witness={"element": label}) from None
 
     def relation_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(self.n) for j in sorted(self._up[i]))
@@ -211,7 +211,7 @@ class FinitePoset:
         offending value as its witness.
         """
         if not isinstance(doc, dict) or "elements" not in doc:
-            raise ParseError("poset JSON must contain an 'elements' list")
+            raise ParseError("poset JSON must contain an 'elements' list", witness={"poset": doc})
         elements, pairs = doc["elements"], doc.get("le_pairs", [])
         if not isinstance(elements, list):
             raise ParseError("'elements' is not a list", witness={"elements": elements})

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     BasePointError,
     FunctorialityError,
-    NotDenseError,
     NotDownwardsDirectedError,
     NotMatchingError,
     ParseError,
@@ -28,7 +27,6 @@ from .poset import FinitePoset
 from .sites import (
     GrothTopology,
     _members_key,
-    dense_violation,
     derived_topology,
     restrict_topology,
     subset_topology,
@@ -128,14 +126,28 @@ class Presheaf:
 
     @classmethod
     def from_json(cls, doc: dict, poset: FinitePoset | None = None) -> "Presheaf":
-        poset = poset if poset is not None else FinitePoset.from_json(doc["poset"])
+        """Read ``{"values": {label: size}, "maps": {"q<=p": [value, ...]}}``;
+        any other shape is a ParseError with the offending value as witness."""
+        if not isinstance(doc, dict):
+            raise ParseError("presheaf JSON must be an object", witness={"document": doc})
+        poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
+        values, tables = doc.get("values", {}), doc.get("maps", {})
+        for field, value in (("values", values), ("maps", tables)):
+            if not isinstance(value, dict):
+                raise ParseError(f"'{field}' is not an object", witness={field: value})
         sizes = [0] * poset.n
-        for label, size in doc.get("values", {}).items():
-            sizes[poset.index_of(label)] = int(size)
+        for label, size in values.items():
+            if type(size) is not int:
+                raise ParseError(f"value size {size!r} is not an integer",
+                                 witness={"element": label, "size": size})
+            sizes[poset.index_of(label)] = size
         maps = {}
-        for key, tab in doc.get("maps", {}).items():
+        for key, tab in tables.items():
             if "<=" not in key:
-                raise ParseError(f"bad restriction key {key!r}")
+                raise ParseError(f"bad restriction key {key!r}", witness={"key": key})
+            if not (isinstance(tab, list) and all(type(v) is int for v in tab)):
+                raise ParseError(f"restriction {key!r} is not a list of integers",
+                                 witness={"key": key, "map": tab})
             qlab, plab = key.split("<=", 1)
             maps[(poset.index_of(qlab.strip()), poset.index_of(plab.strip()))] = tab
         return cls(poset, sizes, maps)
@@ -603,12 +615,6 @@ def comparison_check(
     bijections.
     """
     xs = frozenset(subset)
-    bad = dense_violation(poset, topology, xs)
-    if bad is not None:
-        raise NotDenseError(
-            f"subset is not dense at {poset.labels[bad]}",
-            witness={"p": poset.labels[bad]},
-        )
     elems = sorted(xs)
     induced = restrict_topology(poset, topology, xs)
     if base_presheaves is None:

@@ -1,16 +1,25 @@
 """Grothendieck topologies on finite posets.
 
-A topology is stored as, per element ``p``, the set of cover sieves on
-``p``.  On a finite poset every topology is J(X) for the subset X of
-elements whose only cover is their maximal sieve: a sieve s covers p iff
-X & down(p) <= s.  Validation reads X off its input, rebuilds J(X) and
-accepts on a match; J(X) is always a topology, so a match is a proof.  On
-a mismatch the axiom scan (maximality, stability, transitivity) runs to
-find the exact witness.  The stock constructors build J(X) directly, and
-meet and join validate their inputs the same way and return J of the union
-and of the intersection of generating subsets.  The finest subcanonical
-subset topology is J(C) for a closed-form least subset C, with no search
-over subsets.
+On a finite poset every topology is J(X) for exactly one subset X, the
+elements whose only cover is their maximal sieve: s covers p iff
+X & down(p) <= s.  A topology is stored as X, with its cover families a
+view built on first use, so no invalid one can be built.  Each constructor
+and conversion computes X in closed form (min: minimal elements):
+
+- dense = J(min P): s holds min P & down(p) iff its up-closure holds down(p);
+  atomic and derived(Y) add the bottom, held by exactly the nonempty sieves.
+- meet = J(X | Y), join = J(X & Y): J reverses inclusion.
+- lx(X) = J(min X): down(m) & X = {m} for m in min X, and min X is under X.
+- D is dense iff X <= D: down(D & down(p)) covers p iff it holds X & down(p).
+- restricting to a dense D gives J_D(X): s & D holds X & down(x) iff s does.
+- extending J_D(Y) gives J(Y): Y & down(x) <= s for all x in D & down(p) iff
+  Y & down(p) <= s, as Y <= D.
+
+Families from outside, in :func:`validate_topology` and the census
+:func:`enumerate_all_topologies`, must equal J(X) for the X read off them;
+otherwise the axiom scan finds the exact witness, and families that pass
+it, refuting the normal form, raise instead of being replaced by J(X).
+The finest subcanonical subset topology is J(C) for a closed-form C.
 
 Witness searches iterate elements in index order and sieves in
 sorted-member order, so reported counterexamples are deterministic; JSON
@@ -28,6 +37,8 @@ from .errors import (
     NotDenseError,
     NotDownwardsDirectedError,
     NotOrderIsomorphismError,
+    NotSubsetGeneratedError,
+    ParseError,
     PosetMismatchError,
     TooLargeForBruteForceError,
 )
@@ -71,35 +82,47 @@ def _members_key(s: frozenset[int]) -> list[int]:
 
 
 class GrothTopology:
-    """Per-element families of cover sieves satisfying the site axioms."""
+    """The topology J(X) generated by a subset X: s covers p iff X & down(p) <= s.
+    X is the whole representation; the cover families are a view."""
 
-    __slots__ = ("poset", "covers", "_hash")
+    __slots__ = ("poset", "subset", "_covers")
 
-    def __init__(self, poset: FinitePoset, covers: Sequence[frozenset[frozenset[int]]]):
+    def __init__(self, poset: FinitePoset, subset: Iterable[int]):
         self.poset = poset
-        self.covers = tuple(frozenset(c) for c in covers)
-        self._hash = hash((poset, self.covers))
+        self.subset = frozenset(subset)
+        for e in self.subset:
+            if not (type(e) is int and 0 <= e < poset.n):
+                raise PosetMismatchError(f"{e!r} is not an element of the poset")
+        self._covers: tuple[frozenset[frozenset[int]], ...] | None = None
+
+    @property
+    def covers(self) -> tuple[frozenset[frozenset[int]], ...]:
+        """Per element p, the sieves on p containing X & down(p)."""
+        if self._covers is None:
+            self._covers = tuple(_subset_covers(self.poset, self.subset))
+        return self._covers
 
     def covers_on(self, p: int) -> tuple[frozenset[int], ...]:
         """Covers of p sorted by stable down-set id order."""
         return tuple(sorted(self.covers[p], key=lambda s: _char_key(self.poset.n, s)))
 
     def is_cover(self, p: int, sieve: Iterable[int]) -> bool:
-        return frozenset(sieve) in self.covers[p]
+        s, dn = frozenset(sieve), self.poset.down(p)
+        return self.subset & dn <= s <= dn and self.poset.down_closure(s) == s
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GrothTopology)
             and self.poset == other.poset
-            and self.covers == other.covers
+            and self.subset == other.subset
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.poset, self.subset))
 
     def __repr__(self) -> str:
         labels = self.poset.labels
-        gens = sorted(labels[i] for i in generating_subset(self))
+        gens = sorted(labels[i] for i in self.subset)
         return f"<GrothTopology on {list(labels)} generated_by={gens}>"
 
     def to_json(self) -> dict:
@@ -113,13 +136,27 @@ class GrothTopology:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "GrothTopology":
-        poset = FinitePoset.from_json(doc["poset"])
+    def from_json(cls, doc: object) -> "GrothTopology":
+        """Read ``{"poset": {...}, "covers": {label: [[label, ...], ...]}}`` and
+        validate it; any other shape is a ParseError with the offending value."""
+        if not isinstance(doc, dict):
+            raise ParseError("topology JSON must be an object", witness={"document": doc})
+        poset = FinitePoset.from_json(doc.get("poset"))
+        families = doc.get("covers")
+        if not isinstance(families, dict):
+            raise ParseError("'covers' is not an object", witness={"covers": families})
         covers: list[set[frozenset[int]]] = [set() for _ in range(poset.n)]
-        for label, sieves in doc["covers"].items():
+        for label, sieves in families.items():
             p = poset.index_of(label)
-            for members in sieves:
-                covers[p].add(frozenset(poset.index_of(m) for m in members))
+            if not (
+                isinstance(sieves, list)
+                and all(isinstance(s, list) and all(isinstance(m, str) for m in s) for s in sieves)
+            ):
+                raise ParseError(
+                    f"the covers of {label!r} are not lists of element labels",
+                    witness={"element": label, "family": sieves},
+                )
+            covers[p].update(frozenset(poset.index_of(m) for m in s) for s in sieves)
         return validate_topology(poset, covers)
 
 
@@ -203,26 +240,24 @@ def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[frozenset[fro
     return covers
 
 
-def _axiom_violation(
-    poset: FinitePoset, covers: Sequence[frozenset[frozenset[int]]]
-) -> AxiomViolation | None:
-    """None when the covers are J(X) for the X read off them, else the scan's
-    verdict: the first failing axiom, or None if it finds none."""
-    xs = frozenset(p for p in range(poset.n) if covers[p] == frozenset((poset.down(p),)))
-    if list(covers) == _subset_covers(poset, xs):
-        return None
-    return find_axiom_violation(poset, covers)
-
-
 def validate_topology(
     poset: FinitePoset, covers: Mapping[int, Iterable] | Sequence[Iterable]
 ) -> GrothTopology:
-    """The validated topology, or AxiomViolation with the exact witness."""
+    """J(X) when the families equal it for X read off them, the elements whose
+    only cover is their maximal sieve.  Otherwise the axiom scan's first
+    violation raises, and families that pass it, refuting the normal form,
+    raise NotSubsetGeneratedError instead of being replaced by J(X)."""
     fams = _normalize_covers(poset, covers)
-    violation = _axiom_violation(poset, fams)
-    if violation is not None:
+    xs = frozenset(p for p in range(poset.n) if fams[p] == frozenset((poset.down(p),)))
+    if fams != _subset_covers(poset, xs):
+        violation = find_axiom_violation(poset, fams)
+        if violation is None:
+            violation = NotSubsetGeneratedError(
+                "the covers satisfy every axiom but are not J(X)",
+                witness={"subset": sorted(poset.labels[i] for i in xs)},
+            )
         raise violation
-    return GrothTopology(poset, fams)
+    return GrothTopology(poset, xs)
 
 
 # -- constructors ---------------------------------------------------------
@@ -235,15 +270,12 @@ def subset_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
     topology.  A degenerate cut (empty intersection with the down-set of
     p) admits every sieve, including the empty one.
     """
-    return GrothTopology(poset, _subset_covers(poset, frozenset(subset)))
+    return GrothTopology(poset, subset)
 
 
 def generating_subset(topology: GrothTopology) -> frozenset[int]:
-    """Elements whose only cover is their maximal sieve."""
-    poset = topology.poset
-    return frozenset(
-        p for p in range(poset.n) if topology.covers[p] == frozenset((poset.down(p),))
-    )
+    """The X with topology = J(X); J is injective, so X is unique."""
+    return topology.subset
 
 
 def indiscrete_topology(poset: FinitePoset) -> GrothTopology:
@@ -305,31 +337,25 @@ def derived_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology
 
 def lx_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
     """Covers of p are the sieves meeting the subset below every subset point under p."""
-    xs = frozenset(subset)
-    covers = []
-    for p in range(poset.n):
-        fam = []
-        for s in sieves_on(poset, p):
-            if all(s & poset.down(x) & xs for x in xs & poset.down(p)):
-                fam.append(s)
-        covers.append(frozenset(fam))
-    return validate_topology(poset, covers)
+    return GrothTopology(poset, poset.minimal_elements(subset))
 
 
 # -- restriction and extension along a subset inclusion -------------------
 
 
+def _require_poset(poset: FinitePoset, topology: GrothTopology) -> None:
+    if topology.poset != poset:
+        raise PosetMismatchError("topology is not defined on the given poset")
+
+
 def dense_violation(poset: FinitePoset, topology: GrothTopology, subset: frozenset[int]) -> int | None:
-    """First element whose generated subset-cut sieve is not a cover, else None."""
+    """First element p whose cut sieve down(D & down(p)) is not a cover, that
+    is, misses part of X & down(p); None exactly when X <= D."""
+    _require_poset(poset, topology)
     for p in range(poset.n):
-        if poset.down_closure(subset & poset.down(p)) not in topology.covers[p]:
+        if not topology.subset & poset.down(p) <= poset.down_closure(subset & poset.down(p)):
             return p
     return None
-
-
-def _sub_positions(subset: Iterable[int]) -> tuple[list[int], dict[int, int]]:
-    elems = sorted(set(subset))
-    return elems, {e: k for k, e in enumerate(elems)}
 
 
 def restrict_topology(
@@ -339,8 +365,6 @@ def restrict_topology(
 
     Covers of a subset point are the intersection images of its covers.
     """
-    if topology.poset != poset:
-        raise PosetMismatchError("topology is not defined on the given poset")
     xs = frozenset(subset)
     bad = dense_violation(poset, topology, xs)
     if bad is not None:
@@ -348,13 +372,8 @@ def restrict_topology(
             f"subset is not dense: the cut sieve at {poset.labels[bad]} is not a cover",
             witness={"p": poset.labels[bad]},
         )
-    elems, pos = _sub_positions(xs)
-    sub = poset.induced(elems)
-    covers = [
-        frozenset(frozenset(pos[e] for e in s if e in pos) for s in topology.covers[x])
-        for x in elems
-    ]
-    return validate_topology(sub, covers)
+    elems = sorted(xs)
+    return GrothTopology(poset.induced(elems), (elems.index(x) for x in topology.subset))
 
 
 def extend_topology(
@@ -365,38 +384,19 @@ def extend_topology(
     A sieve covers p exactly when its cut below every subset point under p
     is an inner cover there.
     """
-    elems, pos = _sub_positions(subset)
-    sub = poset.induced(elems)
-    if inner.poset != sub:
+    elems = sorted(set(subset))
+    if inner.poset != poset.induced(elems):
         raise InvalidInnerTopologyError(
             "inner topology is not defined on the induced subposet"
         )
-    inner_violation = _axiom_violation(sub, inner.covers)
-    if inner_violation is not None:
-        raise InvalidInnerTopologyError(
-            f"inner topology is invalid: {inner_violation.message}"
-        )
-    xs = frozenset(elems)
-    covers = []
-    for p in range(poset.n):
-        fam = []
-        for s in sieves_on(poset, p):
-            ok = True
-            for x in xs & poset.down(p):
-                cut = frozenset(pos[e] for e in s & xs & poset.down(x))
-                if not inner.is_cover(pos[x], cut):
-                    ok = False
-                    break
-            if ok:
-                fam.append(s)
-        covers.append(frozenset(fam))
-    return validate_topology(poset, covers)
+    return GrothTopology(poset, (elems[y] for y in inner.subset))
 
 
 def lxy_topology(
     poset: FinitePoset, subset: Iterable[int], inner_subset: Iterable[int]
 ) -> GrothTopology:
-    """Extension of the derived topology of ``inner_subset`` on ``subset``."""
+    """Extension of the derived topology of ``inner_subset`` on ``subset``:
+    J_D(Y | {bottom of D}) extends to J(Y | min D)."""
     xs = frozenset(subset)
     ys = frozenset(inner_subset)
     if not ys <= xs:
@@ -405,10 +405,7 @@ def lxy_topology(
         raise NotDownwardsDirectedError(
             "the outer subset must be downwards directed as a subposet"
         )
-    elems, pos = _sub_positions(xs)
-    sub = poset.induced(elems)
-    inner = derived_topology(sub, frozenset(pos[y] for y in ys))
-    return extend_topology(poset, xs, inner)
+    return GrothTopology(poset, ys | poset.minimal_elements(xs))
 
 
 # -- lattice structure -----------------------------------------------------
@@ -421,32 +418,21 @@ def _require_same_poset(j: GrothTopology, k: GrothTopology) -> FinitePoset:
 
 
 def topology_leq(j: GrothTopology, k: GrothTopology) -> bool:
+    """Pointwise inclusion of cover families, which J reverses."""
     _require_same_poset(j, k)
-    return all(j.covers[p] <= k.covers[p] for p in range(j.poset.n))
-
-
-def _require_valid(*topologies: GrothTopology) -> None:
-    """Raise the first axiom witness of an input built without validation."""
-    for t in topologies:
-        violation = _axiom_violation(t.poset, t.covers)
-        if violation is not None:
-            raise violation
+    return k.subset <= j.subset
 
 
 def meet(j: GrothTopology, k: GrothTopology) -> GrothTopology:
     """Pointwise intersection of cover families: J of the union of the
     generating subsets, since J reverses inclusion."""
-    poset = _require_same_poset(j, k)
-    _require_valid(j, k)
-    return subset_topology(poset, generating_subset(j) | generating_subset(k))
+    return GrothTopology(_require_same_poset(j, k), j.subset | k.subset)
 
 
 def join(j: GrothTopology, k: GrothTopology) -> GrothTopology:
     """Least topology above both: J of the intersection of the generating
     subsets, since J reverses inclusion."""
-    poset = _require_same_poset(j, k)
-    _require_valid(j, k)
-    return subset_topology(poset, generating_subset(j) & generating_subset(k))
+    return GrothTopology(_require_same_poset(j, k), j.subset & k.subset)
 
 
 def is_complete(topology: GrothTopology) -> bool:
@@ -495,7 +481,9 @@ def enumerate_all_topologies(
     Per-element candidate families are restricted to filters of sieves
     containing the maximal sieve (a necessary condition), assigned along a
     linear extension so stability prunes early, and finally checked against
-    all three axioms.
+    all three axioms.  Each accepted assignment must then equal J(X) for the
+    X read off it, or NotSubsetGeneratedError raises: the census re-derives
+    the normal form rather than assuming it.
     """
     if poset.n > cap:
         raise TooLargeForBruteForceError(
@@ -519,7 +507,7 @@ def enumerate_all_topologies(
         if idx == len(order):
             covers = [assignment[p] for p in range(poset.n)]
             if find_axiom_violation(poset, covers) is None:
-                found.append(GrothTopology(poset, covers))
+                found.append(validate_topology(poset, covers))
             return
         p = order[idx]
         for fam in choices[p]:
@@ -624,20 +612,18 @@ def adjoint_transfer_consistent(
 
 
 def representable_is_sheaf(poset: FinitePoset, topology: GrothTopology, p: int) -> bool:
-    """No element off the cone of p may have a cover inside the down-set of p."""
+    """No element off the cone of p may have a cover inside the down-set of p;
+    the least cover down(X & down(q)) of q lies in it iff X & down(q) does."""
+    _require_poset(poset, topology)
     dn = poset.down(p)
-    for q in range(poset.n):
-        if poset.leq(q, p):
-            continue
-        if any(s <= dn for s in topology.covers[q]):
-            return False
-    return True
+    return all(poset.leq(q, p) or not topology.subset & poset.down(q) <= dn for q in range(poset.n))
 
 
 def subcanonicity_report(
     poset: FinitePoset, topology: GrothTopology
 ) -> tuple[tuple[int, int, frozenset[int]], ...]:
     """Witnesses (p, q, cover) for every representable failing the sheaf test."""
+    _require_poset(poset, topology)
     out = []
     for p in range(poset.n):
         dn = poset.down(p)

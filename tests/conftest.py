@@ -7,8 +7,12 @@ sublocales by their direct formulas on frozensets.  Topologies have their
 own: the stock constructors by their defining formulas, meet as pointwise
 intersection, join by saturating the pointwise union, restriction by
 down-closure, and completeness by scanning every family of fibers or
-classes.  The least subcanonical generating subset has the scan over every
-subset that its closed form replaced.
+classes.  The closed forms on a topology's generating subset have the
+family-building formulas they replaced: J(X), lx, extension and the
+density witness on raw sieves, and the conversions between topologies and
+nuclei, congruences and sublocales by cover membership.  The least
+subcanonical generating subset has the scan over every subset that its
+closed form replaced.
 """
 
 from __future__ import annotations
@@ -171,6 +175,115 @@ def restricted_covers(poset: FinitePoset, topology, subset) -> list[frozenset]:
             if poset.down_closure(elems[i] for i in s) in topology.covers[x]
         ))
     return covers
+
+
+def subset_covers_oracle(poset: FinitePoset, subset) -> list[frozenset]:
+    """J(X) by filtering every down-set below p for the cut X & down(p)."""
+    xs = frozenset(subset)
+    return [
+        frozenset(s for s in brute_sieves(poset, p) if xs & poset.down(p) <= s)
+        for p in range(poset.n)
+    ]
+
+
+def lx_covers(poset: FinitePoset, subset) -> list[frozenset]:
+    """Covers of p: the sieves meeting the subset below every subset point under p."""
+    xs = frozenset(subset)
+    return [
+        frozenset(
+            s for s in brute_sieves(poset, p)
+            if all(s & poset.down(x) & xs for x in xs & poset.down(p))
+        )
+        for p in range(poset.n)
+    ]
+
+
+def extended_covers(poset: FinitePoset, subset, inner) -> list[frozenset]:
+    """Covers of p: the sieves whose cut below every subset point x under p is
+    an inner cover of x, with the inner families filtered from raw sieves."""
+    elems = sorted(subset)
+    pos = {e: k for k, e in enumerate(elems)}
+    inner_covers = subset_covers_oracle(inner.poset, inner.subset)
+    xs = frozenset(elems)
+    return [
+        frozenset(
+            s for s in brute_sieves(poset, p)
+            if all(
+                frozenset(pos[e] for e in s & xs & poset.down(x)) in inner_covers[pos[x]]
+                for x in xs & poset.down(p)
+            )
+        )
+        for p in range(poset.n)
+    ]
+
+
+def dense_violation_scan(poset: FinitePoset, topology, subset) -> int | None:
+    """First element whose down-closed subset cut is not among its covers."""
+    for p in range(poset.n):
+        if poset.down_closure(subset & poset.down(p)) not in topology.covers[p]:
+            return p
+    return None
+
+
+def cover_elements(topology, d: frozenset[int]) -> frozenset[int]:
+    """The elements p at which the cut d & down(p) is a cover."""
+    poset = topology.poset
+    return frozenset(p for p in range(poset.n) if d & poset.down(p) in topology.covers[p])
+
+
+def nucleus_table_from_covers(topology, frame) -> tuple[int, ...]:
+    return tuple(frame.id_of(cover_elements(topology, d)) for d in frame)
+
+
+def congruence_classes_from_covers(topology, frame) -> set[frozenset[int]]:
+    groups: dict = {}
+    for i, d in enumerate(frame):
+        groups.setdefault(cover_elements(topology, d), set()).add(i)
+    return {frozenset(c) for c in groups.values()}
+
+
+def sublocale_members_from_covers(topology, frame) -> frozenset[int]:
+    """The down-sets containing every element they cover."""
+    return frozenset(i for i, d in enumerate(frame) if cover_elements(topology, d) <= d)
+
+
+def covers_from_nucleus(nucleus) -> list[frozenset]:
+    """Covers of p: the sieves whose image under the nucleus reaches p."""
+    frame = nucleus.frame
+    poset = frame.poset
+    return [
+        frozenset(
+            s for s in brute_sieves(poset, p)
+            if p in frame.downset(nucleus.table[frame.id_of(s)])
+        )
+        for p in range(poset.n)
+    ]
+
+
+def covers_from_congruence(congruence) -> list[frozenset]:
+    """Covers of p: the sieves congruent to the maximal sieve on p."""
+    frame = congruence.frame
+    poset = frame.poset
+    return [
+        frozenset(
+            s for s in brute_sieves(poset, p)
+            if congruence.related(frame.id_of(s), frame.id_of(poset.down(p)))
+        )
+        for p in range(poset.n)
+    ]
+
+
+def covers_from_sublocale(sublocale) -> list[frozenset]:
+    """Covers of p: the sieves contained in no member that omits p."""
+    frame = sublocale.frame
+    poset = frame.poset
+    return [
+        frozenset(
+            s for s in brute_sieves(poset, p)
+            if all(p in frame.downset(m) for m in sublocale.members if s <= frame.downset(m))
+        )
+        for p in range(poset.n)
+    ]
 
 
 def nucleus_complete_scan(nucleus) -> bool:

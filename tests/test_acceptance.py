@@ -7,7 +7,7 @@ to see the per-criterion lines.
 
 import time
 
-from conftest import all_subsets, brute_downsets
+from conftest import all_subsets, brute_downsets, subset_covers_oracle
 
 from sitecalc import (
     AxiomViolation,
@@ -24,6 +24,7 @@ from sitecalc import (
     enumerate_all_topologies,
     enumerate_downsets,
     extract_subset,
+    generating_subset,
     heyting_implication,
     is_sheaf,
     is_site_isomorphism,
@@ -58,6 +59,8 @@ def test_criterion_1_all_topologies_are_subset_generated():
         assert set(found) == {
             subset_topology(poset, x) for x in all_subsets(poset.n)
         }, name
+        for t in found:
+            assert list(t.covers) == subset_covers_oracle(poset, generating_subset(t)), name
         if name in expected_counts:
             assert len(found) == expected_counts[name]
     elapsed = time.monotonic() - started

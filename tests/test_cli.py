@@ -1,10 +1,26 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sitecalc import GrothTopology, Presheaf, catalog_poset, subset_topology
+from sitecalc import (
+    GrothTopology,
+    Presheaf,
+    catalog_poset,
+    congruence_from_nucleus,
+    enumerate_downsets,
+    nucleus_from_topology,
+    sublocale_from_nucleus,
+    subset_topology,
+)
 from sitecalc.cli import main
 
 V_TEXT = "elements: x y z\nle: y x\nle: z x\n"
@@ -307,3 +323,198 @@ def test_malformed_poset_json_is_a_parse_error(capsys, tmp_path, doc, witness):
 def test_presheaf_json_round_trip_via_cli_format():
     f = Presheaf(catalog_poset("chain2"), (2, 1), {(0, 1): (0,)})
     assert Presheaf.from_json(f.to_json()) == f
+
+
+# -- malformed documents and mismatched posets ---------------------------------
+
+CHAIN2_PRESHEAF = {"values": {"0": 2, "1": 2}, "maps": {"0<=1": [0, 1]}}
+
+
+def _topology_doc(capsys, poset_file, subset="0"):
+    _, out = run(capsys, "topology", "--poset", poset_file, "--subset", subset)
+    return json.loads(out)
+
+
+def _error(out):
+    error = json.loads(out)["error"]
+    assert set(error) == {"code", "message", "witness"}
+    return error
+
+
+@pytest.mark.parametrize(
+    "mutate, witness",
+    [
+        (lambda doc: {"covers": doc["covers"]}, {"poset": None}),
+        (lambda doc: [doc], None),
+        (lambda doc: {**doc, "covers": []}, {"covers": []}),
+        (lambda doc: {"poset": doc["poset"]}, {"covers": None}),
+        (lambda doc: {**doc, "covers": {"0": "0"}}, {"element": "0", "family": "0"}),
+        (lambda doc: {**doc, "covers": {"0": [[0]]}}, {"element": "0", "family": [[0]]}),
+        (lambda doc: {**doc, "covers": {"0": [["q"]]}}, {"element": "q"}),
+    ],
+    ids=["no-poset", "list", "covers-list", "no-covers", "family-string", "member-int",
+         "member-unknown"],
+)
+def test_malformed_topology_json_is_a_parse_error(capsys, tmp_path, chain2_file, mutate, witness):
+    doc = mutate(_topology_doc(capsys, chain2_file))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "subcanonical", "--poset", chain2_file, "--topology", str(path))
+    assert code == 1
+    error = _error(out)
+    assert error["code"] == "ParseError"
+    assert error["witness"] == (witness or {"document": doc})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["subcanonical"], ["convert", "--to", "nucleus"], ["convert", "--to", "sublocale"]],
+)
+def test_topology_on_another_poset_is_a_mismatch(capsys, tmp_path, v_file, chain2_file, argv):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(_topology_doc(capsys, v_file, "y")))
+    code, out = run(capsys, *argv, "--poset", chain2_file, "--topology", str(path))
+    assert code == 1
+    assert _error(out)["code"] == "PosetMismatchError"
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, witness",
+    [
+        ("nucleus", "pairs", 5, {"pairs": 5}),
+        ("nucleus", "pairs", [[0]], {"pair": [0]}),
+        ("congruence", "classes", 5, {"classes": 5}),
+        ("congruence", "classes", [[[0]]], {"class": [[0]]}),
+        ("sublocale", "members", [[0]], {"member": [0]}),
+    ],
+)
+def test_malformed_presentation_json_is_a_parse_error(
+    capsys, tmp_path, chain2_file, kind, field, value, witness
+):
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(_topology_doc(capsys, chain2_file)))
+    _, out = run(capsys, "convert", "--poset", chain2_file, "--topology", str(path), "--to", kind)
+    doc = json.loads(out)
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "convert", "--poset", chain2_file, "--from", kind, "--input", str(path))
+    assert code == 1
+    error = _error(out)
+    assert (error["code"], error["witness"]) == ("ParseError", witness)
+
+
+@pytest.mark.parametrize(
+    "field, value, witness",
+    [
+        ("values", [1], {"values": [1]}),
+        ("maps", {"0<=1": 0}, {"key": "0<=1", "map": 0}),
+        ("values", {"0": "x"}, {"element": "0", "size": "x"}),
+    ],
+)
+def test_malformed_presheaf_json_is_a_parse_error(
+    capsys, tmp_path, chain2_file, field, value, witness
+):
+    topo = tmp_path / "j.json"
+    topo.write_text(json.dumps(_topology_doc(capsys, chain2_file)))
+    presheaf = tmp_path / "f.json"
+    presheaf.write_text(json.dumps({**CHAIN2_PRESHEAF, field: value}))
+    code, out = run(
+        capsys, "sheaf", "check", "--poset", chain2_file, "--topology", str(topo),
+        "--presheaf", str(presheaf),
+    )
+    assert code == 1
+    error = _error(out)
+    assert (error["code"], error["witness"]) == ("ParseError", witness)
+
+
+# Integers stay at most 100: is_sheaf has no budget on value-set sizes and
+# its time grows about cubically with them (a size of 1000 on chain2 takes
+# about 20 s), which is a missing budget, not a parsing fault.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=100)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _fuzz_documents():
+    """A valid document of each kind on chain2, and the CLI verb that reads it."""
+    chain2 = catalog_poset("chain2")
+    topology = subset_topology(chain2, {0})
+    frame = enumerate_downsets(chain2)
+    nucleus = nucleus_from_topology(topology, frame)
+    presentations = {
+        "nucleus": nucleus,
+        "congruence": congruence_from_nucleus(nucleus),
+        "sublocale": sublocale_from_nucleus(nucleus),
+    }
+    docs = {"topology": topology.to_json(), "presheaf": {"poset": chain2.to_json(), **CHAIN2_PRESHEAF}}
+    docs.update((kind, p.to_json()) for kind, p in presentations.items())
+    return docs
+
+
+FUZZ_DOCS = _fuzz_documents()
+
+
+def _paths(doc):
+    """The whole document, each field, and each entry of a field."""
+    out = [()]
+    for key, value in doc.items():
+        out.append((key,))
+        if isinstance(value, dict):
+            out += [(key, k) for k in value]
+        elif isinstance(value, list) and value:
+            out.append((key, 0))
+    return out
+
+
+def _put(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_survives_arbitrary_json_in_every_field(data):
+    kind = data.draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    path = data.draw(st.sampled_from(_paths(FUZZ_DOCS[kind])))
+    doc = _put(FUZZ_DOCS[kind], path, data.draw(JSON_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, text in (
+            ("poset", CHAIN2_TEXT),
+            ("topology", json.dumps(FUZZ_DOCS["topology"])),
+            ("presheaf", json.dumps(FUZZ_DOCS["presheaf"])),
+            ("doc", json.dumps(doc)),
+        ):
+            files[name] = os.path.join(tmp, name)
+            with open(files[name], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        common = ["--poset", files["poset"]]
+        if kind == "topology":
+            runs = [
+                ["subcanonical", *common, "--topology", files["doc"]],
+                ["convert", *common, "--topology", files["doc"], "--to", "nucleus"],
+                ["sheaf", "check", *common, "--topology", files["doc"], "--presheaf", files["presheaf"]],
+            ]
+        elif kind == "presheaf":
+            runs = [["sheaf", "check", *common, "--topology", files["topology"], "--presheaf", files["doc"]]]
+        else:
+            runs = [["convert", *common, "--from", kind, "--input", files["doc"]]]
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert code in (0, 1), (argv, doc)
+            if code == 1:
+                _error(out.getvalue())

@@ -251,12 +251,17 @@ def test_extend_rejects_wrong_inner_poset():
         extend_topology(chain2, {0}, indiscrete_topology(chain2))
 
 
-def test_extend_rejects_invalid_inner_topology():
-    chain3 = catalog_poset("chain3")
-    sub = chain3.induced([0, 1])
-    bogus = GrothTopology(sub, [frozenset((frozenset({0}),))] * 2)
-    with pytest.raises(InvalidInnerTopologyError):
-        extend_topology(chain3, {0, 1}, bogus)
+def test_invalid_inner_families_fail_validation():
+    # a topology is built from its generating subset, so these families can
+    # no longer reach extend_topology; validation rejects them: on {0 < 1}
+    # the covers {{0}} at both points miss the maximal sieve {0, 1} of 1
+    sub = catalog_poset("chain3").induced([0, 1])
+    families = [frozenset((frozenset({0}),))] * 2
+    with pytest.raises(PosetMismatchError):
+        GrothTopology(sub, families)
+    with pytest.raises(AxiomViolation) as exc:
+        validate_topology(sub, families)
+    assert (exc.value.axiom, exc.value.p) == ("maximality", 1)
 
 
 def test_lx_examples(catalog_pair):
@@ -311,16 +316,13 @@ def test_lattice_operations_reject_poset_mismatch():
         )
 
 
-@pytest.mark.parametrize("op", [meet, join])
-def test_lattice_operations_reject_unvalidated_input(op):
-    # the constructor does not validate; on {0 < 1} the covers {{0}} at both
-    # points miss the maximal sieve {0, 1} of 1
+def test_unvalidated_lattice_input_fails_validation():
+    # meet and join take topologies, which are valid by construction; the
+    # families that used to slip past the constructor fail validation
     p = catalog_poset("chain3").induced([0, 1])
-    bogus = GrothTopology(p, [frozenset({frozenset({0})})] * 2)
-    for args in [(bogus, bogus), (indiscrete_topology(p), bogus)]:
-        with pytest.raises(AxiomViolation) as exc:
-            op(*args)
-        assert (exc.value.axiom, exc.value.p) == ("maximality", 1)
+    with pytest.raises(AxiomViolation) as exc:
+        validate_topology(p, [frozenset({frozenset({0})})] * 2)
+    assert (exc.value.axiom, exc.value.p) == ("maximality", 1)
 
 
 def test_every_finite_topology_is_complete(catalog_pair):

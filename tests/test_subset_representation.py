@@ -1,0 +1,195 @@
+"""Topologies stored as their generating subset X.
+
+The covers view, the closed-form constructors and conversions are checked
+against the family-building formulas they replaced (the oracles in
+``conftest.py``), and the census and validation are checked to refuse,
+not normalize, valid families that differ from J(X).
+"""
+
+import pytest
+from conftest import (
+    LADDER,
+    all_subsets,
+    congruence_classes_from_covers,
+    covers_from_congruence,
+    covers_from_nucleus,
+    covers_from_sublocale,
+    dense_violation_scan,
+    extended_covers,
+    lx_covers,
+    nucleus_table_from_covers,
+    restricted_covers,
+    subset_covers_oracle,
+    sublocale_members_from_covers,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sitecalc import (
+    Congruence,
+    FinitePoset,
+    GrothTopology,
+    NotDenseError,
+    Nucleus,
+    PosetMismatchError,
+    Sublocale,
+    catalog,
+    catalog_poset,
+    congruence_from_topology,
+    discrete_topology,
+    enumerate_all_topologies,
+    enumerate_downsets,
+    extend_topology,
+    lx_topology,
+    nucleus_from_topology,
+    restrict_topology,
+    sublocale_from_topology,
+    subset_of_labels,
+    subset_topology,
+    topology_from_congruence,
+    topology_from_nucleus,
+    topology_from_sublocale,
+    validate_topology,
+)
+from sitecalc import sites
+from sitecalc.sites import dense_violation
+from sitecalc.errors import NotSubsetGeneratedError
+
+POSETS = {**catalog(), **LADDER}
+
+
+def check_subset(p, x, ds):
+    """Every closed form on J(x) against its oracle, with density and
+    restriction along each subset D in ``ds``, dense or not."""
+    t = subset_topology(p, x)
+    assert list(t.covers) == subset_covers_oracle(p, x)
+    assert list(lx_topology(p, x).covers) == lx_covers(p, x)
+    for q in range(p.n):
+        for s in all_subsets(p.n):
+            assert t.is_cover(q, s) == (s in t.covers[q])
+    for d in ds:
+        bad = dense_violation(p, t, d)
+        assert bad == dense_violation_scan(p, t, d)
+        assert (bad is None) == (x <= d)
+        if bad is None:
+            assert list(restrict_topology(p, t, d).covers) == restricted_covers(p, t, d)
+        else:
+            with pytest.raises(NotDenseError):
+                restrict_topology(p, t, d)
+
+
+def check_extensions(p, d):
+    """Extension of every topology on D, dense or not, against its oracle."""
+    sub = p.induced(sorted(d))
+    for y in all_subsets(sub.n):
+        inner = subset_topology(sub, y)
+        assert list(extend_topology(p, d, inner).covers) == extended_covers(p, d, inner)
+
+
+def check_conversions(t, frame):
+    """Both directions between t and its nucleus, congruence and sublocale,
+    each against its cover-membership form."""
+    nuc = nucleus_from_topology(t, frame)
+    assert nuc.table == nucleus_table_from_covers(t, frame)
+    cong = congruence_from_topology(t, frame)
+    assert set(cong.classes) == congruence_classes_from_covers(t, frame)
+    sub = sublocale_from_topology(t, frame)
+    assert sub.members == sublocale_members_from_covers(t, frame)
+    # the reverse direction starts from presentations built and validated
+    # without the library's conversions
+    nuc = Nucleus(frame, nucleus_table_from_covers(t, frame))
+    cong = Congruence(frame, congruence_classes_from_covers(t, frame))
+    sub = Sublocale(frame, sublocale_members_from_covers(t, frame))
+    assert list(topology_from_nucleus(nuc).covers) == covers_from_nucleus(nuc)
+    assert list(topology_from_congruence(cong).covers) == covers_from_congruence(cong)
+    assert list(topology_from_sublocale(sub).covers) == covers_from_sublocale(sub)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_closed_forms_match_the_family_oracles(name):
+    p = POSETS[name]
+    for x in all_subsets(p.n):
+        check_subset(p, x, all_subsets(p.n))
+        check_extensions(p, x)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_conversions_match_the_cover_membership_forms(name):
+    p = POSETS[name]
+    frame = enumerate_downsets(p)
+    for t in enumerate_all_topologies(p, cap=p.n):
+        check_conversions(t, frame)
+
+
+def test_dense_witness_is_the_first_uncovered_cut():
+    # on V with X = {y} and D = {x}, the cut sieve at x is all of V, a cover;
+    # the first uncovered cut is at y, though x comes first among the points
+    # above a point of X outside D
+    v = catalog_poset("V")
+    t = subset_topology(v, subset_of_labels(v, ["y"]))
+    d = subset_of_labels(v, ["x"])
+    assert v.labels[dense_violation(v, t, d)] == "y"
+    assert dense_violation(v, t, d) == dense_violation_scan(v, t, d)
+
+
+@st.composite
+def subset_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    p = FinitePoset(n, pairs)
+    x, d = (draw(st.frozensets(st.integers(min_value=0, max_value=n - 1))) for _ in "xd")
+    return p, x, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_cases())
+def test_closed_forms_match_the_oracles_on_random_posets(case):
+    p, x, d = case
+    check_subset(p, x, [d, x | d])
+    check_extensions(p, d)
+    check_conversions(subset_topology(p, x), enumerate_downsets(p))
+
+
+# -- the census re-derives the normal form ------------------------------------
+
+
+def _drop_the_empty_sieve(monkeypatch):
+    """Make J drop the empty sieve from every family: J(X) stops being the
+    topology it should be, while raw families stay valid."""
+    original = sites._subset_covers
+
+    def broken(poset, xs):
+        return [fam - {frozenset()} for fam in original(poset, xs)]
+
+    monkeypatch.setattr(sites, "_subset_covers", broken)
+
+
+def test_census_refuses_valid_families_that_are_not_j_of_x(monkeypatch):
+    p = catalog_poset("chain2")
+    families = list(discrete_topology(p).covers)
+    _drop_the_empty_sieve(monkeypatch)
+    with pytest.raises(NotSubsetGeneratedError) as exc:
+        validate_topology(p, families)
+    assert exc.value.witness == {"subset": []}
+    with pytest.raises(NotSubsetGeneratedError):
+        enumerate_all_topologies(p)
+
+
+def test_constructor_takes_a_subset_of_elements():
+    p = catalog_poset("chain2")
+    for bad in ([2], [-1], ["0"], [frozenset({0})]):
+        with pytest.raises(PosetMismatchError):
+            GrothTopology(p, bad)
+    t = GrothTopology(p, [1])
+    assert t == subset_topology(p, {1}) and hash(t) == hash(subset_topology(p, {1}))
+    assert t.covers == tuple(subset_covers_oracle(p, {1}))
+    assert t.covers is t.covers
+
+
+@pytest.mark.parametrize(
+    "convert", [nucleus_from_topology, congruence_from_topology, sublocale_from_topology]
+)
+def test_conversions_reject_a_frame_on_another_poset(convert):
+    t = subset_topology(catalog_poset("chain2"), {0})
+    with pytest.raises(PosetMismatchError):
+        convert(t, enumerate_downsets(catalog_poset("antichain2")))
