@@ -316,13 +316,23 @@ def test_lattice_operations_reject_poset_mismatch():
         )
 
 
-def test_unvalidated_lattice_input_fails_validation():
-    # meet and join take topologies, which are valid by construction; the
-    # families that used to slip past the constructor fail validation
+@pytest.mark.parametrize("op", [meet, join])
+def test_lattice_operations_reject_unvalidated_input(op):
+    # on {0 < 1} the covers {{0}} at both points miss the maximal sieve
+    # {0, 1} of 1; they cannot be wrapped as a topology, so they reach op only
+    # through validate_topology, which refuses them
     p = catalog_poset("chain3").induced([0, 1])
+    bogus = [frozenset({frozenset({0})})] * 2
+    with pytest.raises(PosetMismatchError):
+        GrothTopology(p, bogus)
     with pytest.raises(AxiomViolation) as exc:
-        validate_topology(p, [frozenset({frozenset({0})})] * 2)
+        op(validate_topology(p, bogus), indiscrete_topology(p))
     assert (exc.value.axiom, exc.value.p) == ("maximality", 1)
+    # what op builds from valid input passes validation unchanged
+    for x in all_subsets(p.n):
+        for y in all_subsets(p.n):
+            r = op(subset_topology(p, x), subset_topology(p, y))
+            assert validate_topology(p, r.covers) == r
 
 
 def test_every_finite_topology_is_complete(catalog_pair):
