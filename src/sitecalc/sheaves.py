@@ -11,7 +11,7 @@ naturality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     PosetMismatchError,
     TooLargeError,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, sieves_on
 from .sites import (
     GrothTopology,
     _members_key,
@@ -44,7 +44,7 @@ class Presheaf:
     at ``q``.  Identity and composition laws are enforced on construction.
     """
 
-    __slots__ = ("poset", "sizes", "maps", "_key")
+    __slots__ = ("poset", "sizes", "maps", "_key", "_identities")
 
     def __init__(
         self,
@@ -95,11 +95,14 @@ class Presheaf:
                             p=p,
                         )
         self._key = (poset, self.sizes, tuple(sorted(self.maps.items())))
+        self._identities: tuple[tuple[int, ...], ...] | None = None
 
     def restriction(self, q: int, p: int) -> tuple[int, ...]:
-        if q == p:
-            return tuple(range(self.sizes[p]))
-        return self.maps[(q, p)]
+        if q != p:
+            return self.maps[(q, p)]
+        if self._identities is None:
+            self._identities = tuple(tuple(range(size)) for size in self.sizes)
+        return self._identities[p]
 
     def value(self, p: int) -> range:
         return range(self.sizes[p])
@@ -212,6 +215,19 @@ def matching_families(
     return extend(0)
 
 
+def _restriction_index(
+    presheaf: Presheaf, p: int, elems: Sequence[int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The values at p grouped by their restrictions to ``elems`` (in that
+    order), each group ascending: a family's amalgamations are its group."""
+    tables = [presheaf.restriction(x, p) for x in elems]
+    keys = zip(*tables) if tables else [()] * presheaf.sizes[p]
+    index: dict[tuple[int, ...], list[int]] = {}
+    for a, key in enumerate(keys):
+        index.setdefault(key, []).append(a)
+    return index
+
+
 def amalgamations(
     presheaf: Presheaf,
     p: int,
@@ -221,19 +237,16 @@ def amalgamations(
     """All values at p restricting to the family on every cover element."""
     if isinstance(assignment, MatchingFamily):
         assignment = dict(assignment.assignment)
-    cover = frozenset(cover)
-    bad = matching_violation(presheaf, cover, assignment)
+    elems = sorted(frozenset(cover))
+    bad = matching_violation(presheaf, elems, assignment)
     if bad is not None:
         labels = presheaf.poset.labels
         raise NotMatchingError(
             f"family is not matching at {labels[bad[0]]} <= {labels[bad[1]]}",
             witness={"y": labels[bad[0]], "x": labels[bad[1]]},
         )
-    return tuple(
-        a
-        for a in range(presheaf.sizes[p])
-        if all(presheaf.restriction(x, p)[a] == assignment[x] for x in cover)
-    )
+    key = tuple(assignment[x] for x in elems)
+    return tuple(_restriction_index(presheaf, p, elems).get(key, ()))
 
 
 @dataclass(frozen=True)
@@ -243,25 +256,65 @@ class SheafCheck:
 
 
 def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
-    """Unique amalgamation for every matching family of every cover."""
+    """Unique amalgamation for every matching family of every cover.
+
+    The least covers L_p = down(X & down(p)) form a basis of J(X):
+    L_p & down(q) contains L_q for q <= p, and the union of the L_r over
+    r in L_p contains L_p.  So F is a sheaf iff each F(p) maps bijectively,
+    by restriction, onto the matching families on L_p.  Call F(s) separated
+    when restriction to X & down(s) is injective; every z in L_s is under an
+    x in X & down(s), so this is injectivity on L_s.  With F(s) separated
+    for all s <= p, the matching families on L_p are those on X & down(p),
+    and if F(p) maps bijectively onto them every cover S of p passes: a
+    family on S has one amalgamation a on L_p, and F(s <= p)(a) agrees with
+    the family at s in S on X & down(s), so equals it.  Such p are skipped.
+    Separation is one index of F(s); the images of F(p) are then |F(p)|
+    distinct families, so bijectivity is a count stopping at |F(p)| + 1.
+    Every other p runs :func:`_sheaf_scan` in ascending order, so the
+    witness is the first failure of the all-covers scan.
+    """
     if presheaf.poset != topology.poset:
         raise PosetMismatchError("presheaf and topology live on different posets")
-    poset = presheaf.poset
+    poset, xs, sizes = presheaf.poset, topology.subset, presheaf.sizes
+    cuts: dict[int, list[int]] = {}
+    separated: dict[int, bool] = {}
+
+    def is_separated(s: int) -> bool:
+        if s not in separated:
+            cuts[s] = sorted(xs & poset.down(s))
+            separated[s] = len(_restriction_index(presheaf, s, cuts[s])) == sizes[s]
+        return separated[s]
+
     for p in range(poset.n):
-        for cover in sorted(topology.covers[p], key=_members_key):
-            for family in matching_families(presheaf, cover):
-                hits = amalgamations(presheaf, p, cover, family)
-                if len(hits) != 1:
-                    return SheafCheck(
-                        ok=False,
-                        witness={
-                            "p": poset.labels[p],
-                            "cover": [poset.labels[i] for i in sorted(cover)],
-                            "family": {poset.labels[k]: v for k, v in family.items()},
-                            "amalgamations": list(hits),
-                        },
-                    )
+        if all(is_separated(s) for s in poset.down(p)) and next(
+            islice(matching_families(presheaf, cuts[p]), sizes[p], None), None
+        ) is None:
+            continue
+        witness = _sheaf_scan(presheaf, topology, p)
+        if witness is not None:
+            return SheafCheck(ok=False, witness=witness)
     return SheafCheck(ok=True)
+
+
+def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
+    """The first matching family on a cover of p without a unique
+    amalgamation, covers in sorted-member order and families in
+    lexicographic order; one index of F(p) per cover."""
+    poset = presheaf.poset
+    cut = topology.subset & poset.down(p)
+    for cover in sorted((s for s in sieves_on(poset, p) if cut <= s), key=_members_key):
+        elems = sorted(cover)
+        index = _restriction_index(presheaf, p, elems)
+        for family in matching_families(presheaf, elems):
+            hits = index.get(tuple(family[x] for x in elems), [])
+            if len(hits) != 1:
+                return {
+                    "p": poset.labels[p],
+                    "cover": [poset.labels[i] for i in elems],
+                    "family": {poset.labels[k]: v for k, v in family.items()},
+                    "amalgamations": hits,
+                }
+    return None
 
 
 # -- restriction and extension ------------------------------------------------
@@ -570,25 +623,15 @@ def _unit_components(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Each family maps to its unique amalgamation in the sheaf; returns the
     components plus a flag that every amalgamation was unique."""
-    poset = sheaf.poset
     comps = []
     all_unique = True
-    for p in range(poset.n):
-        xs = ext.support[p]
+    for p in range(sheaf.poset.n):
+        index = _restriction_index(sheaf, p, ext.support[p])
         col = []
         for fam in ext.families[p]:
-            hits = [
-                a
-                for a in range(sheaf.sizes[p])
-                if all(
-                    sheaf.restriction(x, p)[a] == fam[i] for i, x in enumerate(xs)
-                )
-            ]
-            if len(hits) != 1:
-                all_unique = False
-                col.append(hits[0] if hits else 0)
-            else:
-                col.append(hits[0])
+            hits = index.get(fam, [])
+            all_unique = all_unique and len(hits) == 1
+            col.append(hits[0] if hits else 0)
         comps.append(tuple(col))
     return comps, all_unique
 

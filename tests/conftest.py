@@ -12,17 +12,20 @@ family-building formulas they replaced: J(X), lx, extension and the
 density witness on raw sieves, and the conversions between topologies and
 nuclei, congruences and sublocales by cover membership.  The least
 subcanonical generating subset has the scan over every subset that its
-closed form replaced.
+closed form replaced.  Sheaf checks have the all-covers scan that the
+least-cover decision replaced, with families from the raw product of value
+sets.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
 from sitecalc import CATALOG_NAMES, FinitePoset, catalog, subset_subcanonicity_witnesses
+from sitecalc.sheaves import SheafCheck
 
 
 def all_subsets(n: int):
@@ -318,6 +321,38 @@ def canonical_scan_oracle(poset: FinitePoset) -> list[frozenset[int]]:
     minimal = [x for x in good if not any(y < x for y in good)]
     minimal.sort(key=lambda x: (len(x), sorted(x)))
     return minimal
+
+
+def sheaf_scan_oracle(presheaf, topology) -> SheafCheck:
+    """The first matching family without a unique amalgamation over every
+    cover of J(X): p ascending, covers filtered from raw sieves in
+    sorted-member order, families in the lexicographic order of the product
+    of value sets, and amalgamations by testing every value at p."""
+    poset, sizes = presheaf.poset, presheaf.sizes
+    labels = poset.labels
+    covers = subset_covers_oracle(poset, topology.subset)
+    for p in range(poset.n):
+        for cover in sorted(covers[p], key=sorted):
+            elems = sorted(cover)
+            for values in product(*(range(sizes[x]) for x in elems)):
+                family = dict(zip(elems, values))
+                if any(
+                    presheaf.restriction(y, x)[family[x]] != family[y]
+                    for x in elems for y in elems if y != x and poset.leq(y, x)
+                ):
+                    continue
+                hits = [
+                    a for a in range(sizes[p])
+                    if all(presheaf.restriction(x, p)[a] == family[x] for x in elems)
+                ]
+                if len(hits) != 1:
+                    return SheafCheck(ok=False, witness={
+                        "p": labels[p],
+                        "cover": [labels[x] for x in elems],
+                        "family": {labels[x]: v for x, v in family.items()},
+                        "amalgamations": hits,
+                    })
+    return SheafCheck(ok=True)
 
 
 def antichain(n: int) -> FinitePoset:

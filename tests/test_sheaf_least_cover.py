@@ -1,0 +1,105 @@
+"""Sheaf checks decided on the least covers of J(X), against the all-covers
+scan they replaced."""
+
+import time
+from itertools import product
+
+import pytest
+from conftest import all_subsets, sheaf_scan_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sitecalc.sheaves
+from sitecalc import (
+    CATALOG_NAMES,
+    FinitePoset,
+    Presheaf,
+    catalog,
+    catalog_poset,
+    enumerate_presheaves,
+    extend_presheaf,
+    is_sheaf,
+    restrict_presheaf,
+    subset_topology,
+)
+
+
+@st.composite
+def presheaves_with_subset(draw):
+    """A random poset with n <= 6, a subset X, and a random functor: built
+    on a linear extension, where each value at p picks a matching family on
+    the strict down-set of p as its restrictions, then relabelled by a
+    random permutation, so index order need not be a linear extension.
+    Half are replaced by the extension of their restriction to X, a sheaf
+    for J(X)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    linear = FinitePoset(n, pairs)
+    sizes: list[int] = []
+    maps = {}
+    for p in range(n):
+        below = sorted(linear.down(p) - {p})
+        families = [
+            fam for fam in product(*(range(sizes[q]) for q in below))
+            if all(
+                maps[(r, q)][fam[i]] == fam[j]
+                for i, q in enumerate(below) for j, r in enumerate(below) if linear.lt(r, q)
+            )
+        ]
+        picks = draw(st.lists(st.integers(0, len(families) - 1), max_size=3)) if families else []
+        sizes.append(len(picks))
+        for i, q in enumerate(below):
+            maps[(q, p)] = tuple(families[k][i] for k in picks)
+    perm = draw(st.permutations(range(n)))
+    poset = FinitePoset(n, [(perm[i], perm[j]) for i, j in pairs])
+    relabelled = [0] * n
+    for i, size in enumerate(sizes):
+        relabelled[perm[i]] = size
+    presheaf = Presheaf(poset, relabelled, {(perm[q], perm[p]): t for (q, p), t in maps.items()})
+    xs = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
+    if draw(st.booleans()):
+        presheaf = extend_presheaf(restrict_presheaf(presheaf, xs), poset, xs).presheaf
+    return presheaf, subset_topology(poset, xs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(presheaves_with_subset())
+def test_least_cover_verdict_and_witness_match_the_all_covers_scan(case):
+    presheaf, topology = case
+    assert is_sheaf(presheaf, topology) == sheaf_scan_oracle(presheaf, topology)
+
+
+def _scan_forbidden(*args):
+    raise AssertionError("the witness scan ran on a sheaf")
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sheaves_never_reach_the_scan(name, monkeypatch):
+    p = catalog()[name]
+    presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
+    topologies = [subset_topology(p, xs) for xs in all_subsets(p.n)]
+    sheaves = [(f, t) for t in topologies for f in presheaves if sheaf_scan_oracle(f, t).ok]
+    assert sheaves
+    monkeypatch.setattr(sitecalc.sheaves, "_sheaf_scan", _scan_forbidden)
+    for f, t in sheaves:
+        assert is_sheaf(f, t).ok
+
+
+def test_large_bottom_value_set_on_chain2():
+    """Not a sheaf for J({0}): the bottom has 1000 values, the top 2.
+    Rescanning F(p) for every family makes this cubic in the value-set
+    size, about 18 s, so the bound pins the per-cover index."""
+    chain2 = catalog_poset("chain2")
+    presheaf = Presheaf(chain2, (1000, 2), {(0, 1): (0, 1)})
+    start = time.perf_counter()
+    check = is_sheaf(presheaf, subset_topology(chain2, {0}))
+    assert time.perf_counter() - start < 2.0
+    assert not check.ok
+    assert check.witness == {"p": "1", "cover": ["0"], "family": {"0": 2}, "amalgamations": []}
+
+
+def test_identity_restriction_is_cached():
+    f = Presheaf(catalog_poset("chain2"), (1, 3), {(0, 1): (0, 0, 0)})
+    assert f.restriction(1, 1) == (0, 1, 2)
+    assert f.restriction(1, 1) is f.restriction(1, 1)
+    assert f.restriction(0, 0) == (0,)
