@@ -255,10 +255,17 @@ class Congruence:
         for ci, cls in enumerate(self.classes):
             for a in cls:
                 if class_of[a] != -1:
-                    raise NotACongruenceError(f"down-set id {a} appears in two classes")
+                    raise NotACongruenceError(
+                        f"down-set id {a} appears in two classes",
+                        witness={"id": a, "downset": _members(frame, a)},
+                    )
                 class_of[a] = ci
-        if any(c == -1 for c in class_of):
-            raise NotACongruenceError("classes do not partition the frame")
+        if -1 in class_of:
+            a = class_of.index(-1)
+            raise NotACongruenceError(
+                "classes do not partition the frame",
+                witness={"id": a, "downset": _members(frame, a)},
+            )
         self.class_of = tuple(class_of)
         if check and not self._is_subset_form():
             self._check_laws()

@@ -56,21 +56,23 @@ class Presheaf:
         self.sizes = tuple(sizes)
         if len(self.sizes) != poset.n or any(s < 0 for s in self.sizes):
             raise ParseError(f"bad value sizes {self.sizes}")
+        labels = poset.labels
+
+        def broken(message: str, **elems: int) -> FunctorialityError:
+            witness = {k: labels[e] for k, e in elems.items()}
+            return FunctorialityError(message, witness=witness, **elems)
+
         cleaned: dict[tuple[int, int], tuple[int, ...]] = {}
         for q in range(poset.n):
             for p in poset.up(q) - {q}:
                 if (q, p) not in maps:
-                    raise FunctorialityError(
-                        f"missing restriction for {poset.labels[q]} <= {poset.labels[p]}",
-                        q=q,
-                        p=p,
-                    )
+                    raise broken(f"missing restriction for {labels[q]} <= {labels[p]}", q=q, p=p)
                 tab = tuple(maps[(q, p)])
                 if len(tab) != self.sizes[p] or any(
                     not 0 <= v < self.sizes[q] for v in tab
                 ):
-                    raise FunctorialityError(
-                        f"restriction for {poset.labels[q]} <= {poset.labels[p]} "
+                    raise broken(
+                        f"restriction for {labels[q]} <= {labels[p]} "
                         f"is not a function between the value sets",
                         q=q,
                         p=p,
@@ -87,9 +89,9 @@ class Presheaf:
                         cleaned[(r, q)][cleaned[(q, p)][a]] for a in range(self.sizes[p])
                     )
                     if via != cleaned[(r, p)]:
-                        raise FunctorialityError(
+                        raise broken(
                             f"composite restriction violated at "
-                            f"{poset.labels[r]} <= {poset.labels[q]} <= {poset.labels[p]}",
+                            f"{labels[r]} <= {labels[q]} <= {labels[p]}",
                             r=r,
                             q=q,
                             p=p,
@@ -268,8 +270,9 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
     and if F(p) maps bijectively onto them every cover S of p passes: a
     family on S has one amalgamation a on L_p, and F(s <= p)(a) agrees with
     the family at s in S on X & down(s), so equals it.  Such p are skipped.
-    Separation is one index of F(s); the images of F(p) are then |F(p)|
-    distinct families, so bijectivity is a count stopping at |F(p)| + 1.
+    Separation is one index of F(s), or |F(s)| <= 1 when X & down(s) is
+    empty and restriction has a single target; the images of F(p) are then
+    |F(p)| distinct families, so bijectivity is a count stopping at |F(p)| + 1.
     Every other p runs :func:`_sheaf_scan` in ascending order, so the
     witness is the first failure of the all-covers scan.
     """
@@ -282,7 +285,11 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
     def is_separated(s: int) -> bool:
         if s not in separated:
             cuts[s] = sorted(xs & poset.down(s))
-            separated[s] = len(_restriction_index(presheaf, s, cuts[s])) == sizes[s]
+            separated[s] = (
+                len(_restriction_index(presheaf, s, cuts[s])) == sizes[s]
+                if cuts[s]
+                else sizes[s] <= 1
+            )
         return separated[s]
 
     for p in range(poset.n):

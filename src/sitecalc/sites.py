@@ -19,6 +19,14 @@ Families from outside, in :func:`validate_topology` and the census
 :func:`enumerate_all_topologies`, must equal J(X) for the X read off them;
 otherwise the axiom scan finds the exact witness, and families that pass
 it, refuting the normal form, raise instead of being replaced by J(X).
+The census searches least covers: every filter of a finite lattice is
+principal, so a cover family of p is the up-set of one sieve s_p, and the
+axioms become two local conditions along a linear extension:
+
+- stability: s_q <= s_p & down(q) for q < p, as s_p is the weakest cover;
+- transitivity: s_p = down(p) or s_p is the union of s_q over q in s_p, the
+  least sieve whose cut at each q in s_p covers q.
+
 The finest subcanonical subset topology is J(C) for a closed-form C.
 
 Witness searches iterate elements in index order and sieves in
@@ -454,75 +462,57 @@ def is_complete(topology: GrothTopology) -> bool:
 # -- exhaustive enumeration -------------------------------------------------
 
 
-def _filters_of_sieves(poset: FinitePoset, p: int) -> list[frozenset[frozenset[int]]]:
-    """All filters in the sieve lattice of p that contain the maximal sieve."""
-    sieves = sieves_on(poset, p)
-    top = poset.down(p)
-    others = [s for s in sieves if s != top]
-    out = []
-    for bits in range(1 << len(others)):
-        fam = {top} | {others[i] for i in range(len(others)) if bits >> i & 1}
-        upclosed = all(
-            r in fam for s in fam for r in sieves if s <= r
-        )
-        if not upclosed:
-            continue
-        if all(a & b in fam for a in fam for b in fam):
-            out.append(frozenset(fam))
-    out.sort(key=lambda f: sorted(_char_key(poset.n, s) for s in f))
-    return out
-
-
 def enumerate_all_topologies(
     poset: FinitePoset, cap: int = DEFAULT_BRUTE_FORCE_CAP
 ) -> tuple[GrothTopology, ...]:
-    """Every topology on the poset, found by raw search over sieve filters.
+    """Every topology on the poset, found by search over least covers.
 
-    Per-element candidate families are restricted to filters of sieves
-    containing the maximal sieve (a necessary condition), assigned along a
-    linear extension so stability prunes early, and finally checked against
-    all three axioms.  Each accepted assignment must then equal J(X) for the
-    X read off it, or NotSubsetGeneratedError raises: the census re-derives
-    the normal form rather than assuming it.
+    A cover family of p is a filter of the finite lattice of sieves on p, so
+    it is principal: the up-set of one least cover s_p.  One s_p per element
+    is chosen along a linear extension, with the axioms checked locally:
+
+    - stability at p iff s_q <= s_p & down(q) for every q < p: s_p is the
+      weakest cover of p, and the covers of q are the sieves above s_q;
+    - transitivity at p iff s_p = down(p) or s_p is the union of the s_q for
+      q in s_p: s_p is the weakest cover, and that union is the least sieve
+      whose cut at each q in s_p covers q.
+
+    Each complete assignment must then equal J(X) for the X read off it, or
+    :func:`validate_topology` raises: the census re-derives the normal form
+    rather than assuming it.
     """
     if poset.n > cap:
         raise TooLargeForBruteForceError(
             f"{poset.n} elements exceeds the brute-force cap {cap}",
             witness={"cap": cap, "n": poset.n},
         )
-    order = sorted(range(poset.n), key=lambda e: (len(poset.down(e)), e))
-    choices = {p: _filters_of_sieves(poset, p) for p in order}
-    found: list[GrothTopology] = []
-    assignment: dict[int, frozenset[frozenset[int]]] = {}
-
-    def compatible(p: int, fam: frozenset[frozenset[int]]) -> bool:
-        for q in poset.down(p):
-            if q == p or q not in assignment:
-                continue
-            if any(s & poset.down(q) not in assignment[q] for s in fam):
-                return False
-        return True
+    n = poset.n
+    order = sorted(range(n), key=lambda e: (len(poset.down(e)), e))
+    ups, keys = [], []  # per element, each sieve s mapped to its up-set and sort key
+    for p in range(n):
+        sieves = sieves_on(poset, p)
+        ups.append({s: frozenset(r for r in sieves if s <= r) for s in sieves})
+        keys.append({s: sorted(_char_key(n, r) for r in fam) for s, fam in ups[p].items()})
+    least: list[frozenset[int]] = [frozenset()] * n
+    found: list[tuple[tuple, GrothTopology]] = []
 
     def assign(idx: int) -> None:
-        if idx == len(order):
-            covers = [assignment[p] for p in range(poset.n)]
-            if find_axiom_violation(poset, covers) is None:
-                found.append(validate_topology(poset, covers))
+        if idx == n:
+            key = tuple(keys[p][least[p]] for p in range(n))
+            found.append((key, validate_topology(poset, [ups[p][least[p]] for p in range(n)])))
             return
         p = order[idx]
-        for fam in choices[p]:
-            if compatible(p, fam):
-                assignment[p] = fam
+        top = poset.down(p)
+        for s in ups[p]:
+            if all(least[q] <= s & poset.down(q) for q in top - {p}) and (
+                s == top or s == frozenset().union(*(least[q] for q in s))
+            ):
+                least[p] = s
                 assign(idx + 1)
-                del assignment[p]
 
     assign(0)
-    found.sort(
-        key=lambda t: tuple(
-            sorted(_char_key(poset.n, s) for s in t.covers[p]) for p in range(poset.n)
-        )
-    )
-    return tuple(found)
+    found.sort(key=lambda entry: entry[0])
+    return tuple(t for _, t in found)
 
 
 # -- site morphisms ----------------------------------------------------------

@@ -14,7 +14,8 @@ nuclei, congruences and sublocales by cover membership.  The least
 subcanonical generating subset has the scan over every subset that its
 closed form replaced.  Sheaf checks have the all-covers scan that the
 least-cover decision replaced, with families from the raw product of value
-sets.
+sets.  The topology census has the search over every family of sieves that
+the least-cover search replaced.
 """
 
 from __future__ import annotations
@@ -24,8 +25,16 @@ from itertools import chain, combinations, product
 
 import pytest
 
-from sitecalc import CATALOG_NAMES, FinitePoset, catalog, subset_subcanonicity_witnesses
+from sitecalc import (
+    CATALOG_NAMES,
+    FinitePoset,
+    catalog,
+    subset_subcanonicity_witnesses,
+    validate_topology,
+)
+from sitecalc.poset import _char_key
 from sitecalc.sheaves import SheafCheck
+from sitecalc.sites import find_axiom_violation
 
 
 def all_subsets(n: int):
@@ -355,8 +364,73 @@ def sheaf_scan_oracle(presheaf, topology) -> SheafCheck:
     return SheafCheck(ok=True)
 
 
+def filters_of_sieves(poset: FinitePoset, p: int) -> list[frozenset[frozenset[int]]]:
+    """The filters of the sieve lattice of p that hold the maximal sieve, by
+    testing every family of the other sieves for up-closure and meets."""
+    sieves = brute_sieves(poset, p)
+    top = poset.down(p)
+    others = [s for s in sieves if s != top]
+    out = []
+    for bits in range(1 << len(others)):
+        fam = {top} | {others[i] for i in range(len(others)) if bits >> i & 1}
+        if not all(r in fam for s in fam for r in sieves if s <= r):
+            continue
+        if all(a & b in fam for a in fam for b in fam):
+            out.append(frozenset(fam))
+    out.sort(key=lambda f: sorted(_char_key(poset.n, s) for s in f))
+    return out
+
+
+def census_oracle(poset: FinitePoset) -> tuple:
+    """Every topology by search over every filter of sieves at each element,
+    assigned along a linear extension with stability pruning; each full
+    assignment goes through the axiom scan and then validate_topology, and
+    the result is sorted by the cover families of the topologies found."""
+    order = sorted(range(poset.n), key=lambda e: (len(poset.down(e)), e))
+    choices = {p: filters_of_sieves(poset, p) for p in order}
+    found = []
+    assignment: dict[int, frozenset[frozenset[int]]] = {}
+
+    def compatible(p, fam):
+        return all(
+            s & poset.down(q) in assignment[q]
+            for q in poset.down(p) if q != p and q in assignment
+            for s in fam
+        )
+
+    def assign(idx):
+        if idx == len(order):
+            covers = [assignment[p] for p in range(poset.n)]
+            if find_axiom_violation(poset, covers) is None:
+                found.append(validate_topology(poset, covers))
+            return
+        p = order[idx]
+        for fam in choices[p]:
+            if compatible(p, fam):
+                assignment[p] = fam
+                assign(idx + 1)
+                del assignment[p]
+
+    assign(0)
+    found.sort(
+        key=lambda t: tuple(
+            sorted(_char_key(poset.n, s) for s in t.covers[p]) for p in range(poset.n)
+        )
+    )
+    return tuple(found)
+
+
 def antichain(n: int) -> FinitePoset:
     return FinitePoset([f"a{i}" for i in range(n)])
+
+
+def chain_poset(n: int) -> FinitePoset:
+    return FinitePoset([f"c{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def fan(k: int) -> FinitePoset:
+    """k incomparable atoms under one top: 2^k + 1 sieves on the top."""
+    return FinitePoset([f"t{i}" for i in range(k)] + ["top"], [(i, k) for i in range(k)])
 
 
 def fence(n: int) -> FinitePoset:

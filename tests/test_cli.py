@@ -153,6 +153,67 @@ def test_convert_rejects_out_of_range_ids(capsys, tmp_path, chain2_file, kind, f
     assert error["witness"] is not None
 
 
+@pytest.mark.parametrize(
+    "corrupt, witness",
+    [
+        (lambda classes: classes[0].append(1), {"id": 1, "downset": ["0"]}),
+        (lambda classes: classes.pop(0), {"id": 0, "downset": []}),
+    ],
+    ids=["overlapping", "missing"],
+)
+def test_convert_rejects_classes_that_do_not_partition(
+    capsys, tmp_path, chain2_file, corrupt, witness
+):
+    _, out = run(capsys, "topology", "--poset", chain2_file, "--subset", "0")
+    topo_file = tmp_path / "j.json"
+    topo_file.write_text(out)
+    _, out = run(
+        capsys, "convert", "--poset", chain2_file, "--topology", str(topo_file), "--to", "congruence"
+    )
+    doc = json.loads(out)
+    assert doc["classes"] == [[0], [1, 2]]
+    corrupt(doc["classes"])
+    obj_file = tmp_path / "congruence.json"
+    obj_file.write_text(json.dumps(doc))
+    exit_code, out = run(
+        capsys, "convert", "--poset", chain2_file, "--from", "congruence", "--input", str(obj_file)
+    )
+    assert exit_code == 1
+    error = json.loads(out)["error"]
+    assert (error["code"], error["witness"]) == ("NotACongruenceError", witness)
+
+
+@pytest.mark.parametrize(
+    "text, maps, witness",
+    [
+        (CHAIN2_TEXT, {}, {"q": "0", "p": "1"}),
+        (CHAIN2_TEXT, {"0<=1": [0]}, {"q": "0", "p": "1"}),
+        (
+            "elements: 0 1 2\nle: 0 1\nle: 1 2\n",
+            {"0<=1": [0, 1], "1<=2": [1, 0], "0<=2": [0, 1]},
+            {"r": "0", "q": "1", "p": "2"},
+        ),
+    ],
+    ids=["missing", "not_a_function", "composite"],
+)
+def test_sheaf_check_rejects_a_non_functor_with_a_witness(capsys, tmp_path, text, maps, witness):
+    poset_file = tmp_path / "p.poset"
+    poset_file.write_text(text)
+    _, topo = run(capsys, "topology", "--poset", str(poset_file), "--kind", "indiscrete")
+    topo_file = tmp_path / "j.json"
+    topo_file.write_text(topo)
+    labels = text.split("\n")[0].split()[1:]
+    ps_file = tmp_path / "f.json"
+    ps_file.write_text(json.dumps({"values": {x: 2 for x in labels}, "maps": maps}))
+    code, out = run(
+        capsys, "sheaf", "check", "--poset", str(poset_file),
+        "--topology", str(topo_file), "--presheaf", str(ps_file),
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert (error["code"], error["witness"]) == ("FunctorialityError", witness)
+
+
 def test_sheaf_check(capsys, tmp_path, chain2_file):
     code, topo = run(capsys, "topology", "--poset", chain2_file, "--subset", "0")
     topo_file = tmp_path / "j.json"
