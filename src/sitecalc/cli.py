@@ -73,9 +73,7 @@ def _cmd_enumerate(args) -> int:
     out = []
     for topology in topologies:
         doc = topology.to_json()
-        doc["generated_by"] = sorted(
-            poset.labels[i] for i in sites.generating_subset(topology)
-        )
+        doc["generated_by"] = sorted(poset.labels[i] for i in topology.subset)
         del doc["poset"]
         out.append(doc)
     _emit({"poset": poset.to_json(), "count": len(topologies), "topologies": out})

@@ -29,6 +29,18 @@ axioms become two local conditions along a linear extension:
 
 The finest subcanonical subset topology is J(C) for a closed-form C.
 
+Site morphisms, subcanonicity and completeness read X too, through the
+least cover L_p = down(X & down(p)), the weakest cover of p:
+
+- phi: (P, J(X)) -> (Q, J(Y)) preserves covers at p iff
+  Y & down(phi p) <= down(phi(X & down(p))), the image of L_p; it has
+  covering lifting at p iff phi(X & down(p)) <= down(Y & down(phi p)), the
+  least cover of phi(p).  Images and down-closures are monotone and covers
+  up-closed, so a failing cover means a failing least cover.
+- the representable of p fails for q iff q is not <= p and some cover of q
+  lies in down(p), that is iff L_q does: X & down(q) <= down(p).
+- the covers of p meet in L_p, itself a cover, so every J(X) is complete.
+
 Witness searches iterate elements in index order and sieves in
 sorted-member order, so reported counterexamples are deterministic; JSON
 listings instead order sieves by their stable frame id.
@@ -37,7 +49,7 @@ listings instead order sieves by their stable frame id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -59,30 +71,6 @@ from .poset import (
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 4
-
-
-@dataclass(frozen=True)
-class Sieve:
-    """A down-set bounded by the principal down-set of its apex."""
-
-    apex: int
-    members: frozenset[int]
-
-
-def sieve_on(poset: FinitePoset, apex: int, members: Iterable[int]) -> Sieve:
-    ms = frozenset(members)
-    if not ms <= poset.down(apex):
-        raise AxiomViolation(
-            f"{sorted(ms)} is not bounded by the down-set of {poset.labels[apex]}",
-            axiom="sieve",
-            p=apex,
-            sieve=ms,
-        )
-    if poset.down_closure(ms) != ms:
-        raise AxiomViolation(
-            f"{sorted(ms)} is not down-closed", axiom="sieve", p=apex, sieve=ms
-        )
-    return Sieve(apex, ms)
 
 
 def _members_key(s: frozenset[int]) -> list[int]:
@@ -110,14 +98,6 @@ class GrothTopology:
             self._covers = tuple(_subset_covers(self.poset, self.subset))
         return self._covers
 
-    def covers_on(self, p: int) -> tuple[frozenset[int], ...]:
-        """Covers of p sorted by stable down-set id order."""
-        return tuple(sorted(self.covers[p], key=lambda s: _char_key(self.poset.n, s)))
-
-    def is_cover(self, p: int, sieve: Iterable[int]) -> bool:
-        s, dn = frozenset(sieve), self.poset.down(p)
-        return self.subset & dn <= s <= dn and self.poset.down_closure(s) == s
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GrothTopology)
@@ -134,12 +114,15 @@ class GrothTopology:
         return f"<GrothTopology on {list(labels)} generated_by={gens}>"
 
     def to_json(self) -> dict:
-        labels = self.poset.labels
+        labels, n = self.poset.labels, self.poset.n
         return {
             "poset": self.poset.to_json(),
             "covers": {
-                labels[p]: [[labels[i] for i in sorted(s)] for s in self.covers_on(p)]
-                for p in range(self.poset.n)
+                labels[p]: [
+                    [labels[i] for i in sorted(s)]
+                    for s in sorted(fam, key=lambda s: _char_key(n, s))
+                ]
+                for p, fam in enumerate(self.covers)
             },
         }
 
@@ -166,20 +149,6 @@ class GrothTopology:
                 )
             covers[p].update(frozenset(poset.index_of(m) for m in s) for s in sieves)
         return validate_topology(poset, covers)
-
-
-def _normalize_covers(
-    poset: FinitePoset, covers: Mapping[int, Iterable] | Sequence[Iterable]
-) -> list[frozenset[frozenset[int]]]:
-    if isinstance(covers, Mapping):
-        fams = [covers.get(p, ()) for p in range(poset.n)]
-    else:
-        fams = list(covers)
-        if len(fams) != poset.n:
-            raise AxiomViolation(
-                f"{len(fams)} cover families for {poset.n} elements", axiom="sieve", p=0
-            )
-    return [frozenset(frozenset(s) for s in fam) for fam in fams]
 
 
 def find_axiom_violation(
@@ -248,14 +217,17 @@ def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[frozenset[fro
     return covers
 
 
-def validate_topology(
-    poset: FinitePoset, covers: Mapping[int, Iterable] | Sequence[Iterable]
-) -> GrothTopology:
-    """J(X) when the families equal it for X read off them, the elements whose
-    only cover is their maximal sieve.  Otherwise the axiom scan's first
-    violation raises, and families that pass it, refuting the normal form,
-    raise NotSubsetGeneratedError instead of being replaced by J(X)."""
-    fams = _normalize_covers(poset, covers)
+def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTopology:
+    """J(X) when the families, one per element, equal it for X read off them,
+    the elements whose only cover is their maximal sieve.  Otherwise the
+    axiom scan's first violation raises, and families that pass it, refuting
+    the normal form, raise NotSubsetGeneratedError instead of being replaced
+    by J(X)."""
+    if len(covers) != poset.n:
+        raise AxiomViolation(
+            f"{len(covers)} cover families for {poset.n} elements", axiom="sieve", p=0
+        )
+    fams = [frozenset(frozenset(s) for s in fam) for fam in covers]
     xs = frozenset(p for p in range(poset.n) if fams[p] == frozenset((poset.down(p),)))
     if fams != _subset_covers(poset, xs):
         violation = find_axiom_violation(poset, fams)
@@ -279,11 +251,6 @@ def subset_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
     p) admits every sieve, including the empty one.
     """
     return GrothTopology(poset, subset)
-
-
-def generating_subset(topology: GrothTopology) -> frozenset[int]:
-    """The X with topology = J(X); J is injective, so X is unique."""
-    return topology.subset
 
 
 def indiscrete_topology(poset: FinitePoset) -> GrothTopology:
@@ -447,15 +414,10 @@ def is_complete(topology: GrothTopology) -> bool:
     """Whether each pointwise intersection of all covers is itself a cover.
 
     Closure of cover families under supersets reduces arbitrary
-    intersections to this single one.
+    intersections to this single one.  It always holds: the covers of p are
+    the sieves holding X & down(p), so they meet in down(X & down(p)), which
+    holds X & down(p) and so is itself a cover.
     """
-    poset = topology.poset
-    for p in range(poset.n):
-        acc = poset.down(p)
-        for s in topology.covers[p]:
-            acc &= s
-        if acc not in topology.covers[p]:
-            return False
     return True
 
 
@@ -520,7 +482,10 @@ def enumerate_all_topologies(
 
 @dataclass(frozen=True)
 class SiteMorphismReport:
-    """Cover-preservation and covering-lifting diagnostics for one map."""
+    """Cover-preservation and covering-lifting diagnostics for one map: one
+    (p, least cover) witness per failing source element p, the least source
+    cover of p for preservation and the least target cover of phi(p) for
+    lifting."""
 
     cover_violations: tuple[tuple[int, frozenset[int]], ...]
     clp_violations: tuple[tuple[int, frozenset[int]], ...]
@@ -534,41 +499,51 @@ class SiteMorphismReport:
         return not self.clp_violations
 
 
+def _require_endpoints(
+    phi: OrderMorphism, source: GrothTopology, target: GrothTopology
+) -> None:
+    if phi.source != source.poset or phi.target != target.poset:
+        raise PosetMismatchError("morphism endpoints do not match the sites")
+
+
 def site_morphism_report(
     phi: OrderMorphism, source: GrothTopology, target: GrothTopology
 ) -> SiteMorphismReport:
-    """Check both site-morphism properties of ``phi`` at once.
+    """Check both site-morphism properties of ``phi`` at once, on least covers.
 
-    Cover preservation: the down-closed image of every source cover is a
-    target cover.  Covering lifting: every target cover of the image of p
-    contains the image of some source cover of p.
+    Cover preservation at p: the down-closed image of every source cover is
+    a target cover, iff Y & down(phi p) <= down(phi(X & down(p))).  Covering
+    lifting at p: every target cover of phi(p) contains the image of some
+    source cover of p, iff phi(X & down(p)) <= down(Y & down(phi p)).
     """
-    if phi.source != source.poset or phi.target != target.poset:
-        raise PosetMismatchError("morphism endpoints do not match the sites")
+    _require_endpoints(phi, source, target)
     p_poset, q_poset = phi.source, phi.target
     cover_violations = []
     clp_violations = []
     for p in range(p_poset.n):
-        fp = phi(p)
-        for s in sorted(source.covers[p], key=_members_key):
-            image = q_poset.down_closure(phi.image_of(s))
-            if image not in target.covers[fp]:
-                cover_violations.append((p, s))
-        for s in sorted(target.covers[fp], key=_members_key):
-            if not any(phi.image_of(r) <= s for r in source.covers[p]):
-                clp_violations.append((p, s))
+        cut = source.subset & p_poset.down(p)
+        image = phi.image_of(cut)
+        target_cut = target.subset & q_poset.down(phi(p))
+        if not target_cut <= q_poset.down_closure(image):
+            cover_violations.append((p, p_poset.down_closure(cut)))
+        least = q_poset.down_closure(target_cut)
+        if not image <= least:
+            clp_violations.append((p, least))
     return SiteMorphismReport(tuple(cover_violations), tuple(clp_violations))
 
 
 def is_site_isomorphism(
     phi: OrderMorphism, source: GrothTopology, target: GrothTopology
 ) -> bool:
-    """Order isomorphism carrying covers to covers in both directions."""
+    """Order isomorphism carrying covers to covers in both directions.
+
+    For an isomorphism, preservation forward is Y <= phi(X) and preservation
+    backward is phi(X) <= Y, so this is phi(X) = Y.
+    """
     if not phi.is_isomorphism():
         raise NotOrderIsomorphismError("site isomorphisms need an order isomorphism")
-    forward = site_morphism_report(phi, source, target)
-    backward = site_morphism_report(phi.inverse(), target, source)
-    return forward.preserves_covers and backward.preserves_covers
+    _require_endpoints(phi, source, target)
+    return phi.image_of(source.subset) == target.subset
 
 
 def adjoint_transfer_consistent(
@@ -612,18 +587,18 @@ def representable_is_sheaf(poset: FinitePoset, topology: GrothTopology, p: int) 
 def subcanonicity_report(
     poset: FinitePoset, topology: GrothTopology
 ) -> tuple[tuple[int, int, frozenset[int]], ...]:
-    """Witnesses (p, q, cover) for every representable failing the sheaf test."""
+    """Witnesses (p, q, cover) for every representable failing the sheaf test:
+    q fails for p iff q is not <= p and X & down(q) <= down(p), and the cover
+    is the first in sorted-member order of the covers of q inside down(p)."""
     _require_poset(poset, topology)
     out = []
     for p in range(poset.n):
         dn = poset.down(p)
         for q in range(poset.n):
-            if poset.leq(q, p):
-                continue
-            for s in sorted(topology.covers[q], key=_members_key):
-                if s <= dn:
-                    out.append((p, q, s))
-                    break
+            cut = topology.subset & poset.down(q)
+            if not poset.leq(q, p) and cut <= dn:
+                cover = min((s for s in sieves_on(poset, q) if cut <= s <= dn), key=_members_key)
+                out.append((p, q, cover))
     return tuple(out)
 
 

@@ -15,7 +15,9 @@ subcanonical generating subset has the scan over every subset that its
 closed form replaced.  Sheaf checks have the all-covers scan that the
 least-cover decision replaced, with families from the raw product of value
 sets.  The topology census has the search over every family of sieves that
-the least-cover search replaced.
+the least-cover search replaced.  Site-morphism reports, subcanonicity and
+completeness have the scans over every cover of J(X) that their closed forms
+in X replaced.
 """
 
 from __future__ import annotations
@@ -362,6 +364,58 @@ def sheaf_scan_oracle(presheaf, topology) -> SheafCheck:
                         "amalgamations": hits,
                     })
     return SheafCheck(ok=True)
+
+
+def site_morphism_scan_oracle(phi, source, target) -> tuple[list, list]:
+    """Every failing cover, by scanning all covers of J(X) and J(Y) filtered
+    from raw sieves: (p, s) for each source cover s of p whose down-closed
+    image is not a target cover, then (p, s) for each target cover s of
+    phi(p) that holds the image of no source cover of p; p ascending, covers
+    in sorted-member order."""
+    src_poset, tgt_poset = phi.source, phi.target
+    src = subset_covers_oracle(src_poset, source.subset)
+    tgt = subset_covers_oracle(tgt_poset, target.subset)
+    cover_violations, clp_violations = [], []
+    for p in range(src_poset.n):
+        fp = phi.mapping[p]
+        for s in sorted(src[p], key=sorted):
+            image = frozenset(phi.mapping[x] for x in s)
+            if tgt_poset.down_closure(image) not in tgt[fp]:
+                cover_violations.append((p, s))
+        for s in sorted(tgt[fp], key=sorted):
+            if not any(all(phi.mapping[x] in s for x in r) for r in src[p]):
+                clp_violations.append((p, s))
+    return cover_violations, clp_violations
+
+
+def subcanonicity_scan_oracle(poset: FinitePoset, topology) -> tuple:
+    """(p, q, cover) for each q not <= p with a cover of J(X) inside down(p):
+    the first such cover in sorted-member order, filtered from raw sieves."""
+    covers = subset_covers_oracle(poset, topology.subset)
+    out = []
+    for p in range(poset.n):
+        for q in range(poset.n):
+            if poset.leq(q, p):
+                continue
+            for s in sorted(covers[q], key=sorted):
+                if s <= poset.down(p):
+                    out.append((p, q, s))
+                    break
+    return tuple(out)
+
+
+def complete_scan_oracle(topology) -> bool:
+    """Whether the intersection of all covers of each p, filtered from raw
+    sieves, is itself a cover."""
+    poset = topology.poset
+    covers = subset_covers_oracle(poset, topology.subset)
+    for p in range(poset.n):
+        acc = poset.down(p)
+        for s in covers[p]:
+            acc &= s
+        if acc not in covers[p]:
+            return False
+    return True
 
 
 def filters_of_sieves(poset: FinitePoset, p: int) -> list[frozenset[frozenset[int]]]:

@@ -1,0 +1,135 @@
+"""Site-morphism reports, subcanonicity and completeness read off the
+generating subset X, checked against the scans over every cover of J(X)
+that they replaced, and guarded against reading the cover table at all."""
+
+import pytest
+from conftest import (
+    LADDER,
+    all_subsets,
+    fan,
+    site_morphism_scan_oracle,
+    subcanonicity_scan_oracle,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sitecalc import (
+    FinitePoset,
+    GrothTopology,
+    OrderMorphism,
+    adjoint_transfer_consistent,
+    all_order_morphisms,
+    catalog,
+    congruence_from_topology,
+    enumerate_downsets,
+    is_complete,
+    is_sheaf,
+    is_site_isomorphism,
+    nucleus_from_topology,
+    site_morphism_report,
+    subcanonicity_report,
+    sublocale_from_topology,
+    subset_topology,
+    topology_from_congruence,
+    topology_from_nucleus,
+    topology_from_sublocale,
+    verify_commuting_diagram,
+    yoneda_presheaf,
+)
+
+SMALL = [p for p in catalog().values() if p.n <= 3]
+SUBCANONICITY_POSETS = {**catalog(), **LADDER, "fan5": fan(5)}
+
+
+def check_site_morphism(phi, x, y):
+    """Same failing elements as the all-covers scan, each reported once with
+    its least cover, which the scan also finds failing."""
+    p, q = phi.source, phi.target
+    j, k = subset_topology(p, x), subset_topology(q, y)
+    report = site_morphism_report(phi, j, k)
+    cover_scan, clp_scan = site_morphism_scan_oracle(phi, j, k)
+    assert [e for e, _ in report.cover_violations] == sorted({e for e, _ in cover_scan})
+    for e, witness in report.cover_violations:
+        assert witness == p.down_closure(x & p.down(e))
+        assert (e, witness) in cover_scan
+    assert [e for e, _ in report.clp_violations] == sorted({e for e, _ in clp_scan})
+    for e, witness in report.clp_violations:
+        assert witness == q.down_closure(y & q.down(phi.mapping[e]))
+        assert (e, witness) in clp_scan
+
+
+def test_site_morphism_reports_match_the_cover_scan():
+    triples = 0
+    for p in SMALL:
+        for q in SMALL:
+            for phi in all_order_morphisms(p, q):
+                for x in all_subsets(p.n):
+                    for y in all_subsets(q.n):
+                        check_site_morphism(phi, x, y)
+                        triples += 1
+    assert triples == 16804
+
+
+@pytest.mark.parametrize("name", sorted(SUBCANONICITY_POSETS))
+def test_subcanonicity_report_matches_the_cover_scan(name):
+    p = SUBCANONICITY_POSETS[name]
+    for x in all_subsets(p.n):
+        j = subset_topology(p, x)
+        assert subcanonicity_report(p, j) == subcanonicity_scan_oracle(p, j)
+
+
+@st.composite
+def relabelled_posets(draw):
+    """A random order on 1 <= n <= 5 points whose index order need not be a
+    linear extension."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    perm = draw(st.permutations(range(n)))
+    pairs = [
+        (perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    return FinitePoset(n, pairs)
+
+
+@st.composite
+def site_maps(draw):
+    """A monotone map between two random posets, with a subset of each."""
+    p, q = draw(relabelled_posets()), draw(relabelled_posets())
+    phi = draw(st.sampled_from(all_order_morphisms(p, q)))
+    x = draw(st.frozensets(st.integers(min_value=0, max_value=p.n - 1)))
+    y = draw(st.frozensets(st.integers(min_value=0, max_value=q.n - 1)))
+    return phi, x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(site_maps())
+def test_closed_forms_match_the_cover_scans_on_random_posets(case):
+    phi, x, y = case
+    check_site_morphism(phi, x, y)
+    for p, s in ((phi.source, x), (phi.target, y)):
+        j = subset_topology(p, s)
+        assert subcanonicity_report(p, j) == subcanonicity_scan_oracle(p, j)
+
+
+def test_no_report_reads_the_cover_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the cover table was built")
+
+    monkeypatch.setattr(GrothTopology, "covers", property(refuse))
+    for p in catalog().values():
+        ident = OrderMorphism(p, p, tuple(range(p.n)))
+        frame = enumerate_downsets(p)
+        representables = [yoneda_presheaf(p, e) for e in range(p.n)]
+        for x in all_subsets(p.n):
+            j = subset_topology(p, x)
+            k = subset_topology(p, frozenset(range(p.n)) - x)
+            site_morphism_report(ident, j, k)
+            is_site_isomorphism(ident, j, k)
+            adjoint_transfer_consistent(ident, ident, j, k)
+            subcanonicity_report(p, j)
+            is_complete(j)
+            for f in representables:
+                is_sheaf(f, j)
+            assert topology_from_nucleus(nucleus_from_topology(j, frame)) == j
+            assert topology_from_congruence(congruence_from_topology(j, frame)) == j
+            assert topology_from_sublocale(sublocale_from_topology(j, frame)) == j
+        assert verify_commuting_diagram(p).ok

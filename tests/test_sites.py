@@ -1,7 +1,7 @@
 """Topology constructors, the axioms, the lattice of topologies, enumeration."""
 
 import pytest
-from conftest import all_subsets
+from conftest import all_subsets, complete_scan_oracle
 
 from sitecalc import (
     AxiomViolation,
@@ -19,7 +19,6 @@ from sitecalc import (
     discrete_topology,
     enumerate_all_topologies,
     extend_topology,
-    generating_subset,
     indiscrete_topology,
     is_complete,
     join,
@@ -117,15 +116,15 @@ def test_subset_topology_is_antitone(catalog_pair):
 
 def test_generating_subset_examples():
     chain2 = catalog_poset("chain2")
-    assert generating_subset(subset_topology(chain2, {0})) == frozenset({0})
-    assert generating_subset(indiscrete_topology(chain2)) == frozenset({0, 1})
-    assert generating_subset(discrete_topology(chain2)) == frozenset()
+    assert subset_topology(chain2, {0}).subset == frozenset({0})
+    assert indiscrete_topology(chain2).subset == frozenset({0, 1})
+    assert discrete_topology(chain2).subset == frozenset()
 
 
 def test_generating_subset_round_trip(catalog_pair):
     _, p = catalog_pair
     for x in all_subsets(p.n):
-        assert generating_subset(subset_topology(p, x)) == x
+        assert subset_topology(p, x).subset == x
 
 
 def test_leq_reverses_generating_subsets(catalog_pair):
@@ -338,7 +337,7 @@ def test_lattice_operations_reject_unvalidated_input(op):
 def test_every_finite_topology_is_complete(catalog_pair):
     _, p = catalog_pair
     for t in enumerate_all_topologies(p):
-        assert is_complete(t)
+        assert is_complete(t) and complete_scan_oracle(t)
 
 
 def test_filter_property(catalog_pair):
@@ -398,18 +397,3 @@ def test_topology_json_round_trip(catalog_pair):
     for x in all_subsets(p.n):
         j = subset_topology(p, x)
         assert GrothTopology.from_json(j.to_json()) == j
-
-
-def test_sieve_value_type():
-    from sitecalc import Sieve
-    from sitecalc.sites import sieve_on
-
-    v = catalog_poset("V")
-    x, y = v.index_of("x"), v.index_of("y")
-    s = sieve_on(v, x, {y})
-    assert s == Sieve(x, frozenset({y}))
-    with pytest.raises(AxiomViolation):
-        sieve_on(v, y, {x})  # not bounded by the apex
-    lam = catalog_poset("Lambda")
-    with pytest.raises(AxiomViolation):
-        sieve_on(lam, lam.index_of("y"), {lam.index_of("y")})  # not down-closed

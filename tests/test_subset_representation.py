@@ -64,9 +64,6 @@ def check_subset(p, x, ds):
     t = subset_topology(p, x)
     assert list(t.covers) == subset_covers_oracle(p, x)
     assert list(lx_topology(p, x).covers) == lx_covers(p, x)
-    for q in range(p.n):
-        for s in all_subsets(p.n):
-            assert t.is_cover(q, s) == (s in t.covers[q])
     for d in ds:
         bad = dense_violation(p, t, d)
         assert bad == dense_violation_scan(p, t, d)
