@@ -161,8 +161,8 @@ class FinitePoset:
                     return False
         return True
 
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (q, p) with q < p and nothing strictly between."""
+    def hasse_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Hasse-diagram pairs (q, p) with q < p and nothing strictly between."""
         out = []
         for p in range(self.n):
             for q in sorted(self._down[p] - {p}):
@@ -191,7 +191,7 @@ class FinitePoset:
         return self._hash
 
     def __repr__(self) -> str:
-        rel = [f"{self.labels[a]}<{self.labels[b]}" for a, b in self.covers()]
+        rel = [f"{self.labels[a]}<{self.labels[b]}" for a, b in self.hasse_pairs()]
         return f"FinitePoset({list(self.labels)}, {rel})"
 
     # -- serialization ---------------------------------------------------
@@ -294,7 +294,7 @@ def export_dot(poset: FinitePoset) -> str:
     for i in range(poset.n):
         label = poset.labels[i].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
-    for q, p in poset.covers():
+    for q, p in poset.hasse_pairs():
         lines.append(f"  n{q} -> n{p};")
     lines.append("}")
     return "\n".join(lines) + "\n"

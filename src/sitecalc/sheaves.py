@@ -158,21 +158,6 @@ class Presheaf:
         return cls(poset, sizes, maps)
 
 
-@dataclass(frozen=True)
-class MatchingFamily:
-    """A compatible choice of local values over a cover sieve."""
-
-    apex: int
-    cover: frozenset[int]
-    assignment: tuple[tuple[int, int], ...]  # (element, value) pairs, sorted
-
-    def value_at(self, x: int) -> int:
-        for e, v in self.assignment:
-            if e == x:
-                return v
-        raise KeyError(x)
-
-
 def matching_violation(
     presheaf: Presheaf, cover: Iterable[int], assignment: Mapping[int, int]
 ) -> tuple[int, int] | None:
@@ -234,11 +219,9 @@ def amalgamations(
     presheaf: Presheaf,
     p: int,
     cover: Iterable[int],
-    assignment: Mapping[int, int] | MatchingFamily,
+    assignment: Mapping[int, int],
 ) -> tuple[int, ...]:
     """All values at p restricting to the family on every cover element."""
-    if isinstance(assignment, MatchingFamily):
-        assignment = dict(assignment.assignment)
     elems = sorted(frozenset(cover))
     bad = matching_violation(presheaf, elems, assignment)
     if bad is not None:
@@ -343,84 +326,64 @@ def restrict_presheaf(presheaf: Presheaf, subset: Iterable[int]) -> Presheaf:
 
 @dataclass(frozen=True)
 class ExtendedPresheaf:
-    """The right-extension of a presheaf on a subset to the whole poset.
+    """The right Kan extension Ran_X of a presheaf on a subset X.
 
-    The value at p is the set of compatible families over the subset
-    elements below p, stored as explicit tuples in support order;
-    restriction is tuple truncation.
+    The value at p is the set of matching families on X & down(p), stored
+    as explicit tuples in support order; restriction is tuple truncation.
     """
 
     presheaf: Presheaf
-    base: Presheaf
-    subset: frozenset[int]
     support: tuple[tuple[int, ...], ...]  # per p: subset & down(p), sorted
     families: tuple[tuple[tuple[int, ...], ...], ...]  # per p: family tuples
-
-    def family_index(self, p: int, family: tuple[int, ...]) -> int:
-        return self.families[p].index(family)
 
 
 def extend_presheaf(
     base: Presheaf, poset: FinitePoset, subset: Iterable[int]
 ) -> ExtendedPresheaf:
-    """Materialize compatible families below each element.
+    """Materialize the matching families below each element.
 
-    ``base`` lives on the induced subposet of ``subset``.
+    ``base`` lives on the induced subposet of ``subset``; its index order
+    is that of the subset, so each family is read off
+    :func:`matching_families` in support order.
     """
     elems = sorted(set(subset))
     pos = {e: k for k, e in enumerate(elems)}
     if base.poset != poset.induced(elems):
         raise PosetMismatchError("base presheaf is not on the induced subposet")
-    support = []
-    families = []
-    for p in range(poset.n):
-        xs = sorted(frozenset(elems) & poset.down(p))
-        support.append(tuple(xs))
-        fams: list[tuple[int, ...]] = []
-        current: list[int] = []
-
-        def build(idx: int) -> None:
-            if idx == len(xs):
-                fams.append(tuple(current))
-                return
-            x = xs[idx]
-            for v in range(base.sizes[pos[x]]):
-                ok = True
-                for j in range(idx):
-                    y = xs[j]
-                    if poset.leq(y, x) and (
-                        base.restriction(pos[y], pos[x])[v] != current[j]
-                    ):
-                        ok = False
-                        break
-                    if poset.leq(x, y) and (
-                        base.restriction(pos[x], pos[y])[current[j]] != v
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    current.append(v)
-                    build(idx + 1)
-                    current.pop()
-
-        build(0)
-        families.append(tuple(fams))
-    sizes = [len(f) for f in families]
+    members = frozenset(elems)
+    support = tuple(tuple(sorted(members & poset.down(p))) for p in range(poset.n))
+    families = tuple(
+        tuple(tuple(fam.values()) for fam in matching_families(base, [pos[x] for x in xs]))
+        for xs in support
+    )
     maps = {}
     for q in range(poset.n):
+        below = set(support[q])
+        lookup = {fam: i for i, fam in enumerate(families[q])}
         for p in poset.up(q) - {q}:
-            keep = [i for i, x in enumerate(support[p]) if x in set(support[q])]
-            lookup = {fam: i for i, fam in enumerate(families[q])}
+            keep = [i for i, x in enumerate(support[p]) if x in below]
             maps[(q, p)] = tuple(
                 lookup[tuple(fam[i] for i in keep)] for fam in families[p]
             )
-    presheaf = Presheaf(poset, sizes, maps)
-    return ExtendedPresheaf(
-        presheaf, base, frozenset(elems), tuple(support), tuple(families)
-    )
+    presheaf = Presheaf(poset, [len(f) for f in families], maps)
+    return ExtendedPresheaf(presheaf, support, families)
 
 
 # -- natural transformations ---------------------------------------------------
+
+
+def _square_commutes(
+    source: Presheaf,
+    target: Presheaf,
+    q: int,
+    p: int,
+    cq: Sequence[int],
+    cp: Sequence[int],
+) -> bool:
+    """Whether the naturality square of q < p commutes: restricting after
+    the component at p equals the component at q after restricting."""
+    down_t, down_s = target.restriction(q, p), source.restriction(q, p)
+    return all(down_t[cp[a]] == cq[down_s[a]] for a in range(source.sizes[p]))
 
 
 def naturality_failure(
@@ -430,86 +393,52 @@ def naturality_failure(
     poset = source.poset
     for q in range(poset.n):
         for p in poset.up(q) - {q}:
-            for a in range(source.sizes[p]):
-                left = target.restriction(q, p)[components[p][a]]
-                right = components[q][source.restriction(q, p)[a]]
-                if left != right:
-                    return (q, p)
+            if not _square_commutes(source, target, q, p, components[q], components[p]):
+                return (q, p)
     return None
 
 
-@dataclass(frozen=True)
-class NaturalTransformation:
-    """Componentwise map between presheaves with commuting squares."""
-
-    source: Presheaf
-    target: Presheaf
-    components: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.source.poset != self.target.poset:
-            raise PosetMismatchError("components between different posets")
-        for p in range(self.source.poset.n):
-            comp = self.components[p]
-            if len(comp) != self.source.sizes[p] or any(
-                not 0 <= v < self.target.sizes[p] for v in comp
-            ):
-                raise ValueError(f"component at {p} is not a function")
-        bad = naturality_failure(self.source, self.target, self.components)
-        if bad is not None:
-            raise ValueError(f"naturality square fails at pair {bad}")
-
-    def is_bijective(self) -> bool:
-        return all(
-            self.source.sizes[p] == self.target.sizes[p]
-            and len(set(self.components[p])) == self.source.sizes[p]
-            for p in range(self.source.poset.n)
-        )
-
-
 def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
-    """Search for a componentwise bijection commuting with restrictions."""
+    """Search for a componentwise bijection commuting with restrictions.
+
+    Components are assigned along a linear extension, so every assigned
+    element comparable to p lies below p: each square is checked once, when
+    its top is assigned, and the search is exhaustive.
+    """
     if f.poset != g.poset or f.sizes != g.sizes:
         return False
     poset = f.poset
+    order = sorted(range(poset.n), key=lambda e: (len(poset.down(e)), e))
     comps: dict[int, tuple[int, ...]] = {}
 
-    def consistent(p: int, comp: tuple[int, ...]) -> bool:
-        for q, cq in comps.items():
-            if poset.lt(q, p):
-                if any(
-                    g.restriction(q, p)[comp[a]] != cq[f.restriction(q, p)[a]]
-                    for a in range(f.sizes[p])
-                ):
-                    return False
-            if poset.lt(p, q):
-                if any(
-                    g.restriction(p, q)[cq[a]] != comp[f.restriction(p, q)[a]]
-                    for a in range(f.sizes[q])
-                ):
-                    return False
-        return True
-
-    def assign(p: int) -> bool:
-        if p == poset.n:
+    def assign(idx: int) -> bool:
+        if idx == len(order):
             return True
+        p = order[idx]
+        below = poset.down(p) - {p}
         for comp in permutations(range(f.sizes[p])):
-            if consistent(p, comp):
-                comps[p] = comp
-                if assign(p + 1):
+            if all(_square_commutes(f, g, q, p, comps[q], comp) for q in below):
+                comps[p] = comp  # a stale entry is reassigned before it is read
+                if assign(idx + 1):
                     return True
-                del comps[p]
         return False
 
     return assign(0)
 
 
-def iso_class_count(presheaves: Sequence[Presheaf]) -> int:
+def _iso_classes(presheaves: Sequence[Presheaf]) -> tuple[list[Presheaf], list[int]]:
+    """The first member of each natural-isomorphism class, in order, and
+    the class label (an index into those reps) of every presheaf."""
     reps: list[Presheaf] = []
+    labels: list[int] = []
     for f in presheaves:
-        if not any(natural_iso_exists(f, r) for r in reps):
+        label = next(
+            (k for k, r in enumerate(reps) if natural_iso_exists(f, r)), len(reps)
+        )
+        if label == len(reps):
             reps.append(f)
-    return len(reps)
+        labels.append(label)
+    return reps, labels
 
 
 # -- representables and enumeration --------------------------------------------
@@ -542,7 +471,7 @@ def enumerate_presheaves(
             f"{poset.n} elements at value cap {value_cap} exceeds the configured caps",
             witness={"max_elements": max_elements, "max_value_cap": max_value_cap},
         )
-    edges = poset.covers()
+    edges = poset.hasse_pairs()
     out: list[Presheaf] = []
     for sizes in product(range(value_cap + 1), repeat=poset.n):
         edge_maps: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -683,7 +612,7 @@ def comparison_check(
         unit_bij = unit_nat = None
         if base_ok and ext_ok:
             sheaf = ext.presheaf
-            re_ext = extend_presheaf(restrict_presheaf(sheaf, xs), poset, xs)
+            re_ext = extend_presheaf(restricted, poset, xs)
             unit, unique = _unit_components(re_ext, sheaf)
             unit_bij = unique and _is_bijection_columns(unit, sheaf.sizes)
             unit_nat = naturality_failure(re_ext.presheaf, sheaf, unit) is None
@@ -886,26 +815,22 @@ def kx_sheaf_equivalence_check(
                 beta_ok = False
         comparison = comparison_check(poset0, x0, topology0, value_cap=value_cap)
         ambient, amb_subset, reduced = poset0, x0, False
-    sheaf_classes = iso_class_count(sample)
-    transported_classes = iso_class_count(transported)
-    faithful = len(transported) == len(sample)
-    if faithful:
-        for i in range(len(sample)):
-            for j in range(i + 1, len(sample)):
-                if natural_iso_exists(sample[i], sample[j]) != natural_iso_exists(
-                    transported[i], transported[j]
-                ):
-                    faithful = False
+    sheaf_reps, sheaf_labels = _iso_classes(sample)
+    transported_reps, transported_labels = _iso_classes(transported)
+    # the two partitions of the indices agree iff pairing the labels adds
+    # no class on either side
+    faithful = len(transported) == len(sample) and (
+        len(set(zip(sheaf_labels, transported_labels)))
+        == len(sheaf_reps)
+        == len(transported_reps)
+    )
     covered = 0
     cap_skipped = 0
     sub_poset = ambient.induced(sorted(amb_subset))
-    seen: list[Presheaf] = []
-    for h in enumerate_presheaves(
+    classes, _ = _iso_classes(enumerate_presheaves(
         sub_poset, value_cap, max_elements=sub_poset.n, max_value_cap=value_cap
-    ):
-        if any(natural_iso_exists(h, s) for s in seen):
-            continue
-        seen.append(h)
+    ))
+    for h in classes:
         lifted = extend_presheaf(h, ambient, amb_subset).presheaf
         if not reduced:
             lifted = restrict_presheaf(lifted, range(poset.n))
@@ -915,7 +840,7 @@ def kx_sheaf_equivalence_check(
         if not is_sheaf(lifted, topology).ok:
             failures.append("back-transported presheaf is not a sheaf")
             continue
-        if any(natural_iso_exists(lifted, f) for f in sample):
+        if any(natural_iso_exists(lifted, f) for f in sheaf_reps):
             covered += 1
         else:
             failures.append("back-transported sheaf misses the enumeration")
@@ -926,8 +851,8 @@ def kx_sheaf_equivalence_check(
         records=records,
         beta_ok=beta_ok,
         comparison=comparison,
-        sheaf_classes=sheaf_classes,
-        transported_classes=transported_classes,
+        sheaf_classes=len(sheaf_reps),
+        transported_classes=len(transported_reps),
         transport_faithful=faithful,
         covered_classes=covered,
         cap_skipped_classes=cap_skipped,

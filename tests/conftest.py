@@ -17,13 +17,15 @@ least-cover decision replaced, with families from the raw product of value
 sets.  The topology census has the search over every family of sieves that
 the least-cover search replaced.  Site-morphism reports, subcanonicity and
 completeness have the scans over every cover of J(X) that their closed forms
-in X replaced.
+in X replaced.  The right Kan extension Ran_X reads its families off the raw
+product of value sets, and natural isomorphism transports a presheaf along
+every tuple of componentwise permutations.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -364,6 +366,68 @@ def sheaf_scan_oracle(presheaf, topology) -> SheafCheck:
                         "amalgamations": hits,
                     })
     return SheafCheck(ok=True)
+
+
+def _strict_pairs(poset: FinitePoset) -> list[tuple[int, int]]:
+    return [(q, p) for q in range(poset.n) for p in range(poset.n) if q != p and poset.leq(q, p)]
+
+
+def ran_oracle(base, poset: FinitePoset, subset) -> tuple:
+    """Ran_X of a presheaf on the induced subposet of X, as (support,
+    families, maps): at p, every tuple of values on X & down(p), in the
+    lexicographic order of the product of value sets, whose restrictions
+    agree; the map to q < p keeps the entries on X & down(q) and finds the
+    result among the families at q."""
+    elems = sorted(subset)
+    pos = {e: k for k, e in enumerate(elems)}
+    support, families = [], []
+    for p in range(poset.n):
+        xs = tuple(x for x in elems if poset.leq(x, p))
+        support.append(xs)
+        families.append(tuple(
+            values for values in product(*(range(base.sizes[pos[x]]) for x in xs))
+            if all(
+                base.restriction(pos[y], pos[x])[values[i]] == values[j]
+                for i, x in enumerate(xs) for j, y in enumerate(xs)
+                if y != x and poset.leq(y, x)
+            )
+        ))
+    maps = {
+        (q, p): tuple(
+            families[q].index(tuple(v for x, v in zip(support[p], fam) if poset.leq(x, q)))
+            for fam in families[p]
+        )
+        for q, p in _strict_pairs(poset)
+    }
+    return tuple(support), tuple(families), maps
+
+
+@cache
+def iso_orbit(presheaf) -> frozenset:
+    """The restriction tables, over the strict pairs in order, of every
+    presheaf naturally isomorphic to F: one per tuple sigma in the product of
+    componentwise permutations, with G the presheaf that makes each square
+    G(q <= p)(sigma_p(a)) = sigma_q(F(q <= p)(a)) commute."""
+    pairs = _strict_pairs(presheaf.poset)
+    out = set()
+    for sigma in product(*(permutations(range(m)) for m in presheaf.sizes)):
+        tables = []
+        for q, p in pairs:
+            table = [0] * presheaf.sizes[p]
+            for a, b in enumerate(presheaf.restriction(q, p)):
+                table[sigma[p][a]] = sigma[q][b]
+            tables.append(tuple(table))
+        out.add(tuple(tables))
+    return frozenset(out)
+
+
+def natural_iso_oracle(f, g) -> bool:
+    """Whether g is among the transports of f along componentwise bijections."""
+    return (
+        f.poset == g.poset
+        and f.sizes == g.sizes
+        and tuple(g.restriction(q, p) for q, p in _strict_pairs(g.poset)) in iso_orbit(f)
+    )
 
 
 def site_morphism_scan_oracle(phi, source, target) -> tuple[list, list]:

@@ -178,7 +178,7 @@ def test_export_dot_antichain_has_no_edges():
 
 def test_diamond_covers_skip_transitive_edges():
     d = catalog_poset("diamond")
-    assert set(d.covers()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+    assert set(d.hasse_pairs()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
 
 def test_induced_subposet():

@@ -88,6 +88,7 @@ def test_amalgamation_of_maximal_cover():
 def test_empty_cover_amalgamations():
     f = constant_presheaf(CHAIN2, 2)
     assert amalgamations(f, 1, frozenset(), {}) == (0, 1)
+    assert amalgamations(f, 1, frozenset({0}), {0: 0}) == (0,)
 
 
 def test_collapsing_restriction_amalgamations():
@@ -467,29 +468,3 @@ def test_natural_iso_search():
 def test_presheaf_json_round_trip():
     f = Presheaf(CHAIN2, (1, 2), {(0, 1): (0, 0)})
     assert Presheaf.from_json(f.to_json()) == f
-
-
-def test_matching_family_value_type():
-    from sitecalc import MatchingFamily
-
-    fam = MatchingFamily(apex=1, cover=frozenset({0}), assignment=((0, 1),))
-    assert fam.value_at(0) == 1
-    with pytest.raises(KeyError):
-        fam.value_at(1)
-    f = constant_presheaf(CHAIN2, 2)
-    wrapped = MatchingFamily(apex=1, cover=frozenset({0}), assignment=((0, 0),))
-    assert amalgamations(f, 1, wrapped.cover, wrapped) == (0,)
-
-
-def test_natural_transformation_type():
-    from sitecalc import NaturalTransformation
-
-    f = constant_presheaf(CHAIN2, 2)
-    nt = NaturalTransformation(f, f, ((0, 1), (0, 1)))
-    assert nt.is_bijective()
-    swap = NaturalTransformation(f, f, ((1, 0), (1, 0)))
-    assert swap.is_bijective()
-    with pytest.raises(ValueError):
-        NaturalTransformation(f, f, ((0, 1), (1, 0)))  # squares fail
-    collapse = NaturalTransformation(f, f, ((0, 0), (0, 0)))
-    assert not collapse.is_bijective()
