@@ -8,13 +8,14 @@ errors.  All output is deterministic; the library is randomness-free.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
 
 from . import localic, sheaves, sites
 from .catalog import ALIASES, catalog, catalog_poset
-from .errors import SiteCalcError
+from .errors import ParseError, SiteCalcError
 from .poset import FinitePoset, enumerate_downsets, export_dot, parse_poset, subset_of_labels
 
 
@@ -22,18 +23,34 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_poset(path: str) -> FinitePoset:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return FinitePoset.from_json(json.loads(text))
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(
+                f"{path} is not UTF-8 text", witness={"path": path, "reason": str(err)}
+            ) from None
+
+
+def _parse_json(path: str, text: str):
+    try:
+        return json.loads(text)
+    except RecursionError as err:
+        raise ParseError(
+            f"{path} nests too deeply", witness={"path": path, "reason": str(err)}
+        ) from None
+
+
+def _load_poset(path: str) -> FinitePoset:
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return FinitePoset.from_json(_parse_json(path, text))
     return parse_poset(text)
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    return _parse_json(path, _read_text(path))
 
 
 def _split_elements(poset: FinitePoset, raw: str) -> frozenset[int]:
@@ -154,7 +171,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sitecalc",
         description="Grothendieck topologies on finite posets",

@@ -156,14 +156,14 @@ class Nucleus:
         return all(masks[t] == j for t, j in zip(table, _implication_masks(frame, xs)))
 
     def _check_laws(self) -> None:
-        frame, table = self.frame, self.table
-        for a in range(len(frame)):
-            if not frame.downset(a) <= frame.downset(table[a]):
+        frame, table, masks = self.frame, self.table, self.frame.masks
+        for a, t in enumerate(table):
+            if masks[a] & ~masks[t]:
                 raise NotANucleusError(
                     "nucleus is not inflationary",
                     witness={"law": "inflation", "a": _members(frame, a)},
                 )
-            if table[table[a]] != table[a]:
+            if table[t] != t:
                 raise NotANucleusError(
                     "nucleus is not idempotent",
                     witness={"law": "idempotence", "a": _members(frame, a)},

@@ -5,15 +5,20 @@ only.  The order relation is stored fully closed (reflexive-transitive);
 cover pairs are recomputed on demand for DOT export, since ``leq`` queries
 dominate every inner loop.
 
-Down-sets are plain ``frozenset[int]`` values.  A :class:`DownSetFrame`
-materializes all down-sets of a poset with stable integer ids, ordered
-lexicographically on characteristic vectors so that golden files stay
-byte-identical across runs; inside the frame each down-set is also an int
-bitmask, on which its meets, joins and implications are computed.
+A down-set is an int bitmask, bit p set iff p is in it.  A
+:class:`DownSetFrame` enumerates all down-sets of a poset as masks, with
+stable integer ids in the order of the bit-reversed masks, which is the
+lexicographic order on characteristic vectors, so golden files stay
+byte-identical across runs.  Meets, joins and implications are computed on
+the masks.  Frozensets of element ids are views: one down-set converts on
+request, and the frame's frozenset listing is built only when first read.
+Sieves, the down-sets inside one principal down-set, come from the same
+enumeration and are handed out as frozensets.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The sieve cache on :class:`FinitePoset` is write-once
-and idempotent, so concurrent recomputation is benign.
+concurrent readers.  The sieve cache on :class:`FinitePoset` and the
+frozenset views of :class:`DownSetFrame` are write-once and idempotent, so
+concurrent recomputation is benign.
 """
 
 from __future__ import annotations
@@ -310,76 +315,104 @@ def _mask(subset: Iterable[int]) -> int:
     return out
 
 
-def _char_key(poset_n: int, downset: frozenset[int]) -> tuple[int, ...]:
-    return tuple(1 if i in downset else 0 for i in range(poset_n))
+def _bits(mask: int) -> list[int]:
+    """The elements of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _downsets_within(poset: FinitePoset, elems: Sequence[int], cap: int) -> list[frozenset[int]]:
-    """All down-sets of P contained in the down-closed set ``elems``.
+def _downset_masks(poset: FinitePoset, elems: Iterable[int], cap: int) -> list[int]:
+    """Masks of all down-sets of P contained in the down-closed set ``elems``,
+    in id order; FrameTooLargeError once there are more than ``cap``.
 
     Processes elements in a linear extension; a down-set of a prefix is a
     down-set of the whole, so intermediate collections never exceed the
-    final count and the cap check is exact.
+    final count and the cap check is exact.  Each entry carries, above its
+    n mask bits, the mask with bit order reversed (element 0 highest), so a
+    plain integer sort is the lexicographic order on characteristic vectors.
     """
+    n = poset.n
     order = sorted(elems, key=lambda e: (len(poset.down(e)), e))
-    sets: list[frozenset[int]] = [frozenset()]
+    sets = [0]
     for e in order:
-        pred = poset.down(e) - {e}
-        grown = [s | {e} for s in sets if pred <= s]
-        sets.extend(grown)
+        pred = _mask(poset.down(e)) & ~(1 << e)
+        bit = 1 << e | 1 << (2 * n - 1 - e)
+        sets.extend([s | bit for s in sets if s & pred == pred])
         if len(sets) > cap:
             raise FrameTooLargeError(
                 f"more than {cap} down-sets", witness={"cap": cap}
             )
-    return sets
+    sets.sort()
+    low = (1 << n) - 1
+    return [s & low for s in sets]
 
 
 class DownSetFrame:
     """The frame D(P) of all down-sets of a finite poset.
 
-    Ids are positions in the lexicographic-on-characteristic-vector order,
-    so they are stable for a fixed poset, and adding an element to a
-    down-set always gives a larger id.  Meets are intersections and joins
-    are unions.
+    Each down-set is an int bitmask, bit p set iff p is in it.  Ids are
+    positions in the order of the bit-reversed masks, which is the
+    lexicographic order on characteristic vectors, so they are stable for
+    a fixed poset, and adding an element to a down-set always gives a
+    larger id.  Meets are intersections and joins are unions.
 
-    Alongside the frozensets, each down-set is held as an int bitmask
-    (bit p set iff p is in it) in ``masks``, with ``mask_index`` mapping a
-    mask back to its id and ``principal`` holding the mask of each
-    principal down-set.  The frame operations run on the masks.
+    ``masks`` holds the down-sets by id, ``mask_index`` maps a mask back to
+    its id and ``principal`` holds the mask of each principal down-set; the
+    frame operations run on these alone.  ``downset(i)`` converts one mask
+    to a frozenset; ``downsets``, ``index`` and iteration are frozenset
+    views built on first use.
     """
 
-    __slots__ = ("poset", "downsets", "index", "masks", "mask_index", "principal")
+    __slots__ = ("poset", "masks", "mask_index", "principal", "_downsets", "_index")
 
-    def __init__(self, poset: FinitePoset, downsets: Sequence[frozenset[int]]):
+    def __init__(self, poset: FinitePoset, masks: Sequence[int]):
         self.poset = poset
-        self.downsets = tuple(downsets)
-        self.index = {d: i for i, d in enumerate(self.downsets)}
-        self.masks = tuple(_mask(d) for d in self.downsets)
-        self.mask_index = {m: i for i, m in enumerate(self.masks)}
+        self.masks = tuple(masks)
+        self.mask_index = dict(zip(self.masks, range(len(self.masks))))
         self.principal = tuple(_mask(poset.down(p)) for p in range(poset.n))
+        self._downsets: tuple[frozenset[int], ...] | None = None
+        self._index: dict[frozenset[int], int] | None = None
+
+    @property
+    def downsets(self) -> tuple[frozenset[int], ...]:
+        if self._downsets is None:
+            self._downsets = tuple(frozenset(_bits(m)) for m in self.masks)
+        return self._downsets
+
+    @property
+    def index(self) -> dict[frozenset[int], int]:
+        if self._index is None:
+            self._index = {d: i for i, d in enumerate(self.downsets)}
+        return self._index
 
     def __len__(self) -> int:
-        return len(self.downsets)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         return iter(self.downsets)
 
-    def id_of(self, downset: frozenset[int]) -> int:
-        try:
-            return self.index[frozenset(downset)]
-        except KeyError:
-            raise KeyError(f"{sorted(downset)} is not a down-set of this poset") from None
+    def id_of(self, downset: Iterable[int]) -> int:
+        members = frozenset(downset)
+        if all(isinstance(p, int) and 0 <= p < self.poset.n for p in members):
+            i = self.mask_index.get(_mask(members))
+            if i is not None:
+                return i
+        raise KeyError(f"{sorted(members)} is not a down-set of this poset")
 
     def downset(self, i: int) -> frozenset[int]:
-        return self.downsets[i]
+        return frozenset(_bits(self.masks[i]))
 
     @property
     def bottom_id(self) -> int:
-        return self.index[frozenset()]
+        return self.mask_index[0]
 
     @property
     def top_id(self) -> int:
-        return self.index[frozenset(range(self.poset.n))]
+        return self.mask_index[(1 << self.poset.n) - 1]
 
     def meet(self, i: int, j: int) -> int:
         return self.mask_index[self.masks[i] & self.masks[j]]
@@ -411,33 +444,32 @@ class DownSetFrame:
         return (
             isinstance(other, DownSetFrame)
             and self.poset == other.poset
-            and self.downsets == other.downsets
+            and self.masks == other.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.poset, self.downsets))
+        return hash((self.poset, self.masks))
 
     def to_json(self) -> dict:
+        labels = self.poset.labels
         return {
             "poset": self.poset.to_json(),
-            "downsets": [[self.poset.labels[i] for i in sorted(d)] for d in self.downsets],
+            "downsets": [[labels[p] for p in _bits(m)] for m in self.masks],
         }
 
 
 def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> DownSetFrame:
     """Materialize D(P) with stable ids; FrameTooLargeError beyond ``cap``."""
-    sets = _downsets_within(poset, range(poset.n), cap)
-    sets.sort(key=lambda d: _char_key(poset.n, d))
-    return DownSetFrame(poset, sets)
+    return DownSetFrame(poset, _downset_masks(poset, range(poset.n), cap))
 
 
 def sieves_on(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
-    """All sieves on p, i.e. down-sets contained in the principal down-set of p."""
+    """All sieves on p, i.e. down-sets contained in the principal down-set
+    of p, in the id order of the frame."""
     cached = poset._sieve_cache.get(p)
     if cached is None:
-        sets = _downsets_within(poset, sorted(poset.down(p)), DEFAULT_FRAME_CAP)
-        sets.sort(key=lambda d: _char_key(poset.n, d))
-        cached = tuple(sets)
+        masks = _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP)
+        cached = tuple(frozenset(_bits(m)) for m in masks)
         poset._sieve_cache[p] = cached
     return cached
 
@@ -567,23 +599,22 @@ def upper_adjoint(f: FrameMap) -> FrameMap:
             f"map does not preserve {witness['law']}", witness=witness
         )
     src, tgt = f.source, f.target
+    images = [tgt.masks[t] for t in f.table]
     table = []
-    for b in range(len(tgt)):
-        acc: frozenset[int] = frozenset()
-        tb = tgt.downset(b)
-        for a in range(len(src)):
-            if tgt.downset(f.table[a]) <= tb:
-                acc |= src.downset(a)
-        table.append(src.id_of(acc))
+    for tb in tgt.masks:
+        acc = 0
+        for fa, sa in zip(images, src.masks):
+            if not fa & ~tb:
+                acc |= sa
+        table.append(src.mask_index[acc])
     g = FrameMap(tgt, src, tuple(table))
-    for a in range(len(src)):
-        fa = tgt.downset(f.table[a])
-        sa = src.downset(a)
-        for b in range(len(tgt)):
-            if (fa <= tgt.downset(b)) != (sa <= src.downset(g.table[b])):
+    below = [src.masks[i] for i in g.table]
+    for a, (fa, sa) in enumerate(zip(images, src.masks)):
+        for b, tb in enumerate(tgt.masks):
+            if (not fa & ~tb) != (not sa & ~below[b]):
                 raise NotAFrameMorphismError(
                     "adjunction failed; input is not a frame morphism",
-                    witness={"a": sorted(sa), "b": sorted(tgt.downset(b))},
+                    witness={"a": sorted(src.downset(a)), "b": sorted(tgt.downset(b))},
                 )
     return g
 
@@ -592,14 +623,12 @@ def restriction_frame_map(
     frame: DownSetFrame, subset: Iterable[int], sub_frame: DownSetFrame | None = None
 ) -> FrameMap:
     """The frame surjection D(P) -> D(X) given by A |-> A & X."""
-    poset = frame.poset
     elems = sorted(set(subset))
     pos = {e: k for k, e in enumerate(elems)}
     if sub_frame is None:
-        sub_frame = enumerate_downsets(poset.induced(elems))
-    table = tuple(
-        sub_frame.id_of(frozenset(pos[e] for e in d if e in pos)) for d in frame
-    )
+        sub_frame = enumerate_downsets(frame.poset.induced(elems))
+    index = sub_frame.mask_index
+    table = tuple(index[_mask(pos[e] for e in _bits(d) if e in pos)] for d in frame.masks)
     return FrameMap(frame, sub_frame, table)
 
 

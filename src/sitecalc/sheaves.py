@@ -289,9 +289,18 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
     """The first matching family on a cover of p without a unique
     amalgamation, covers in sorted-member order and families in
-    lexicographic order; one index of F(p) per cover."""
+    lexicographic order; one index of F(p) per cover.  With an empty cut
+    the first cover is the empty sieve, whose one family, the empty one,
+    has every value at p as an amalgamation."""
     poset = presheaf.poset
     cut = topology.subset & poset.down(p)
+    if not cut and presheaf.sizes[p] != 1:
+        return {
+            "p": poset.labels[p],
+            "cover": [],
+            "family": {},
+            "amalgamations": list(range(presheaf.sizes[p])),
+        }
     for cover in sorted((s for s in sieves_on(poset, p) if cut <= s), key=_members_key):
         elems = sorted(cover)
         index = _restriction_index(presheaf, p, elems)

@@ -65,7 +65,6 @@ from .errors import (
 from .poset import (
     FinitePoset,
     OrderMorphism,
-    _char_key,
     heyting_implication,
     sieves_on,
 )
@@ -95,7 +94,7 @@ class GrothTopology:
     def covers(self) -> tuple[frozenset[frozenset[int]], ...]:
         """Per element p, the sieves on p containing X & down(p)."""
         if self._covers is None:
-            self._covers = tuple(_subset_covers(self.poset, self.subset))
+            self._covers = tuple(map(frozenset, _subset_covers(self.poset, self.subset)))
         return self._covers
 
     def __eq__(self, other: object) -> bool:
@@ -114,15 +113,12 @@ class GrothTopology:
         return f"<GrothTopology on {list(labels)} generated_by={gens}>"
 
     def to_json(self) -> dict:
-        labels, n = self.poset.labels, self.poset.n
+        labels = self.poset.labels
         return {
             "poset": self.poset.to_json(),
             "covers": {
-                labels[p]: [
-                    [labels[i] for i in sorted(s)]
-                    for s in sorted(fam, key=lambda s: _char_key(n, s))
-                ]
-                for p, fam in enumerate(self.covers)
+                labels[p]: [[labels[i] for i in sorted(s)] for s in fam]
+                for p, fam in enumerate(_subset_covers(self.poset, self.subset))
             },
         }
 
@@ -208,12 +204,13 @@ def find_axiom_violation(
     return None
 
 
-def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[frozenset[frozenset[int]]]:
-    """J(X): the covers of p are the sieves containing X & down(p)."""
+def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[tuple[frozenset[int], ...]]:
+    """J(X): the covers of p are the sieves containing X & down(p), listed
+    per element in ``sieves_on`` order."""
     covers = []
     for p in range(poset.n):
         cut = xs & poset.down(p)
-        covers.append(frozenset(s for s in sieves_on(poset, p) if cut <= s))
+        covers.append(tuple(s for s in sieves_on(poset, p) if cut <= s))
     return covers
 
 
@@ -229,7 +226,7 @@ def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTo
         )
     fams = [frozenset(frozenset(s) for s in fam) for fam in covers]
     xs = frozenset(p for p in range(poset.n) if fams[p] == frozenset((poset.down(p),)))
-    if fams != _subset_covers(poset, xs):
+    if fams != [frozenset(f) for f in _subset_covers(poset, xs)]:
         violation = find_axiom_violation(poset, fams)
         if violation is None:
             violation = NotSubsetGeneratedError(
@@ -450,11 +447,13 @@ def enumerate_all_topologies(
         )
     n = poset.n
     order = sorted(range(n), key=lambda e: (len(poset.down(e)), e))
-    ups, keys = [], []  # per element, each sieve s mapped to its up-set and sort key
+    # per element, each sieve s mapped to its up-set, and to the positions of
+    # that up-set in sieves_on order as its sort key
+    ups, keys = [], []
     for p in range(n):
         sieves = sieves_on(poset, p)
         ups.append({s: frozenset(r for r in sieves if s <= r) for s in sieves})
-        keys.append({s: sorted(_char_key(n, r) for r in fam) for s, fam in ups[p].items()})
+        keys.append({s: [i for i, r in enumerate(sieves) if s <= r] for s in sieves})
     least: list[frozenset[int]] = [frozenset()] * n
     found: list[tuple[tuple, GrothTopology]] = []
 

@@ -19,7 +19,9 @@ the least-cover search replaced.  Site-morphism reports, subcanonicity and
 completeness have the scans over every cover of J(X) that their closed forms
 in X replaced.  The right Kan extension Ran_X reads its families off the raw
 product of value sets, and natural isomorphism transports a presheaf along
-every tuple of componentwise permutations.
+every tuple of componentwise permutations.  The down-set frame, enumerated
+on bitmasks, has the frozenset enumeration and characteristic-vector sort
+that it replaced.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from sitecalc import (
     subset_subcanonicity_witnesses,
     validate_topology,
 )
-from sitecalc.poset import _char_key
 from sitecalc.sheaves import SheafCheck
 from sitecalc.sites import find_axiom_violation
 
@@ -54,6 +55,25 @@ def brute_downsets(poset: FinitePoset) -> list[frozenset[int]]:
         if all(q in s for p in s for q in poset.down(p)):
             out.append(s)
     return out
+
+
+def char_key(n: int, downset: frozenset[int]) -> tuple[int, ...]:
+    """The characteristic vector of a subset of range(n)."""
+    return tuple(1 if i in downset else 0 for i in range(n))
+
+
+def downsets_oracle(poset: FinitePoset, elems=None) -> list[frozenset[int]]:
+    """The down-sets of P inside the down-closed set ``elems`` (default all
+    of P), grown as frozensets along a linear extension, then sorted by
+    characteristic vector."""
+    elems = range(poset.n) if elems is None else elems
+    order = sorted(elems, key=lambda e: (len(poset.down(e)), e))
+    sets: list[frozenset[int]] = [frozenset()]
+    for e in order:
+        pred = poset.down(e) - {e}
+        sets.extend([s | {e} for s in sets if pred <= s])
+    sets.sort(key=lambda d: char_key(poset.n, d))
+    return sets
 
 
 def recursive_downset_count(poset: FinitePoset, elems: frozenset[int] | None = None) -> int:
@@ -495,7 +515,7 @@ def filters_of_sieves(poset: FinitePoset, p: int) -> list[frozenset[frozenset[in
             continue
         if all(a & b in fam for a in fam for b in fam):
             out.append(frozenset(fam))
-    out.sort(key=lambda f: sorted(_char_key(poset.n, s) for s in f))
+    out.sort(key=lambda f: sorted(char_key(poset.n, s) for s in f))
     return out
 
 
@@ -532,7 +552,7 @@ def census_oracle(poset: FinitePoset) -> tuple:
     assign(0)
     found.sort(
         key=lambda t: tuple(
-            sorted(_char_key(poset.n, s) for s in t.covers[p]) for p in range(poset.n)
+            sorted(char_key(poset.n, s) for s in t.covers[p]) for p in range(poset.n)
         )
     )
     return tuple(found)

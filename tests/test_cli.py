@@ -580,3 +580,59 @@ def test_cli_survives_arbitrary_json_in_every_field(data):
             assert code in (0, 1), (argv, doc)
             if code == 1:
                 _error(out.getvalue())
+
+
+NOT_UTF8 = b"\xff\xfe" + "elements: a b\n".encode("utf-16-le")
+DEEP_ARRAY = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, name, content",
+    [
+        (["validate", "--poset"], "bad.poset", NOT_UTF8),
+        (["subcanonical", "--poset", "{chain2}", "--topology"], "bad.json", NOT_UTF8),
+        (["subcanonical", "--poset", "{chain2}", "--topology"], "deep.json", DEEP_ARRAY),
+    ],
+    ids=["poset-not-utf8", "topology-not-utf8", "topology-deep-array"],
+)
+def test_unreadable_input_file_is_a_parse_error(capsys, tmp_path, chain2_file, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = [arg.format(chain2=chain2_file) for arg in argv] + [str(path)]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    error = _error(out)
+    assert error["code"] == "ParseError"
+    assert set(error["witness"]) == {"path", "reason"}
+    assert error["witness"]["path"] == str(path)
+
+
+def test_cached_parser_gives_the_bytes_of_a_fresh_one(capsys, v_file, monkeypatch):
+    """One process runs a success, a usage error and a domain error, then a
+    success again, first on the shared parser and then on a fresh parser for
+    each call; exit codes, stdout and stderr agree."""
+    from sitecalc import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["validate", "--poset", v_file],
+        ["topology", "--poset", v_file],
+        ["topology", "--poset", v_file, "--kind", "atomic"],
+        ["validate", "--poset", v_file],
+    ]
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = run_all()
+    assert [code for code, _, _ in shared] == [0, 2, 1, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == shared

@@ -85,6 +85,17 @@ def test_sheaves_never_reach_the_scan(name, monkeypatch):
         assert is_sheaf(f, t).ok
 
 
+@pytest.mark.parametrize("name", ["Lambda", "chain3"])
+@pytest.mark.parametrize("xs", [{1}, {2}, {1, 2}], ids=["X=1", "X=2", "X=12"])
+def test_empty_cut_witnesses_match_the_all_covers_scan(name, xs):
+    """Elements outside ↓X have an empty cut; their witness, when F(p) is
+    not a singleton, is the empty family on the empty sieve."""
+    p = catalog_poset(name)
+    topology = subset_topology(p, xs)
+    for f in enumerate_presheaves(p, 3, max_elements=p.n, max_value_cap=3):
+        assert is_sheaf(f, topology) == sheaf_scan_oracle(f, topology)
+
+
 def test_large_bottom_value_set_on_chain2():
     """Not a sheaf for J({0}): the bottom has 1000 values, the top 2.
     Rescanning F(p) for every family makes this cubic in the value-set

@@ -156,7 +156,7 @@ def _drop_the_empty_sieve(monkeypatch):
     original = sites._subset_covers
 
     def broken(poset, xs):
-        return [fam - {frozenset()} for fam in original(poset, xs)]
+        return [tuple(s for s in fam if s) for fam in original(poset, xs)]
 
     monkeypatch.setattr(sites, "_subset_covers", broken)
 
