@@ -11,6 +11,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Sequence
 
 from . import localic, sheaves, sites
@@ -19,8 +21,71 @@ from .errors import ParseError, SiteCalcError
 from .poset import FinitePoset, enumerate_downsets, export_dot, parse_poset, subset_of_labels
 
 
+_encode_int = int.__repr__
+_MAX_INDENT = 64  # newline plus indent, so about 31 levels of nesting
+
+
+class _Fallback(Exception):
+    """The document holds something only ``json.dumps`` writes exactly."""
+
+
+def _render(obj, nl: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it at
+    the nesting level whose newline-plus-indent is ``nl``.  Lists of exact
+    ``str`` or ``int``, and lists of such lists, are joined over the C
+    mappers in one pass; ``_Fallback`` for anything else it does not know."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return _encode_int(obj)
+    if obj is None or kind is bool or kind is float:
+        return json.dumps(obj)
+    if len(nl) > _MAX_INDENT:
+        raise _Fallback  # a cycle, or nesting left to json's own limits
+    inner = nl + "  "
+    sep = "," + inner
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if not all(type(key) is str for key in obj):
+            raise _Fallback
+        items = sorted(obj.items())
+        body = sep.join([_encode_str(k) + ": " + _render(v, inner) for k, v in items])
+        return "{" + inner + body + nl + "}"
+    if kind is not list and kind is not tuple:
+        raise _Fallback
+    if not obj:
+        return "[]"
+    kinds = set(map(type, obj))
+    if kinds == {str}:
+        return "[" + inner + sep.join(map(_encode_str, obj)) + nl + "]"
+    if kinds == {int}:
+        return "[" + inner + sep.join(map(_encode_int, obj)) + nl + "]"
+    if kinds <= {list, tuple}:
+        leaves = set(map(type, chain.from_iterable(obj)))
+        if leaves <= {str} or leaves == {int}:
+            encode = _encode_int if leaves == {int} else _encode_str
+            deep = inner + "  "
+            join, head, tail = ("," + deep).join, "[" + deep, inner + "]"
+            rows = [f"{head}{join(map(encode, row))}{tail}" if row else "[]" for row in obj]
+            return "[" + inner + sep.join(rows) + nl + "]"
+    return "[" + inner + sep.join([_render(x, inner) for x in obj]) + nl + "]"
+
+
+def _dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, without its
+    pure-Python encoder on the containers this CLI writes.  A non-``str``
+    key, a subclass, an unknown type or a cycle hands the whole document to
+    ``json.dumps``, so its key coercion and its errors stay as they are."""
+    try:
+        return _render(obj, "\n")
+    except _Fallback:
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -87,12 +152,13 @@ def _cmd_topology(args) -> int:
 def _cmd_enumerate(args) -> int:
     poset = _load_poset(args.poset)
     topologies = sites.enumerate_all_topologies(poset, cap=args.cap)
-    out = []
-    for topology in topologies:
-        doc = topology.to_json()
-        doc["generated_by"] = sorted(poset.labels[i] for i in topology.subset)
-        del doc["poset"]
-        out.append(doc)
+    out = [
+        {
+            "covers": sites._cover_listing(topology),
+            "generated_by": sorted(poset.labels[i] for i in topology.subset),
+        }
+        for topology in topologies
+    ]
     _emit({"poset": poset.to_json(), "count": len(topologies), "topologies": out})
     return 0
 

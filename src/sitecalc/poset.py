@@ -24,7 +24,7 @@ concurrent recomputation is benign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -325,6 +325,35 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _label_lists(labels: Sequence[str], masks: Sequence[int]) -> list[list[str]]:
+    """The labels of each mask's elements, ascending, as fresh lists.
+
+    A listing with at least as many masks as its 8-bit chunk tables have
+    entries reads each chunk of a mask off a table built here; a shorter one
+    selects labels by the mask's binary digits, lowest bit first.
+    """
+    n = len(labels)
+    bases = range(0, max(n, 1), 8)  # the empty poset still lists its one down-set
+    if len(masks) < sum(1 << min(8, n - base) for base in bases):
+        return [
+            list(compress(labels, bin(m).encode()[:1:-1].translate(_BIT_FLAGS))) for m in masks
+        ]
+    rows: list = []
+    for base in bases:
+        table = [[]]
+        for chunk in range(1, 1 << min(8, n - base)):
+            high = chunk.bit_length() - 1
+            table.append(table[chunk ^ 1 << high] + [labels[base + high]])
+        if base == 0:
+            rows = [table[m & 255] for m in masks]  # distinct masks, distinct lists
+        else:
+            rows = [row + table[m >> base & 255] for row, m in zip(rows, masks)]
+    return rows
+
+
 def _downset_masks(poset: FinitePoset, elems: Iterable[int], cap: int) -> list[int]:
     """Masks of all down-sets of P contained in the down-closed set ``elems``,
     in id order; FrameTooLargeError once there are more than ``cap``.
@@ -451,10 +480,9 @@ class DownSetFrame:
         return hash((self.poset, self.masks))
 
     def to_json(self) -> dict:
-        labels = self.poset.labels
         return {
             "poset": self.poset.to_json(),
-            "downsets": [[labels[p] for p in _bits(m)] for m in self.masks],
+            "downsets": _label_lists(self.poset.labels, self.masks),
         }
 
 

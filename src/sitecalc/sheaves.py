@@ -483,42 +483,36 @@ def enumerate_presheaves(
     edges = poset.hasse_pairs()
     out: list[Presheaf] = []
     for sizes in product(range(value_cap + 1), repeat=poset.n):
-        edge_maps: dict[tuple[int, int], tuple[int, ...]] = {}
-
-        def full_map(q: int, p: int, memo: dict) -> tuple[int, ...]:
-            if (q, p) in memo:
-                return memo[(q, p)]
-            if (q, p) in edge_maps:
-                memo[(q, p)] = edge_maps[(q, p)]
-                return edge_maps[(q, p)]
-            r = min(
-                r for (r, pp) in edges if pp == p and poset.leq(q, r) and r != p
-            )
-            lower = full_map(q, r, memo) if q != r else tuple(range(sizes[r]))
-            upper = edge_maps[(r, p)]
-            memo[(q, p)] = tuple(lower[a] for a in upper)
-            return memo[(q, p)]
-
-        def assign(idx: int) -> None:
-            if idx == len(edges):
-                memo: dict = {}
-                maps = {}
-                for q in range(poset.n):
-                    for p in poset.up(q) - {q}:
-                        maps[(q, p)] = full_map(q, p, memo)
-                try:
-                    out.append(Presheaf(poset, sizes, maps))
-                except FunctorialityError:
-                    pass
-                return
-            q, p = edges[idx]
-            for tab in product(range(sizes[q]), repeat=sizes[p]):
-                edge_maps[(q, p)] = tab
-                assign(idx + 1)
-                del edge_maps[(q, p)]
-
-        assign(0)
+        # the first edge varies slowest, as in a depth-first assignment
+        tables = [product(range(sizes[q]), repeat=sizes[p]) for q, p in edges]
+        for choice in product(*tables):
+            memo = dict(zip(edges, choice))
+            maps = {}
+            for q in range(poset.n):
+                for p in poset.up(q) - {q}:
+                    maps[(q, p)] = _path_map(poset, edges, memo, q, p)
+            try:
+                out.append(Presheaf(poset, sizes, maps))
+            except FunctorialityError:
+                pass
     return out
+
+
+def _path_map(
+    poset: FinitePoset,
+    edges: Sequence[tuple[int, int]],
+    memo: dict[tuple[int, int], tuple[int, ...]],
+    q: int,
+    p: int,
+) -> tuple[int, ...]:
+    """The restriction F(p) -> F(q) composed along the canonical path, down
+    the least lower cover r of p above q; ``memo`` starts as the edge maps."""
+    found = memo.get((q, p))
+    if found is None:
+        r = min(r for (r, pp) in edges if pp == p and poset.leq(q, r))
+        lower = _path_map(poset, edges, memo, q, r)
+        found = memo[(q, p)] = tuple(lower[a] for a in memo[(r, p)])
+    return found
 
 
 # -- the restriction/extension equivalence --------------------------------------

@@ -113,14 +113,7 @@ class GrothTopology:
         return f"<GrothTopology on {list(labels)} generated_by={gens}>"
 
     def to_json(self) -> dict:
-        labels = self.poset.labels
-        return {
-            "poset": self.poset.to_json(),
-            "covers": {
-                labels[p]: [[labels[i] for i in sorted(s)] for s in fam]
-                for p, fam in enumerate(_subset_covers(self.poset, self.subset))
-            },
-        }
+        return {"poset": self.poset.to_json(), "covers": _cover_listing(self)}
 
     @classmethod
     def from_json(cls, doc: object) -> "GrothTopology":
@@ -212,6 +205,16 @@ def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[tuple[frozens
         cut = xs & poset.down(p)
         covers.append(tuple(s for s in sieves_on(poset, p) if cut <= s))
     return covers
+
+
+def _cover_listing(topology: GrothTopology) -> dict[str, list[list[str]]]:
+    """The ``covers`` field of a topology's JSON: per element label, its
+    covers as sorted label lists in ``sieves_on`` order."""
+    labels = topology.poset.labels
+    return {
+        labels[p]: [[labels[i] for i in sorted(s)] for s in fam]
+        for p, fam in enumerate(_subset_covers(topology.poset, topology.subset))
+    }
 
 
 def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTopology:
@@ -596,9 +599,25 @@ def subcanonicity_report(
         for q in range(poset.n):
             cut = topology.subset & poset.down(q)
             if not poset.leq(q, p) and cut <= dn:
-                cover = min((s for s in sieves_on(poset, q) if cut <= s <= dn), key=_members_key)
-                out.append((p, q, cover))
+                out.append((p, q, _first_sieve_between(poset, cut, dn & poset.down(q))))
     return tuple(out)
+
+
+def _first_sieve_between(
+    poset: FinitePoset, cut: frozenset[int], high: frozenset[int]
+) -> frozenset[int]:
+    """The first down-set in sorted-member order between down(cut) and the
+    down-set ``high``: the shortest prefix of sorted(high) that is a down-set
+    holding ``cut``.  Any other such down-set either extends that prefix or
+    first differs from sorted(high) by skipping a member, so it sorts later."""
+    prefix: set[int] = set()
+    closed = set(cut)  # cut | down(prefix)
+    for e in sorted(high):
+        if closed == prefix:
+            break
+        prefix.add(e)
+        closed |= poset.down(e)
+    return frozenset(prefix)
 
 
 def is_subcanonical(poset: FinitePoset, topology: GrothTopology) -> bool:

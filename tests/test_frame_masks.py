@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from conftest import LADDER, antichain, downsets_oracle, fan, fence, grid
+from conftest import LADDER, antichain, chain_poset, downsets_oracle, fan, fence, grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +34,7 @@ def assert_frame_matches_oracle(poset: FinitePoset) -> None:
     assert [frame.downset(i) for i in range(len(frame))] == oracle
     assert frame.masks == tuple(sum(1 << p for p in d) for d in oracle)
     assert frame.bottom_id == 0 and frame.top_id == len(oracle) - 1
+    assert frame.to_json()["downsets"] == [[poset.labels[p] for p in sorted(d)] for d in oracle]
     for p in range(poset.n):
         assert sieves_on(poset, p) == tuple(downsets_oracle(poset, poset.down(p)))
 
@@ -57,6 +58,26 @@ def relabelled_posets(draw):
 @given(relabelled_posets())
 def test_masks_match_the_oracle_on_random_posets(poset):
     assert_frame_matches_oracle(poset)
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [
+        antichain(13),
+        fan(10),
+        FinitePoset(18, [(i, i + 1) for i in range(9, 17)]),  # 9 points beside a 9-chain
+        chain_poset(20),
+        FinitePoset(0),
+    ],
+    ids=["antichain13", "fan10", "points9_chain9", "chain20", "empty"],
+)
+def test_frame_listing_reads_every_mask(poset):
+    """Chunk tables (long listings) and binary digits (short ones) both list
+    each down-set's labels ascending, each in a list of its own."""
+    frame = enumerate_downsets(poset)
+    listing = frame.to_json()["downsets"]
+    assert listing == [[poset.labels[p] for p in sorted(frame.downset(i))] for i in range(len(frame))]
+    assert len({id(row) for row in listing}) == len(listing)
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])

@@ -1,5 +1,7 @@
 """Presheaves, matching families, sheaf conditions, and the equivalences."""
 
+import gc
+import hashlib
 from itertools import permutations, product
 
 import pytest
@@ -215,6 +217,33 @@ def test_enumerate_presheaves_caps():
     with pytest.raises(TooLargeError):
         enumerate_presheaves(CHAIN2, 3)
     assert enumerate_presheaves(catalog_poset("diamond"), 1, max_elements=4)
+
+
+# SHA-256 of each enumeration's (sizes, maps) list, recorded while the
+# enumerator assigned edge maps through nested closures.
+ENUMERATION_PINNED = {
+    ("V", 2): "0a3fb0a4995e850bbf02215959422c3f48948fbf12c6fd32f54a960c2b2a2878",
+    ("Lambda", 2): "5fe3e12206cc77cf74fb159fb79c97363720780f545bb6128f9a07dee861afee",
+    ("chain3", 2): "8dbb55afbbd8e14ada6661639a370d210edfcebf9cfa2cd237dc75fe6b3966cd",
+    ("diamond", 1): "dc58b3b47f81ea7a06063781c489fb11023fdb6d44ab26666e8106beba17fc39",
+}
+
+
+@pytest.mark.parametrize("name, cap", ENUMERATION_PINNED)
+def test_enumerate_presheaves_order_is_pinned(name, cap):
+    found = enumerate_presheaves(catalog_poset(name), cap, max_elements=4)
+    text = repr([(f.sizes, sorted(f.maps.items())) for f in found])
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_PINNED[(name, cap)]
+
+
+def test_enumerate_presheaves_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_presheaves(catalog_poset("V"), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_yoneda_examples():

@@ -27,6 +27,7 @@ from sitecalc import (
     is_site_isomorphism,
     nucleus_from_topology,
     site_morphism_report,
+    sites,
     subcanonicity_report,
     sublocale_from_topology,
     subset_topology,
@@ -38,7 +39,22 @@ from sitecalc import (
 )
 
 SMALL = [p for p in catalog().values() if p.n <= 3]
-SUBCANONICITY_POSETS = {**catalog(), **LADDER, "fan5": fan(5)}
+
+
+def reversed_ids(poset: FinitePoset) -> FinitePoset:
+    """The same order with ids reversed, so index order runs top-down."""
+    n = poset.n
+    return FinitePoset(
+        poset.labels[::-1], [(n - 1 - a, n - 1 - b) for a, b in poset.relation_pairs()]
+    )
+
+
+SUBCANONICITY_POSETS = {
+    **catalog(),
+    **LADDER,
+    "fan5": fan(5),
+    **{f"{name}_reversed": reversed_ids(p) for name, p in LADDER.items()},
+}
 
 
 def check_site_morphism(phi, x, y):
@@ -108,6 +124,20 @@ def test_closed_forms_match_the_cover_scans_on_random_posets(case):
     for p, s in ((phi.source, x), (phi.target, y)):
         j = subset_topology(p, s)
         assert subcanonicity_report(p, j) == subcanonicity_scan_oracle(p, j)
+
+
+def test_subcanonicity_witness_enumerates_no_sieves(monkeypatch):
+    """The top of fan(12) has 4097 sieves; the witness search lists none."""
+    p = fan(12)
+    topologies = [subset_topology(p, x) for x in ([], [0], [0, 1], range(12), [12])]
+    expected = [subcanonicity_scan_oracle(p, j) for j in topologies]
+
+    def refuse(poset, q):
+        raise AssertionError(f"the sieves on {q} were enumerated")
+
+    monkeypatch.setattr(sites, "sieves_on", refuse)
+    assert [subcanonicity_report(p, j) for j in topologies] == expected
+    assert [len(w) for w in expected] == [144, 122, 110, 0, 132]
 
 
 def test_no_report_reads_the_cover_table(monkeypatch):
