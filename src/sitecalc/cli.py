@@ -154,7 +154,7 @@ def _cmd_enumerate(args) -> int:
     topologies = sites.enumerate_all_topologies(poset, cap=args.cap)
     out = [
         {
-            "covers": sites._cover_listing(topology),
+            "covers": topology.covers_json(),
             "generated_by": sorted(poset.labels[i] for i in topology.subset),
         }
         for topology in topologies

@@ -24,7 +24,7 @@ concurrent recomputation is benign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -325,22 +325,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _label_lists(labels: Sequence[str], masks: Sequence[int]) -> list[list[str]]:
     """The labels of each mask's elements, ascending, as fresh lists.
 
-    A listing with at least as many masks as its 8-bit chunk tables have
-    entries reads each chunk of a mask off a table built here; a shorter one
-    selects labels by the mask's binary digits, lowest bit first.
+    Each 8-bit chunk of a mask is read off a table of label lists built
+    here, one table per chunk position.
     """
     n = len(labels)
     bases = range(0, max(n, 1), 8)  # the empty poset still lists its one down-set
-    if len(masks) < sum(1 << min(8, n - base) for base in bases):
-        return [
-            list(compress(labels, bin(m).encode()[:1:-1].translate(_BIT_FLAGS))) for m in masks
-        ]
     rows: list = []
     for base in bases:
         table = [[]]

@@ -112,8 +112,17 @@ class GrothTopology:
         gens = sorted(labels[i] for i in self.subset)
         return f"<GrothTopology on {list(labels)} generated_by={gens}>"
 
+    def covers_json(self) -> dict[str, list[list[str]]]:
+        """The ``covers`` field of the JSON form: per element label, its
+        covers as sorted label lists in ``sieves_on`` order."""
+        labels = self.poset.labels
+        return {
+            labels[p]: [[labels[i] for i in sorted(s)] for s in fam]
+            for p, fam in enumerate(_subset_covers(self.poset, self.subset))
+        }
+
     def to_json(self) -> dict:
-        return {"poset": self.poset.to_json(), "covers": _cover_listing(self)}
+        return {"poset": self.poset.to_json(), "covers": self.covers_json()}
 
     @classmethod
     def from_json(cls, doc: object) -> "GrothTopology":
@@ -205,16 +214,6 @@ def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[tuple[frozens
         cut = xs & poset.down(p)
         covers.append(tuple(s for s in sieves_on(poset, p) if cut <= s))
     return covers
-
-
-def _cover_listing(topology: GrothTopology) -> dict[str, list[list[str]]]:
-    """The ``covers`` field of a topology's JSON: per element label, its
-    covers as sorted label lists in ``sieves_on`` order."""
-    labels = topology.poset.labels
-    return {
-        labels[p]: [[labels[i] for i in sorted(s)] for s in fam]
-        for p, fam in enumerate(_subset_covers(topology.poset, topology.subset))
-    }
 
 
 def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTopology:

@@ -72,8 +72,8 @@ def test_masks_match_the_oracle_on_random_posets(poset):
     ids=["antichain13", "fan10", "points9_chain9", "chain20", "empty"],
 )
 def test_frame_listing_reads_every_mask(poset):
-    """Chunk tables (long listings) and binary digits (short ones) both list
-    each down-set's labels ascending, each in a list of its own."""
+    """The chunk tables list each down-set's labels ascending, each in a
+    list of its own, over two and three chunks and on the empty poset."""
     frame = enumerate_downsets(poset)
     listing = frame.to_json()["downsets"]
     assert listing == [[poset.labels[p] for p in sorted(frame.downset(i))] for i in range(len(frame))]
