@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lx", help="subset for the meets-the-subset topology")
     p.set_defaults(func=_cmd_topology)
 
-    p = sub.add_parser("enumerate", help="brute-force all topologies")
+    p = sub.add_parser("enumerate", help="all topologies, one per generating subset")
     p.add_argument("--poset", required=True)
     p.add_argument("--cap", type=int, default=sites.DEFAULT_BRUTE_FORCE_CAP)
     p.set_defaults(func=_cmd_enumerate)

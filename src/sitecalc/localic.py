@@ -180,9 +180,6 @@ class Nucleus:
                         },
                     )
 
-    def apply_id(self, i: int) -> int:
-        return self.table[i]
-
     def apply(self, downset: frozenset[int]) -> frozenset[int]:
         return self.frame.downset(self.table[self.frame.id_of(downset)])
 

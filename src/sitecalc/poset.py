@@ -111,13 +111,6 @@ class FinitePoset:
     def down(self, p: int) -> frozenset[int]:
         return self._down[p]
 
-    @property
-    def elements(self) -> range:
-        return range(self.n)
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -146,10 +139,6 @@ class FinitePoset:
         """Minimal elements of ``subset`` viewed as a subposet (default: all of P)."""
         univ = frozenset(subset) if subset is not None else frozenset(range(self.n))
         return frozenset(p for p in univ if not any(self.lt(q, p) for q in univ))
-
-    def maximal_elements(self, subset: Iterable[int] | None = None) -> frozenset[int]:
-        univ = frozenset(subset) if subset is not None else frozenset(range(self.n))
-        return frozenset(p for p in univ if not any(self.lt(p, q) for q in univ))
 
     def least_element(self) -> int | None:
         for p in range(self.n):
@@ -346,19 +335,25 @@ def _label_lists(labels: Sequence[str], masks: Sequence[int]) -> list[list[str]]
     return rows
 
 
-def _downset_masks(poset: FinitePoset, elems: Iterable[int], cap: int) -> list[int]:
-    """Masks of all down-sets of P contained in the down-closed set ``elems``,
-    in id order; FrameTooLargeError once there are more than ``cap``.
+def _downset_masks(
+    poset: FinitePoset, elems: Iterable[int], cap: int, start: int = 0
+) -> list[int]:
+    """Masks of all down-sets of P that contain the down-set mask ``start``
+    and lie in the down-closed set ``elems``, in id order;
+    FrameTooLargeError once there are more than ``cap``.
 
-    Processes elements in a linear extension; a down-set of a prefix is a
-    down-set of the whole, so intermediate collections never exceed the
-    final count and the cap check is exact.  Each entry carries, above its
-    n mask bits, the mask with bit order reversed (element 0 highest), so a
-    plain integer sort is the lexicographic order on characteristic vectors.
+    Grows ``start`` by the other elements in a linear extension; a down-set
+    of a prefix is a down-set of the whole, so intermediate collections
+    never exceed the final count and the cap check is exact.  Each entry
+    carries, above its n mask bits, the mask with bit order reversed
+    (element 0 highest), so a plain integer sort is the lexicographic order
+    on characteristic vectors.
     """
     n = poset.n
-    order = sorted(elems, key=lambda e: (len(poset.down(e)), e))
-    sets = [0]
+    order = sorted(
+        (e for e in elems if not start >> e & 1), key=lambda e: (len(poset.down(e)), e)
+    )
+    sets = [start | _mask(2 * n - 1 - e for e in _bits(start))]
     for e in order:
         pred = _mask(poset.down(e)) & ~(1 << e)
         bit = 1 << e | 1 << (2 * n - 1 - e)
@@ -572,9 +567,6 @@ class FrameMap:
         for i in self.table:
             if not (0 <= i < len(self.target)):
                 raise NotAFrameMorphismError(f"table entry {i} is not a target id")
-
-    def apply_id(self, i: int) -> int:
-        return self.table[i]
 
     def apply(self, downset: frozenset[int]) -> frozenset[int]:
         return self.target.downset(self.table[self.source.id_of(downset)])

@@ -26,7 +26,6 @@ from .errors import (
 from .poset import FinitePoset, sieves_on
 from .sites import (
     GrothTopology,
-    _members_key,
     derived_topology,
     restrict_topology,
     subset_topology,
@@ -301,7 +300,7 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
             "family": {},
             "amalgamations": list(range(presheaf.sizes[p])),
         }
-    for cover in sorted((s for s in sieves_on(poset, p) if cut <= s), key=_members_key):
+    for cover in sorted((s for s in sieves_on(poset, p) if cut <= s), key=sorted):
         elems = sorted(cover)
         index = _restriction_index(presheaf, p, elems)
         for family in matching_families(presheaf, elems):

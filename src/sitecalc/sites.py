@@ -2,8 +2,9 @@
 
 On a finite poset every topology is J(X) for exactly one subset X, the
 elements whose only cover is their maximal sieve: s covers p iff
-X & down(p) <= s.  A topology is stored as X, with its cover families a
-view built on first use, so no invalid one can be built.  Each constructor
+X & down(p) <= s.  A topology is stored as X, so no invalid one can be
+built.  Its covers of p are the sieves above the least cover
+L_p = down(X & down(p)), listed as masks grown from L_p.  Each constructor
 and conversion computes X in closed form (min: minimal elements):
 
 - dense = J(min P): s holds min P & down(p) iff its up-closure holds down(p);
@@ -15,17 +16,11 @@ and conversion computes X in closed form (min: minimal elements):
 - extending J_D(Y) gives J(Y): Y & down(x) <= s for all x in D & down(p) iff
   Y & down(p) <= s, as Y <= D.
 
-Families from outside, in :func:`validate_topology` and the census
-:func:`enumerate_all_topologies`, must equal J(X) for the X read off them;
-otherwise the axiom scan finds the exact witness, and families that pass
-it, refuting the normal form, raise instead of being replaced by J(X).
-The census searches least covers: every filter of a finite lattice is
-principal, so a cover family of p is the up-set of one sieve s_p, and the
-axioms become two local conditions along a linear extension:
-
-- stability: s_q <= s_p & down(q) for q < p, as s_p is the weakest cover;
-- transitivity: s_p = down(p) or s_p is the union of s_q over q in s_p, the
-  least sieve whose cut at each q in s_p covers q.
+Families from outside, in :func:`validate_topology`, must equal J(X) for the
+X read off them; otherwise the axiom scan finds the exact witness, and
+families that pass it, refuting the normal form, raise instead of being
+replaced by J(X).  The census :func:`enumerate_all_topologies` lists J(X)
+for the 2^n subsets X.
 
 The finest subcanonical subset topology is J(C) for a closed-form C.
 
@@ -63,8 +58,12 @@ from .errors import (
     TooLargeForBruteForceError,
 )
 from .poset import (
+    DEFAULT_FRAME_CAP,
     FinitePoset,
     OrderMorphism,
+    _bits,
+    _downset_masks,
+    _mask,
     heyting_implication,
     sieves_on,
 )
@@ -72,15 +71,11 @@ from .poset import (
 DEFAULT_BRUTE_FORCE_CAP = 4
 
 
-def _members_key(s: frozenset[int]) -> list[int]:
-    return sorted(s)
-
-
 class GrothTopology:
     """The topology J(X) generated by a subset X: s covers p iff X & down(p) <= s.
-    X is the whole representation; the cover families are a view."""
+    X is the whole representation."""
 
-    __slots__ = ("poset", "subset", "_covers")
+    __slots__ = ("poset", "subset")
 
     def __init__(self, poset: FinitePoset, subset: Iterable[int]):
         self.poset = poset
@@ -88,14 +83,6 @@ class GrothTopology:
         for e in self.subset:
             if not (type(e) is int and 0 <= e < poset.n):
                 raise PosetMismatchError(f"{e!r} is not an element of the poset")
-        self._covers: tuple[frozenset[frozenset[int]], ...] | None = None
-
-    @property
-    def covers(self) -> tuple[frozenset[frozenset[int]], ...]:
-        """Per element p, the sieves on p containing X & down(p)."""
-        if self._covers is None:
-            self._covers = tuple(map(frozenset, _subset_covers(self.poset, self.subset)))
-        return self._covers
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -117,8 +104,8 @@ class GrothTopology:
         covers as sorted label lists in ``sieves_on`` order."""
         labels = self.poset.labels
         return {
-            labels[p]: [[labels[i] for i in sorted(s)] for s in fam]
-            for p, fam in enumerate(_subset_covers(self.poset, self.subset))
+            labels[p]: [[labels[i] for i in _bits(s)] for s in fam]
+            for p, fam in enumerate(_subset_covers(self.poset, _mask(self.subset)))
         }
 
     def to_json(self) -> dict:
@@ -156,7 +143,7 @@ def find_axiom_violation(
     labels = poset.labels
     for p in range(poset.n):
         dn = poset.down(p)
-        for s in sorted(covers[p], key=_members_key):
+        for s in sorted(covers[p], key=sorted):
             if not s <= dn or poset.down_closure(s) != s:
                 return AxiomViolation(
                     f"{sorted(labels[i] for i in s)} is not a sieve on {labels[p]}",
@@ -173,7 +160,7 @@ def find_axiom_violation(
                 sieve=poset.down(p),
             )
     for p in range(poset.n):
-        for s in sorted(covers[p], key=_members_key):
+        for s in sorted(covers[p], key=sorted):
             for q in sorted(poset.down(p)):
                 if q == p:
                     continue
@@ -189,10 +176,10 @@ def find_axiom_violation(
                         other=restricted,
                     )
     for p in range(poset.n):
-        for r in sorted(sieves_on(poset, p), key=_members_key):
+        for r in sorted(sieves_on(poset, p), key=sorted):
             if r in covers[p]:
                 continue
-            for s in sorted(covers[p], key=_members_key):
+            for s in sorted(covers[p], key=sorted):
                 if all(r & poset.down(q) in covers[q] for q in s):
                     return AxiomViolation(
                         f"transitivity fails at ({labels[p]}, "
@@ -206,14 +193,40 @@ def find_axiom_violation(
     return None
 
 
-def _subset_covers(poset: FinitePoset, xs: frozenset[int]) -> list[tuple[frozenset[int], ...]]:
-    """J(X): the covers of p are the sieves containing X & down(p), listed
-    per element in ``sieves_on`` order."""
-    covers = []
-    for p in range(poset.n):
-        cut = xs & poset.down(p)
-        covers.append(tuple(s for s in sieves_on(poset, p) if cut <= s))
-    return covers
+def _principal(poset: FinitePoset) -> list[int]:
+    return [_mask(poset.down(p)) for p in range(poset.n)]
+
+
+def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
+    """Per element p, the mask of its least cover L_p = down(X & down(p)),
+    from the masks of the principal down-sets and X as a mask."""
+    out = []
+    for down in principal:
+        least = 0
+        for x in _bits(xs & down):
+            least |= principal[x]
+        out.append(least)
+    return out
+
+
+def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
+    """J(X) on masks, X given as one: per element p, the covers of p in
+    ``sieves_on`` order.  They are the sieves L_p | t for t a down-set of
+    down(p) - L_p, so they are grown from L_p."""
+    return [
+        _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP, least)
+        for p, least in enumerate(_least_covers(_principal(poset), xs))
+    ]
+
+
+def _member_mask(members: Iterable, n: int) -> int:
+    """The mask of a family member, or -1 if it holds anything but an element id."""
+    mask = 0
+    for e in members:
+        if not (isinstance(e, int) and 0 <= e < n):
+            return -1
+        mask |= 1 << e
+    return mask
 
 
 def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTopology:
@@ -221,22 +234,26 @@ def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTo
     the elements whose only cover is their maximal sieve.  Otherwise the
     axiom scan's first violation raises, and families that pass it, refuting
     the normal form, raise NotSubsetGeneratedError instead of being replaced
-    by J(X)."""
-    if len(covers) != poset.n:
+    by J(X).  Families are compared as sets of masks; only a mismatch
+    converts them to frozensets, for the scan."""
+    n = poset.n
+    if len(covers) != n:
         raise AxiomViolation(
-            f"{len(covers)} cover families for {poset.n} elements", axiom="sieve", p=0
+            f"{len(covers)} cover families for {n} elements", axiom="sieve", p=0
         )
-    fams = [frozenset(frozenset(s) for s in fam) for fam in covers]
-    xs = frozenset(p for p in range(poset.n) if fams[p] == frozenset((poset.down(p),)))
-    if fams != [frozenset(f) for f in _subset_covers(poset, xs)]:
-        violation = find_axiom_violation(poset, fams)
+    fams = [{_member_mask(s, n) for s in fam} for fam in covers]
+    xs = _mask(p for p, down in enumerate(_principal(poset)) if fams[p] == {down})
+    if fams != [set(f) for f in _subset_covers(poset, xs)]:
+        violation = find_axiom_violation(
+            poset, [frozenset(frozenset(s) for s in fam) for fam in covers]
+        )
         if violation is None:
             violation = NotSubsetGeneratedError(
                 "the covers satisfy every axiom but are not J(X)",
-                witness={"subset": sorted(poset.labels[i] for i in xs)},
+                witness={"subset": sorted(poset.labels[i] for i in _bits(xs))},
             )
         raise violation
-    return GrothTopology(poset, xs)
+    return GrothTopology(poset, _bits(xs))
 
 
 # -- constructors ---------------------------------------------------------
@@ -426,21 +443,11 @@ def is_complete(topology: GrothTopology) -> bool:
 def enumerate_all_topologies(
     poset: FinitePoset, cap: int = DEFAULT_BRUTE_FORCE_CAP
 ) -> tuple[GrothTopology, ...]:
-    """Every topology on the poset, found by search over least covers.
+    """Every topology on the poset: J(X) for each of the 2^n subsets X.
 
-    A cover family of p is a filter of the finite lattice of sieves on p, so
-    it is principal: the up-set of one least cover s_p.  One s_p per element
-    is chosen along a linear extension, with the axioms checked locally:
-
-    - stability at p iff s_q <= s_p & down(q) for every q < p: s_p is the
-      weakest cover of p, and the covers of q are the sieves above s_q;
-    - transitivity at p iff s_p = down(p) or s_p is the union of the s_q for
-      q in s_p: s_p is the weakest cover, and that union is the least sieve
-      whose cut at each q in s_p covers q.
-
-    Each complete assignment must then equal J(X) for the X read off it, or
-    :func:`validate_topology` raises: the census re-derives the normal form
-    rather than assuming it.
+    Sorted by the least covers L_p = down(X & down(p)), p ascending, each as
+    its characteristic vector: the order of the weakest covers in
+    ``sieves_on`` order.
     """
     if poset.n > cap:
         raise TooLargeForBruteForceError(
@@ -448,34 +455,12 @@ def enumerate_all_topologies(
             witness={"cap": cap, "n": poset.n},
         )
     n = poset.n
-    order = sorted(range(n), key=lambda e: (len(poset.down(e)), e))
-    # per element, each sieve s mapped to its up-set, and to the positions of
-    # that up-set in sieves_on order as its sort key
-    ups, keys = [], []
-    for p in range(n):
-        sieves = sieves_on(poset, p)
-        ups.append({s: frozenset(r for r in sieves if s <= r) for s in sieves})
-        keys.append({s: [i for i, r in enumerate(sieves) if s <= r] for s in sieves})
-    least: list[frozenset[int]] = [frozenset()] * n
-    found: list[tuple[tuple, GrothTopology]] = []
+    principal = _principal(poset)
 
-    def assign(idx: int) -> None:
-        if idx == n:
-            key = tuple(keys[p][least[p]] for p in range(n))
-            found.append((key, validate_topology(poset, [ups[p][least[p]] for p in range(n)])))
-            return
-        p = order[idx]
-        top = poset.down(p)
-        for s in ups[p]:
-            if all(least[q] <= s & poset.down(q) for q in top - {p}) and (
-                s == top or s == frozenset().union(*(least[q] for q in s))
-            ):
-                least[p] = s
-                assign(idx + 1)
+    def vectors(xs: int) -> list[str]:  # element 0 first
+        return [format(least, f"0{n}b")[::-1] for least in _least_covers(principal, xs)]
 
-    assign(0)
-    found.sort(key=lambda entry: entry[0])
-    return tuple(t for _, t in found)
+    return tuple(GrothTopology(poset, _bits(xs)) for xs in sorted(range(1 << n), key=vectors))
 
 
 # -- site morphisms ----------------------------------------------------------

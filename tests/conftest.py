@@ -14,8 +14,10 @@ nuclei, congruences and sublocales by cover membership.  The least
 subcanonical generating subset has the scan over every subset that its
 closed form replaced.  Sheaf checks have the all-covers scan that the
 least-cover decision replaced, with families from the raw product of value
-sets.  The topology census has the search over every family of sieves that
-the least-cover search replaced.  Site-morphism reports, subcanonicity and
+sets.  The topology census has the search over every family of sieves, which
+re-derives the normal form the census assumes.  ``covers_of`` reads the
+production cover listing back as frozensets, for comparison with these
+oracles.  Site-morphism reports, subcanonicity and
 completeness have the scans over every cover of J(X) that their closed forms
 in X replaced.  The right Kan extension Ran_X reads its families off the raw
 product of value sets, and natural isomorphism transports a presheaf along
@@ -159,7 +161,8 @@ def stock_covers(poset: FinitePoset, name: str, subset=frozenset()) -> list[froz
 
 
 def pointwise_meet_covers(j, k) -> list[frozenset]:
-    return [a & b for a, b in zip(j.covers, k.covers)]
+    jc, kc = subset_covers_oracle(j.poset, j.subset), subset_covers_oracle(k.poset, k.subset)
+    return [a & b for a, b in zip(jc, kc)]
 
 
 def saturated_join_covers(j, k) -> list[frozenset]:
@@ -169,7 +172,8 @@ def saturated_join_covers(j, k) -> list[frozenset]:
     the union, so the fixpoint is the least upper bound."""
     poset = j.poset
     sieves = [brute_sieves(poset, p) for p in range(poset.n)]
-    fams = [set(a | b) for a, b in zip(j.covers, k.covers)]
+    jc, kc = subset_covers_oracle(poset, j.subset), subset_covers_oracle(poset, k.subset)
+    fams = [set(a | b) for a, b in zip(jc, kc)]
     changed = True
     while changed:
         changed = False
@@ -204,11 +208,12 @@ def restricted_covers(poset: FinitePoset, topology, subset) -> list[frozenset]:
     in the whole poset covers it."""
     elems = sorted(subset)
     sub = poset.induced(elems)
+    whole = subset_covers_oracle(poset, topology.subset)
     covers = []
     for k, x in enumerate(elems):
         covers.append(frozenset(
             s for s in brute_sieves(sub, k)
-            if poset.down_closure(elems[i] for i in s) in topology.covers[x]
+            if poset.down_closure(elems[i] for i in s) in whole[x]
         ))
     return covers
 
@@ -220,6 +225,17 @@ def subset_covers_oracle(poset: FinitePoset, subset) -> list[frozenset]:
         frozenset(s for s in brute_sieves(poset, p) if xs & poset.down(p) <= s)
         for p in range(poset.n)
     ]
+
+
+def covers_of(topology) -> tuple[frozenset, ...]:
+    """The production cover listing, ``covers_json``, read back as one
+    frozenset of id frozensets per element."""
+    poset = topology.poset
+    listing = topology.covers_json()
+    return tuple(
+        frozenset(frozenset(poset.index_of(m) for m in s) for s in listing[label])
+        for label in poset.labels
+    )
 
 
 def lx_covers(poset: FinitePoset, subset) -> list[frozenset]:
@@ -255,8 +271,9 @@ def extended_covers(poset: FinitePoset, subset, inner) -> list[frozenset]:
 
 def dense_violation_scan(poset: FinitePoset, topology, subset) -> int | None:
     """First element whose down-closed subset cut is not among its covers."""
+    covers = subset_covers_oracle(poset, topology.subset)
     for p in range(poset.n):
-        if poset.down_closure(subset & poset.down(p)) not in topology.covers[p]:
+        if poset.down_closure(subset & poset.down(p)) not in covers[p]:
             return p
     return None
 
@@ -264,7 +281,8 @@ def dense_violation_scan(poset: FinitePoset, topology, subset) -> int | None:
 def cover_elements(topology, d: frozenset[int]) -> frozenset[int]:
     """The elements p at which the cut d & down(p) is a cover."""
     poset = topology.poset
-    return frozenset(p for p in range(poset.n) if d & poset.down(p) in topology.covers[p])
+    covers = subset_covers_oracle(poset, topology.subset)
+    return frozenset(p for p in range(poset.n) if d & poset.down(p) in covers[p])
 
 
 def nucleus_table_from_covers(topology, frame) -> tuple[int, ...]:
@@ -552,7 +570,8 @@ def census_oracle(poset: FinitePoset) -> tuple:
     assign(0)
     found.sort(
         key=lambda t: tuple(
-            sorted(char_key(poset.n, s) for s in t.covers[p]) for p in range(poset.n)
+            sorted(char_key(poset.n, s) for s in subset_covers_oracle(poset, t.subset)[p])
+            for p in range(poset.n)
         )
     )
     return tuple(found)

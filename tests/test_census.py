@@ -1,5 +1,6 @@
-"""The topology census searched over least covers, checked against the search
-over every family of sieves that it replaced."""
+"""The topology census, J(X) for each of the 2^n subsets X, checked against
+the search over every filter of sieves, which re-derives the theorem that
+every topology on a finite poset is some J(X)."""
 
 import time
 

@@ -1,7 +1,7 @@
 """Nuclei, congruences, sublocales, quotients, and the conversion diagram."""
 
 import pytest
-from conftest import all_subsets
+from conftest import all_subsets, covers_of
 
 from sitecalc import (
     Congruence,
@@ -230,7 +230,7 @@ def test_conversion_monotonicity():
         ]
         for t1, n1, c1, s1 in data:
             for t2, n2, c2, s2 in data:
-                tle = all(t1.covers[q] <= t2.covers[q] for q in range(p.n))
+                tle = all(covers_of(t1)[q] <= covers_of(t2)[q] for q in range(p.n))
                 nle = all(
                     frame.downset(n1.table[a]) <= frame.downset(n2.table[a])
                     for a in range(len(frame))

@@ -1,11 +1,12 @@
 """Site-morphism reports, subcanonicity and completeness read off the
 generating subset X, checked against the scans over every cover of J(X)
-that they replaced, and guarded against reading the cover table at all."""
+that they replaced, and guarded against listing every sieve on p."""
 
 import pytest
 from conftest import (
     LADDER,
     all_subsets,
+    covers_of,
     fan,
     site_morphism_scan_oracle,
     subcanonicity_scan_oracle,
@@ -21,9 +22,9 @@ from sitecalc import (
     all_order_morphisms,
     catalog,
     congruence_from_topology,
+    enumerate_all_topologies,
     enumerate_downsets,
     is_complete,
-    is_sheaf,
     is_site_isomorphism,
     nucleus_from_topology,
     site_morphism_report,
@@ -34,9 +35,10 @@ from sitecalc import (
     topology_from_congruence,
     topology_from_nucleus,
     topology_from_sublocale,
+    validate_topology,
     verify_commuting_diagram,
-    yoneda_presheaf,
 )
+from sitecalc import poset as poset_module
 
 SMALL = [p for p in catalog().values() if p.n <= 3]
 
@@ -140,26 +142,39 @@ def test_subcanonicity_witness_enumerates_no_sieves(monkeypatch):
     assert [len(w) for w in expected] == [144, 122, 110, 0, 132]
 
 
-def test_no_report_reads_the_cover_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the cover table was built")
-
-    monkeypatch.setattr(GrothTopology, "covers", property(refuse))
-    for p in catalog().values():
-        ident = OrderMorphism(p, p, tuple(range(p.n)))
-        frame = enumerate_downsets(p)
-        representables = [yoneda_presheaf(p, e) for e in range(p.n)]
-        for x in all_subsets(p.n):
-            j = subset_topology(p, x)
-            k = subset_topology(p, frozenset(range(p.n)) - x)
-            site_morphism_report(ident, j, k)
-            is_site_isomorphism(ident, j, k)
-            adjoint_transfer_consistent(ident, ident, j, k)
-            subcanonicity_report(p, j)
-            is_complete(j)
-            for f in representables:
-                is_sheaf(f, j)
+def _check_without_listing_sieves(p, subsets, frame=None):
+    ident = OrderMorphism(p, p, tuple(range(p.n)))
+    for x in subsets:
+        j = subset_topology(p, x)
+        k = subset_topology(p, frozenset(range(p.n)) - x)
+        site_morphism_report(ident, j, k)
+        is_site_isomorphism(ident, j, k)
+        adjoint_transfer_consistent(ident, ident, j, k)
+        subcanonicity_report(p, j)
+        is_complete(j)
+        assert GrothTopology.from_json(j.to_json()) == j
+        assert validate_topology(p, covers_of(j)) == j
+        if frame is not None:
             assert topology_from_nucleus(nucleus_from_topology(j, frame)) == j
             assert topology_from_congruence(congruence_from_topology(j, frame)) == j
             assert topology_from_sublocale(sublocale_from_topology(j, frame)) == j
+
+
+def test_no_report_reads_the_cover_table(monkeypatch):
+    """Listing, reading back, validating and enumerating J(X), and every
+    report on it, grow covers from the least cover and list no sieve on p;
+    ``is_sheaf`` keeps its sieve cache on purpose and is not guarded."""
+    p12 = fan(12)
+    fan_subsets = [frozenset(x) for x in ([], [0], [0, 1], range(12), [12], range(13))]
+
+    def refuse(poset, q):
+        raise AssertionError(f"the sieves on {q} were enumerated")
+
+    monkeypatch.setattr(sites, "sieves_on", refuse)
+    monkeypatch.setattr(poset_module, "sieves_on", refuse)
+    for p in catalog().values():
+        _check_without_listing_sieves(p, all_subsets(p.n), enumerate_downsets(p))
+        assert len(enumerate_all_topologies(p)) == 2**p.n
         assert verify_commuting_diagram(p).ok
+    _check_without_listing_sieves(p12, fan_subsets)
+    assert len(enumerate_all_topologies(p12, cap=13)) == 2**13

@@ -1,7 +1,7 @@
 """Topology constructors, the axioms, the lattice of topologies, enumeration."""
 
 import pytest
-from conftest import all_subsets, complete_scan_oracle
+from conftest import all_subsets, complete_scan_oracle, covers_of
 
 from sitecalc import (
     AxiomViolation,
@@ -79,15 +79,15 @@ def test_subset_topology_explicit_families_on_v():
     v = catalog_poset("V")
     j = subset_topology(v, subset_of_labels(v, ["y"]))
     x, y, z = (v.index_of(l) for l in "xyz")
-    assert j.covers[x] == frozenset(
+    assert covers_of(j)[x] == frozenset(
         {frozenset({y}), frozenset({y, z}), frozenset({x, y, z})}
     )
-    assert j.covers[y] == frozenset({frozenset({y})})
-    assert j.covers[z] == frozenset({frozenset(), frozenset({z})})
+    assert covers_of(j)[y] == frozenset({frozenset({y})})
+    assert covers_of(j)[z] == frozenset({frozenset(), frozenset({z})})
     # oracle: the filter of sieves containing the cut, computed raw
     for p in range(v.n):
         cut = subset_of_labels(v, ["y"]) & v.down(p)
-        assert j.covers[p] == frozenset(s for s in sieves_on(v, p) if cut <= s)
+        assert covers_of(j)[p] == frozenset(s for s in sieves_on(v, p) if cut <= s)
 
 
 def test_subset_topology_extremes(catalog_pair):
@@ -102,8 +102,8 @@ def test_subset_topology_caches_minimum_covers(catalog_pair):
         j = subset_topology(p, x)
         for q in range(p.n):
             least = p.down_closure(x & p.down(q))
-            assert least in j.covers[q]
-            assert all(least <= s for s in j.covers[q])
+            assert least in covers_of(j)[q]
+            assert all(least <= s for s in covers_of(j)[q])
 
 
 def test_subset_topology_is_antitone(catalog_pair):
@@ -141,12 +141,12 @@ def test_canonical_constructors():
     with pytest.raises(NotDownwardsDirectedError):
         atomic_topology(v)
     x = v.index_of("x")
-    assert got["dense"].covers[x] == frozenset(
+    assert covers_of(got["dense"])[x] == frozenset(
         {subset_of_labels(v, ["y", "z"]), frozenset(range(3))}
     )
     chain2 = catalog_poset("chain2")
     constructors = canonical_constructors(chain2)
-    assert constructors["atomic"].covers[1] == frozenset(
+    assert covers_of(constructors["atomic"])[1] == frozenset(
         {frozenset({0}), frozenset({0, 1})}
     )
 
@@ -176,9 +176,9 @@ def test_derived_topology_piecewise_shape():
     upx = lam.up_closure(xset)
     for p in range(lam.n):
         if p in upx:
-            assert k.covers[p] == jx.covers[p]
+            assert covers_of(k)[p] == covers_of(jx)[p]
         else:
-            assert k.covers[p] == _nonempty_sieves(lam, p)
+            assert covers_of(k)[p] == _nonempty_sieves(lam, p)
 
 
 def test_derived_equals_subset_with_bottom(catalog_pair):
@@ -331,7 +331,7 @@ def test_lattice_operations_reject_unvalidated_input(op):
     for x in all_subsets(p.n):
         for y in all_subsets(p.n):
             r = op(subset_topology(p, x), subset_topology(p, y))
-            assert validate_topology(p, r.covers) == r
+            assert validate_topology(p, covers_of(r)) == r
 
 
 def test_every_finite_topology_is_complete(catalog_pair):
@@ -344,7 +344,7 @@ def test_filter_property(catalog_pair):
     _, p = catalog_pair
     for t in enumerate_all_topologies(p):
         for q in range(p.n):
-            fam = t.covers[q]
+            fam = covers_of(t)[q]
             for s in fam:
                 for r in sieves_on(p, q):
                     if s <= r:
@@ -381,7 +381,7 @@ def test_derived_dense_hybrid_is_not_a_topology():
     jx = subset_topology(p, xset)
     dense = dense_topology(p)
     upx = p.up_closure(xset)
-    covers = [jx.covers[q] if q in upx else dense.covers[q] for q in range(p.n)]
+    covers = [covers_of(jx)[q] if q in upx else covers_of(dense)[q] for q in range(p.n)]
     with pytest.raises(AxiomViolation) as exc:
         validate_topology(p, covers)
     err = exc.value
