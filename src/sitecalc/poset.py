@@ -68,7 +68,7 @@ class FinitePoset:
     raises :class:`CycleError`.
     """
 
-    __slots__ = ("n", "labels", "_up", "_down", "_sieve_cache", "_hash")
+    __slots__ = ("n", "labels", "_up", "_down", "_sieve_cache", "_induced_cache", "_hash")
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
         if isinstance(labels, int):
@@ -95,6 +95,7 @@ class FinitePoset:
                 down[j].add(i)
         self._down = tuple(frozenset(s) for s in down)
         self._sieve_cache: dict[int, tuple[frozenset[int], ...]] = {}
+        self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
         self._hash = hash((self.labels, self._up))
 
     # -- order queries -------------------------------------------------
@@ -165,12 +166,16 @@ class FinitePoset:
         return tuple(out)
 
     def induced(self, subset: Iterable[int]) -> "FinitePoset":
-        """Full subposet on ``subset``; elements are renumbered in index order."""
-        elems = sorted(set(subset))
-        labels = [self.labels[i] for i in elems]
-        pos = {e: k for k, e in enumerate(elems)}
-        pairs = [(pos[a], pos[b]) for a in elems for b in elems if a != b and self.leq(a, b)]
-        return FinitePoset(labels, pairs)
+        """Full subposet on ``subset``; elements are renumbered in index order.
+        Built once per subset: posets are immutable, so the result is shared."""
+        elems = tuple(sorted(set(subset)))
+        sub = self._induced_cache.get(elems)
+        if sub is None:
+            labels = [self.labels[i] for i in elems]
+            pos = {e: k for k, e in enumerate(elems)}
+            pairs = [(pos[a], pos[b]) for a in elems for b in elems if a != b and self.leq(a, b)]
+            sub = self._induced_cache[elems] = FinitePoset(labels, pairs)
+        return sub
 
     # -- value semantics ------------------------------------------------
 

@@ -11,7 +11,7 @@ naturality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, permutations, product
+from itertools import chain, islice, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -40,7 +40,9 @@ class Presheaf:
 
     ``sizes[p]`` is the cardinality of the value at ``p``; ``maps[(q, p)]``
     (for each strict comparable pair) sends values at ``p`` down to values
-    at ``q``.  Identity and composition laws are enforced on construction.
+    at ``q``.  Identity and composition laws are enforced on construction,
+    except by the private :meth:`_trusted`, which the library's own
+    functorial-by-construction builders use.
     """
 
     __slots__ = ("poset", "sizes", "maps", "_key", "_identities")
@@ -51,11 +53,11 @@ class Presheaf:
         sizes: Sequence[int],
         maps: Mapping[tuple[int, int], Sequence[int]],
     ):
-        self.poset = poset
-        self.sizes = tuple(sizes)
-        if len(self.sizes) != poset.n or any(s < 0 for s in self.sizes):
-            raise ParseError(f"bad value sizes {self.sizes}")
+        sizes = tuple(sizes)
         labels = poset.labels
+        if len(sizes) != poset.n or any(s < 0 for s in sizes):
+            witness = dict(zip(labels, sizes)) if len(sizes) == poset.n else list(sizes)
+            raise ParseError(f"bad value sizes {sizes}", witness={"sizes": witness})
 
         def broken(message: str, **elems: int) -> FunctorialityError:
             witness = {k: labels[e] for k, e in elems.items()}
@@ -67,9 +69,7 @@ class Presheaf:
                 if (q, p) not in maps:
                     raise broken(f"missing restriction for {labels[q]} <= {labels[p]}", q=q, p=p)
                 tab = tuple(maps[(q, p)])
-                if len(tab) != self.sizes[p] or any(
-                    not 0 <= v < self.sizes[q] for v in tab
-                ):
+                if len(tab) != sizes[p] or any(not 0 <= v < sizes[q] for v in tab):
                     raise broken(
                         f"restriction for {labels[q]} <= {labels[p]} "
                         f"is not a function between the value sets",
@@ -79,14 +79,14 @@ class Presheaf:
                 cleaned[(q, p)] = tab
         for key in maps:
             if key not in cleaned:
-                raise ParseError(f"restriction {key} does not match a strict pair")
-        self.maps = cleaned
+                named = _pair_name(labels, key)
+                raise ParseError(
+                    f"restriction {named!r} does not match a strict pair", witness={"key": named}
+                )
         for r in range(poset.n):
             for q in poset.up(r) - {r}:
                 for p in poset.up(q) - {q}:
-                    via = tuple(
-                        cleaned[(r, q)][cleaned[(q, p)][a]] for a in range(self.sizes[p])
-                    )
+                    via = tuple(cleaned[(r, q)][b] for b in cleaned[(q, p)])
                     if via != cleaned[(r, p)]:
                         raise broken(
                             f"composite restriction violated at "
@@ -95,7 +95,31 @@ class Presheaf:
                             q=q,
                             p=p,
                         )
-        self._key = (poset, self.sizes, tuple(sorted(self.maps.items())))
+        self._fill(poset, sizes, cleaned)
+
+    @classmethod
+    def _trusted(
+        cls,
+        poset: FinitePoset,
+        sizes: Sequence[int],
+        maps: dict[tuple[int, int], tuple[int, ...]],
+    ) -> "Presheaf":
+        """A presheaf that is functorial by construction, left unchecked:
+        ``maps`` holds a tuple in range for each strict pair and no other key."""
+        presheaf = cls.__new__(cls)
+        presheaf._fill(poset, tuple(sizes), maps)
+        return presheaf
+
+    def _fill(
+        self,
+        poset: FinitePoset,
+        sizes: tuple[int, ...],
+        maps: dict[tuple[int, int], tuple[int, ...]],
+    ) -> None:
+        self.poset = poset
+        self.sizes = sizes
+        self.maps = maps
+        self._key = (poset, sizes, tuple(sorted(maps.items())))
         self._identities: tuple[tuple[int, ...], ...] | None = None
 
     def restriction(self, q: int, p: int) -> tuple[int, ...]:
@@ -139,12 +163,18 @@ class Presheaf:
         for field, value in (("values", values), ("maps", tables)):
             if not isinstance(value, dict):
                 raise ParseError(f"'{field}' is not an object", witness={field: value})
+        # one lookup table per document; index_of raises for an unknown label
+        ids = {label: i for i, label in enumerate(poset.labels)}
+
+        def index(label: str) -> int:
+            return ids[label] if label in ids else poset.index_of(label)
+
         sizes = [0] * poset.n
         for label, size in values.items():
             if type(size) is not int:
                 raise ParseError(f"value size {size!r} is not an integer",
                                  witness={"element": label, "size": size})
-            sizes[poset.index_of(label)] = size
+            sizes[index(label)] = size
         maps = {}
         for key, tab in tables.items():
             if "<=" not in key:
@@ -153,8 +183,19 @@ class Presheaf:
                 raise ParseError(f"restriction {key!r} is not a list of integers",
                                  witness={"key": key, "map": tab})
             qlab, plab = key.split("<=", 1)
-            maps[(poset.index_of(qlab.strip()), poset.index_of(plab.strip()))] = tab
+            maps[(index(qlab.strip()), index(plab.strip()))] = tab
         return cls(poset, sizes, maps)
+
+
+def _pair_name(labels: Sequence[str], key: object) -> str:
+    """``q<=p`` in labels for a pair of element ids, else the key's repr."""
+    if (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and all(type(i) is int and 0 <= i < len(labels) for i in key)
+    ):
+        return f"{labels[key[0]]}<={labels[key[1]]}"
+    return repr(key)
 
 
 def matching_violation(
@@ -233,10 +274,45 @@ def amalgamations(
     return tuple(_restriction_index(presheaf, p, elems).get(key, ()))
 
 
-@dataclass(frozen=True)
 class SheafCheck:
-    ok: bool
-    witness: dict | None = None
+    """The verdict of :func:`is_sheaf`: ``ok``, and for a presheaf that is
+    not a sheaf the first matching family without a unique amalgamation.
+
+    :func:`is_sheaf` decides ``ok`` on least covers alone and searches for
+    the witness only when ``witness`` is first read.  Checks compare equal
+    when ``(ok, witness)`` does.
+    """
+
+    __slots__ = ("ok", "_witness", "_search")
+
+    def __init__(self, ok: bool, witness: dict | None = None):
+        self.ok = ok
+        self._witness = witness
+        self._search: Iterator[dict] | None = None
+
+    @classmethod
+    def _deferred(cls, search: Iterator[dict]) -> "SheafCheck":
+        """A failed check whose witness is the first item of ``search``."""
+        check = cls(ok=False)
+        check._search = search
+        return check
+
+    @property
+    def witness(self) -> dict | None:
+        if self._search is not None:
+            self._witness, self._search = next(self._search), None
+        return self._witness
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SheafCheck):
+            return NotImplemented
+        return (self.ok, self.witness) == (other.ok, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.witness))
+
+    def __repr__(self) -> str:
+        return f"SheafCheck(ok={self.ok!r}, witness={self.witness!r})"
 
 
 def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
@@ -251,15 +327,31 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
     for all s <= p, the matching families on L_p are those on X & down(p),
     and if F(p) maps bijectively onto them every cover S of p passes: a
     family on S has one amalgamation a on L_p, and F(s <= p)(a) agrees with
-    the family at s in S on X & down(s), so equals it.  Such p are skipped.
-    Separation is one index of F(s), or |F(s)| <= 1 when X & down(s) is
-    empty and restriction has a single target; the images of F(p) are then
-    |F(p)| distinct families, so bijectivity is a count stopping at |F(p)| + 1.
-    Every other p runs :func:`_sheaf_scan` in ascending order, so the
-    witness is the first failure of the all-covers scan.
+    the family at s in S on X & down(s), so equals it.  A sheaf passes this
+    test at every p: F(s) is separated, as a family on L_s is fixed by its
+    values on X & down(s), and F(p) is in bijection with the families on
+    L_p.  So the test decides ``ok`` exactly, and :func:`_sheaf_scan` never
+    runs for it.  The witness, read lazily, scans the failing p in
+    ascending order; every p that passes the test passes the scan, so it
+    is the first failure of the all-covers scan.
     """
     if presheaf.poset != topology.poset:
         raise PosetMismatchError("presheaf and topology live on different posets")
+    failing = _least_cover_failures(presheaf, topology)
+    first = next(failing, None)
+    if first is None:
+        return SheafCheck(ok=True)
+    scans = (_sheaf_scan(presheaf, topology, p) for p in chain((first,), failing))
+    return SheafCheck._deferred(witness for witness in scans if witness is not None)
+
+
+def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterator[int]:
+    """The elements p, ascending, where some F(s) with s <= p is not
+    separated or F(p) has fewer values than there are matching families on
+    X & down(p).  Separation is one index of F(s), or |F(s)| <= 1 when
+    X & down(s) is empty and restriction has a single target; the images of
+    F(p) are then |F(p)| distinct families, so bijectivity is a count
+    stopping at |F(p)| + 1."""
     poset, xs, sizes = presheaf.poset, topology.subset, presheaf.sizes
     cuts: dict[int, list[int]] = {}
     separated: dict[int, bool] = {}
@@ -275,14 +367,11 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
         return separated[s]
 
     for p in range(poset.n):
-        if all(is_separated(s) for s in poset.down(p)) and next(
-            islice(matching_families(presheaf, cuts[p]), sizes[p], None), None
-        ) is None:
-            continue
-        witness = _sheaf_scan(presheaf, topology, p)
-        if witness is not None:
-            return SheafCheck(ok=False, witness=witness)
-    return SheafCheck(ok=True)
+        if not (
+            all(is_separated(s) for s in poset.down(p))
+            and next(islice(matching_families(presheaf, cuts[p]), sizes[p], None), None) is None
+        ):
+            yield p
 
 
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
@@ -329,7 +418,7 @@ def restrict_presheaf(presheaf: Presheaf, subset: Iterable[int]) -> Presheaf:
         for kp, p in enumerate(elems):
             if q != p and poset.leq(q, p):
                 maps[(kq, kp)] = presheaf.restriction(q, p)
-    return Presheaf(sub, sizes, maps)
+    return Presheaf._trusted(sub, sizes, maps)
 
 
 @dataclass(frozen=True)
@@ -373,7 +462,7 @@ def extend_presheaf(
             maps[(q, p)] = tuple(
                 lookup[tuple(fam[i] for i in keep)] for fam in families[p]
             )
-    presheaf = Presheaf(poset, [len(f) for f in families], maps)
+    presheaf = Presheaf._trusted(poset, [len(f) for f in families], maps)
     return ExtendedPresheaf(presheaf, support, families)
 
 
@@ -471,8 +560,11 @@ def enumerate_presheaves(
     """Every functor with canonical value sets of size up to ``value_cap``.
 
     Maps are enumerated on cover edges only and composed along canonical
-    paths; path consistency is certified by the constructor.  Shapes that
-    would need a function into an empty set are skipped automatically.
+    paths, so every table is a function between the value sets.  A choice
+    is kept when composition holds on each triple r < q < p whose lower
+    step r < q is a cover edge; by induction on the length of [r, q] it then
+    holds on every triple.  Shapes that would need a function into an empty
+    set are skipped automatically.
     """
     if poset.n > max_elements or value_cap > max_value_cap:
         raise TooLargeError(
@@ -480,20 +572,20 @@ def enumerate_presheaves(
             witness={"max_elements": max_elements, "max_value_cap": max_value_cap},
         )
     edges = poset.hasse_pairs()
+    pairs = [(q, p) for q in range(poset.n) for p in poset.up(q) - {q}]
+    triples = [(r, q, p) for r, q in edges for p in poset.up(q) - {q}]
     out: list[Presheaf] = []
     for sizes in product(range(value_cap + 1), repeat=poset.n):
         # the first edge varies slowest, as in a depth-first assignment
         tables = [product(range(sizes[q]), repeat=sizes[p]) for q, p in edges]
         for choice in product(*tables):
             memo = dict(zip(edges, choice))
-            maps = {}
-            for q in range(poset.n):
-                for p in poset.up(q) - {q}:
-                    maps[(q, p)] = _path_map(poset, edges, memo, q, p)
-            try:
-                out.append(Presheaf(poset, sizes, maps))
-            except FunctorialityError:
-                pass
+            maps = {(q, p): _path_map(poset, edges, memo, q, p) for q, p in pairs}
+            if all(
+                maps[(r, p)] == tuple(maps[(r, q)][b] for b in maps[(q, p)])
+                for r, q, p in triples
+            ):
+                out.append(Presheaf._trusted(poset, sizes, maps))
     return out
 
 
@@ -765,13 +857,12 @@ def kx_sheaf_equivalence_check(
     base_point: int | None = None
     if poset.up_closure(xs) == frozenset(range(poset.n)):
         matches_subset_form = topology == subset_topology(poset, xs)
-        comparison = comparison_check(poset, xs, topology, value_cap=value_cap)
         transported = [restrict_presheaf(f, xs) for f in sample]
         records = tuple(
             KxEquivalenceRecord(i, True, True) for i in range(len(sample))
         )
         beta_ok = True
-        ambient, amb_subset, reduced = poset, xs, True
+        ambient, amb_subset, amb_topology, reduced = poset, xs, topology, True
     else:
         base_point = choose_base_point(poset, xs)
         poset0 = adjoin_zero(poset)
@@ -815,8 +906,16 @@ def kx_sheaf_equivalence_check(
                 beta_ok = False
             elif naturality_failure(back, g, comps) is not None:
                 beta_ok = False
-        comparison = comparison_check(poset0, x0, topology0, value_cap=value_cap)
-        ambient, amb_subset, reduced = poset0, x0, False
+        ambient, amb_subset, amb_topology, reduced = poset0, x0, topology0, False
+    # the presheaves on the subset, enumerated once for the comparison and
+    # for the class census
+    sub_poset = ambient.induced(sorted(amb_subset))
+    sub_presheaves = enumerate_presheaves(
+        sub_poset, value_cap, max_elements=sub_poset.n, max_value_cap=value_cap
+    )
+    comparison = comparison_check(
+        ambient, amb_subset, amb_topology, base_presheaves=sub_presheaves, value_cap=value_cap
+    )
     sheaf_reps, sheaf_labels = _iso_classes(sample)
     transported_reps, transported_labels = _iso_classes(transported)
     # the two partitions of the indices agree iff pairing the labels adds
@@ -828,10 +927,7 @@ def kx_sheaf_equivalence_check(
     )
     covered = 0
     cap_skipped = 0
-    sub_poset = ambient.induced(sorted(amb_subset))
-    classes, _ = _iso_classes(enumerate_presheaves(
-        sub_poset, value_cap, max_elements=sub_poset.n, max_value_cap=value_cap
-    ))
+    classes, _ = _iso_classes(sub_presheaves)
     for h in classes:
         lifted = extend_presheaf(h, ambient, amb_subset).presheaf
         if not reduced:

@@ -121,9 +121,11 @@ class GrothTopology:
         families = doc.get("covers")
         if not isinstance(families, dict):
             raise ParseError("'covers' is not an object", witness={"covers": families})
+        # one lookup table per document; index_of raises for an unknown label
+        ids = {label: i for i, label in enumerate(poset.labels)}
         covers: list[set[frozenset[int]]] = [set() for _ in range(poset.n)]
         for label, sieves in families.items():
-            p = poset.index_of(label)
+            p = ids[label] if label in ids else poset.index_of(label)
             if not (
                 isinstance(sieves, list)
                 and all(isinstance(s, list) and all(isinstance(m, str) for m in s) for s in sieves)
@@ -132,7 +134,9 @@ class GrothTopology:
                     f"the covers of {label!r} are not lists of element labels",
                     witness={"element": label, "family": sieves},
                 )
-            covers[p].update(frozenset(poset.index_of(m) for m in s) for s in sieves)
+            covers[p].update(
+                frozenset(ids[m] if m in ids else poset.index_of(m) for m in s) for s in sieves
+            )
         return validate_topology(poset, covers)
 
 

@@ -488,6 +488,33 @@ def test_malformed_presheaf_json_is_a_parse_error(
     assert (error["code"], error["witness"]) == ("ParseError", witness)
 
 
+@pytest.mark.parametrize(
+    "field, value, message, witness",
+    [
+        (
+            "maps",
+            {"0<=1": [0, 1], "1<=0": [0, 1]},
+            "restriction '1<=0' does not match a strict pair",
+            {"key": "1<=0"},
+        ),
+        ("values", {"0": -1, "1": 2}, "bad value sizes (-1, 2)", {"sizes": {"0": -1, "1": 2}}),
+    ],
+)
+def test_presheaf_parse_errors_carry_labelled_witnesses(
+    capsys, tmp_path, chain2_file, field, value, message, witness
+):
+    topo = tmp_path / "j.json"
+    topo.write_text(json.dumps(_topology_doc(capsys, chain2_file)))
+    presheaf = tmp_path / "f.json"
+    presheaf.write_text(json.dumps({**CHAIN2_PRESHEAF, field: value}))
+    code, out = run(
+        capsys, "sheaf", "check", "--poset", chain2_file, "--topology", str(topo),
+        "--presheaf", str(presheaf),
+    )
+    assert code == 1
+    assert _error(out) == {"code": "ParseError", "message": message, "witness": witness}
+
+
 # Integers reach 10,000: on chain2, is_sheaf is linear in the value-set
 # sizes, and 10,000 bottom values take about 10 ms.  Sizes of 10^6 are
 # still left out: is_sheaf has no work budget yet, and its index of F(p)

@@ -114,3 +114,26 @@ def test_identity_restriction_is_cached():
     assert f.restriction(1, 1) == (0, 1, 2)
     assert f.restriction(1, 1) is f.restriction(1, 1)
     assert f.restriction(0, 0) == (0,)
+
+
+def _scan_while_deciding(*args):
+    raise AssertionError("the witness scan ran before the witness was read")
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_verdicts_skip_the_scan_and_witnesses_wait_for_a_read(name, monkeypatch):
+    """Every presheaf at value cap 2 under every J(X), sheaves and
+    non-sheaves alike: the verdicts are decided with the scan patched to
+    raise, and the witnesses of those same checks, read once the scan is
+    restored, are the all-covers scan's."""
+    p = catalog()[name]
+    presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
+    cases = [(f, subset_topology(p, xs)) for xs in all_subsets(p.n) for f in presheaves]
+    expected = [sheaf_scan_oracle(f, t) for f, t in cases]
+    assert any(e.ok for e in expected) and not all(e.ok for e in expected)
+    with monkeypatch.context() as patched:
+        patched.setattr(sitecalc.sheaves, "_sheaf_scan", _scan_while_deciding)
+        checks = [is_sheaf(f, t) for f, t in cases]
+        assert [c.ok for c in checks] == [e.ok for e in expected]
+    assert [c.witness for c in checks] == [e.witness for e in expected]
+    assert checks == expected
