@@ -16,9 +16,9 @@ Sieves, the down-sets inside one principal down-set, come from the same
 enumeration and are handed out as frozensets.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The sieve cache on :class:`FinitePoset` and the
-frozenset views of :class:`DownSetFrame` are write-once and idempotent, so
-concurrent recomputation is benign.
+concurrent readers.  The induced-subposet memo on :class:`FinitePoset` and
+the frozenset views of :class:`DownSetFrame` are write-once and idempotent,
+so concurrent recomputation is benign.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class FinitePoset:
     raises :class:`CycleError`.
     """
 
-    __slots__ = ("n", "labels", "_up", "_down", "_sieve_cache", "_induced_cache", "_hash")
+    __slots__ = ("n", "labels", "_up", "_down", "_induced_cache", "_hash")
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
         if isinstance(labels, int):
@@ -94,7 +94,6 @@ class FinitePoset:
             for j in up[i]:
                 down[j].add(i)
         self._down = tuple(frozenset(s) for s in down)
-        self._sieve_cache: dict[int, tuple[frozenset[int], ...]] = {}
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
         self._hash = hash((self.labels, self._up))
 
@@ -205,12 +204,15 @@ class FinitePoset:
     def from_json(cls, doc: dict) -> "FinitePoset":
         """Read ``{"elements": [str, ...], "le_pairs": [[i, j], ...]}``.
 
-        Anything else, including a non-list, a non-string label or a pair
-        that is not two in-range integer ids, is a ParseError with the
-        offending value as its witness.
+        Anything else, including an unknown key, a non-list, a non-string
+        label or a pair that is not two in-range integer ids, is a ParseError
+        with the offending value as its witness.
         """
         if not isinstance(doc, dict) or "elements" not in doc:
             raise ParseError("poset JSON must contain an 'elements' list", witness={"poset": doc})
+        unknown = sorted(map(str, doc.keys() - {"elements", "le_pairs"}))
+        if unknown:
+            raise ParseError(f"unknown poset keys {unknown}", witness={"unknown_keys": unknown})
         elements, pairs = doc["elements"], doc.get("le_pairs", [])
         if not isinstance(elements, list):
             raise ParseError("'elements' is not a list", witness={"elements": elements})
@@ -486,12 +488,8 @@ def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> Down
 def sieves_on(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
     """All sieves on p, i.e. down-sets contained in the principal down-set
     of p, in the id order of the frame."""
-    cached = poset._sieve_cache.get(p)
-    if cached is None:
-        masks = _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP)
-        cached = tuple(frozenset(_bits(m)) for m in masks)
-        poset._sieve_cache[p] = cached
-    return cached
+    masks = _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP)
+    return tuple(frozenset(_bits(m)) for m in masks)
 
 
 # -- Heyting structure --------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     PosetMismatchError,
     TooLargeError,
 )
-from .poset import FinitePoset, sieves_on
+from .poset import DEFAULT_FRAME_CAP, FinitePoset, _bits, _downset_masks, _mask
 from .sites import (
     GrothTopology,
     derived_topology,
@@ -216,30 +216,32 @@ def matching_families(
     presheaf: Presheaf, cover: Iterable[int]
 ) -> Iterator[dict[int, int]]:
     """All matching families over a cover, in lexicographic value order."""
+    return _extend_families(presheaf, sorted(cover), 0, {})
+
+
+def _extend_families(
+    presheaf: Presheaf, elems: Sequence[int], idx: int, assignment: dict[int, int]
+) -> Iterator[dict[int, int]]:
+    """The matching families extending ``assignment``, the values on
+    ``elems[:idx]``, by depth-first choice of the values that follow."""
+    if idx == len(elems):
+        yield dict(assignment)
+        return
     poset = presheaf.poset
-    elems = sorted(cover)
-    assignment: dict[int, int] = {}
-
-    def extend(idx: int) -> Iterator[dict[int, int]]:
-        if idx == len(elems):
-            yield dict(assignment)
-            return
-        x = elems[idx]
-        for v in range(presheaf.sizes[x]):
-            ok = True
-            for y in elems[:idx]:
-                if poset.leq(y, x) and presheaf.restriction(y, x)[v] != assignment[y]:
-                    ok = False
-                    break
-                if poset.leq(x, y) and presheaf.restriction(x, y)[assignment[y]] != v:
-                    ok = False
-                    break
-            if ok:
-                assignment[x] = v
-                yield from extend(idx + 1)
-                del assignment[x]
-
-    return extend(0)
+    x = elems[idx]
+    for v in range(presheaf.sizes[x]):
+        ok = True
+        for y in elems[:idx]:
+            if poset.leq(y, x) and presheaf.restriction(y, x)[v] != assignment[y]:
+                ok = False
+                break
+            if poset.leq(x, y) and presheaf.restriction(x, y)[assignment[y]] != v:
+                ok = False
+                break
+        if ok:
+            assignment[x] = v
+            yield from _extend_families(presheaf, elems, idx + 1, assignment)
+            del assignment[x]
 
 
 def _restriction_index(
@@ -376,10 +378,11 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
 
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
     """The first matching family on a cover of p without a unique
-    amalgamation, covers in sorted-member order and families in
-    lexicographic order; one index of F(p) per cover.  With an empty cut
-    the first cover is the empty sieve, whose one family, the empty one,
-    has every value at p as an amalgamation."""
+    amalgamation, covers, grown from the least cover down(X & down(p)), in
+    sorted-member order and families in lexicographic order; one index of
+    F(p) per cover.  With an empty cut the first cover is the empty sieve,
+    whose one family, the empty one, has every value at p as an
+    amalgamation."""
     poset = presheaf.poset
     cut = topology.subset & poset.down(p)
     if not cut and presheaf.sizes[p] != 1:
@@ -389,8 +392,8 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
             "family": {},
             "amalgamations": list(range(presheaf.sizes[p])),
         }
-    for cover in sorted((s for s in sieves_on(poset, p) if cut <= s), key=sorted):
-        elems = sorted(cover)
+    covers = _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP, _mask(poset.down_closure(cut)))
+    for elems in sorted(map(_bits, covers)):
         index = _restriction_index(presheaf, p, elems)
         for family in matching_families(presheaf, elems):
             hits = index.get(tuple(family[x] for x in elems), [])

@@ -2,8 +2,11 @@
 
 The oracles here deliberately avoid the library's own computation paths:
 down-sets by raw subset filtering, counts by interval recursion, Heyting
-implication by its defining union, and the nuclei of congruences and
-sublocales by their direct formulas on frozensets.  Topologies have their
+implication by its defining union, the nuclei of congruences and
+sublocales by their direct formulas on frozensets (the class-join and
+least-member passes the conversions replaced by passing X along), and the
+laws of nuclei, congruences and sublocales by their definitions on every
+down-set, pair and triple.  Topologies have their
 own: the stock constructors by their defining formulas, meet as pointwise
 intersection, join by saturating the pointwise union, restriction by
 down-closure, and completeness by scanning every family of fibers or
@@ -133,6 +136,57 @@ def least_member_table(sublocale) -> tuple[int, ...]:
                 acc &= frame.downset(m)
         table.append(frame.id_of(acc))
     return tuple(table)
+
+
+@cache
+def _meets_and_joins(frame) -> tuple[list[list[int]], list[list[int]]]:
+    """Per pair of down-set ids, the ids of their intersection and union."""
+    ds = list(frame)
+    meets = [[frame.id_of(a & b) for b in ds] for a in ds]
+    joins = [[frame.id_of(a | b) for b in ds] for a in ds]
+    return meets, joins
+
+
+def nucleus_law_oracle(frame, table) -> bool:
+    """Inflation, idempotence and binary meets, on every down-set and pair."""
+    ds = list(frame)
+    meets, _ = _meets_and_joins(frame)
+    return (
+        all(d <= ds[t] for d, t in zip(ds, table))
+        and all(table[t] == t for t in table)
+        and all(
+            table[meets[a][b]] == meets[table[a]][table[b]]
+            for a in range(len(ds)) for b in range(len(ds))
+        )
+    )
+
+
+def congruence_law_oracle(frame, classes) -> bool:
+    """Every two related down-sets stay related under meet and join with any
+    third down-set."""
+    meets, joins = _meets_and_joins(frame)
+    class_of = {a: i for i, c in enumerate(classes) for a in c}
+    return all(
+        class_of[table[a][c]] == class_of[table[b][c]]
+        for cls in classes for a in cls for b in cls
+        for c in range(len(frame)) for table in (meets, joins)
+    )
+
+
+def sublocale_law_oracle(frame, members) -> bool:
+    """The whole poset, the intersection of every two members, and every
+    implication into a member, by its defining union, are members."""
+    ds = list(frame)
+    meets, _ = _meets_and_joins(frame)
+
+    def implication(a: frozenset[int], m: frozenset[int]) -> int:
+        return frame.id_of(frozenset().union(*(d for d in ds if d & a <= m)))
+
+    return (
+        frame.id_of(range(frame.poset.n)) in members
+        and all(meets[a][b] in members for a in members for b in members)
+        and all(implication(a, ds[m]) in members for a in ds for m in members)
+    )
 
 
 @cache

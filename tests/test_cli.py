@@ -369,6 +369,7 @@ def test_missing_file_is_a_domain_error(capsys):
         ({"elements": ["a", "b"], "le_pairs": {"0": 1}}, {"le_pairs": {"0": 1}}),
         ({"elements": "abc"}, {"elements": "abc"}),
         ({"elements": [1, 2]}, {"element": 1}),
+        ({"elements": ["0", "1"], "relations": [["0", "1"]]}, {"unknown_keys": ["relations"]}),
     ],
 )
 def test_malformed_poset_json_is_a_parse_error(capsys, tmp_path, doc, witness):

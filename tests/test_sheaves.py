@@ -246,6 +246,20 @@ def test_enumerate_presheaves_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_sheaf_witnesses_leave_no_reference_cycles():
+    v = catalog_poset("V")
+    j = subset_topology(v, {0})
+    presheaves = enumerate_presheaves(v, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        witnesses = [is_sheaf(f, j).witness for f in presheaves]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(w is not None for w in witnesses)
+
+
 def test_yoneda_examples():
     top = yoneda_presheaf(CHAIN2, 1)
     assert top.sizes == (1, 1)

@@ -24,9 +24,12 @@ from sitecalc import (
     congruence_from_topology,
     enumerate_all_topologies,
     enumerate_downsets,
+    enumerate_presheaves,
     is_complete,
+    is_sheaf,
     is_site_isomorphism,
     nucleus_from_topology,
+    sheaves,
     site_morphism_report,
     sites,
     subcanonicity_report,
@@ -161,20 +164,32 @@ def _check_without_listing_sieves(p, subsets, frame=None):
 
 
 def test_no_report_reads_the_cover_table(monkeypatch):
-    """Listing, reading back, validating and enumerating J(X), and every
-    report on it, grow covers from the least cover and list no sieve on p;
-    ``is_sheaf`` keeps its sieve cache on purpose and is not guarded."""
+    """Listing, reading back, validating and enumerating J(X), every report
+    on it, and the witnesses of ``is_sheaf``, grow covers from the least
+    cover and list no sieve on p."""
     p12 = fan(12)
     fan_subsets = [frozenset(x) for x in ([], [0], [0, 1], range(12), [12], range(13))]
+    presheaves = {
+        name: enumerate_presheaves(p, 2 if p.n <= 3 else 1, max_elements=4)
+        for name, p in catalog().items()
+    }
+    witnesses = 0
 
     def refuse(poset, q):
         raise AssertionError(f"the sieves on {q} were enumerated")
 
-    monkeypatch.setattr(sites, "sieves_on", refuse)
-    monkeypatch.setattr(poset_module, "sieves_on", refuse)
-    for p in catalog().values():
+    for module in (sites, poset_module, sheaves):
+        monkeypatch.setattr(module, "sieves_on", refuse, raising=False)
+    for name, p in catalog().items():
         _check_without_listing_sieves(p, all_subsets(p.n), enumerate_downsets(p))
         assert len(enumerate_all_topologies(p)) == 2**p.n
         assert verify_commuting_diagram(p).ok
+        for x in all_subsets(p.n):
+            j = subset_topology(p, x)
+            for f in presheaves[name]:
+                check = is_sheaf(f, j)
+                assert (check.witness is None) == check.ok
+                witnesses += not check.ok
     _check_without_listing_sieves(p12, fan_subsets)
     assert len(enumerate_all_topologies(p12, cap=13)) == 2**13
+    assert witnesses > 0

@@ -104,7 +104,7 @@ def test_nucleus_verdict_matches_law_scan(case, data):
     a = data.draw(st.integers(0, len(frame) - 1))
     table[a] = data.draw(st.integers(0, len(frame) - 1))
     assert _outcome(lambda: Nucleus(frame, table)) == _outcome(
-        lambda: Nucleus(frame, table, check=False)._check_laws()
+        lambda: Nucleus._check_laws(frame, table)
     )
 
 
@@ -124,7 +124,7 @@ def test_congruence_verdict_matches_law_scan(case, data):
         classes[target].add(a)
     classes = [c for c in classes if c]
     assert _outcome(lambda: Congruence(frame, classes)) == _outcome(
-        lambda: Congruence(frame, classes, check=False)._check_laws()
+        lambda: Congruence._check_laws(frame, classes)
     )
 
 
@@ -136,7 +136,7 @@ def test_sublocale_verdict_matches_law_scan(case, data):
     members = set(subset_forms(p, xs, frame).sublocale.members)
     members ^= {data.draw(st.integers(0, len(frame) - 1))}
     assert _outcome(lambda: Sublocale(frame, members)) == _outcome(
-        lambda: Sublocale(frame, members, check=False)._check_laws()
+        lambda: Sublocale._check_laws(frame, members)
     )
 
 
