@@ -16,11 +16,14 @@ and conversion computes X in closed form (min: minimal elements):
 - extending J_D(Y) gives J(Y): Y & down(x) <= s for all x in D & down(p) iff
   Y & down(p) <= s, as Y <= D.
 
-Families from outside, in :func:`validate_topology`, must equal J(X) for the
-X read off them; otherwise the axiom scan finds the exact witness, and
-families that pass it, refuting the normal form, raise instead of being
-replaced by J(X).  The census :func:`enumerate_all_topologies` lists J(X)
-for the 2^n subsets X.
+Families from outside, in :func:`validate_topology`, must hold element ids
+and must equal J(X) for the X read off them; otherwise the axiom scan finds
+the exact witness, and families that pass it, refuting the normal form,
+raise instead of being replaced by J(X).  The scan runs on masks: the sieves
+on p come from the same down-set kernel, and transitivity tests each cover
+against one held set per non-cover.  Subset arguments go through one id
+check.  The census :func:`enumerate_all_topologies` lists J(X) for the 2^n
+subsets X.
 
 The finest subcanonical subset topology is J(C) for a closed-form C.
 
@@ -65,10 +68,21 @@ from .poset import (
     _downset_masks,
     _mask,
     heyting_implication,
-    sieves_on,
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 4
+
+
+def _element_ids(poset: FinitePoset, subset: Iterable) -> frozenset[int]:
+    """The subset as a frozenset of element ids; PosetMismatchError names a
+    member that is not one."""
+    ids = frozenset(subset)
+    for e in ids:
+        if not (type(e) is int and 0 <= e < poset.n):
+            raise PosetMismatchError(
+                f"{e!r} is not an element of the poset", witness={"id": repr(e)}
+            )
+    return ids
 
 
 class GrothTopology:
@@ -79,10 +93,7 @@ class GrothTopology:
 
     def __init__(self, poset: FinitePoset, subset: Iterable[int]):
         self.poset = poset
-        self.subset = frozenset(subset)
-        for e in self.subset:
-            if not (type(e) is int and 0 <= e < poset.n):
-                raise PosetMismatchError(f"{e!r} is not an element of the poset")
+        self.subset = _element_ids(poset, subset)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -143,57 +154,97 @@ class GrothTopology:
 def find_axiom_violation(
     poset: FinitePoset, covers: Sequence[frozenset[frozenset[int]]]
 ) -> AxiomViolation | None:
-    """First axiom failure in deterministic witness order, or None."""
+    """First axiom failure in deterministic witness order, or None: the sieve,
+    maximality, stability and transitivity passes in turn, each with p
+    ascending, then sieves in sorted-member order, then q ascending.
+
+    The families, one per element, must hold element ids, as
+    :func:`validate_topology` checks.  Each pass runs on masks and returns
+    the least failure of p in sorted-member order; frozensets are built only
+    for the returned violation.  Transitivity: a non-cover r of p fails at
+    the cover s iff s lies in the held set H_r = {q <= p : r & down(q)
+    covers q}, so the first such s is searched once per distinct H_r, and
+    only for an H_r holding every cover's common part.
+    """
     labels = poset.labels
-    for p in range(poset.n):
-        dn = poset.down(p)
-        for s in sorted(covers[p], key=sorted):
-            if not s <= dn or poset.down_closure(s) != s:
-                return AxiomViolation(
-                    f"{sorted(labels[i] for i in s)} is not a sieve on {labels[p]}",
-                    axiom="sieve",
-                    p=p,
-                    sieve=s,
-                )
-    for p in range(poset.n):
-        if poset.down(p) not in covers[p]:
+    principal = _principal(poset)
+    fams = [{_mask(s) for s in fam} for fam in covers]
+
+    def names(mask: int) -> list[str]:
+        return sorted(labels[i] for i in _bits(mask))
+
+    for p, down in enumerate(principal):
+        bad = [s for s in fams[p] if s & ~down or _down_closure(principal, s) != s]
+        if bad:
+            s = min(bad, key=_bits)
+            return AxiomViolation(
+                f"{names(s)} is not a sieve on {labels[p]}",
+                axiom="sieve",
+                p=p,
+                sieve=frozenset(_bits(s)),
+            )
+    for p, down in enumerate(principal):
+        if down not in fams[p]:
             return AxiomViolation(
                 f"maximal sieve missing from the covers of {labels[p]}",
                 axiom="maximality",
                 p=p,
                 sieve=poset.down(p),
             )
-    for p in range(poset.n):
-        for s in sorted(covers[p], key=sorted):
-            for q in sorted(poset.down(p)):
-                if q == p:
-                    continue
-                restricted = s & poset.down(q)
-                if restricted not in covers[q]:
-                    return AxiomViolation(
-                        f"stability fails at ({labels[p]}, {sorted(labels[i] for i in s)}, "
-                        f"{labels[q]})",
-                        axiom="stability",
-                        p=p,
-                        sieve=s,
-                        q=q,
-                        other=restricted,
-                    )
-    for p in range(poset.n):
-        for r in sorted(sieves_on(poset, p), key=sorted):
-            if r in covers[p]:
+    below = [[(q, principal[q], fams[q]) for q in _bits(down) if q != p]
+             for p, down in enumerate(principal)]
+    for p, fam in enumerate(fams):
+        failing = {}  # cover -> its first q whose cut is no cover
+        for s in fam:
+            for q, dq, fq in below[p]:
+                if s & dq not in fq:
+                    failing[s] = q
+                    break
+        if failing:
+            s = min(failing, key=_bits)
+            q = failing[s]
+            return AxiomViolation(
+                f"stability fails at ({labels[p]}, {names(s)}, {labels[q]})",
+                axiom="stability",
+                p=p,
+                sieve=frozenset(_bits(s)),
+                q=q,
+                other=frozenset(_bits(s & principal[q])),
+            )
+    for p, fam in enumerate(fams):
+        common = principal[p]
+        for s in fam:
+            common &= s
+        needed = [entry for entry in below[p] if common >> entry[0] & 1]
+        first_inside: dict[int, int | None] = {}  # H_r -> first cover inside it
+        found = {}  # non-cover r -> its witness cover
+        for r in _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP):
+            if r in fam:
                 continue
-            for s in sorted(covers[p], key=sorted):
-                if all(r & poset.down(q) in covers[q] for q in s):
-                    return AxiomViolation(
-                        f"transitivity fails at ({labels[p]}, "
-                        f"{sorted(labels[i] for i in s)}); "
-                        f"{sorted(labels[i] for i in r)} should be a cover",
-                        axiom="transitivity",
-                        p=p,
-                        sieve=s,
-                        other=r,
-                    )
+            for q, dq, fq in needed:
+                if r & dq not in fq:
+                    break  # q is in every cover but not in H_r
+            else:
+                held = 0
+                for q, dq, fq in below[p]:
+                    if r & dq in fq:
+                        held |= 1 << q
+                if held not in first_inside:
+                    inside = [s for s in fam if not s & ~held]
+                    first_inside[held] = min(inside, key=_bits) if inside else None
+                if first_inside[held] is not None:
+                    found[r] = first_inside[held]
+        if found:
+            r = min(found, key=_bits)
+            s = found[r]
+            return AxiomViolation(
+                f"transitivity fails at ({labels[p]}, {names(s)}); "
+                f"{names(r)} should be a cover",
+                axiom="transitivity",
+                p=p,
+                sieve=frozenset(_bits(s)),
+                other=frozenset(_bits(r)),
+            )
     return None
 
 
@@ -201,16 +252,18 @@ def _principal(poset: FinitePoset) -> list[int]:
     return [_mask(poset.down(p)) for p in range(poset.n)]
 
 
+def _down_closure(principal: Sequence[int], mask: int) -> int:
+    """The down-closure of a mask, from the masks of the principal down-sets."""
+    out = 0
+    for e in _bits(mask):
+        out |= principal[e]
+    return out
+
+
 def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
     """Per element p, the mask of its least cover L_p = down(X & down(p)),
     from the masks of the principal down-sets and X as a mask."""
-    out = []
-    for down in principal:
-        least = 0
-        for x in _bits(xs & down):
-            least |= principal[x]
-        out.append(least)
-    return out
+    return [_down_closure(principal, xs & down) for down in principal]
 
 
 def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
@@ -223,14 +276,30 @@ def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
     ]
 
 
-def _member_mask(members: Iterable, n: int) -> int:
-    """The mask of a family member, or -1 if it holds anything but an element id."""
-    mask = 0
-    for e in members:
-        if not (isinstance(e, int) and 0 <= e < n):
-            return -1
-        mask |= 1 << e
-    return mask
+def _family_masks(poset: FinitePoset, covers: Sequence[Iterable]) -> list[set[int]]:
+    """Each cover family as a set of masks, after checking that there is one
+    family per element and that every member of a family is an element id."""
+    n, labels = poset.n, poset.labels
+    if len(covers) != n:
+        raise PosetMismatchError(
+            f"{len(covers)} cover families for {n} elements",
+            witness={"families": len(covers), "elements": n},
+        )
+    fams = []
+    for p, fam in enumerate(covers):
+        masks = set()
+        for s in fam:
+            mask = 0
+            for e in s:
+                if not (type(e) is int and 0 <= e < n):
+                    raise PosetMismatchError(
+                        f"{e!r} in a cover of {labels[p]} is not an element of the poset",
+                        witness={"element": labels[p], "id": repr(e)},
+                    )
+                mask |= 1 << e
+            masks.add(mask)
+        fams.append(masks)
+    return fams
 
 
 def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTopology:
@@ -238,19 +307,13 @@ def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTo
     the elements whose only cover is their maximal sieve.  Otherwise the
     axiom scan's first violation raises, and families that pass it, refuting
     the normal form, raise NotSubsetGeneratedError instead of being replaced
-    by J(X).  Families are compared as sets of masks; only a mismatch
-    converts them to frozensets, for the scan."""
-    n = poset.n
-    if len(covers) != n:
-        raise AxiomViolation(
-            f"{len(covers)} cover families for {n} elements", axiom="sieve", p=0
-        )
-    fams = [{_member_mask(s, n) for s in fam} for fam in covers]
+    by J(X).  A wrong number of families or a member that is not an element
+    id raises PosetMismatchError first.  Families are compared as sets of
+    masks."""
+    fams = _family_masks(poset, covers)
     xs = _mask(p for p, down in enumerate(_principal(poset)) if fams[p] == {down})
     if fams != [set(f) for f in _subset_covers(poset, xs)]:
-        violation = find_axiom_violation(
-            poset, [frozenset(frozenset(s) for s in fam) for fam in covers]
-        )
+        violation = find_axiom_violation(poset, covers)
         if violation is None:
             violation = NotSubsetGeneratedError(
                 "the covers satisfy every axiom but are not J(X)",
@@ -343,10 +406,11 @@ def _require_poset(poset: FinitePoset, topology: GrothTopology) -> None:
         raise PosetMismatchError("topology is not defined on the given poset")
 
 
-def dense_violation(poset: FinitePoset, topology: GrothTopology, subset: frozenset[int]) -> int | None:
+def dense_violation(poset: FinitePoset, topology: GrothTopology, subset: Iterable[int]) -> int | None:
     """First element p whose cut sieve down(D & down(p)) is not a cover, that
     is, misses part of X & down(p); None exactly when X <= D."""
     _require_poset(poset, topology)
+    subset = _element_ids(poset, subset)
     for p in range(poset.n):
         if not topology.subset & poset.down(p) <= poset.down_closure(subset & poset.down(p)):
             return p
@@ -379,7 +443,7 @@ def extend_topology(
     A sieve covers p exactly when its cut below every subset point under p
     is an inner cover there.
     """
-    elems = sorted(set(subset))
+    elems = sorted(_element_ids(poset, subset))
     if inner.poset != poset.induced(elems):
         raise InvalidInnerTopologyError(
             "inner topology is not defined on the induced subposet"
@@ -392,8 +456,8 @@ def lxy_topology(
 ) -> GrothTopology:
     """Extension of the derived topology of ``inner_subset`` on ``subset``:
     J_D(Y | {bottom of D}) extends to J(Y | min D)."""
-    xs = frozenset(subset)
-    ys = frozenset(inner_subset)
+    xs = _element_ids(poset, subset)
+    ys = _element_ids(poset, inner_subset)
     if not ys <= xs:
         raise InvalidInnerTopologyError("inner subset must lie inside the outer subset")
     if not poset.is_downwards_directed(xs):
@@ -620,7 +684,7 @@ def subset_subcanonicity_witnesses(
     Empty exactly when the subset topology is subcanonical; each witness
     carries the computed implication value.
     """
-    xs = frozenset(subset)
+    xs = _element_ids(poset, subset)
     out = []
     for p in range(poset.n):
         value = heyting_implication(poset, xs, poset.down(p))

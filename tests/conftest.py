@@ -18,9 +18,10 @@ subcanonical generating subset has the scan over every subset that its
 closed form replaced.  Sheaf checks have the all-covers scan that the
 least-cover decision replaced, with families from the raw product of value
 sets.  The topology census has the search over every family of sieves, which
-re-derives the normal form the census assumes.  ``covers_of`` reads the
-production cover listing back as frozensets, for comparison with these
-oracles.  Site-morphism reports, subcanonicity and
+re-derives the normal form the census assumes, and the axiom scan on masks
+has the frozenset scan it replaced, with every sieve from ``brute_sieves``.
+``covers_of`` reads the production cover listing back as frozensets, for
+comparison with these oracles.  Site-morphism reports, subcanonicity and
 completeness have the scans over every cover of J(X) that their closed forms
 in X replaced.  The right Kan extension Ran_X reads its families off the raw
 product of value sets, and natural isomorphism transports a presheaf along
@@ -43,8 +44,8 @@ from sitecalc import (
     subset_subcanonicity_witnesses,
     validate_topology,
 )
+from sitecalc.errors import AxiomViolation
 from sitecalc.sheaves import SheafCheck
-from sitecalc.sites import find_axiom_violation
 
 
 def all_subsets(n: int):
@@ -591,10 +592,69 @@ def filters_of_sieves(poset: FinitePoset, p: int) -> list[frozenset[frozenset[in
     return out
 
 
+def axiom_scan_oracle(poset: FinitePoset, covers) -> AxiomViolation | None:
+    """First axiom failure in deterministic witness order, or None: the
+    frozenset scan that the mask scan ``find_axiom_violation`` replaced, with
+    every sieve on p from ``brute_sieves``.  Each pass runs p ascending, then
+    sieves in sorted-member order; transitivity re-tests every cover of p for
+    each non-cover."""
+    labels = poset.labels
+    for p in range(poset.n):
+        dn = poset.down(p)
+        for s in sorted(covers[p], key=sorted):
+            if not s <= dn or poset.down_closure(s) != s:
+                return AxiomViolation(
+                    f"{sorted(labels[i] for i in s)} is not a sieve on {labels[p]}",
+                    axiom="sieve",
+                    p=p,
+                    sieve=s,
+                )
+    for p in range(poset.n):
+        if poset.down(p) not in covers[p]:
+            return AxiomViolation(
+                f"maximal sieve missing from the covers of {labels[p]}",
+                axiom="maximality",
+                p=p,
+                sieve=poset.down(p),
+            )
+    for p in range(poset.n):
+        for s in sorted(covers[p], key=sorted):
+            for q in sorted(poset.down(p)):
+                if q == p:
+                    continue
+                restricted = s & poset.down(q)
+                if restricted not in covers[q]:
+                    return AxiomViolation(
+                        f"stability fails at ({labels[p]}, {sorted(labels[i] for i in s)}, "
+                        f"{labels[q]})",
+                        axiom="stability",
+                        p=p,
+                        sieve=s,
+                        q=q,
+                        other=restricted,
+                    )
+    for p in range(poset.n):
+        for r in sorted(brute_sieves(poset, p), key=sorted):
+            if r in covers[p]:
+                continue
+            for s in sorted(covers[p], key=sorted):
+                if all(r & poset.down(q) in covers[q] for q in s):
+                    return AxiomViolation(
+                        f"transitivity fails at ({labels[p]}, "
+                        f"{sorted(labels[i] for i in s)}); "
+                        f"{sorted(labels[i] for i in r)} should be a cover",
+                        axiom="transitivity",
+                        p=p,
+                        sieve=s,
+                        other=r,
+                    )
+    return None
+
+
 def census_oracle(poset: FinitePoset) -> tuple:
     """Every topology by search over every filter of sieves at each element,
     assigned along a linear extension with stability pruning; each full
-    assignment goes through the axiom scan and then validate_topology, and
+    assignment goes through the oracle axiom scan and then validate_topology, and
     the result is sorted by the cover families of the topologies found."""
     order = sorted(range(poset.n), key=lambda e: (len(poset.down(e)), e))
     choices = {p: filters_of_sieves(poset, p) for p in order}
@@ -611,7 +671,7 @@ def census_oracle(poset: FinitePoset) -> tuple:
     def assign(idx):
         if idx == len(order):
             covers = [assignment[p] for p in range(poset.n)]
-            if find_axiom_violation(poset, covers) is None:
+            if axiom_scan_oracle(poset, covers) is None:
                 found.append(validate_topology(poset, covers))
             return
         p = order[idx]

@@ -41,11 +41,14 @@ from sitecalc import (
     enumerate_all_topologies,
     enumerate_downsets,
     extend_topology,
+    indiscrete_topology,
     lx_topology,
+    lxy_topology,
     nucleus_from_topology,
     restrict_topology,
     sublocale_from_topology,
     subset_of_labels,
+    subset_subcanonicity_witnesses,
     subset_topology,
     topology_from_congruence,
     topology_from_nucleus,
@@ -180,6 +183,55 @@ def test_constructor_takes_a_subset_of_elements():
     t = GrothTopology(p, [1])
     assert t == subset_topology(p, {1}) and hash(t) == hash(subset_topology(p, {1}))
     assert covers_of(t) == tuple(subset_covers_oracle(p, {1}))
+
+
+def test_validation_takes_one_family_of_element_ids_per_element():
+    p = catalog_poset("chain2")
+    for bad in ("a", 5, -1, True, 1.0):
+        families = [[frozenset({0})], [frozenset({0, 1}), frozenset({0, bad})]]
+        with pytest.raises(PosetMismatchError) as exc:
+            validate_topology(p, families)
+        assert exc.value.witness == {"element": p.labels[1], "id": repr(bad)}
+    for k in (1, 3):
+        with pytest.raises(PosetMismatchError) as exc:
+            validate_topology(p, [{frozenset({0})}] * k)
+        assert exc.value.witness == {"families": k, "elements": 2}
+
+
+def _bad_id(call):
+    with pytest.raises(PosetMismatchError) as exc:
+        call()
+    return exc.value.witness
+
+
+def test_extend_topology_checks_its_subset():
+    p = catalog_poset("chain2")
+    inner = indiscrete_topology(p.induced([0]))
+    assert _bad_id(lambda: extend_topology(p, [0, 7], inner)) == {"id": "7"}
+
+
+def test_lxy_topology_checks_both_subsets():
+    p = catalog_poset("chain2")
+    assert _bad_id(lambda: lxy_topology(p, [0, 9], [0])) == {"id": "9"}
+    assert _bad_id(lambda: lxy_topology(p, [0, 1], [True])) == {"id": "True"}
+
+
+def test_restrict_topology_checks_its_subset_before_density():
+    p = catalog_poset("chain2")
+    t = discrete_topology(p)
+    assert _bad_id(lambda: restrict_topology(p, t, [0, 7])) == {"id": "7"}
+
+
+def test_dense_violation_checks_its_subset():
+    p = catalog_poset("chain2")
+    t = discrete_topology(p)
+    assert _bad_id(lambda: dense_violation(p, t, [-1])) == {"id": "-1"}
+
+
+def test_subcanonicity_witnesses_check_their_subset():
+    p = catalog_poset("chain2")
+    assert _bad_id(lambda: subset_subcanonicity_witnesses(p, [9])) == {"id": "9"}
+    assert _bad_id(lambda: subset_subcanonicity_witnesses(p, ["a"])) == {"id": "'a'"}
 
 
 @pytest.mark.parametrize(

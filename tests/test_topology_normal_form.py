@@ -6,8 +6,13 @@ import pytest
 from conftest import (
     LADDER,
     all_subsets,
+    axiom_scan_oracle,
+    brute_sieves,
+    chain_poset,
     congruence_complete_scan,
     covers_of,
+    fan,
+    grid,
     nucleus_complete_scan,
     pointwise_meet_covers,
     restricted_covers,
@@ -15,11 +20,13 @@ from conftest import (
     stock_covers,
     subset_covers_oracle,
 )
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sitecalc import (
+    AxiomViolation,
     FinitePoset,
+    FrameTooLargeError,
     GrothTopology,
     NotDenseError,
     NotDownwardsDirectedError,
@@ -49,6 +56,7 @@ from sitecalc import (
     topology_from_sublocale,
     validate_topology,
 )
+from sitecalc import poset as poset_module
 from sitecalc import sites
 
 POSETS = {**catalog(), **LADDER}
@@ -174,14 +182,138 @@ def _verdict(violation):
             violation.message)
 
 
+def _validation_verdict(p, covers):
+    try:
+        validate_topology(p, covers)
+    except AxiomViolation as err:
+        return _verdict(err)
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(perturbed_subset_topologies())
 def test_validation_verdict_matches_the_axiom_scan(case):
     p, covers = case
     fams = [frozenset(c) for c in covers]
-    try:
+    assert _validation_verdict(p, covers) == _verdict(axiom_scan_oracle(p, fams))
+
+
+def _renumbered(p, order):
+    """The poset with element order[k] of p as element k: the scan's witness
+    order follows ids, which need not be a linear extension."""
+    new_id = {old: k for k, old in enumerate(order)}
+    pairs = [(new_id[i], new_id[j]) for i, j in p.relation_pairs()]
+    return FinitePoset([p.labels[old] for old in order], pairs)
+
+
+def _ladder_poset(draw):
+    shape = draw(st.sampled_from(["fan", "grid", "chain"]))
+    if shape == "fan":
+        p = fan(draw(st.integers(min_value=1, max_value=7)))
+    elif shape == "grid":
+        p = grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        p = chain_poset(draw(st.integers(min_value=1, max_value=8)))
+    return _renumbered(p, draw(st.permutations(range(p.n))))
+
+
+def _droppable(p, xs, covers):
+    """The benchmark's corruption sites: each (q, cover of q) whose cover
+    strictly contains the least cover of q and is not maximal."""
+    return [
+        (q, s)
+        for q in range(p.n)
+        for s in sorted(covers[q], key=sorted)
+        if s != p.down_closure(xs & p.down(q)) and s != p.down(q)
+    ]
+
+
+@st.composite
+def corrupted_ladder_topologies(draw):
+    """J(X) on a fan of up to 7 atoms, a grid of up to 3x3 or a chain, its
+    elements renumbered at random, with either one cover dropped as the benchmark corrupts documents (strictly
+    above the least cover, not maximal) or two sieves toggled at once."""
+    p = _ladder_poset(draw)
+    xs = draw(st.frozensets(st.integers(min_value=0, max_value=p.n - 1)))
+    covers = [set(fam) for fam in covers_of(subset_topology(p, xs))]
+    options = _droppable(p, xs, covers)
+    if options and draw(st.booleans()):
+        q, s = draw(st.sampled_from(options))
+        covers[q].discard(s)
+    else:
+        for _ in range(2):
+            q = draw(st.integers(min_value=0, max_value=p.n - 1))
+            covers[q] ^= {draw(st.sampled_from(brute_sieves(p, q)))}
+    return p, covers
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_ladder_topologies())
+def test_corrupted_ladder_verdicts_match_the_axiom_scan(case):
+    p, covers = case
+    want = _verdict(axiom_scan_oracle(p, [frozenset(c) for c in covers]))
+    event(want[0] if want else "accepted")
+    assert _validation_verdict(p, covers) == want
+
+
+def _dropped_documents():
+    """Every single-cover drop of the benchmark's kind on small ladder posets,
+    numbered along a linear extension and in reverse."""
+    ladder = (fan(3), grid(2, 2), grid(2, 3), chain_poset(4))
+    for p in ladder + tuple(_renumbered(p, range(p.n - 1, -1, -1)) for p in ladder):
+        for xs in all_subsets(p.n):
+            covers = [set(fam) for fam in covers_of(subset_topology(p, xs))]
+            for q, s in _droppable(p, xs, covers):
+                yield p, [fam - {s} if i == q else fam for i, fam in enumerate(covers)]
+
+
+def _sieves_forbidden(poset, p):
+    raise AssertionError(f"the sieves on {p} were listed through sieves_on")
+
+
+def test_every_dropped_cover_gets_the_oracle_witness_without_sieves_on(monkeypatch):
+    for module in (sites, poset_module):
+        monkeypatch.setattr(module, "sieves_on", _sieves_forbidden, raising=False)
+    axioms = set()
+    for p, covers in _dropped_documents():
+        want = _verdict(axiom_scan_oracle(p, [frozenset(c) for c in covers]))
+        assert want is not None
+        assert _validation_verdict(p, covers) == want
+        axioms.add(want[0])
+    assert axioms == {"stability", "transitivity"}
+
+
+def test_every_pair_of_toggles_gets_the_oracle_witness():
+    """Two sieves toggled at once, on small posets whose ids are not a linear
+    extension: a failure of transitivity at an element with a larger id no
+    longer hides behind one at a smaller id."""
+    axioms = set()
+    for p in (_renumbered(chain_poset(3), [0, 2, 1]), _renumbered(fan(2), [2, 0, 1]),
+              _renumbered(grid(2, 2), [3, 1, 2, 0])):
+        toggles = [(q, s) for q in range(p.n) for s in brute_sieves(p, q)]
+        for xs in all_subsets(p.n):
+            base = covers_of(subset_topology(p, xs))
+            for i, (q1, s1) in enumerate(toggles):
+                for q2, s2 in toggles[i + 1:]:
+                    covers = [set(fam) for fam in base]
+                    covers[q1] ^= {s1}
+                    covers[q2] ^= {s2}
+                    want = _verdict(axiom_scan_oracle(p, [frozenset(c) for c in covers]))
+                    assert _validation_verdict(p, covers) == want
+                    axioms.add(want and want[0])
+    assert axioms == {None, "maximality", "stability", "transitivity"}
+
+
+def test_the_scan_enforces_the_frame_cap(monkeypatch):
+    """J({t0, t1}) on a 4-atom fan lists 5 covers of the top, but the scan
+    lists all 17 sieves on it, so the capped error comes from the scan."""
+    p = fan(4)
+    covers = [set(fam) for fam in covers_of(subset_topology(p, {0, 1}))]
+    top = p.n - 1
+    dropped = frozenset({0, 1, 2})
+    assert len(covers[top]) == 5 and dropped in covers[top]
+    covers[top].discard(dropped)
+    monkeypatch.setattr(sites, "DEFAULT_FRAME_CAP", 8)
+    with pytest.raises(FrameTooLargeError) as exc:
         validate_topology(p, covers)
-        got = None
-    except sites.AxiomViolation as err:
-        got = _verdict(err)
-    assert got == _verdict(sites.find_axiom_violation(p, fams))
+    assert exc.value.witness == {"cap": 8}
