@@ -29,11 +29,16 @@ class _Fallback(Exception):
     """The document holds something only ``json.dumps`` writes exactly."""
 
 
-def _render(obj, nl: str) -> str:
+def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it at
     the nesting level whose newline-plus-indent is ``nl``.  Lists of exact
     ``str`` or ``int``, and lists of such lists, are joined over the C
-    mappers in one pass; ``_Fallback`` for anything else it does not know."""
+    mappers in one pass; ``_Fallback`` for anything else it does not know.
+    ``memo`` marks each list of lists it renders by (id, ``nl``) and keeps
+    the text of one it meets a second time: a list that the document holds
+    k times at one level is rendered twice, not k times, and one held once
+    keeps no copy of its text.  Ids are stable while the document, which
+    holds every object, is being written."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -43,6 +48,10 @@ def _render(obj, nl: str) -> str:
         return json.dumps(obj)
     if len(nl) > _MAX_INDENT:
         raise _Fallback  # a cycle, or nesting left to json's own limits
+    ref = (id(obj), nl)
+    text = memo.get(ref)
+    if text:
+        return text
     inner = nl + "  "
     sep = "," + inner
     if kind is dict:
@@ -51,7 +60,7 @@ def _render(obj, nl: str) -> str:
         if not all(type(key) is str for key in obj):
             raise _Fallback
         items = sorted(obj.items())
-        body = sep.join([_encode_str(k) + ": " + _render(v, inner) for k, v in items])
+        body = sep.join([_encode_str(k) + ": " + _render(v, inner, memo) for k, v in items])
         return "{" + inner + body + nl + "}"
     if kind is not list and kind is not tuple:
         raise _Fallback
@@ -69,17 +78,20 @@ def _render(obj, nl: str) -> str:
             deep = inner + "  "
             join, head, tail = ("," + deep).join, "[" + deep, inner + "]"
             rows = [f"{head}{join(map(encode, row))}{tail}" if row else "[]" for row in obj]
-            return "[" + inner + sep.join(rows) + nl + "]"
-    return "[" + inner + sep.join([_render(x, inner) for x in obj]) + nl + "]"
+            text = "[" + inner + sep.join(rows) + nl + "]"
+            memo[ref] = text if ref in memo else ""
+            return text
+    return "[" + inner + sep.join([_render(x, inner, memo) for x in obj]) + nl + "]"
 
 
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, without its
     pure-Python encoder on the containers this CLI writes.  A non-``str``
     key, a subclass, an unknown type or a cycle hands the whole document to
-    ``json.dumps``, so its key coercion and its errors stay as they are."""
+    ``json.dumps``, so its key coercion and its errors stay as they are.
+    The memo of rendered lists lives for this call only."""
     try:
-        return _render(obj, "\n")
+        return _render(obj, "\n", {})
     except _Fallback:
         return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -152,9 +164,10 @@ def _cmd_topology(args) -> int:
 def _cmd_enumerate(args) -> int:
     poset = _load_poset(args.poset)
     topologies = sites.enumerate_all_topologies(poset, cap=args.cap)
+    listing = sites._CoverListing(poset)  # one family per (p, L_p), shared across the census
     out = [
         {
-            "covers": topology.covers_json(),
+            "covers": listing.covers_json(topology.subset),
             "generated_by": sorted(poset.labels[i] for i in topology.subset),
         }
         for topology in topologies

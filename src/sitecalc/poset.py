@@ -1,9 +1,10 @@
 """Finite posets, their down-set frames, and Heyting-algebra operations.
 
 Elements are dense integer indices ``0..n-1``; labels are display metadata
-only.  The order relation is stored fully closed (reflexive-transitive);
-cover pairs are recomputed on demand for DOT export, since ``leq`` queries
-dominate every inner loop.
+only.  The order relation is stored fully closed (reflexive-transitive),
+as frozensets and as the down mask of each element; the linear extension
+that down-set enumeration grows along is fixed once per poset, and the
+cover pairs are built from the masks on first read.
 
 A down-set is an int bitmask, bit p set iff p is in it.  A
 :class:`DownSetFrame` enumerates all down-sets of a poset as masks, with
@@ -16,9 +17,9 @@ Sieves, the down-sets inside one principal down-set, come from the same
 enumeration and are handed out as frozensets.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The induced-subposet memo on :class:`FinitePoset` and
-the frozenset views of :class:`DownSetFrame` are write-once and idempotent,
-so concurrent recomputation is benign.
+concurrent readers.  The cover pairs and the induced-subposet memo on
+:class:`FinitePoset` and the frozenset views of :class:`DownSetFrame` are
+write-once and idempotent, so concurrent recomputation is benign.
 """
 
 from __future__ import annotations
@@ -65,10 +66,15 @@ class FinitePoset:
 
     The constructor accepts an arbitrary generating relation and takes its
     reflexive-transitive closure; a closure that violates antisymmetry
-    raises :class:`CycleError`.
+    raises :class:`CycleError`.  It also stores ``down_masks``, the mask of
+    each element's down-set, and ``linear_extension``, the elements ordered
+    by (|down(e)|, e), so every element comes after those below it.
     """
 
-    __slots__ = ("n", "labels", "_up", "_down", "_induced_cache", "_hash")
+    __slots__ = (
+        "n", "labels", "_up", "_down", "down_masks", "linear_extension",
+        "_hasse", "_induced_cache", "_hash",
+    )
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
         if isinstance(labels, int):
@@ -90,10 +96,15 @@ class FinitePoset:
         self.labels = labels
         self._up = tuple(frozenset(s) for s in up)
         down = [set() for _ in range(n)]
+        masks = [0] * n
         for i in range(n):
             for j in up[i]:
                 down[j].add(i)
+                masks[j] |= 1 << i
         self._down = tuple(frozenset(s) for s in down)
+        self.down_masks = tuple(masks)
+        self.linear_extension = tuple(sorted(range(n), key=lambda e: (len(down[e]), e)))
+        self._hasse: tuple[tuple[int, int], ...] | None = None
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
         self._hash = hash((self.labels, self._up))
 
@@ -147,22 +158,30 @@ class FinitePoset:
         return None
 
     def is_downwards_directed(self, subset: Iterable[int] | None = None) -> bool:
-        """Every pair has a lower bound inside the given universe."""
-        univ = sorted(subset) if subset is not None else range(self.n)
-        for a in univ:
-            for b in univ:
-                if not any(self.leq(c, a) and self.leq(c, b) for c in univ):
-                    return False
-        return True
+        """Every pair has a lower bound inside the given universe: the masks
+        of their down-sets meet inside it."""
+        univ = (1 << self.n) - 1 if subset is None else _mask(subset)
+        down = self.down_masks
+        elems = _bits(univ)
+        return all(
+            down[a] & down[b] & univ for i, a in enumerate(elems) for b in elems[i + 1:]
+        )
 
     def hasse_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Hasse-diagram pairs (q, p) with q < p and nothing strictly between."""
-        out = []
-        for p in range(self.n):
-            for q in sorted(self._down[p] - {p}):
-                if not any(self.lt(q, r) and self.lt(r, p) for r in range(self.n)):
-                    out.append((q, p))
-        return tuple(out)
+        """Hasse-diagram pairs (q, p) with q < p and nothing strictly between,
+        p ascending, then q ascending.  The lower covers of p are the strict
+        down-set of p minus the strict down-sets of its members; built once."""
+        if self._hasse is None:
+            down = self.down_masks
+            out = []
+            for p in range(self.n):
+                strict = down[p] ^ 1 << p
+                shadow = 0
+                for q in _bits(strict):
+                    shadow |= down[q] ^ 1 << q
+                out.extend((q, p) for q in _bits(strict & ~shadow))
+            self._hasse = tuple(out)
+        return self._hasse
 
     def induced(self, subset: Iterable[int]) -> "FinitePoset":
         """Full subposet on ``subset``; elements are renumbered in index order.
@@ -342,27 +361,26 @@ def _label_lists(labels: Sequence[str], masks: Sequence[int]) -> list[list[str]]
     return rows
 
 
-def _downset_masks(
-    poset: FinitePoset, elems: Iterable[int], cap: int, start: int = 0
-) -> list[int]:
+def _downset_masks(poset: FinitePoset, within: int, cap: int, start: int = 0) -> list[int]:
     """Masks of all down-sets of P that contain the down-set mask ``start``
-    and lie in the down-closed set ``elems``, in id order;
+    and lie in the down-set mask ``within``, in id order;
     FrameTooLargeError once there are more than ``cap``.
 
-    Grows ``start`` by the other elements in a linear extension; a down-set
-    of a prefix is a down-set of the whole, so intermediate collections
-    never exceed the final count and the cap check is exact.  Each entry
-    carries, above its n mask bits, the mask with bit order reversed
-    (element 0 highest), so a plain integer sort is the lexicographic order
-    on characteristic vectors.
+    Grows ``start`` by the other elements in the poset's linear extension; a
+    down-set of a prefix is a down-set of the whole, so intermediate
+    collections never exceed the final count and the cap check is exact.
+    Each entry carries, above its n mask bits, the mask with bit order
+    reversed (element 0 highest), so a plain integer sort is the
+    lexicographic order on characteristic vectors.
     """
     n = poset.n
-    order = sorted(
-        (e for e in elems if not start >> e & 1), key=lambda e: (len(poset.down(e)), e)
-    )
+    down = poset.down_masks
+    free = within & ~start
     sets = [start | _mask(2 * n - 1 - e for e in _bits(start))]
-    for e in order:
-        pred = _mask(poset.down(e)) & ~(1 << e)
+    for e in poset.linear_extension:
+        if not free >> e & 1:
+            continue
+        pred = down[e] ^ 1 << e
         bit = 1 << e | 1 << (2 * n - 1 - e)
         sets.extend([s | bit for s in sets if s & pred == pred])
         if len(sets) > cap:
@@ -396,7 +414,7 @@ class DownSetFrame:
         self.poset = poset
         self.masks = tuple(masks)
         self.mask_index = dict(zip(self.masks, range(len(self.masks))))
-        self.principal = tuple(_mask(poset.down(p)) for p in range(poset.n))
+        self.principal = poset.down_masks
         self._downsets: tuple[frozenset[int], ...] | None = None
         self._index: dict[frozenset[int], int] | None = None
 
@@ -482,13 +500,13 @@ class DownSetFrame:
 
 def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> DownSetFrame:
     """Materialize D(P) with stable ids; FrameTooLargeError beyond ``cap``."""
-    return DownSetFrame(poset, _downset_masks(poset, range(poset.n), cap))
+    return DownSetFrame(poset, _downset_masks(poset, (1 << poset.n) - 1, cap))
 
 
 def sieves_on(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
     """All sieves on p, i.e. down-sets contained in the principal down-set
     of p, in the id order of the frame."""
-    masks = _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP)
+    masks = _downset_masks(poset, poset.down_masks[p], DEFAULT_FRAME_CAP)
     return tuple(frozenset(_bits(m)) for m in masks)
 
 

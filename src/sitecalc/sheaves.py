@@ -26,6 +26,7 @@ from .errors import (
 from .poset import DEFAULT_FRAME_CAP, FinitePoset, _bits, _downset_masks, _mask
 from .sites import (
     GrothTopology,
+    _down_closure,
     derived_topology,
     restrict_topology,
     subset_topology,
@@ -384,7 +385,8 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
     whose one family, the empty one, has every value at p as an
     amalgamation."""
     poset = presheaf.poset
-    cut = topology.subset & poset.down(p)
+    down = poset.down_masks
+    cut = _mask(topology.subset) & down[p]
     if not cut and presheaf.sizes[p] != 1:
         return {
             "p": poset.labels[p],
@@ -392,7 +394,7 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
             "family": {},
             "amalgamations": list(range(presheaf.sizes[p])),
         }
-    covers = _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP, _mask(poset.down_closure(cut)))
+    covers = _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, _down_closure(down, cut))
     for elems in sorted(map(_bits, covers)):
         index = _restriction_index(presheaf, p, elems)
         for family in matching_families(presheaf, elems):
@@ -508,7 +510,7 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     if f.poset != g.poset or f.sizes != g.sizes:
         return False
     poset = f.poset
-    order = sorted(range(poset.n), key=lambda e: (len(poset.down(e)), e))
+    order = poset.linear_extension
     comps: dict[int, tuple[int, ...]] = {}
 
     def assign(idx: int) -> bool:

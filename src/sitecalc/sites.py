@@ -25,6 +25,12 @@ against one held set per non-cover.  Subset arguments go through one id
 check.  The census :func:`enumerate_all_topologies` lists J(X) for the 2^n
 subsets X.
 
+A cover family depends only on the key (p, L_p), so the JSON listing of
+covers lists each key once, from the down masks and linear extension that
+the poset built once: ``covers_json`` once per key of its own call, and the
+``enumerate`` verb once per key of the whole census, whose document then
+holds each family once and refers to it from every J(X) with that key.
+
 The finest subcanonical subset topology is J(C) for a closed-form C.
 
 Site morphisms, subcanonicity and completeness read X too, through the
@@ -74,15 +80,15 @@ DEFAULT_BRUTE_FORCE_CAP = 4
 
 
 def _element_ids(poset: FinitePoset, subset: Iterable) -> frozenset[int]:
-    """The subset as a frozenset of element ids; PosetMismatchError names a
-    member that is not one."""
-    ids = frozenset(subset)
-    for e in ids:
+    """The subset as a frozenset of element ids; PosetMismatchError names the
+    first member that is not one, hashable or not."""
+    members = tuple(subset)
+    for e in members:
         if not (type(e) is int and 0 <= e < poset.n):
             raise PosetMismatchError(
                 f"{e!r} is not an element of the poset", witness={"id": repr(e)}
             )
-    return ids
+    return frozenset(members)
 
 
 class GrothTopology:
@@ -112,12 +118,9 @@ class GrothTopology:
 
     def covers_json(self) -> dict[str, list[list[str]]]:
         """The ``covers`` field of the JSON form: per element label, its
-        covers as sorted label lists in ``sieves_on`` order."""
-        labels = self.poset.labels
-        return {
-            labels[p]: [[labels[i] for i in _bits(s)] for s in fam]
-            for p, fam in enumerate(_subset_covers(self.poset, _mask(self.subset)))
-        }
+        covers as sorted label lists in ``sieves_on`` order, in lists of
+        this call's own."""
+        return _CoverListing(self.poset).covers_json(self.subset)
 
     def to_json(self) -> dict:
         return {"poset": self.poset.to_json(), "covers": self.covers_json()}
@@ -167,7 +170,7 @@ def find_axiom_violation(
     only for an H_r holding every cover's common part.
     """
     labels = poset.labels
-    principal = _principal(poset)
+    principal = poset.down_masks
     fams = [{_mask(s) for s in fam} for fam in covers]
 
     def names(mask: int) -> list[str]:
@@ -218,7 +221,7 @@ def find_axiom_violation(
         needed = [entry for entry in below[p] if common >> entry[0] & 1]
         first_inside: dict[int, int | None] = {}  # H_r -> first cover inside it
         found = {}  # non-cover r -> its witness cover
-        for r in _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP):
+        for r in _downset_masks(poset, principal[p], DEFAULT_FRAME_CAP):
             if r in fam:
                 continue
             for q, dq, fq in needed:
@@ -248,10 +251,6 @@ def find_axiom_violation(
     return None
 
 
-def _principal(poset: FinitePoset) -> list[int]:
-    return [_mask(poset.down(p)) for p in range(poset.n)]
-
-
 def _down_closure(principal: Sequence[int], mask: int) -> int:
     """The down-closure of a mask, from the masks of the principal down-sets."""
     out = 0
@@ -270,15 +269,66 @@ def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
     """J(X) on masks, X given as one: per element p, the covers of p in
     ``sieves_on`` order.  They are the sieves L_p | t for t a down-set of
     down(p) - L_p, so they are grown from L_p."""
+    down = poset.down_masks
     return [
-        _downset_masks(poset, poset.down(p), DEFAULT_FRAME_CAP, least)
-        for p, least in enumerate(_least_covers(_principal(poset), xs))
+        _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, least)
+        for p, least in enumerate(_least_covers(down, xs))
     ]
+
+
+class _CoverListing:
+    """The ``covers`` field of the JSON form of J(X), for any X on one poset.
+
+    The covers of p are the sieves on p holding L_p = down(X & down(p)), so
+    a family depends only on the key (p, L_p): it is listed once per key and
+    handed out again for every later X with that key.  Labels are read off
+    one table per 8-bit chunk of a mask, filled one chunk value at a time.
+    An instance serves one call, so its lists are shared only inside the
+    document that call builds.
+    """
+
+    __slots__ = ("poset", "_families", "_chunks")
+
+    def __init__(self, poset: FinitePoset):
+        self.poset = poset
+        self._families: dict[tuple[int, int], list[list[str]]] = {}
+        self._chunks: list[dict[int, list[str]]] = [{} for _ in range(0, poset.n, 8)]
+
+    def covers_json(self, subset: Iterable[int]) -> dict[str, list[list[str]]]:
+        poset = self.poset
+        down = poset.down_masks
+        out = {}
+        for p, least in enumerate(_least_covers(down, _mask(subset))):
+            family = self._families.get((p, least))
+            if family is None:
+                masks = _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, least)
+                family = self._families[p, least] = self._label_rows(masks)
+            out[poset.labels[p]] = family
+        return out
+
+    def _label_rows(self, masks: list[int]) -> list[list[str]]:
+        """The labels of each mask's elements, ascending, as fresh lists."""
+        labels, chunks = self.poset.labels, self._chunks
+        rows = []
+        for m in masks:
+            k = 0
+            row: list[str] = []
+            while m:
+                chunk, table = m & 255, chunks[k]
+                part = table.get(chunk)
+                if part is None:
+                    part = table[chunk] = [labels[8 * k + i] for i in _bits(chunk)]
+                row += part
+                m >>= 8
+                k += 1
+            rows.append(row)
+        return rows
 
 
 def _family_masks(poset: FinitePoset, covers: Sequence[Iterable]) -> list[set[int]]:
     """Each cover family as a set of masks, after checking that there is one
-    family per element and that every member of a family is an element id."""
+    family per element and that every member of a family is a collection of
+    element ids."""
     n, labels = poset.n, poset.labels
     if len(covers) != n:
         raise PosetMismatchError(
@@ -289,8 +339,15 @@ def _family_masks(poset: FinitePoset, covers: Sequence[Iterable]) -> list[set[in
     for p, fam in enumerate(covers):
         masks = set()
         for s in fam:
+            try:
+                members = iter(s)
+            except TypeError:
+                raise PosetMismatchError(
+                    f"{s!r} in the covers of {labels[p]} is not a set of element ids",
+                    witness={"element": labels[p], "sieve": repr(s)},
+                ) from None
             mask = 0
-            for e in s:
+            for e in members:
                 if not (type(e) is int and 0 <= e < n):
                     raise PosetMismatchError(
                         f"{e!r} in a cover of {labels[p]} is not an element of the poset",
@@ -311,7 +368,7 @@ def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTo
     id raises PosetMismatchError first.  Families are compared as sets of
     masks."""
     fams = _family_masks(poset, covers)
-    xs = _mask(p for p, down in enumerate(_principal(poset)) if fams[p] == {down})
+    xs = _mask(p for p, down in enumerate(poset.down_masks) if fams[p] == {down})
     if fams != [set(f) for f in _subset_covers(poset, xs)]:
         violation = find_axiom_violation(poset, covers)
         if violation is None:
@@ -523,7 +580,7 @@ def enumerate_all_topologies(
             witness={"cap": cap, "n": poset.n},
         )
     n = poset.n
-    principal = _principal(poset)
+    principal = poset.down_masks
 
     def vectors(xs: int) -> list[str]:  # element 0 first
         return [format(least, f"0{n}b")[::-1] for least in _least_covers(principal, xs)]

@@ -27,7 +27,8 @@ in X replaced.  The right Kan extension Ran_X reads its families off the raw
 product of value sets, and natural isomorphism transports a presheaf along
 every tuple of componentwise permutations.  The down-set frame, enumerated
 on bitmasks, has the frozenset enumeration and characteristic-vector sort
-that it replaced.
+that it replaced.  Directedness and the Hasse pairs, read off the down masks,
+have the ``leq`` scans they replaced.
 """
 
 from __future__ import annotations
@@ -92,6 +93,26 @@ def recursive_downset_count(poset: FinitePoset, elems: frozenset[int] | None = N
     return recursive_downset_count(
         poset, elems - (poset.up(p) & elems)
     ) + recursive_downset_count(poset, elems - (poset.down(p) & elems))
+
+
+def downwards_directed_oracle(poset: FinitePoset, subset=None) -> bool:
+    """Every pair of the universe has a lower bound in it, by ``leq`` on
+    every triple."""
+    univ = sorted(subset) if subset is not None else range(poset.n)
+    return all(
+        any(poset.leq(c, a) and poset.leq(c, b) for c in univ) for a in univ for b in univ
+    )
+
+
+def hasse_pairs_oracle(poset: FinitePoset) -> tuple[tuple[int, int], ...]:
+    """The pairs (q, p) with q < p and no r strictly between, p ascending,
+    then q ascending, by scanning every r."""
+    out = []
+    for p in range(poset.n):
+        for q in sorted(poset.down(p) - {p}):
+            if not any(poset.lt(q, r) and poset.lt(r, p) for r in range(poset.n)):
+                out.append((q, p))
+    return tuple(out)
 
 
 def heyting_union_oracle(poset: FinitePoset, x, y) -> frozenset[int]:

@@ -10,7 +10,7 @@ import json
 import pytest
 from conftest import antichain, fence, grid
 
-from sitecalc import FinitePoset, Presheaf
+from sitecalc import FinitePoset, Presheaf, catalog
 from sitecalc.cli import main
 
 
@@ -139,6 +139,23 @@ CATALOG_PINNED = {
 
 PINNED_POSETS = {"antichain8": antichain(8), "fence10": fence(10), "grid3x5": grid(3, 5)}
 
+# SHA-256 of ``export dot`` stdout, recorded while the Hasse pairs were found
+# by scanning every r for q < r < p.
+DOT_PINNED = {
+    "antichain8": "f8536c1cd1f26fa8b4e93e13ed205e34813cae153604e219041f527d44ca1aef",
+    "fence10": "d2ff90bf0bb60285a0bfbbd01e3143d5d001ba1e96e6675279ba477fc1d984ef",
+    "grid3x5": "0bcece3bd0a732473bf03d424f3626d0d5f701b5b3fbc2fe79eda307a53cb083",
+    "point": "3d33afb8eb40592b979c70d6b1eca8bcbd39dea544e92600a483966c1f8ac382",
+    "chain2": "9499f304de796e83649e837e90f0738ed3b483f0a47ce0371a718b9d46ce4530",
+    "chain3": "8060a877c5b714427b8bcbfdfada340978444fb7c22ebf1459cd94936dada699",
+    "chain4": "34c5edf9143a12304d80adc0c03205a76386b9dcc7d51f51fb02f787963b697c",
+    "antichain2": "9c15913c2304011ee240d6bb5a24597e9283804c5a69701cb1078ce17b482810",
+    "antichain3": "95c66b9a81a754c6393909669335b85443e35cee9649fe214dc12a52c11837ff",
+    "V": "2e6dd718ca9aeff6e6cf3949d8c61f533b9efb4e2bdf788b1b762caae6d21729",
+    "Lambda": "52071e172fd025526b137c74a50ea5e29b17bb4e7272283b0a5ead7d3a788482",
+    "diamond": "a0fdd58772faf7ce70e71e55e0fa13d6d3f2c2226afc9fefdd71c026ac10a557",
+}
+
 
 def _digests(runs) -> dict[str, str]:
     return {name: hashlib.sha256(out.encode("utf-8")).hexdigest() for name, _, out in runs}
@@ -178,3 +195,14 @@ def test_pinned_documents_never_take_the_fallback(tmp_path, monkeypatch):
         runs = verb_runs(poset, tmp_path)
         assert _digests(runs) == PINNED[name]
     assert _digests(catalog_runs()) == CATALOG_PINNED
+
+
+def test_export_dot_is_pinned(tmp_path):
+    digests = {}
+    for name, poset in {**PINNED_POSETS, **catalog()}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(poset.to_json()))
+        code, out = _run(["export", "dot", "--poset", str(path)])
+        assert code == 0
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == DOT_PINNED

@@ -52,8 +52,22 @@ def containers(children):
 json_values = st.recursive(scalars, containers, max_leaves=30)
 
 
+@st.composite
+def sharing(draw):
+    """A document holding one list object several times, each under its own
+    random stack of lists and dicts, so at equal and at unequal depths."""
+    shared = draw(st.lists(rows, max_size=4) | st.lists(rows.map(tuple), max_size=3) | json_values)
+    doc = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        value = shared
+        for wrap in draw(st.lists(st.sampled_from(["list", "dict"]), max_size=3)):
+            value = [value, draw(scalars)] if wrap == "list" else {"k": value, "s": draw(scalars)}
+        doc.append(value)
+    return doc
+
+
 @settings(max_examples=600, deadline=None)
-@given(json_values)
+@given(json_values | sharing())
 def test_writer_matches_json_dumps(value):
     assert_same(value)
 
@@ -69,6 +83,17 @@ class Count(int):
 def _cycle():
     out = [1]
     out.append({"again": out})
+    return out
+
+
+def _shared(depths):
+    family = [["a", "b"], [], ["c"]]
+    out = []
+    for depth in depths:
+        value = family
+        for _ in range(depth):
+            value = {"k": [value]}
+        out.append(value)
     return out
 
 
@@ -103,6 +128,8 @@ def _nested(depth):
         [Count(3)],
         [{1, 2}],
         [object()],
+        _shared([0, 0, 1]),
+        _shared([2, 1, 2, 0]),
         _cycle(),
         _nested(40),
         _nested(2000),

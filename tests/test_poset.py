@@ -1,7 +1,16 @@
 """Posets, parsing, the down-set frame, and order morphisms."""
 
 import pytest
-from conftest import all_subsets, brute_downsets, recursive_downset_count
+from conftest import (
+    LADDER,
+    all_subsets,
+    brute_downsets,
+    downwards_directed_oracle,
+    hasse_pairs_oracle,
+    recursive_downset_count,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sitecalc import (
     CycleError,
@@ -251,3 +260,47 @@ def test_catalog_aliases():
     }
     with pytest.raises(KeyError):
         catalog_poset("nope")
+
+
+@st.composite
+def shuffled_posets(draw):
+    """A random order on n <= 7 points whose index order need not be a
+    linear extension, and a random subset of its elements."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    perm = draw(st.permutations(range(n)))
+    pairs = [
+        (perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    return FinitePoset(n, pairs), draw(st.sets(st.integers(min_value=0, max_value=max(n - 1, 0))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_posets())
+def test_masks_and_linear_extension_match_the_down_sets(case):
+    p, _ = case
+    assert p.down_masks == tuple(sum(1 << q for q in p.down(e)) for e in range(p.n))
+    assert p.linear_extension == tuple(sorted(range(p.n), key=lambda e: (len(p.down(e)), e)))
+    seen: set[int] = set()
+    for e in p.linear_extension:
+        assert p.down(e) - {e} <= seen
+        seen.add(e)
+    assert seen == set(range(p.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_posets())
+def test_directedness_and_hasse_pairs_match_the_oracles_on_random_posets(case):
+    p, subset = case
+    subset = {e for e in subset if e < p.n}
+    assert p.is_downwards_directed() == downwards_directed_oracle(p)
+    assert p.is_downwards_directed(subset) == downwards_directed_oracle(p, subset)
+    assert p.hasse_pairs() == hasse_pairs_oracle(p)
+
+
+@pytest.mark.parametrize("poset", [*catalog().values(), *LADDER.values()])
+def test_directedness_and_hasse_pairs_match_the_oracles(poset):
+    for subset in all_subsets(poset.n):
+        assert poset.is_downwards_directed(subset) == downwards_directed_oracle(poset, subset)
+    assert poset.is_downwards_directed() == downwards_directed_oracle(poset)
+    assert poset.hasse_pairs() == hasse_pairs_oracle(poset)
+    assert poset.hasse_pairs() is poset.hasse_pairs()

@@ -198,6 +198,20 @@ def test_validation_takes_one_family_of_element_ids_per_element():
         assert exc.value.witness == {"families": k, "elements": 2}
 
 
+def test_validation_names_a_cover_that_is_not_a_collection():
+    p = catalog_poset("chain2")
+    with pytest.raises(PosetMismatchError) as exc:
+        validate_topology(p, [[0], [[0, 1]]])
+    assert exc.value.witness == {"element": p.labels[0], "sieve": "0"}
+
+
+def test_constructor_names_an_unhashable_member():
+    p = catalog_poset("chain2")
+    with pytest.raises(PosetMismatchError) as exc:
+        GrothTopology(p, [[0]])
+    assert exc.value.witness == {"id": "[0]"}
+
+
 def _bad_id(call):
     with pytest.raises(PosetMismatchError) as exc:
         call()
