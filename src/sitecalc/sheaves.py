@@ -84,18 +84,29 @@ class Presheaf:
                 raise ParseError(
                     f"restriction {named!r} does not match a strict pair", witness={"key": named}
                 )
-        for r in range(poset.n):
-            for q in poset.up(r) - {r}:
-                for p in poset.up(q) - {q}:
-                    via = tuple(cleaned[(r, q)][b] for b in cleaned[(q, p)])
-                    if via != cleaned[(r, p)]:
-                        raise broken(
-                            f"composite restriction violated at "
-                            f"{labels[r]} <= {labels[q]} <= {labels[p]}",
-                            r=r,
-                            q=q,
-                            p=p,
-                        )
+        # composition on the triples r < q < p whose lower step is a cover
+        # edge implies it on every triple, by induction on the length of
+        # [r, q]; on a failure the witness is the full scan's first triple
+        for r, q in poset.hasse_pairs():
+            lower = cleaned[(r, q)]
+            if any(
+                tuple(lower[b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
+                for p in poset.up(q) - {q}
+            ):
+                r, q, p = next(
+                    (r, q, p)
+                    for r in range(poset.n)
+                    for q in poset.up(r) - {r}
+                    for p in poset.up(q) - {q}
+                    if tuple(cleaned[(r, q)][b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
+                )
+                raise broken(
+                    f"composite restriction violated at "
+                    f"{labels[r]} <= {labels[q]} <= {labels[p]}",
+                    r=r,
+                    q=q,
+                    p=p,
+                )
         self._fill(poset, sizes, cleaned)
 
     @classmethod
@@ -334,9 +345,10 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
     test at every p: F(s) is separated, as a family on L_s is fixed by its
     values on X & down(s), and F(p) is in bijection with the families on
     L_p.  So the test decides ``ok`` exactly, and :func:`_sheaf_scan` never
-    runs for it.  The witness, read lazily, scans the failing p in
-    ascending order; every p that passes the test passes the scan, so it
-    is the first failure of the all-covers scan.
+    runs for it.  :func:`_least_cover_failures` runs the test on the tops
+    of each cut, its maximal elements.  The witness, read lazily, scans the
+    failing p in ascending order; every p that passes the test passes the
+    scan, so it is the first failure of the all-covers scan.
     """
     if presheaf.poset != topology.poset:
         raise PosetMismatchError("presheaf and topology live on different posets")
@@ -351,29 +363,43 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
 def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterator[int]:
     """The elements p, ascending, where some F(s) with s <= p is not
     separated or F(p) has fewer values than there are matching families on
-    X & down(p).  Separation is one index of F(s), or |F(s)| <= 1 when
-    X & down(s) is empty and restriction has a single target; the images of
-    F(p) are then |F(p)| distinct families, so bijectivity is a count
-    stopping at |F(p)| + 1."""
-    poset, xs, sizes = presheaf.poset, topology.subset, presheaf.sizes
-    cuts: dict[int, list[int]] = {}
-    separated: dict[int, bool] = {}
+    the cut X & down(p).  Each member of a cut lies under one of the cut's
+    tops, its maximal elements, and a family's value there is the
+    restriction of its value at that top.  Hence:
 
-    def is_separated(s: int) -> bool:
-        if s not in separated:
-            cuts[s] = sorted(xs & poset.down(s))
-            separated[s] = (
-                len(_restriction_index(presheaf, s, cuts[s])) == sizes[s]
-                if cuts[s]
-                else sizes[s] <= 1
-            )
-        return separated[s]
+    - separation on tops: F(s) is separated iff restriction to the tops of
+      its cut is injective; for s in X the top is s and restriction is the
+      identity, and an empty cut has one family, so |F(s)| <= 1 is needed;
+    - p in X: a family on the cut is fixed by its value at p, so there
+      are |F(p)|;
+    - one top t: a family is fixed by its value at t, so there are |F(t)|;
+      with no top there is one, the empty family.
 
-    for p in range(poset.n):
-        if not (
-            all(is_separated(s) for s in poset.down(p))
-            and next(islice(matching_families(presheaf, cuts[p]), sizes[p], None), None) is None
+    Only a cut with two or more tops counts its families, stopping at
+    |F(p)| + 1: with F(p) separated, its images are |F(p)| of them.  The
+    separation of every s is decided first, into one mask."""
+    poset, xs, sizes, maps = presheaf.poset, topology.subset, presheaf.sizes, presheaf.maps
+    tops = topology._cut_tops()
+    unseparated = 0
+    for s in range(poset.n):
+        if s not in xs and (
+            len(set(zip(*(maps[(t, s)] for t in tops[s])))) != sizes[s]
+            if tops[s]
+            else sizes[s] > 1
         ):
+            unseparated |= 1 << s
+    down = poset.down_masks
+    for p in range(poset.n):
+        if down[p] & unseparated:
+            yield p
+        elif p in xs:
+            continue
+        elif len(tops[p]) < 2:
+            if sizes[p] != (sizes[tops[p][0]] if tops[p] else 1):
+                yield p
+        elif next(
+            islice(matching_families(presheaf, xs & poset.down(p)), sizes[p], None), None
+        ) is not None:
             yield p
 
 

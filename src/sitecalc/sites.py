@@ -33,6 +33,10 @@ holds each family once and refers to it from every J(X) with that key.
 
 The finest subcanonical subset topology is J(C) for a closed-form C.
 
+Each topology builds, on first read, the tops of every cut X & down(p),
+its maximal elements, which fix a matching family on the cut; the sheaf
+check reads them.
+
 Site morphisms, subcanonicity and completeness read X too, through the
 least cover L_p = down(X & down(p)), the weakest cover of p:
 
@@ -93,13 +97,14 @@ def _element_ids(poset: FinitePoset, subset: Iterable) -> frozenset[int]:
 
 class GrothTopology:
     """The topology J(X) generated by a subset X: s covers p iff X & down(p) <= s.
-    X is the whole representation."""
+    X is the whole representation; :meth:`_cut_tops` is read off it."""
 
-    __slots__ = ("poset", "subset")
+    __slots__ = ("poset", "subset", "_tops")
 
     def __init__(self, poset: FinitePoset, subset: Iterable[int]):
         self.poset = poset
         self.subset = _element_ids(poset, subset)
+        self._tops: tuple[tuple[int, ...], ...] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -115,6 +120,23 @@ class GrothTopology:
         labels = self.poset.labels
         gens = sorted(labels[i] for i in self.subset)
         return f"<GrothTopology on {list(labels)} generated_by={gens}>"
+
+    def _cut_tops(self) -> tuple[tuple[int, ...], ...]:
+        """Per element p, the maximal elements of the cut X & down(p),
+        ascending: the cut minus the strict down-sets of its members.  They
+        are (p,) iff p is in X.  Built once."""
+        if self._tops is None:
+            down = self.poset.down_masks
+            xs = _mask(self.subset)
+            out = []
+            for d in down:
+                cut = xs & d
+                shadow = 0
+                for t in _bits(cut):
+                    shadow |= down[t] ^ 1 << t
+                out.append(tuple(_bits(cut & ~shadow)))
+            self._tops = tuple(out)
+        return self._tops
 
     def covers_json(self) -> dict[str, list[list[str]]]:
         """The ``covers`` field of the JSON form: per element label, its

@@ -28,7 +28,10 @@ product of value sets, and natural isomorphism transports a presheaf along
 every tuple of componentwise permutations.  The down-set frame, enumerated
 on bitmasks, has the frozenset enumeration and characteristic-vector sort
 that it replaced.  Directedness and the Hasse pairs, read off the down masks,
-have the ``leq`` scans they replaced.
+have the ``leq`` scans they replaced, and the tops of each cut of J(X) have
+the maximal elements of the cut by ``lt``.  Presheaf construction, which
+checks composition on cover-edge triples, has the scan over every triple
+that it replaced.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from sitecalc import (
     subset_subcanonicity_witnesses,
     validate_topology,
 )
-from sitecalc.errors import AxiomViolation
+from sitecalc.errors import AxiomViolation, FunctorialityError
 from sitecalc.sheaves import SheafCheck
 
 
@@ -480,6 +483,38 @@ def sheaf_scan_oracle(presheaf, topology) -> SheafCheck:
                         "amalgamations": hits,
                     })
     return SheafCheck(ok=True)
+
+
+def cut_tops_oracle(poset: FinitePoset, subset) -> tuple[tuple[int, ...], ...]:
+    """Per element p, the maximal elements of X & down(p) as a subposet,
+    ascending, by ``lt`` on every pair of the cut."""
+    out = []
+    for p in range(poset.n):
+        cut = frozenset(subset) & poset.down(p)
+        out.append(tuple(sorted(t for t in cut if not any(poset.lt(t, u) for u in cut))))
+    return tuple(out)
+
+
+def functoriality_scan_oracle(poset: FinitePoset, maps) -> FunctorialityError | None:
+    """The first triple r < q < p whose composite restriction differs from
+    the direct one, scanned over every triple (r ascending, then q and p in
+    up-set order), as the error the constructor raises for it; maps must
+    hold an in-range table for every strict pair."""
+    labels = poset.labels
+    for r in range(poset.n):
+        for q in poset.up(r) - {r}:
+            for p in poset.up(q) - {q}:
+                via = tuple(maps[(r, q)][b] for b in maps[(q, p)])
+                if via != tuple(maps[(r, p)]):
+                    return FunctorialityError(
+                        f"composite restriction violated at "
+                        f"{labels[r]} <= {labels[q]} <= {labels[p]}",
+                        witness={"r": labels[r], "q": labels[q], "p": labels[p]},
+                        r=r,
+                        q=q,
+                        p=p,
+                    )
+    return None
 
 
 def _strict_pairs(poset: FinitePoset) -> list[tuple[int, int]]:

@@ -517,9 +517,10 @@ def test_presheaf_parse_errors_carry_labelled_witnesses(
 
 
 # Integers reach 10,000: on chain2, is_sheaf is linear in the value-set
-# sizes, and 10,000 bottom values take about 10 ms.  Sizes of 10^6 are
-# still left out: is_sheaf has no work budget yet, and its index of F(p)
-# alone would hold about 250 MB (26 MB at 10^5).
+# sizes, and 10,000 values at each element take about 3 ms.  Sizes of 10^6
+# are still left out: is_sheaf has no work budget yet, and its separation
+# test alone would hold one restriction key per value of F(s), about 80 MB
+# (10 MB at 10^5).
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

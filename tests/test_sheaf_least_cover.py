@@ -1,11 +1,17 @@
-"""Sheaf checks decided on the least covers of J(X), against the all-covers
-scan they replaced."""
+"""Sheaf checks decided on the tops of each cut of J(X), against the
+all-covers scan they replaced, and presheaf construction checked on
+cover-edge triples, against the scan over every triple."""
 
 import time
 from itertools import product
 
 import pytest
-from conftest import all_subsets, sheaf_scan_oracle
+from conftest import (
+    all_subsets,
+    cut_tops_oracle,
+    functoriality_scan_oracle,
+    sheaf_scan_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +19,7 @@ import sitecalc.sheaves
 from sitecalc import (
     CATALOG_NAMES,
     FinitePoset,
+    FunctorialityError,
     Presheaf,
     catalog,
     catalog_poset,
@@ -137,3 +144,120 @@ def test_verdicts_skip_the_scan_and_witnesses_wait_for_a_read(name, monkeypatch)
         assert [c.ok for c in checks] == [e.ok for e in expected]
     assert [c.witness for c in checks] == [e.witness for e in expected]
     assert checks == expected
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cut_tops_match_the_oracle_on_the_catalog(name):
+    p = catalog()[name]
+    for xs in all_subsets(p.n):
+        topology = subset_topology(p, xs)
+        tops = topology._cut_tops()
+        assert tops == cut_tops_oracle(p, xs)
+        assert topology._cut_tops() is tops
+        assert [q for q in range(p.n) if tops[q] == (q,)] == sorted(xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presheaves_with_subset())
+def test_cut_tops_match_the_oracle_on_relabelled_posets(case):
+    _, topology = case
+    tops = topology._cut_tops()
+    assert tops == cut_tops_oracle(topology.poset, topology.subset)
+    assert topology._cut_tops() is tops
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
+    """Deciding ``ok`` counts matching families only on cuts with two or
+    more tops; the catalog posets with such a cut do reach the count."""
+    p = catalog()[name]
+    presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
+    counted: list[frozenset[int]] = []
+    original = sitecalc.sheaves.matching_families
+
+    def counting(presheaf, cover):
+        counted.append(frozenset(cover))
+        return original(presheaf, cover)
+
+    monkeypatch.setattr(sitecalc.sheaves, "matching_families", counting)
+    reached = has_wide_cut = False
+    for xs in all_subsets(p.n):
+        topology = subset_topology(p, xs)
+        wide = {
+            frozenset(xs) & p.down(q)
+            for q, tops in enumerate(cut_tops_oracle(p, xs)) if len(tops) >= 2
+        }
+        has_wide_cut = has_wide_cut or bool(wide)
+        for f in presheaves:
+            counted.clear()
+            assert is_sheaf(f, topology).ok == sheaf_scan_oracle(f, topology).ok
+            assert set(counted) <= wide
+            reached = reached or bool(counted)
+    assert reached == has_wide_cut == (name in {"V", "diamond"})
+
+
+def _assert_constructor_matches_the_scan(poset, sizes, maps) -> bool:
+    """Whether the constructor accepted, after checking it against the scan."""
+    expected = functoriality_scan_oracle(poset, maps)
+    if expected is None:
+        assert Presheaf(poset, sizes, maps).maps == maps
+        return True
+    with pytest.raises(FunctorialityError) as exc:
+        Presheaf(poset, sizes, maps)
+    got = exc.value
+    assert (got.message, got.witness, got.r, got.q, got.p) == (
+        expected.message, expected.witness, expected.r, expected.q, expected.p
+    )
+    return False
+
+
+@st.composite
+def functors_with_one_entry_changed(draw):
+    """A functor from :func:`presheaves_with_subset` with one entry of one
+    restriction table moved to another value in range, when one can be."""
+    presheaf, _ = draw(presheaves_with_subset())
+    maps = dict(presheaf.maps)
+    keys = [key for key, tab in sorted(maps.items()) if tab and presheaf.sizes[key[0]] >= 2]
+    if keys:
+        key = draw(st.sampled_from(keys))
+        tab, size = list(maps[key]), presheaf.sizes[key[0]]
+        i = draw(st.integers(0, len(tab) - 1))
+        tab[i] = (tab[i] + draw(st.integers(1, size - 1))) % size
+        maps[key] = tuple(tab)
+    return presheaf.poset, presheaf.sizes, maps
+
+
+@settings(max_examples=500, deadline=None)
+@given(functors_with_one_entry_changed())
+def test_constructor_raises_the_first_error_of_the_full_scan(case):
+    _assert_constructor_matches_the_scan(*case)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_constructor_matches_the_full_scan_on_every_changed_entry(name):
+    """Every presheaf at value cap 2 with each entry of each table changed
+    in turn; only posets with a triple r < q < p reject one."""
+    p = catalog()[name]
+    verdicts = set()
+    for f in enumerate_presheaves(p, 2, max_elements=p.n):
+        for key, tab in f.maps.items():
+            if f.sizes[key[0]] != 2:
+                continue
+            for i in range(len(tab)):
+                maps = {**f.maps, key: tab[:i] + (1 - tab[i],) + tab[i + 1:]}
+                verdicts.add(_assert_constructor_matches_the_scan(p, f.sizes, maps))
+    has_triple = any(p.up(q) - {q} for _, q in p.hasse_pairs())
+    assert (False in verdicts) == has_triple
+
+
+def test_broken_triple_off_the_cover_edges_is_the_witness():
+    """Breaking 2 <= 3 on chain4 fails the cover-edge triple (1, 2, 3)
+    first, but the full scan meets (0, 2, 3) first, and that is the error."""
+    chain4 = catalog_poset("chain4")
+    maps = {(q, p): (0, 1) for q in range(4) for p in range(q + 1, 4)}
+    maps[(2, 3)] = (1, 0)
+    with pytest.raises(FunctorialityError) as exc:
+        Presheaf(chain4, (2, 2, 2, 2), maps)
+    assert (exc.value.r, exc.value.q, exc.value.p) == (0, 2, 3)
+    assert exc.value.witness == {"r": "0", "q": "2", "p": "3"}
+    assert exc.value.message == "composite restriction violated at 0 <= 2 <= 3"
