@@ -22,8 +22,7 @@ cutting down(p) to down(p) - {p}, and the form X generates is rebuilt in
 O(|D|·n) on down-set bitmasks.  A match is a proof.  On a mismatch the
 exhaustive law scan runs and raises the witness of the first violated
 law; an input that passes it contradicts the normal form and raises
-NotSubsetGeneratedError instead of being accepted.  Completeness holds
-for every nucleus and congruence, in closed form.
+NotSubsetGeneratedError instead of being accepted.
 
 Ordering conventions: nuclei, congruences, and topologies are compared
 pointwise; sublocales are ordered by inclusion, and the nucleus/sublocale
@@ -49,14 +48,13 @@ from .poset import (
     DownSetFrame,
     FinitePoset,
     FrameMap,
+    _bits,
     _mask,
-    double_negation,
     enumerate_downsets,
     frame_morphism_violation,
-    heyting_implication,
+    restriction_frame_map,
 )
 from .sites import GrothTopology, enumerate_all_topologies
-from .sites import is_complete as topology_is_complete
 
 
 def _members(frame: DownSetFrame, i: int) -> list[str]:
@@ -244,9 +242,6 @@ class Nucleus(_Presentation):
         """The image of each down-set id, as a down-set id."""
         return self._read()
 
-    def apply(self, downset: frozenset[int]) -> frozenset[int]:
-        return self.frame.downset(self.table[self.frame.id_of(downset)])
-
     def __repr__(self) -> str:
         return f"<Nucleus on {len(self.frame)} down-sets>"
 
@@ -418,8 +413,9 @@ class Sublocale(_Presentation):
             raise NotASublocaleError(
                 "sublocale misses the empty intersection (the whole poset)"
             )
-        for a in members:
-            for b in members:
+        ordered = sorted(members)
+        for a in ordered:
+            for b in ordered:
                 if frame.meet(a, b) not in members:
                     raise NotASublocaleError(
                         "sublocale is not closed under intersections",
@@ -428,7 +424,7 @@ class Sublocale(_Presentation):
                         result=frame.downset(frame.meet(a, b)),
                     )
         for a in range(len(frame)):
-            for m in sorted(members):
+            for m in ordered:
                 h = frame.heyting(a, m)
                 if h not in members:
                     raise NotASublocaleError(
@@ -561,13 +557,6 @@ def subset_forms(
     )
 
 
-def double_negation_nucleus(
-    poset: FinitePoset, frame: DownSetFrame | None = None
-) -> Nucleus:
-    frame = frame if frame is not None else enumerate_downsets(poset)
-    return Nucleus(frame, tuple(frame.id_of(double_negation(poset, d)) for d in frame))
-
-
 @dataclass(frozen=True)
 class SublocaleFrameIso:
     """Concrete frame isomorphism from a subset sublocale onto the down-sets
@@ -582,64 +571,30 @@ class SublocaleFrameIso:
 def mx_frame_isomorphism(
     poset: FinitePoset, subset: Iterable[int], frame: DownSetFrame | None = None
 ) -> SublocaleFrameIso:
-    """Build and verify the isomorphism between the subset sublocale and the
-    subset's own down-set frame.
+    """The isomorphism between the sublocale of J(X) and D(X), the down-set
+    frame of X as an induced subposet, in closed form.
 
-    Meets on the sublocale are intersections; joins are the nucleus applied
-    to the union.  Both are checked against the subset frame.
+    Forward sends a member d to d & X, re-indexed into D(X); backward sends
+    a down-set y of X to j(down(y)), the nucleus at the down-set of P that y
+    generates.  Implication from X depends only on the cut d & X and leaves
+    it unchanged, and j(down(y)) & X = y, so the two maps are mutually
+    inverse; meets of members are intersections and joins are j of unions,
+    so both are preserved.
     """
     frame = frame if frame is not None else enumerate_downsets(poset)
-    xs = frozenset(subset)
-    forms = subset_forms(poset, xs, frame)
-    sub = enumerate_downsets(poset.induced(sorted(xs)))
-    elems = sorted(xs)
-    pos = {e: k for k, e in enumerate(elems)}
-    forward = {}
-    for m in sorted(forms.sublocale.members):
-        cut = frozenset(pos[e] for e in frame.downset(m) & xs)
-        forward[m] = sub.id_of(cut)
-    if len(set(forward.values())) != len(forward) or set(forward.values()) != set(
-        range(len(sub))
-    ):
-        raise NotASublocaleError("subset sublocale is not in bijection with the subset frame")
+    forms = subset_forms(poset, subset, frame)
+    elems = sorted(forms.nucleus.subset)
+    sub = enumerate_downsets(poset.induced(elems))
+    cut = restriction_frame_map(frame, elems, sub).table
+    forward = {m: cut[m] for m in sorted(forms.sublocale.members)}
+    table, index, principal = forms.nucleus.table, frame.mask_index, frame.principal
     backward = {}
-    for y in range(len(sub)):
-        lifted = frozenset(elems[k] for k in sub.downset(y))
-        backward[y] = frame.id_of(heyting_implication(poset, xs, lifted))
-    for m in forward:
-        if backward[forward[m]] != m:
-            raise NotASublocaleError("intersection and implication are not mutually inverse")
-    members = sorted(forms.sublocale.members)
-    nuc = forms.nucleus
-    for a in members:
-        for b in members:
-            if forward[frame.meet(a, b)] != sub.meet(forward[a], forward[b]):
-                raise NotASublocaleError("isomorphism does not preserve meets")
-            join_in_m = nuc.table[frame.join(a, b)]
-            if forward[join_in_m] != sub.join(forward[a], forward[b]):
-                raise NotASublocaleError("isomorphism does not preserve joins")
+    for y, mask in enumerate(sub.masks):
+        lifted = 0
+        for k in _bits(mask):
+            lifted |= principal[elems[k]]
+        backward[y] = table[index[lifted]]
     return SublocaleFrameIso(forms.sublocale, sub, forward, backward)
-
-
-# -- completeness ------------------------------------------------------------
-
-
-def nucleus_is_complete(nucleus: Nucleus) -> bool:
-    """Whether the nucleus preserves arbitrary intersections.
-
-    It always does: implication from X sends the intersection of a family
-    d_i to {q : X & down(q) <= every d_i}, the intersection of the j(d_i).
-    """
-    return True
-
-
-def congruence_is_complete(congruence: Congruence) -> bool:
-    """Whether the congruence respects arbitrary intersections.
-
-    It always does: cutting by X commutes with intersections, so families
-    with equal cuts d_i & X = e_i & X have intersections with equal cuts.
-    """
-    return True
 
 
 # -- frame quotients ----------------------------------------------------------
@@ -739,12 +694,6 @@ def homomorphism_factorization(f: FrameMap) -> FactorizationWitness:
     return FactorizationWitness(kernel, quotient, iso)
 
 
-def extract_subset(congruence: Congruence) -> frozenset[int]:
-    """Elements whose principal down-set is separated from its punctured form:
-    the congruence's generating subset X."""
-    return congruence.subset
-
-
 # -- the commuting diagram ----------------------------------------------------
 
 
@@ -763,11 +712,10 @@ def verify_commuting_diagram(poset: FinitePoset, cap: int = 4) -> DiagramReport:
     """Replay all conversion round trips on every topology of the poset.
 
     For each enumerated topology: the five round trips return the same X,
-    the two triangle composites through congruences and through sublocales
-    agree with the direct conversion, and the three completeness flags
-    agree.  Every conversion passes X along, so this replays X round trips;
-    the oracles that rebuild each presentation from cover membership alone
-    live in the tests.
+    and the two triangle composites through congruences and through
+    sublocales agree with the direct conversion.  Every conversion passes X
+    along, so this replays X round trips; the oracles that rebuild each
+    presentation from cover membership alone live in the tests.
     """
     frame = enumerate_downsets(poset)
     failures: list[str] = []
@@ -791,11 +739,4 @@ def verify_commuting_diagram(poset: FinitePoset, cap: int = 4) -> DiagramReport:
             failures.append(f"{tag}: congruence/topology round trip")
         if topology_from_sublocale(sub) != topology:
             failures.append(f"{tag}: sublocale/topology round trip")
-        flags = {
-            topology_is_complete(topology),
-            nucleus_is_complete(nuc),
-            congruence_is_complete(cong),
-        }
-        if len(flags) != 1:
-            failures.append(f"{tag}: completeness flags disagree")
     return DiagramReport(poset, len(topologies), tuple(failures))

@@ -11,22 +11,19 @@ A down-set is an int bitmask, bit p set iff p is in it.  A
 stable integer ids in the order of the bit-reversed masks, which is the
 lexicographic order on characteristic vectors, so golden files stay
 byte-identical across runs.  Meets, joins and implications are computed on
-the masks.  Frozensets of element ids are views: one down-set converts on
-request, and the frame's frozenset listing is built only when first read.
-Sieves, the down-sets inside one principal down-set, come from the same
-enumeration and are handed out as frozensets.
+the masks; one down-set converts to a frozenset of element ids on request.
 
 All types are immutable after construction and safe to share across
 concurrent readers.  The cover pairs and the induced-subposet memo on
-:class:`FinitePoset` and the frozenset views of :class:`DownSetFrame` are
-write-once and idempotent, so concurrent recomputation is benign.
+:class:`FinitePoset` are write-once and idempotent, so concurrent
+recomputation is benign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CycleError,
@@ -404,37 +401,19 @@ class DownSetFrame:
     ``masks`` holds the down-sets by id, ``mask_index`` maps a mask back to
     its id and ``principal`` holds the mask of each principal down-set; the
     frame operations run on these alone.  ``downset(i)`` converts one mask
-    to a frozenset; ``downsets``, ``index`` and iteration are frozenset
-    views built on first use.
+    to a frozenset.
     """
 
-    __slots__ = ("poset", "masks", "mask_index", "principal", "_downsets", "_index")
+    __slots__ = ("poset", "masks", "mask_index", "principal")
 
     def __init__(self, poset: FinitePoset, masks: Sequence[int]):
         self.poset = poset
         self.masks = tuple(masks)
         self.mask_index = dict(zip(self.masks, range(len(self.masks))))
         self.principal = poset.down_masks
-        self._downsets: tuple[frozenset[int], ...] | None = None
-        self._index: dict[frozenset[int], int] | None = None
-
-    @property
-    def downsets(self) -> tuple[frozenset[int], ...]:
-        if self._downsets is None:
-            self._downsets = tuple(frozenset(_bits(m)) for m in self.masks)
-        return self._downsets
-
-    @property
-    def index(self) -> dict[frozenset[int], int]:
-        if self._index is None:
-            self._index = {d: i for i, d in enumerate(self.downsets)}
-        return self._index
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self.downsets)
 
     def id_of(self, downset: Iterable[int]) -> int:
         members = frozenset(downset)
@@ -503,13 +482,6 @@ def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> Down
     return DownSetFrame(poset, _downset_masks(poset, (1 << poset.n) - 1, cap))
 
 
-def sieves_on(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
-    """All sieves on p, i.e. down-sets contained in the principal down-set
-    of p, in the id order of the frame."""
-    masks = _downset_masks(poset, poset.down_masks[p], DEFAULT_FRAME_CAP)
-    return tuple(frozenset(_bits(m)) for m in masks)
-
-
 # -- Heyting structure --------------------------------------------------
 
 
@@ -525,48 +497,6 @@ def heyting_implication(
     xs = frozenset(x)
     ys = frozenset(y)
     return frozenset(p for p in range(poset.n) if poset.down(p) & xs <= ys)
-
-
-def negation(poset: FinitePoset, a: Iterable[int]) -> frozenset[int]:
-    return heyting_implication(poset, a, frozenset())
-
-
-def double_negation(poset: FinitePoset, a: Iterable[int]) -> frozenset[int]:
-    return negation(poset, negation(poset, a))
-
-
-# -- Dedekind-MacNeille machinery ---------------------------------------
-
-
-def upper_bounds(poset: FinitePoset, subset: Iterable[int]) -> frozenset[int]:
-    acc = frozenset(range(poset.n))
-    for a in subset:
-        acc &= poset.up(a)
-    return acc
-
-
-def lower_bounds(poset: FinitePoset, subset: Iterable[int]) -> frozenset[int]:
-    acc = frozenset(range(poset.n))
-    for a in subset:
-        acc &= poset.down(a)
-    return acc
-
-
-def dm_closure(poset: FinitePoset, a: Iterable[int]) -> frozenset[int]:
-    """Lower bounds of the upper bounds of ``a``.
-
-    Always a closure operator on down-sets; it additionally preserves
-    binary intersections when the poset is linearly ordered.
-    """
-    return lower_bounds(poset, upper_bounds(poset, a))
-
-
-def dm_completion(
-    poset: FinitePoset, frame: DownSetFrame | None = None
-) -> tuple[frozenset[int], ...]:
-    """Fixed points of the cut closure among down-sets, in stable id order."""
-    frame = frame if frame is not None else enumerate_downsets(poset)
-    return tuple(d for d in frame if dm_closure(poset, d) == d)
 
 
 # -- maps between frames -------------------------------------------------
@@ -588,9 +518,6 @@ class FrameMap:
         for i in self.table:
             if not (0 <= i < len(self.target)):
                 raise NotAFrameMorphismError(f"table entry {i} is not a target id")
-
-    def apply(self, downset: frozenset[int]) -> frozenset[int]:
-        return self.target.downset(self.table[self.source.id_of(downset)])
 
 
 def frame_morphism_violation(f: FrameMap) -> dict | None:

@@ -605,13 +605,17 @@ def enumerate_presheaves(
     edges = poset.hasse_pairs()
     pairs = [(q, p) for q in range(poset.n) for p in poset.up(q) - {q}]
     triples = [(r, q, p) for r, q in edges for p in poset.up(q) - {q}]
+    routes = _routes(poset, edges)
     out: list[Presheaf] = []
     for sizes in product(range(value_cap + 1), repeat=poset.n):
         # the first edge varies slowest, as in a depth-first assignment
         tables = [product(range(sizes[q]), repeat=sizes[p]) for q, p in edges]
         for choice in product(*tables):
-            memo = dict(zip(edges, choice))
-            maps = {(q, p): _path_map(poset, edges, memo, q, p) for q, p in pairs}
+            composed = dict(zip(edges, choice))
+            for q, r, p in routes:
+                lower = composed[(q, r)]
+                composed[(q, p)] = tuple(lower[a] for a in composed[(r, p)])
+            maps = {pair: composed[pair] for pair in pairs}
             if all(
                 maps[(r, p)] == tuple(maps[(r, q)][b] for b in maps[(q, p)])
                 for r, q, p in triples
@@ -620,21 +624,21 @@ def enumerate_presheaves(
     return out
 
 
-def _path_map(
-    poset: FinitePoset,
-    edges: Sequence[tuple[int, int]],
-    memo: dict[tuple[int, int], tuple[int, ...]],
-    q: int,
-    p: int,
-) -> tuple[int, ...]:
-    """The restriction F(p) -> F(q) composed along the canonical path, down
-    the least lower cover r of p above q; ``memo`` starts as the edge maps."""
-    found = memo.get((q, p))
-    if found is None:
-        r = min(r for (r, pp) in edges if pp == p and poset.leq(q, r))
-        lower = _path_map(poset, edges, memo, q, r)
-        found = memo[(q, p)] = tuple(lower[a] for a in memo[(r, p)])
-    return found
+def _routes(
+    poset: FinitePoset, edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """The canonical path of every strict pair q < p that is not a cover
+    edge, as (q, r, p): F(p) -> F(q) goes down the least lower cover r of p
+    above q.  Ordered by p along the linear extension, so (q, r) is an edge
+    or comes earlier."""
+    edge_set = set(edges)
+    out = []
+    for p in poset.linear_extension:
+        lower = [r for r, pp in edges if pp == p]
+        for q in sorted(poset.down(p) - {p}):
+            if (q, p) not in edge_set:
+                out.append((q, min(r for r in lower if poset.leq(q, r)), p))
+    return out
 
 
 # -- the restriction/extension equivalence --------------------------------------

@@ -37,8 +37,8 @@ Each topology builds, on first read, the tops of every cut X & down(p),
 its maximal elements, which fix a matching family on the cut; the sheaf
 check reads them.
 
-Site morphisms, subcanonicity and completeness read X too, through the
-least cover L_p = down(X & down(p)), the weakest cover of p:
+Site morphisms and subcanonicity read X too, through the least cover
+L_p = down(X & down(p)), the weakest cover of p:
 
 - phi: (P, J(X)) -> (Q, J(Y)) preserves covers at p iff
   Y & down(phi p) <= down(phi(X & down(p))), the image of L_p; it has
@@ -47,7 +47,6 @@ least cover L_p = down(X & down(p)), the weakest cover of p:
   up-closed, so a failing cover means a failing least cover.
 - the representable of p fails for q iff q is not <= p and some cover of q
   lies in down(p), that is iff L_q does: X & down(q) <= down(p).
-- the covers of p meet in L_p, itself a cover, so every J(X) is complete.
 
 Witness searches iterate elements in index order and sieves in
 sorted-member order, so reported counterexamples are deterministic; JSON
@@ -140,8 +139,8 @@ class GrothTopology:
 
     def covers_json(self) -> dict[str, list[list[str]]]:
         """The ``covers`` field of the JSON form: per element label, its
-        covers as sorted label lists in ``sieves_on`` order, in lists of
-        this call's own."""
+        covers as sorted label lists in frame id order, in lists of this
+        call's own."""
         return _CoverListing(self.poset).covers_json(self.subset)
 
     def to_json(self) -> dict:
@@ -289,7 +288,7 @@ def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
 
 def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
     """J(X) on masks, X given as one: per element p, the covers of p in
-    ``sieves_on`` order.  They are the sieves L_p | t for t a down-set of
+    frame id order.  They are the sieves L_p | t for t a down-set of
     down(p) - L_p, so they are grown from L_p."""
     down = poset.down_masks
     return [
@@ -573,17 +572,6 @@ def join(j: GrothTopology, k: GrothTopology) -> GrothTopology:
     return GrothTopology(_require_same_poset(j, k), j.subset & k.subset)
 
 
-def is_complete(topology: GrothTopology) -> bool:
-    """Whether each pointwise intersection of all covers is itself a cover.
-
-    Closure of cover families under supersets reduces arbitrary
-    intersections to this single one.  It always holds: the covers of p are
-    the sieves holding X & down(p), so they meet in down(X & down(p)), which
-    holds X & down(p) and so is itself a cover.
-    """
-    return True
-
-
 # -- exhaustive enumeration -------------------------------------------------
 
 
@@ -592,9 +580,11 @@ def enumerate_all_topologies(
 ) -> tuple[GrothTopology, ...]:
     """Every topology on the poset: J(X) for each of the 2^n subsets X.
 
-    Sorted by the least covers L_p = down(X & down(p)), p ascending, each as
-    its characteristic vector: the order of the weakest covers in
-    ``sieves_on`` order.
+    Sorted by the least covers L_p = down(X & down(p)), p ascending, each
+    as its characteristic vector, element 0 first: the order of the weakest
+    covers in frame id order.  The key holds each L_p as its bit-reversed
+    mask, the union of the bit-reversed masks of down(x) for x in
+    X & down(p), so integers compare as the vectors do.
     """
     if poset.n > cap:
         raise TooLargeForBruteForceError(
@@ -602,10 +592,11 @@ def enumerate_all_topologies(
             witness={"cap": cap, "n": poset.n},
         )
     n = poset.n
-    principal = poset.down_masks
+    down = poset.down_masks
+    flipped = [_mask(n - 1 - e for e in _bits(d)) for d in down]  # element 0 highest
 
-    def vectors(xs: int) -> list[str]:  # element 0 first
-        return [format(least, f"0{n}b")[::-1] for least in _least_covers(principal, xs)]
+    def vectors(xs: int) -> list[int]:
+        return [_down_closure(flipped, xs & d) for d in down]
 
     return tuple(GrothTopology(poset, _bits(xs)) for xs in sorted(range(1 << n), key=vectors))
 

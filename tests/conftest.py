@@ -32,6 +32,14 @@ have the ``leq`` scans they replaced, and the tops of each cut of J(X) have
 the maximal elements of the cut by ``lt``.  Presheaf construction, which
 checks composition on cover-edge triples, has the scan over every triple
 that it replaced.
+
+The frozenset forms that the library no longer carries live here: the
+frame's down-sets by id, the sieves on p, negation and double negation by
+the defining union, and the cut closure with its completion, an input
+builder for nucleus tables that are lawful on chains only.  The closed-form
+isomorphism between a subset sublocale and D(X) has the frozenset
+construction with its bijection, inverse, meet and join checks, and the
+sublocale law scan has the first failing law in id order.
 """
 
 from __future__ import annotations
@@ -128,6 +136,53 @@ def heyting_union_oracle(poset: FinitePoset, x, y) -> frozenset[int]:
     return acc
 
 
+def frame_downsets(frame) -> tuple[frozenset[int], ...]:
+    """The down-sets of a frame as frozensets, by id."""
+    return tuple(frame.downset(i) for i in range(len(frame)))
+
+
+def sieves_on(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
+    """The sieves on p, the down-sets inside down(p), in frame id order,
+    grown as frozensets by ``downsets_oracle``."""
+    return tuple(downsets_oracle(poset, poset.down(p)))
+
+
+def negation(poset: FinitePoset, a) -> frozenset[int]:
+    """The largest down-set disjoint from ``a``, by the defining union."""
+    return heyting_union_oracle(poset, a, frozenset())
+
+
+def double_negation(poset: FinitePoset, a) -> frozenset[int]:
+    return negation(poset, negation(poset, a))
+
+
+def upper_bounds(poset: FinitePoset, subset) -> frozenset[int]:
+    acc = frozenset(range(poset.n))
+    for a in subset:
+        acc &= poset.up(a)
+    return acc
+
+
+def lower_bounds(poset: FinitePoset, subset) -> frozenset[int]:
+    acc = frozenset(range(poset.n))
+    for a in subset:
+        acc &= poset.down(a)
+    return acc
+
+
+def dm_closure(poset: FinitePoset, a) -> frozenset[int]:
+    """Lower bounds of the upper bounds of ``a``: a closure operator on
+    down-sets that preserves binary intersections on linear orders, and so
+    an input table that is a nucleus on chains and fails the meet law off
+    them."""
+    return lower_bounds(poset, upper_bounds(poset, a))
+
+
+def dm_completion(poset: FinitePoset) -> tuple[frozenset[int], ...]:
+    """The down-sets fixed by the cut closure, in frame id order."""
+    return tuple(d for d in downsets_oracle(poset) if dm_closure(poset, d) == d)
+
+
 def powerset(iterable):
     items = list(iterable)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
@@ -163,10 +218,74 @@ def least_member_table(sublocale) -> tuple[int, ...]:
     return tuple(table)
 
 
+def sublocale_frame_iso_oracle(poset: FinitePoset, subset, frame) -> tuple[dict, dict]:
+    """The isomorphism between the fixed points of implication from X and
+    the down-sets of X, on frozensets: forward cuts a member d to d & X,
+    renumbered in X; backward takes a down-set y of X to the defining union
+    of implication from X into y.  Asserts that forward is a bijection onto
+    D(X), that the two maps are mutually inverse, and that forward sends
+    intersections of members to intersections and the least member above a
+    union to the union; returns (forward, backward) as id dicts."""
+    xs = frozenset(subset)
+    elems = sorted(xs)
+    pos = {e: k for k, e in enumerate(elems)}
+    sub_sets = downsets_oracle(poset.induced(elems))
+    sub_id = {d: i for i, d in enumerate(sub_sets)}
+    ds = frame_downsets(frame)
+    members = [i for i, d in enumerate(ds) if heyting_union_oracle(poset, xs, d) == d]
+    forward = {m: sub_id[frozenset(pos[e] for e in ds[m] & xs)] for m in members}
+    backward = {
+        y: frame.id_of(heyting_union_oracle(poset, xs, frozenset(elems[k] for k in d)))
+        for y, d in enumerate(sub_sets)
+    }
+    assert sorted(forward.values()) == list(range(len(sub_sets)))
+    assert all(backward[forward[m]] == m for m in members)
+    assert all(forward[backward[y]] == y for y in backward)
+
+    def least_member_above(d: frozenset[int]) -> int:
+        acc = frozenset(range(poset.n))
+        for m in members:
+            if d <= ds[m]:
+                acc &= ds[m]
+        return frame.id_of(acc)
+
+    for a in members:
+        for b in members:
+            meet = frame.id_of(ds[a] & ds[b])
+            assert sub_sets[forward[meet]] == sub_sets[forward[a]] & sub_sets[forward[b]]
+            join = least_member_above(ds[a] | ds[b])
+            assert sub_sets[forward[join]] == sub_sets[forward[a]] | sub_sets[forward[b]]
+    return forward, backward
+
+
+def sublocale_failure_oracle(frame, members):
+    """The first law that a member set breaks, as the sublocale scan reports
+    it: ("top",) when the whole poset is missing, else ("meet", a, m, result)
+    for the first pair of members in id order whose intersection is no
+    member, else ("implication", a, m, result) for the first down-set a and
+    member m, in id order, whose implication, by its defining union, is no
+    member; None when every law holds."""
+    ds = frame_downsets(frame)
+    members = sorted(members)
+    if frame.id_of(range(frame.poset.n)) not in members:
+        return ("top",)
+    for a in members:
+        for b in members:
+            meet = ds[a] & ds[b]
+            if frame.id_of(meet) not in members:
+                return ("meet", ds[a], ds[b], meet)
+    for a, da in enumerate(ds):
+        for m in members:
+            value = frozenset().union(*(d for d in ds if d & da <= ds[m]))
+            if frame.id_of(value) not in members:
+                return ("implication", da, ds[m], value)
+    return None
+
+
 @cache
 def _meets_and_joins(frame) -> tuple[list[list[int]], list[list[int]]]:
     """Per pair of down-set ids, the ids of their intersection and union."""
-    ds = list(frame)
+    ds = frame_downsets(frame)
     meets = [[frame.id_of(a & b) for b in ds] for a in ds]
     joins = [[frame.id_of(a | b) for b in ds] for a in ds]
     return meets, joins
@@ -174,7 +293,7 @@ def _meets_and_joins(frame) -> tuple[list[list[int]], list[list[int]]]:
 
 def nucleus_law_oracle(frame, table) -> bool:
     """Inflation, idempotence and binary meets, on every down-set and pair."""
-    ds = list(frame)
+    ds = frame_downsets(frame)
     meets, _ = _meets_and_joins(frame)
     return (
         all(d <= ds[t] for d, t in zip(ds, table))
@@ -201,7 +320,7 @@ def congruence_law_oracle(frame, classes) -> bool:
 def sublocale_law_oracle(frame, members) -> bool:
     """The whole poset, the intersection of every two members, and every
     implication into a member, by its defining union, are members."""
-    ds = list(frame)
+    ds = frame_downsets(frame)
     meets, _ = _meets_and_joins(frame)
 
     def implication(a: frozenset[int], m: frozenset[int]) -> int:
@@ -365,19 +484,21 @@ def cover_elements(topology, d: frozenset[int]) -> frozenset[int]:
 
 
 def nucleus_table_from_covers(topology, frame) -> tuple[int, ...]:
-    return tuple(frame.id_of(cover_elements(topology, d)) for d in frame)
+    return tuple(frame.id_of(cover_elements(topology, d)) for d in frame_downsets(frame))
 
 
 def congruence_classes_from_covers(topology, frame) -> set[frozenset[int]]:
     groups: dict = {}
-    for i, d in enumerate(frame):
+    for i, d in enumerate(frame_downsets(frame)):
         groups.setdefault(cover_elements(topology, d), set()).add(i)
     return {frozenset(c) for c in groups.values()}
 
 
 def sublocale_members_from_covers(topology, frame) -> frozenset[int]:
     """The down-sets containing every element they cover."""
-    return frozenset(i for i, d in enumerate(frame) if cover_elements(topology, d) <= d)
+    return frozenset(
+        i for i, d in enumerate(frame_downsets(frame)) if cover_elements(topology, d) <= d
+    )
 
 
 def covers_from_nucleus(nucleus) -> list[frozenset]:

@@ -7,11 +7,22 @@ to see the per-criterion lines.
 
 import time
 
-from conftest import all_subsets, brute_downsets, census_oracle, covers_of, subset_covers_oracle
+from conftest import (
+    all_subsets,
+    brute_downsets,
+    census_oracle,
+    covers_of,
+    double_negation,
+    frame_downsets,
+    sieves_on,
+    subset_covers_oracle,
+)
 
 from sitecalc import (
     AxiomViolation,
+    Congruence,
     NotASublocaleError,
+    Nucleus,
     Sublocale,
     all_order_isomorphisms,
     all_order_morphisms,
@@ -20,19 +31,17 @@ from sitecalc import (
     congruence_from_topology,
     dense_topology,
     derived_topology,
-    double_negation_nucleus,
     enumerate_all_topologies,
     enumerate_downsets,
-    extract_subset,
     heyting_implication,
     is_sheaf,
     is_site_isomorphism,
     is_subcanonical,
     lx_topology,
+    nucleus_from_topology,
     parse_poset,
     representable_is_sheaf,
     restrict_topology,
-    sieves_on,
     site_morphism_report,
     subset_forms,
     subset_of_labels,
@@ -78,8 +87,8 @@ def test_criterion_2_conversion_diagram_commutes():
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     print(
-        f"\nACCEPTANCE 2 PASS: all conversion round trips, triangle composites, "
-        f"and completeness flags agree on {total} topologies ({elapsed:.2f}s)"
+        f"\nACCEPTANCE 2 PASS: all conversion round trips and triangle composites "
+        f"agree on {total} topologies ({elapsed:.2f}s)"
     )
 
 
@@ -172,10 +181,15 @@ def test_criterion_7_dense_is_double_negation():
     for name, poset in CATALOG.items():
         dense = dense_topology(poset)
         assert dense == subset_topology(poset, poset.minimal_elements()), name
-        assert topology_from_nucleus(double_negation_nucleus(poset)) == dense, name
+        frame = enumerate_downsets(poset)
+        table = [frame.id_of(double_negation(poset, d)) for d in frame_downsets(frame)]
+        nucleus = Nucleus(frame, table)  # validated as input from outside
+        assert nucleus.subset == poset.minimal_elements(), name
+        assert nucleus == nucleus_from_topology(dense, frame), name
+        assert topology_from_nucleus(nucleus) == dense, name
     print(
-        "\nACCEPTANCE 7 PASS: double-negation nucleus and minimal-element "
-        "topology both give the dense topology"
+        "\nACCEPTANCE 7 PASS: the frozenset double-negation table, validated as "
+        "a nucleus, and the minimal-element topology both give the dense topology"
     )
 
 
@@ -184,14 +198,15 @@ def test_criterion_8_generating_subset_extraction():
         frame = enumerate_downsets(poset)
         for x in all_subsets(poset.n):
             forms = subset_forms(poset, x, frame)
-            assert extract_subset(forms.congruence) == x, (name, x)
+            assert Congruence(frame, forms.congruence.classes).subset == x, (name, x)
         for topology in enumerate_all_topologies(poset):
             cong = congruence_from_topology(topology, frame)
-            rebuilt = subset_forms(poset, extract_subset(cong), frame).congruence
-            assert rebuilt == cong, name
+            outside = Congruence(frame, cong.classes)  # validated as input from outside
+            rebuilt = subset_forms(poset, outside.subset, frame).congruence
+            assert outside == rebuilt == cong, name
     print(
-        "\nACCEPTANCE 8 PASS: subset extraction inverts the subset congruence "
-        "on every enumerated congruence"
+        "\nACCEPTANCE 8 PASS: the subset read off the classes of every subset "
+        "congruence, given as input, generates that congruence"
     )
 
 

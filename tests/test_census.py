@@ -5,11 +5,20 @@ every topology on a finite poset is some J(X)."""
 import time
 
 import pytest
-from conftest import LADDER, all_subsets, census_oracle, chain_poset, fan, fence, filters_of_sieves
+from conftest import (
+    LADDER,
+    all_subsets,
+    census_oracle,
+    chain_poset,
+    fan,
+    fence,
+    filters_of_sieves,
+    sieves_on,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sitecalc import FinitePoset, catalog, enumerate_all_topologies, sieves_on, subset_topology
+from sitecalc import FinitePoset, catalog, enumerate_all_topologies, subset_topology
 
 ORACLE_POSETS = {
     **catalog(),

@@ -1,20 +1,31 @@
-"""Heyting implication, negation, frame adjoints, and cut closure."""
+"""Heyting implication, frame adjoints, and the frozenset negation and cut
+closure of the test oracles, checked against the library's implication and
+nucleus validation."""
 
 import pytest
-from conftest import all_subsets, brute_downsets, heyting_union_oracle
+from conftest import (
+    all_subsets,
+    brute_downsets,
+    dm_closure,
+    dm_completion,
+    double_negation,
+    frame_downsets,
+    heyting_union_oracle,
+    negation,
+    nucleus_law_oracle,
+)
 
 from sitecalc import (
     FrameMap,
     NotAFrameMorphismError,
+    NotANucleusError,
+    Nucleus,
     catalog_poset,
-    dm_closure,
-    dm_completion,
-    double_negation,
     enumerate_downsets,
     heyting_implication,
-    negation,
     parse_poset,
     restriction_frame_map,
+    sublocale_from_nucleus,
     subset_of_labels,
     upper_adjoint,
 )
@@ -96,8 +107,8 @@ def test_upper_adjoint_of_restriction_is_implication():
     f = restriction_frame_map(frame, {0})
     g = upper_adjoint(f)
     sub = f.target
-    assert g.apply(frozenset({0})) == frozenset({0, 1})
-    assert g.apply(frozenset()) == frozenset()
+    assert g.target.downset(g.table[sub.id_of({0})]) == frozenset({0, 1})
+    assert g.target.downset(g.table[sub.id_of(())]) == frozenset()
     for b in range(len(sub)):
         lifted = frozenset(sorted({0})[k] for k in sub.downset(b))
         assert g.target.downset(g.table[b]) == heyting_implication(chain2, {0}, lifted)
@@ -197,8 +208,18 @@ def test_dm_closure_meet_law_counterexample_search():
 
 
 def test_dm_completion_is_a_complete_lattice(catalog_pair):
+    """The cut closure is accepted as a nucleus table exactly when the law
+    oracle passes it, and then its fixed points are the completion."""
     _, p = catalog_pair
     fixed = dm_completion(p)
+    frame = enumerate_downsets(p)
+    table = tuple(frame.id_of(dm_closure(p, d)) for d in frame_downsets(frame))
+    if nucleus_law_oracle(frame, table):
+        members = sublocale_from_nucleus(Nucleus(frame, table)).members
+        assert [frame.downset(i) for i in sorted(members)] == list(fixed)
+    else:
+        with pytest.raises(NotANucleusError):
+            Nucleus(frame, table)
     assert all(dm_closure(p, a) == a for a in fixed)
     everything = frozenset(range(p.n))
     assert dm_closure(p, everything) == everything and everything in fixed

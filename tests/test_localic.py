@@ -1,9 +1,22 @@
 """Nuclei, congruences, sublocales, quotients, and the conversion diagram."""
 
 import pytest
-from conftest import all_subsets, covers_of
+from conftest import (
+    LADDER,
+    all_subsets,
+    congruence_complete_scan,
+    covers_of,
+    dm_closure,
+    double_negation,
+    frame_downsets,
+    heyting_union_oracle,
+    nucleus_complete_scan,
+    sublocale_failure_oracle,
+    sublocale_frame_iso_oracle,
+)
 
 from sitecalc import (
+    CATALOG_NAMES,
     Congruence,
     FrameMap,
     NotACongruenceError,
@@ -12,24 +25,19 @@ from sitecalc import (
     NotSurjectiveError,
     Nucleus,
     Sublocale,
+    catalog,
     catalog_poset,
     congruence_from_nucleus,
     congruence_from_topology,
-    congruence_is_complete,
     discrete_topology,
-    dm_closure,
-    double_negation_nucleus,
     enumerate_all_topologies,
     enumerate_downsets,
-    extract_subset,
-    heyting_implication,
     homomorphism_factorization,
     indiscrete_topology,
     mx_frame_isomorphism,
     nucleus_from_congruence,
     nucleus_from_sublocale,
     nucleus_from_topology,
-    nucleus_is_complete,
     quotient_frame,
     restriction_frame_map,
     sublocale_from_nucleus,
@@ -62,20 +70,20 @@ def test_nucleus_example_on_chain2():
     chain2 = catalog_poset("chain2")
     frame = enumerate_downsets(chain2)
     nuc = nucleus_from_topology(subset_topology(chain2, {0}), frame)
-    assert nuc.apply(frozenset({0})) == frozenset({0, 1})
-    assert nuc.apply(frozenset()) == frozenset()
+    assert frame.downset(nuc.table[frame.id_of({0})]) == frozenset({0, 1})
+    assert frame.downset(nuc.table[frame.id_of(())]) == frozenset()
 
 
 def test_nucleus_laws_are_enforced():
     anti3 = catalog_poset("antichain3")
     frame = enumerate_downsets(anti3)
     # cut closure fails binary meets off linear orders
-    table = tuple(frame.id_of(dm_closure(anti3, d)) for d in frame)
+    table = tuple(frame.id_of(dm_closure(anti3, d)) for d in frame_downsets(frame))
     with pytest.raises(NotANucleusError):
         Nucleus(frame, table)
     chain3 = catalog_poset("chain3")
     frame3 = enumerate_downsets(chain3)
-    Nucleus(frame3, tuple(frame3.id_of(dm_closure(chain3, d)) for d in frame3))
+    Nucleus(frame3, tuple(frame3.id_of(dm_closure(chain3, d)) for d in frame_downsets(frame3)))
 
 
 def test_congruence_examples():
@@ -131,6 +139,32 @@ def test_two_point_candidate_fails_on_v_with_witness():
     assert err.result == frozenset({y})
 
 
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, *LADDER])
+def test_sublocale_witness_is_the_first_failure_in_id_order(name):
+    """Every sublocale with one id added or dropped, handed over in
+    descending order: a rejected set raises the first failing law of the
+    oracle, with a, m and the result of the first failing pair in id
+    order."""
+    p = {**catalog(), **LADDER}[name]
+    frame = enumerate_downsets(p)
+    rejected = 0
+    for x in all_subsets(p.n):
+        members = sublocale_from_topology(subset_topology(p, x), frame).members
+        for i in range(len(frame)):
+            perturbed = sorted(members ^ {i}, reverse=True)
+            expected = sublocale_failure_oracle(frame, perturbed)
+            if expected is None:
+                assert Sublocale(frame, perturbed).members == frozenset(perturbed)
+                continue
+            with pytest.raises(NotASublocaleError) as exc:
+                Sublocale(frame, perturbed)
+            err = exc.value
+            got = (err.a, err.m, err.result)
+            assert got == ((None,) * 3 if expected == ("top",) else expected[1:]), (x, i)
+            rejected += 1
+    assert rejected
+
+
 def test_subset_forms_extremes(catalog_pair):
     _, p = catalog_pair
     frame = enumerate_downsets(p)
@@ -147,7 +181,7 @@ def test_subset_forms_fixed_points_on_chain2():
     chain2 = catalog_poset("chain2")
     frame = enumerate_downsets(chain2)
     xs = frozenset({0})
-    fixed = {d for d in frame if heyting_implication(chain2, xs, d) == d}
+    fixed = {d for d in frame_downsets(frame) if heyting_union_oracle(chain2, xs, d) == d}
     assert fixed == {frozenset(), frozenset({0, 1})}
     forms = subset_forms(chain2, xs, frame)
     assert {frame.downset(i) for i in forms.sublocale.members} == fixed
@@ -189,29 +223,42 @@ def test_subset_nucleus_is_adjoint_composite(catalog_pair):
 
 
 def test_mx_frame_isomorphism(catalog_pair):
+    """The closed form equals the frozenset construction, whose bijection,
+    inverse, meet and join checks the oracle asserts, on every subset."""
     _, p = catalog_pair
     frame = enumerate_downsets(p)
     for x in all_subsets(p.n):
         iso = mx_frame_isomorphism(p, x, frame)
-        assert len(iso.sublocale.members) == len(iso.sub_frame)
+        assert (iso.forward, iso.backward) == sublocale_frame_iso_oracle(p, x, frame)
+        assert iso.sublocale == sublocale_from_topology(subset_topology(p, x), frame)
+        assert iso.sub_frame == enumerate_downsets(p.induced(sorted(x)))
+
+
+def _double_negation_table(p, frame):
+    return tuple(frame.id_of(double_negation(p, d)) for d in frame_downsets(frame))
 
 
 def test_double_negation_examples():
     chain2 = catalog_poset("chain2")
-    nuc = double_negation_nucleus(chain2)
-    assert nuc.apply(frozenset({0})) == frozenset({0, 1})
-    assert nuc.apply(frozenset()) == frozenset()
+    frame = enumerate_downsets(chain2)
+    nuc = Nucleus(frame, _double_negation_table(chain2, frame))
+    assert frame.downset(nuc.table[frame.id_of({0})]) == frozenset({0, 1})
+    assert frame.downset(nuc.table[frame.id_of(())]) == frozenset()
     v = catalog_poset("V")
-    nucv = double_negation_nucleus(v)
+    framev = enumerate_downsets(v)
+    nucv = Nucleus(framev, _double_negation_table(v, framev))
     y = v.index_of("y")
-    assert nucv.apply(frozenset({y})) == frozenset({y})
+    assert framev.downset(nucv.table[framev.id_of(v.down(y))]) == frozenset({y})
 
 
 def test_double_negation_gives_the_dense_topology(catalog_pair):
     from sitecalc import dense_topology
 
     _, p = catalog_pair
-    assert topology_from_nucleus(double_negation_nucleus(p)) == dense_topology(p)
+    frame = enumerate_downsets(p)
+    nuc = Nucleus(frame, _double_negation_table(p, frame))
+    assert nuc.subset == p.minimal_elements()
+    assert topology_from_nucleus(nuc) == dense_topology(p)
 
 
 def test_conversion_monotonicity():
@@ -261,8 +308,8 @@ def test_everything_is_complete_on_finite_frames(catalog_pair):
     frame = enumerate_downsets(p)
     for t in enumerate_all_topologies(p):
         nuc = nucleus_from_topology(t, frame)
-        assert nucleus_is_complete(nuc)
-        assert congruence_is_complete(congruence_from_nucleus(nuc))
+        assert nucleus_complete_scan(nuc)
+        assert congruence_complete_scan(congruence_from_nucleus(nuc))
 
 
 def test_quotient_extremes():
@@ -294,15 +341,17 @@ def test_factorization_rejects_non_surjections():
 
 
 def test_extract_subset_round_trip(catalog_pair):
+    """X read back off the classes of the congruence it generates, given as
+    input from outside."""
     _, p = catalog_pair
     frame = enumerate_downsets(p)
     for x in all_subsets(p.n):
         cong = subset_forms(p, x, frame).congruence
-        assert extract_subset(cong) == x
+        assert Congruence(frame, cong.classes).subset == x
     diag = congruence_from_nucleus(_identity_nucleus(frame))
-    assert extract_subset(diag) == frozenset(range(p.n))
+    assert Congruence(frame, diag.classes).subset == frozenset(range(p.n))
     total = congruence_from_nucleus(Nucleus(frame, (frame.top_id,) * len(frame)))
-    assert extract_subset(total) == frozenset()
+    assert Congruence(frame, total.classes).subset == frozenset()
 
 
 def test_direct_conversion_round_trips():

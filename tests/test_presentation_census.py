@@ -11,6 +11,7 @@ from conftest import (
     all_subsets,
     congruence_classes_from_covers,
     congruence_law_oracle,
+    frame_downsets,
     nucleus_law_oracle,
     nucleus_table_from_covers,
     powerset,
@@ -59,7 +60,8 @@ def test_every_lawful_nucleus_is_implication_from_one_subset(name):
     p = catalog_poset(name)
     frame = enumerate_downsets(p)
     generators = _generators(p, frame, nucleus_table_from_covers)
-    above = [[e for e, d in enumerate(frame) if a <= d] for a in frame]
+    ds = frame_downsets(frame)
+    above = [[e for e, d in enumerate(ds) if a <= d] for a in ds]
     lawful = 0
     for table in product(*above):
         if nucleus_law_oracle(frame, table):

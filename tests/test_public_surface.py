@@ -1,0 +1,74 @@
+"""The public names of ``sitecalc``, pinned, so that a change to the surface
+is a deliberate edit of this list; and the frozenset layer and constant
+predicates that left the library, which must resolve nowhere."""
+
+import types
+
+import pytest
+
+import sitecalc
+from sitecalc import localic, poset, sheaves, sites
+
+PUBLIC = (
+    "ALIASES", "AxiomViolation", "BasePointError", "CATALOG_NAMES", "Congruence",
+    "CycleError", "DownSetFrame", "DuplicateElementError", "FinitePoset", "FrameMap",
+    "FrameTooLargeError", "FunctorialityError", "GrothTopology", "InvalidInnerTopologyError",
+    "NotACongruenceError", "NotAFrameMorphismError", "NotANucleusError", "NotASublocaleError",
+    "NotDenseError", "NotDownwardsDirectedError", "NotMatchingError",
+    "NotOrderIsomorphismError", "NotOrderMorphismError", "NotSurjectiveError", "Nucleus",
+    "OrderMorphism", "ParseError", "PosetMismatchError", "Presheaf", "SiteCalcError",
+    "Sublocale", "TooLargeError", "TooLargeForBruteForceError", "adjoin_zero",
+    "adjoint_transfer_consistent", "all_order_isomorphisms", "all_order_morphisms",
+    "amalgamations", "atomic_topology", "canonical_constructors", "canonical_subset_report",
+    "catalog", "catalog_poset", "choose_base_point", "comparison_check",
+    "congruence_from_nucleus", "congruence_from_topology", "dense_topology",
+    "derived_topology", "discrete_topology", "enumerate_all_topologies", "enumerate_downsets",
+    "enumerate_presheaves", "export_dot", "extend_presheaf", "extend_topology",
+    "heyting_implication", "homomorphism_factorization", "indiscrete_topology", "is_sheaf",
+    "is_site_isomorphism", "is_subcanonical", "join", "kx_sheaf_equivalence_check",
+    "lx_topology", "lxy_topology", "matching_families", "meet", "mx_frame_isomorphism",
+    "natural_iso_exists", "nucleus_from_congruence", "nucleus_from_sublocale",
+    "nucleus_from_topology", "parse_poset", "quotient_frame", "representable_is_sheaf",
+    "restrict_presheaf", "restrict_topology", "restriction_frame_map",
+    "site_morphism_report", "subcanonicity_report", "sublocale_from_nucleus",
+    "sublocale_from_topology", "subset_forms", "subset_of_labels",
+    "subset_subcanonicity_witnesses", "subset_topology", "topology_from_congruence",
+    "topology_from_nucleus", "topology_from_sublocale", "topology_leq", "upper_adjoint",
+    "validate_topology", "verify_commuting_diagram", "yoneda_presheaf",
+)
+
+REMOVED = (
+    "sieves_on", "upper_bounds", "lower_bounds", "dm_closure", "dm_completion", "negation",
+    "double_negation", "double_negation_nucleus", "extract_subset", "is_complete",
+    "nucleus_is_complete", "congruence_is_complete",
+)
+
+REMOVED_ATTRIBUTES = (
+    (poset.DownSetFrame, "downsets"),
+    (poset.DownSetFrame, "index"),
+    (poset.DownSetFrame, "__iter__"),
+    (poset.DownSetFrame, "_downsets"),
+    (poset.DownSetFrame, "_index"),
+    (poset.FrameMap, "apply"),
+    (localic.Nucleus, "apply"),
+)
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        name
+        for name in dir(sitecalc)
+        if not name.startswith("_") and not isinstance(getattr(sitecalc, name), types.ModuleType)
+    )
+    assert names == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_resolve_nowhere(name):
+    for module in (sitecalc, poset, sites, localic, sheaves):
+        assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_ATTRIBUTES, ids=lambda x: getattr(x, "__name__", x))
+def test_removed_views_resolve_nowhere(owner, name):
+    assert not hasattr(owner, name)

@@ -25,7 +25,6 @@ from sitecalc import (
     enumerate_all_topologies,
     enumerate_downsets,
     enumerate_presheaves,
-    is_complete,
     is_sheaf,
     is_site_isomorphism,
     nucleus_from_topology,
@@ -137,11 +136,11 @@ def test_subcanonicity_witness_enumerates_no_sieves(monkeypatch):
     topologies = [subset_topology(p, x) for x in ([], [0], [0, 1], range(12), [12])]
     expected = [subcanonicity_scan_oracle(p, j) for j in topologies]
 
-    def refuse(poset, q):
-        raise AssertionError(f"the sieves on {q} were enumerated")
+    def refuse(*args):
+        raise AssertionError("down-sets were enumerated")
 
     for module in (sites, poset_module):
-        monkeypatch.setattr(module, "sieves_on", refuse, raising=False)
+        monkeypatch.setattr(module, "_downset_masks", refuse)
     assert [subcanonicity_report(p, j) for j in topologies] == expected
     assert [len(w) for w in expected] == [144, 122, 110, 0, 132]
 
@@ -155,7 +154,6 @@ def _check_without_listing_sieves(p, subsets, frame=None):
         is_site_isomorphism(ident, j, k)
         adjoint_transfer_consistent(ident, ident, j, k)
         subcanonicity_report(p, j)
-        is_complete(j)
         assert GrothTopology.from_json(j.to_json()) == j
         assert validate_topology(p, covers_of(j)) == j
         if frame is not None:
@@ -176,11 +174,16 @@ def test_no_report_reads_the_cover_table(monkeypatch):
     }
     witnesses = 0
 
-    def refuse(poset, q):
-        raise AssertionError(f"the sieves on {q} were enumerated")
+    def grown_from_a_least_cover(listing):
+        def guarded(poset, within, cap, *start):
+            if not start:
+                raise AssertionError("every sieve below an element was enumerated")
+            return listing(poset, within, cap, *start)
 
-    for module in (sites, poset_module, sheaves):
-        monkeypatch.setattr(module, "sieves_on", refuse, raising=False)
+        return guarded
+
+    for module in (sites, sheaves):
+        monkeypatch.setattr(module, "_downset_masks", grown_from_a_least_cover(module._downset_masks))
     for name, p in catalog().items():
         _check_without_listing_sieves(p, all_subsets(p.n), enumerate_downsets(p))
         assert len(enumerate_all_topologies(p)) == 2**p.n

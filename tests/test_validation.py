@@ -6,7 +6,14 @@ import subprocess
 import sys
 
 import pytest
-from conftest import LADDER, antichain, class_join_table, least_member_table
+from conftest import (
+    LADDER,
+    antichain,
+    class_join_table,
+    double_negation,
+    frame_downsets,
+    least_member_table,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +30,6 @@ from sitecalc import (
     catalog,
     congruence_from_nucleus,
     congruence_from_topology,
-    double_negation_nucleus,
     enumerate_all_topologies,
     enumerate_downsets,
     nucleus_from_congruence,
@@ -57,7 +63,7 @@ def test_valid_presentations_skip_the_law_scan(name, monkeypatch):
         assert nucleus_from_congruence(cong) == nuc
         assert nucleus_from_sublocale(sub) == nuc
         assert Nucleus.from_json(nuc.to_json(), frame) == nuc
-    double_negation_nucleus(p, frame)
+    Nucleus(frame, tuple(frame.id_of(double_negation(p, d)) for d in frame_downsets(frame)))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_POSETS))
