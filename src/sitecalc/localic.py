@@ -48,7 +48,7 @@ from .poset import (
     DownSetFrame,
     FinitePoset,
     FrameMap,
-    _bits,
+    _down_closure,
     _mask,
     enumerate_downsets,
     frame_morphism_violation,
@@ -254,16 +254,26 @@ class Nucleus(_Presentation):
     def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Nucleus":
         pairs = _json_list(doc, "pairs", "nucleus")
         frame = frame if frame is not None else frame_for_json(doc)
-        table = [0] * len(frame)
+        size, unlisted = len(frame), object()
+        table = [unlisted] * size
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(f"pairs entry {pair!r} is not a pair", witness={"pair": pair})
             i, t = pair
-            if not _is_id(frame, i):
+            if not (type(i) is int and 0 <= i < size):
                 raise NotANucleusError(
                     f"pair index {i!r} is not a down-set id", witness={"pair": [i, t]}
                 )
+            if table[i] is not unlisted:
+                raise NotANucleusError(
+                    f"down-set id {i} is listed twice", witness={"pair": [i, t]}
+                )
             table[i] = t
+        if unlisted in table:
+            i = table.index(unlisted)
+            raise NotANucleusError(
+                f"down-set id {i} has no pair", witness={"id": i, "downset": _members(frame, i)}
+            )
         return cls(frame, table)
 
 
@@ -587,13 +597,9 @@ def mx_frame_isomorphism(
     sub = enumerate_downsets(poset.induced(elems))
     cut = restriction_frame_map(frame, elems, sub).table
     forward = {m: cut[m] for m in sorted(forms.sublocale.members)}
-    table, index, principal = forms.nucleus.table, frame.mask_index, frame.principal
-    backward = {}
-    for y, mask in enumerate(sub.masks):
-        lifted = 0
-        for k in _bits(mask):
-            lifted |= principal[elems[k]]
-        backward[y] = table[index[lifted]]
+    table, index = forms.nucleus.table, frame.mask_index
+    lift = [frame.principal[e] for e in elems]  # down(e) in P, by the index of e in X
+    backward = {y: table[index[_down_closure(lift, mask)]] for y, mask in enumerate(sub.masks)}
     return SublocaleFrameIso(forms.sublocale, sub, forward, backward)
 
 

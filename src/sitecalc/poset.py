@@ -1,10 +1,11 @@
 """Finite posets, their down-set frames, and Heyting-algebra operations.
 
 Elements are dense integer indices ``0..n-1``; labels are display metadata
-only.  The order relation is stored fully closed (reflexive-transitive),
-as frozensets and as the down mask of each element; the linear extension
-that down-set enumeration grows along is fixed once per poset, and the
-cover pairs are built from the masks on first read.
+only.  The order relation is stored fully closed (reflexive-transitive)
+as masks only, the up mask and the down mask of each element; the linear
+extension that down-set enumeration grows along is fixed once per poset,
+and the cover pairs and the frozenset views of the up-sets and down-sets
+are built from the masks on first read.
 
 A down-set is an int bitmask, bit p set iff p is in it.  A
 :class:`DownSetFrame` enumerates all down-sets of a poset as masks, with
@@ -14,9 +15,9 @@ byte-identical across runs.  Meets, joins and implications are computed on
 the masks; one down-set converts to a frozenset of element ids on request.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The cover pairs and the induced-subposet memo on
-:class:`FinitePoset` are write-once and idempotent, so concurrent
-recomputation is benign.
+concurrent readers.  The cover pairs, the frozenset views and the
+induced-subposet memo on :class:`FinitePoset` are write-once and
+idempotent, so concurrent recomputation is benign.
 """
 
 from __future__ import annotations
@@ -38,39 +39,23 @@ from .errors import (
 DEFAULT_FRAME_CAP = 2**20
 
 
-def _close_relation(n: int, pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
-    """Reflexive-transitive closure, as per-element up-sets."""
-    up = [{i} for i in range(n)]
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"relation pair ({a}, {b}) out of range for {n} elements")
-        up[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            extra: set[int] = set()
-            for j in up[i]:
-                extra |= up[j]
-            if not extra <= up[i]:
-                up[i] |= extra
-                changed = True
-    return up
-
-
 class FinitePoset:
     """A finite partial order on elements ``0..n-1``.
 
-    The constructor accepts an arbitrary generating relation and takes its
-    reflexive-transitive closure; a closure that violates antisymmetry
-    raises :class:`CycleError`.  It also stores ``down_masks``, the mask of
-    each element's down-set, and ``linear_extension``, the elements ordered
-    by (|down(e)|, e), so every element comes after those below it.
+    The constructor accepts an arbitrary generating relation and closes it
+    reflexively and transitively on masks; a closure that violates
+    antisymmetry raises :class:`CycleError` naming the least element on a
+    cycle and its least partner.  The order is stored as masks only:
+    ``up_masks`` and ``down_masks``, the mask of each element's up-set and
+    down-set, with ``linear_extension``, the elements ordered by
+    (|down(e)|, e), so every element comes after those below it.  The
+    frozenset views ``up(p)`` and ``down(p)`` are built from the masks on
+    first read.
     """
 
     __slots__ = (
-        "n", "labels", "_up", "_down", "down_masks", "linear_extension",
-        "_hasse", "_induced_cache", "_hash",
+        "n", "labels", "up_masks", "down_masks", "linear_extension",
+        "_up_sets", "_down_sets", "_hasse", "_induced_cache", "_hash",
     )
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
@@ -81,43 +66,60 @@ class FinitePoset:
         if len(set(labels)) != len(labels):
             raise DuplicateElementError(f"duplicate element names in {labels!r}")
         n = len(labels)
-        up = _close_relation(n, pairs)
+        up = [1 << i for i in range(n)]
+        edges = []
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ParseError(f"relation pair ({a}, {b}) out of range for {n} elements")
+            up[a] |= 1 << b
+            edges.append((a, b))
+        changed = True
+        while changed:  # up[a] takes in up[b] for each pair until nothing grows
+            changed = False
+            for a, b in reversed(edges):  # pairs tend to come lower source first
+                if up[b] & ~up[a]:
+                    up[a] |= up[b]
+                    changed = True
+        down = [0] * n
+        for i, mask in enumerate(up):
+            for j in _bits(mask):
+                down[j] |= 1 << i
         for i in range(n):
-            for j in up[i]:
-                if i != j and i in up[j]:
-                    raise CycleError(
-                        f"antisymmetry fails: {labels[i]!r} <= {labels[j]!r} <= {labels[i]!r}",
-                        witness={"cycle": [labels[i], labels[j]]},
-                    )
+            partners = up[i] & down[i] ^ 1 << i
+            if partners:
+                j = (partners & -partners).bit_length() - 1
+                raise CycleError(
+                    f"antisymmetry fails: {labels[i]!r} <= {labels[j]!r} <= {labels[i]!r}",
+                    witness={"cycle": [labels[i], labels[j]]},
+                )
         self.n = n
         self.labels = labels
-        self._up = tuple(frozenset(s) for s in up)
-        down = [set() for _ in range(n)]
-        masks = [0] * n
-        for i in range(n):
-            for j in up[i]:
-                down[j].add(i)
-                masks[j] |= 1 << i
-        self._down = tuple(frozenset(s) for s in down)
-        self.down_masks = tuple(masks)
-        self.linear_extension = tuple(sorted(range(n), key=lambda e: (len(down[e]), e)))
+        self.up_masks = tuple(up)
+        self.down_masks = tuple(down)
+        self.linear_extension = tuple(sorted(range(n), key=lambda e: (down[e].bit_count(), e)))
+        self._up_sets: tuple[frozenset[int], ...] | None = None
+        self._down_sets: tuple[frozenset[int], ...] | None = None
         self._hasse: tuple[tuple[int, int], ...] | None = None
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
-        self._hash = hash((self.labels, self._up))
+        self._hash = hash((self.labels, self.up_masks))
 
     # -- order queries -------------------------------------------------
 
     def leq(self, i: int, j: int) -> bool:
-        return j in self._up[i]
+        return self.up_masks[i] >> j & 1 == 1
 
     def lt(self, i: int, j: int) -> bool:
-        return i != j and j in self._up[i]
+        return i != j and self.up_masks[i] >> j & 1 == 1
 
     def up(self, p: int) -> frozenset[int]:
-        return self._up[p]
+        if self._up_sets is None:
+            self._up_sets = tuple(frozenset(_bits(m)) for m in self.up_masks)
+        return self._up_sets[p]
 
     def down(self, p: int) -> frozenset[int]:
-        return self._down[p]
+        if self._down_sets is None:
+            self._down_sets = tuple(frozenset(_bits(m)) for m in self.down_masks)
+        return self._down_sets[p]
 
     def index_of(self, label: str) -> int:
         try:
@@ -126,33 +128,25 @@ class FinitePoset:
             raise ParseError(f"unknown element {label!r}", witness={"element": label}) from None
 
     def relation_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i in range(self.n) for j in sorted(self._up[i]))
+        return tuple((i, j) for i, mask in enumerate(self.up_masks) for j in _bits(mask))
 
     # -- closures and extremal elements --------------------------------
 
     def down_closure(self, subset: Iterable[int]) -> frozenset[int]:
         """Smallest down-set containing ``subset``."""
-        out: set[int] = set()
-        for m in subset:
-            out |= self._down[m]
-        return frozenset(out)
+        return frozenset(_bits(_down_closure(self.down_masks, _mask(subset))))
 
     def up_closure(self, subset: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for m in subset:
-            out |= self._up[m]
-        return frozenset(out)
+        return frozenset(_bits(_down_closure(self.up_masks, _mask(subset))))
 
     def minimal_elements(self, subset: Iterable[int] | None = None) -> frozenset[int]:
         """Minimal elements of ``subset`` viewed as a subposet (default: all of P)."""
-        univ = frozenset(subset) if subset is not None else frozenset(range(self.n))
-        return frozenset(p for p in univ if not any(self.lt(q, p) for q in univ))
+        univ = (1 << self.n) - 1 if subset is None else _mask(subset)
+        return frozenset(_bits(_maximal(self.up_masks, univ)))
 
     def least_element(self) -> int | None:
-        for p in range(self.n):
-            if all(self.leq(p, q) for q in range(self.n)):
-                return p
-        return None
+        full = (1 << self.n) - 1
+        return next((p for p, up in enumerate(self.up_masks) if up == full), None)
 
     def is_downwards_directed(self, subset: Iterable[int] | None = None) -> bool:
         """Every pair has a lower bound inside the given universe: the masks
@@ -166,18 +160,13 @@ class FinitePoset:
 
     def hasse_pairs(self) -> tuple[tuple[int, int], ...]:
         """Hasse-diagram pairs (q, p) with q < p and nothing strictly between,
-        p ascending, then q ascending.  The lower covers of p are the strict
-        down-set of p minus the strict down-sets of its members; built once."""
+        p ascending, then q ascending: the lower covers of p are the maximal
+        elements of its strict down-set.  Built once."""
         if self._hasse is None:
             down = self.down_masks
-            out = []
-            for p in range(self.n):
-                strict = down[p] ^ 1 << p
-                shadow = 0
-                for q in _bits(strict):
-                    shadow |= down[q] ^ 1 << q
-                out.extend((q, p) for q in _bits(strict & ~shadow))
-            self._hasse = tuple(out)
+            self._hasse = tuple(
+                (q, p) for p in range(self.n) for q in _bits(_maximal(down, down[p] ^ 1 << p))
+            )
         return self._hasse
 
     def induced(self, subset: Iterable[int]) -> "FinitePoset":
@@ -198,7 +187,7 @@ class FinitePoset:
         return (
             isinstance(other, FinitePoset)
             and self.labels == other.labels
-            and self._up == other._up
+            and self.up_masks == other.up_masks
         )
 
     def __hash__(self) -> int:
@@ -250,7 +239,7 @@ class FinitePoset:
                     f"le_pairs entry {pair!r} is not a pair of ids below {n}",
                     witness={"pair": pair},
                 )
-        return cls(elements, [tuple(p) for p in pairs])
+        return cls(elements, pairs)
 
 
 def parse_poset(text: str) -> FinitePoset:
@@ -335,6 +324,24 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _down_closure(principal: Sequence[int], mask: int) -> int:
+    """The down-closure of a mask, from the masks of the principal down-sets;
+    with the up masks, its up-closure."""
+    out = 0
+    for e in _bits(mask):
+        out |= principal[e]
+    return out
+
+
+def _maximal(principal: Sequence[int], mask: int) -> int:
+    """The maximal elements of a mask: the mask minus the strict principal
+    down-sets of its members; with the up masks, its minimal elements."""
+    shadow = 0
+    for e in _bits(mask):
+        shadow |= principal[e] ^ 1 << e
+    return mask & ~shadow
 
 
 def _label_lists(labels: Sequence[str], masks: Sequence[int]) -> list[list[str]]:
@@ -494,9 +501,8 @@ def heyting_implication(
     by construction; the defining union over all down-sets is kept as a
     test oracle.
     """
-    xs = frozenset(x)
-    ys = frozenset(y)
-    return frozenset(p for p in range(poset.n) if poset.down(p) & xs <= ys)
+    outside = _mask(x) & ~_mask(y)
+    return frozenset(p for p, down in enumerate(poset.down_masks) if not down & outside)
 
 
 # -- maps between frames -------------------------------------------------

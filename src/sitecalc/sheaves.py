@@ -23,10 +23,9 @@ from .errors import (
     PosetMismatchError,
     TooLargeError,
 )
-from .poset import DEFAULT_FRAME_CAP, FinitePoset, _bits, _downset_masks, _mask
+from .poset import DEFAULT_FRAME_CAP, FinitePoset, _bits, _down_closure, _downset_masks, _mask
 from .sites import (
     GrothTopology,
-    _down_closure,
     derived_topology,
     restrict_topology,
     subset_topology,
@@ -46,7 +45,7 @@ class Presheaf:
     functorial-by-construction builders use.
     """
 
-    __slots__ = ("poset", "sizes", "maps", "_key", "_identities")
+    __slots__ = ("poset", "sizes", "maps", "_identities")
 
     def __init__(
         self,
@@ -131,7 +130,6 @@ class Presheaf:
         self.poset = poset
         self.sizes = sizes
         self.maps = maps
-        self._key = (poset, sizes, tuple(sorted(maps.items())))
         self._identities: tuple[tuple[int, ...], ...] | None = None
 
     def restriction(self, q: int, p: int) -> tuple[int, ...]:
@@ -145,10 +143,12 @@ class Presheaf:
         return range(self.sizes[p])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Presheaf) and self._key == other._key
+        return isinstance(other, Presheaf) and (self.poset, self.sizes, self.maps) == (
+            other.poset, other.sizes, other.maps
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.poset, self.sizes, frozenset(self.maps.items())))
 
     def __repr__(self) -> str:
         return f"<Presheaf sizes={list(self.sizes)}>"

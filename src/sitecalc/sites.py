@@ -74,8 +74,10 @@ from .poset import (
     FinitePoset,
     OrderMorphism,
     _bits,
+    _down_closure,
     _downset_masks,
     _mask,
+    _maximal,
     heyting_implication,
 )
 
@@ -127,14 +129,7 @@ class GrothTopology:
         if self._tops is None:
             down = self.poset.down_masks
             xs = _mask(self.subset)
-            out = []
-            for d in down:
-                cut = xs & d
-                shadow = 0
-                for t in _bits(cut):
-                    shadow |= down[t] ^ 1 << t
-                out.append(tuple(_bits(cut & ~shadow)))
-            self._tops = tuple(out)
+            self._tops = tuple(tuple(_bits(_maximal(down, xs & d))) for d in down)
         return self._tops
 
     def covers_json(self) -> dict[str, list[list[str]]]:
@@ -270,14 +265,6 @@ def find_axiom_violation(
                 other=frozenset(_bits(r)),
             )
     return None
-
-
-def _down_closure(principal: Sequence[int], mask: int) -> int:
-    """The down-closure of a mask, from the masks of the principal down-sets."""
-    out = 0
-    for e in _bits(mask):
-        out |= principal[e]
-    return out
 
 
 def _least_covers(principal: Sequence[int], xs: int) -> list[int]:

@@ -27,9 +27,12 @@ in X replaced.  The right Kan extension Ran_X reads its families off the raw
 product of value sets, and natural isomorphism transports a presheaf along
 every tuple of componentwise permutations.  The down-set frame, enumerated
 on bitmasks, has the frozenset enumeration and characteristic-vector sort
-that it replaced.  Directedness and the Hasse pairs, read off the down masks,
-have the ``leq`` scans they replaced, and the tops of each cut of J(X) have
-the maximal elements of the cut by ``lt``.  Presheaf construction, which
+that it replaced.  The order closure on masks has the set fixpoint it
+replaced, with the least cycle witness read off that closure; the up-sets
+and down-sets, the minimal elements, directedness and the Hasse pairs,
+read off the masks, have the ``leq`` and ``lt`` scans they replaced, and
+the tops of each cut of J(X) have the maximal elements of the cut by
+``lt``.  Presheaf construction, which
 checks composition on cover-edge triples, has the scan over every triple
 that it replaced.
 
@@ -113,6 +116,48 @@ def downwards_directed_oracle(poset: FinitePoset, subset=None) -> bool:
     return all(
         any(poset.leq(c, a) and poset.leq(c, b) for c in univ) for a in univ for b in univ
     )
+
+
+def close_relation(n: int, pairs) -> list[set[int]]:
+    """Reflexive-transitive closure of a relation on range(n) by the set
+    fixpoint, as per-element up-sets; cycles included."""
+    up = [{i} for i in range(n)]
+    for a, b in pairs:
+        up[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            extra: set[int] = set()
+            for j in up[i]:
+                extra |= up[j]
+            if not extra <= up[i]:
+                up[i] |= extra
+                changed = True
+    return up
+
+
+def cycle_witness_oracle(n: int, pairs) -> tuple[int, int] | None:
+    """The least element on a cycle of the closed relation and its least
+    partner, or None for a partial order."""
+    up = close_relation(n, pairs)
+    return next(
+        ((i, j) for i in range(n) for j in sorted(up[i]) if j != i and i in up[j]), None
+    )
+
+
+def order_sets_oracle(poset: FinitePoset) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """The up-set and the down-set of every element, by ``leq`` on every pair."""
+    elems = range(poset.n)
+    up = [frozenset(q for q in elems if poset.leq(p, q)) for p in elems]
+    down = [frozenset(q for q in elems if poset.leq(q, p)) for p in elems]
+    return up, down
+
+
+def minimal_elements_oracle(poset: FinitePoset, subset=None) -> frozenset[int]:
+    """The members of the subset with no member strictly below, by ``lt``."""
+    univ = frozenset(range(poset.n) if subset is None else subset)
+    return frozenset(p for p in univ if not any(poset.lt(q, p) for q in univ))
 
 
 def hasse_pairs_oracle(poset: FinitePoset) -> tuple[tuple[int, int], ...]:

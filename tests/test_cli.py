@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import antichain, fence, grid
+
 from sitecalc import (
+    FinitePoset,
     GrothTopology,
     Presheaf,
     catalog_poset,
@@ -131,6 +134,8 @@ def test_convert_round_trip(capsys, tmp_path, chain2_file):
         ("nucleus", "pairs", lambda pairs: pairs[0].__setitem__(1, 99), "NotANucleusError"),
         ("nucleus", "pairs", lambda pairs: pairs.append([99, 0]), "NotANucleusError"),
         ("congruence", "classes", lambda classes: classes[0].append(99), "NotACongruenceError"),
+        ("nucleus", "pairs", lambda pairs: pairs.pop(0), "NotANucleusError"),
+        ("nucleus", "pairs", lambda pairs: pairs.append(list(pairs[-1])), "NotANucleusError"),
     ],
 )
 def test_convert_rejects_out_of_range_ids(capsys, tmp_path, chain2_file, kind, field, corrupt, code):
@@ -151,6 +156,37 @@ def test_convert_rejects_out_of_range_ids(capsys, tmp_path, chain2_file, kind, f
     error = json.loads(out)["error"]
     assert error["code"] == code
     assert error["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "corrupt, witness",
+    [
+        (lambda pairs: pairs.pop(0), {"id": 0, "downset": []}),
+        (lambda pairs: pairs.append([1, 1]), {"pair": [1, 1]}),
+        (lambda pairs: pairs.__setitem__(slice(None), [[2, 2], [1, 1], [1, 1]]), {"pair": [1, 1]}),
+    ],
+    ids=["missing", "repeated", "repeated_and_missing"],
+)
+def test_convert_rejects_nucleus_pairs_that_miss_or_repeat_an_id(
+    capsys, tmp_path, chain2_file, corrupt, witness
+):
+    _, out = run(capsys, "topology", "--poset", chain2_file, "--subset", "0,1")
+    topo_file = tmp_path / "j.json"
+    topo_file.write_text(out)
+    _, out = run(
+        capsys, "convert", "--poset", chain2_file, "--topology", str(topo_file), "--to", "nucleus"
+    )
+    doc = json.loads(out)
+    assert doc["pairs"] == [[0, 0], [1, 1], [2, 2]]
+    corrupt(doc["pairs"])
+    obj_file = tmp_path / "nucleus.json"
+    obj_file.write_text(json.dumps(doc))
+    exit_code, out = run(
+        capsys, "convert", "--poset", chain2_file, "--from", "nucleus", "--input", str(obj_file)
+    )
+    assert exit_code == 1
+    error = json.loads(out)["error"]
+    assert (error["code"], error["witness"]) == ("NotANucleusError", witness)
 
 
 @pytest.mark.parametrize(
@@ -665,3 +701,45 @@ def test_cached_parser_gives_the_bytes_of_a_fresh_one(capsys, v_file, monkeypatc
     assert [code for code, _, _ in shared] == [0, 2, 1, 0]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert run_all() == shared
+
+
+@pytest.mark.parametrize(
+    "poset", [antichain(8), fence(10), grid(3, 5)], ids=["antichain8", "fence10", "grid3x5"]
+)
+def test_mask_verbs_never_read_the_frozenset_views(capsys, tmp_path, monkeypatch, poset):
+    """Valid validate, topology (each kind), enumerate and convert runs (both
+    directions) work on the order masks alone: the frozenset views
+    ``up(p)`` and ``down(p)`` raise if anything reads them."""
+    poset_file = str(tmp_path / "p.json")
+    (tmp_path / "p.json").write_text(json.dumps(poset.to_json()))
+    labels = poset.labels
+    subset = ",".join(labels[::3])
+
+    def refuse(self, p):
+        raise AssertionError("a frozenset view of the order was read")
+
+    monkeypatch.setattr(FinitePoset, "up", refuse)
+    monkeypatch.setattr(FinitePoset, "down", refuse)
+    runs = [["validate"], ["topology", "--subset", subset], ["topology", "--lx", subset]]
+    runs += [["topology", "--kind", kind] for kind in ("indiscrete", "discrete", "dense")]
+    if poset.is_downwards_directed():
+        runs += [["topology", "--kind", "atomic"], ["topology", "--derived", subset]]
+    if poset.n <= 10:
+        runs.append(["enumerate", "--cap", "10"])
+    for argv in runs:
+        code, out = run(capsys, argv[0], "--poset", poset_file, *argv[1:])
+        assert code == 0, (argv, out)
+    topo_file = tmp_path / "j.json"
+    topo_file.write_text(run(capsys, "topology", "--poset", poset_file, "--subset", subset)[1])
+    for kind in ("nucleus", "congruence", "sublocale"):
+        code, out = run(
+            capsys, "convert", "--poset", poset_file, "--topology", str(topo_file), "--to", kind
+        )
+        assert code == 0, (kind, out)
+        obj_file = tmp_path / f"{kind}.json"
+        obj_file.write_text(out)
+        code, back = run(
+            capsys, "convert", "--poset", poset_file, "--from", kind, "--input", str(obj_file)
+        )
+        assert code == 0, (kind, back)
+        assert json.loads(back) == json.loads(topo_file.read_text())

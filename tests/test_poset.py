@@ -5,10 +5,14 @@ from conftest import (
     LADDER,
     all_subsets,
     brute_downsets,
+    close_relation,
     covers_of,
+    cycle_witness_oracle,
     downwards_directed_oracle,
     frame_downsets,
     hasse_pairs_oracle,
+    minimal_elements_oracle,
+    order_sets_oracle,
     recursive_downset_count,
 )
 from hypothesis import given, settings
@@ -308,3 +312,58 @@ def test_directedness_and_hasse_pairs_match_the_oracles(poset):
     assert poset.is_downwards_directed() == downwards_directed_oracle(poset)
     assert poset.hasse_pairs() == hasse_pairs_oracle(poset)
     assert poset.hasse_pairs() is poset.hasse_pairs()
+
+
+def test_cycle_witness_is_the_least_partner():
+    with pytest.raises(CycleError) as err:
+        FinitePoset(17, [(0, 2), (2, 16), (16, 0)])
+    assert err.value.witness == {"cycle": ["0", "2"]}
+
+
+@st.composite
+def relations(draw):
+    """An arbitrary relation on n <= 20 points, cycles and loops included."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    point = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(point, point), max_size=2 * n))
+    return n, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(relations())
+def test_closure_and_cycle_witness_match_the_set_fixpoint(case):
+    n, pairs = case
+    witness = cycle_witness_oracle(n, pairs)
+    if witness is not None:
+        with pytest.raises(CycleError) as err:
+            FinitePoset(n, pairs)
+        assert err.value.witness == {"cycle": [str(e) for e in witness]}
+        return
+    p = FinitePoset(n, pairs)
+    up = close_relation(n, pairs)
+    assert p.up_masks == tuple(sum(1 << q for q in s) for s in up)
+    assert p.down_masks == tuple(sum(1 << q for q in range(n) if e in up[q]) for e in range(n))
+
+
+def _check_order_masks(p, subset):
+    up, down = order_sets_oracle(p)
+    assert [p.up(e) for e in range(p.n)] == up
+    assert [p.down(e) for e in range(p.n)] == down
+    assert p.relation_pairs() == tuple((i, j) for i in range(p.n) for j in sorted(up[i]))
+    assert p.minimal_elements() == minimal_elements_oracle(p)
+    assert p.minimal_elements(subset) == minimal_elements_oracle(p, subset)
+    assert p.down_closure(subset) == frozenset().union(*(down[e] for e in subset))
+    assert p.up_closure(subset) == frozenset().union(*(up[e] for e in subset))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_posets())
+def test_order_masks_match_the_oracles_on_random_posets(case):
+    p, subset = case
+    _check_order_masks(p, {e for e in subset if e < p.n})
+
+
+@pytest.mark.parametrize("poset", [*catalog().values(), *LADDER.values()])
+def test_order_masks_match_the_oracles(poset):
+    for subset in all_subsets(poset.n):
+        _check_order_masks(poset, subset)

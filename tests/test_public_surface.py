@@ -1,6 +1,7 @@
 """The public names of ``sitecalc``, pinned, so that a change to the surface
-is a deliberate edit of this list; and the frozenset layer and constant
-predicates that left the library, which must resolve nowhere."""
+is a deliberate edit of this list; and the frozenset layer, the constant
+predicates and the set fixpoint of the order relation that left the
+library, which must resolve nowhere."""
 
 import types
 
@@ -40,7 +41,7 @@ PUBLIC = (
 REMOVED = (
     "sieves_on", "upper_bounds", "lower_bounds", "dm_closure", "dm_completion", "negation",
     "double_negation", "double_negation_nucleus", "extract_subset", "is_complete",
-    "nucleus_is_complete", "congruence_is_complete",
+    "nucleus_is_complete", "congruence_is_complete", "_close_relation",
 )
 
 REMOVED_ATTRIBUTES = (

@@ -32,6 +32,16 @@ def _assert_certified(f: Presheaf) -> None:
     assert checked.maps == f.maps
 
 
+def test_presheaves_compare_by_poset_sizes_and_maps():
+    chain2 = catalog_poset("chain2")
+    f = Presheaf(chain2, (2, 2), {(0, 1): (0, 1)})
+    same = Presheaf(chain2, [2, 2], {(0, 1): [0, 1]})
+    assert f == same and hash(f) == hash(same)
+    assert f != Presheaf(chain2, (2, 2), {(0, 1): (1, 0)})
+    assert f != Presheaf(chain2, (2, 1), {(0, 1): (0,)})
+    assert f != Presheaf(catalog_poset("antichain2"), (2, 2), {})
+
+
 def _trusted_builds(presheaf: Presheaf, xs) -> list[Presheaf]:
     restricted = restrict_presheaf(presheaf, xs)
     return [restricted, extend_presheaf(restricted, presheaf.poset, xs).presheaf]
