@@ -5,21 +5,22 @@ nuclei, congruences and sublocales of D(P) are in bijection with
 topologies, so each presentation is X as well.  Nuclei, congruences and
 sublocales are stored, like topologies, as their frame and X; the lookup
 table, the partition and the member set are views built from X on first
-read and then kept.  All three views come from one kernel, implication
-from X, d -> {p : X & down(p) <= d}:
+read and then kept.  All three views read one kernel, the fibres of
+d -> d & X.  The nucleus j of J(X), d -> {p : X & down(p) <= d}, depends
+only on the cut d & X and keeps it, so j(d) is the greatest down-set in
+d's fibre:
 
-- the nucleus: d & down(p) covers p iff it holds X & down(p), iff d does.
-- the congruence: the fibres of d -> d & X, which fixes j(d) = j(d & X)
-  and is fixed by it, as j(d) & X = d & X.
-- the sublocale: the fixed points, the d holding every p they cover.
+- the nucleus sends each down-set to the greatest member of its fibre.
+- the congruence is the partition into fibres.
+- the sublocale holds the greatest member of each fibre.
 
 Every conversion passes X along, and nothing the library builds from X is
 checked again.  Input from outside, a table, a partition or a member set,
 is validated at any frame size: X is read off it, as
-X = {p : down(p) - {p} does not cover p}, that is p not in
-j(down(p) - {p}), down(p) not congruent to down(p) - {p}, or some member
+X = {p : down(p) - {p} does not cover p}, that is the p whose down(p) and
+down(p) - {p} differ under the table or the partition, or some member
 cutting down(p) to down(p) - {p}, and the form X generates is rebuilt in
-O(|D|·n) on down-set bitmasks.  A match is a proof.  On a mismatch the
+one pass over the down-set bitmasks.  A match is a proof.  On a mismatch the
 exhaustive law scan runs and raises the witness of the first violated
 law; an input that passes it contradicts the normal form and raises
 NotSubsetGeneratedError instead of being accepted.
@@ -61,10 +62,6 @@ def _members(frame: DownSetFrame, i: int) -> list[str]:
     return sorted(frame.poset.labels[e] for e in frame.downset(i))
 
 
-def _is_id(frame: DownSetFrame, i: object) -> bool:
-    return type(i) is int and 0 <= i < len(frame)
-
-
 def _json_list(doc: object, field: str, kind: str) -> list:
     """The list ``doc[field]``, else a ParseError with the offending value."""
     if not isinstance(doc, dict):
@@ -79,44 +76,35 @@ def _punctured(down: int, p: int) -> int:
     return down & ~(1 << p)
 
 
-def _implication_masks(frame: DownSetFrame, xs: int) -> list[int]:
-    """Implication from the subset mask ``xs``, as a mask for every down-set id:
-    d -> {q : down(q) & xs <= d}."""
-    always = 0
-    cuts = []
-    for q, down in enumerate(frame.principal):
-        cut = down & xs
-        if cut:
-            cuts.append((1 << q, cut))
-        else:
-            always |= 1 << q
-    out = []
-    for d in frame.masks:
-        value = always
-        for bit, cut in cuts:
-            if cut & d == cut:
-                value |= bit
-        out.append(value)
-    return out
+def _fibres(frame: DownSetFrame, xs: int) -> tuple[list[int], list[int]]:
+    """The fibres of d -> d & X for the subset mask ``xs``, as ``(class_of,
+    tops)``: ``class_of[i]`` is the class of down-set id i, classes numbered
+    by least id, and ``tops[c]`` is the largest id in class c.
+
+    ``tops[c]`` is j(d) for every d in class c, j the nucleus of J(X):
+    j(d) contains d, j(d) & X = d & X, and j(d) depends only on d & X, so
+    j(d) lies in d's fibre and contains each of its members.  Adding an
+    element to a down-set raises its id, so the greatest member has the
+    largest id.
+    """
+    first: dict[int, int] = {}  # cut -> class index, numbered by least id
+    class_of = [first.setdefault(d & xs, len(first)) for d in frame.masks]
+    tops = [0] * len(first)
+    for i, c in enumerate(class_of):
+        tops[c] = i
+    return class_of, tops
 
 
-def _nucleus_subset(frame: DownSetFrame, table: Sequence[int]) -> frozenset[int]:
-    """X = {p : p not in j(down(p) - {p})} read off a nucleus table."""
-    masks, index = frame.masks, frame.mask_index
-    return frozenset(
-        p
-        for p, down in enumerate(frame.principal)
-        if not masks[table[index[_punctured(down, p)]]] >> p & 1
-    )
-
-
-def _congruence_subset(frame: DownSetFrame, class_of: Sequence[int]) -> frozenset[int]:
-    """X = {p : down(p) and down(p) - {p} lie in different classes}."""
+def _split_subset(frame: DownSetFrame, label: Sequence[int]) -> frozenset[int]:
+    """X = {p : label(down(p)) != label(down(p) - {p})}, read off a nucleus
+    table or a congruence's class_of.  For a nucleus this is
+    p not in j(down(p) - {p}): if p is in it, j(down(p)) lies between
+    j(down(p) - {p}) and j(j(down(p) - {p})) = j(down(p) - {p})."""
     index = frame.mask_index
     return frozenset(
         p
         for p, down in enumerate(frame.principal)
-        if class_of[index[down]] != class_of[index[_punctured(down, p)]]
+        if label[index[down]] != label[index[_punctured(down, p)]]
     )
 
 
@@ -181,30 +169,31 @@ class _Presentation:
 
 class Nucleus(_Presentation):
     """An inflationary, idempotent, meet-preserving endomap of a frame:
-    implication from X, d -> {q : down(q) & X <= d}.
+    implication from X, d -> {q : down(q) & X <= d}, which sends d to the
+    greatest down-set in its fibre of d -> d & X.
 
-    ``table``, the map over down-set ids, is a view built from X.  A table
-    from outside must hold down-set ids and equal implication from
-    X = {p : p not in j(down(p) - {p})}.  Otherwise inflation, idempotence
-    and binary meets are scanned exhaustively, and the first violation
-    raises with its witness.
+    ``table``, the map over down-set ids, is a view built from the fibres.
+    A table from outside must hold down-set ids and equal the one built
+    from X = {p : j(down(p)) != j(down(p) - {p})}.  Otherwise inflation,
+    idempotence and binary meets are scanned exhaustively, and the first
+    violation raises with its witness.
     """
 
     __slots__ = ()
 
     def __init__(self, frame: DownSetFrame, table: Sequence[int]):
-        table = tuple(table)
-        if len(table) != len(frame):
+        table, size = tuple(table), len(frame)
+        if len(table) != size:
             raise NotANucleusError(
-                f"table has {len(table)} entries for a {len(frame)}-element frame"
+                f"table has {len(table)} entries for a {size}-element frame"
             )
         for a, t in enumerate(table):
-            if not _is_id(frame, t):
+            if not (type(t) is int and 0 <= t < size):
                 raise NotANucleusError(
                     f"table entry {t!r} is not a down-set id",
                     witness={"a": _members(frame, a), "value": t},
                 )
-        self._accept(frame, _nucleus_subset(frame, table), table, table)
+        self._accept(frame, _split_subset(frame, table), table, table)
 
     @staticmethod
     def _check_laws(frame: DownSetFrame, table: Sequence[int]) -> None:
@@ -234,8 +223,8 @@ class Nucleus(_Presentation):
 
     @staticmethod
     def _generate(frame: DownSetFrame, subset: Iterable[int]) -> tuple[int, ...]:
-        index = frame.mask_index
-        return tuple(index[j] for j in _implication_masks(frame, _mask(subset)))
+        class_of, tops = _fibres(frame, _mask(subset))
+        return tuple([tops[c] for c in class_of])
 
     @property
     def table(self) -> tuple[int, ...]:
@@ -294,11 +283,11 @@ class Congruence(_Presentation):
     __slots__ = ()
 
     def __init__(self, frame: DownSetFrame, classes: Iterable[Iterable[int]]):
-        normalized = []
+        normalized, size = [], len(frame)
         for c in classes:
             cls = frozenset(c)
             for a in cls:
-                if not _is_id(frame, a):
+                if not (type(a) is int and 0 <= a < size):
                     raise NotACongruenceError(
                         f"{a!r} is not a down-set id", witness={"id": a}
                     )
@@ -306,7 +295,7 @@ class Congruence(_Presentation):
                 raise NotACongruenceError("a class is empty", witness={"class": []})
             normalized.append(cls)
         classes = tuple(sorted(normalized, key=min))
-        class_of = [-1] * len(frame)
+        class_of = [-1] * size
         for ci, cls in enumerate(classes):
             for a in cls:
                 if class_of[a] != -1:
@@ -321,7 +310,7 @@ class Congruence(_Presentation):
                 "classes do not partition the frame",
                 witness={"id": a, "downset": _members(frame, a)},
             )
-        xs = _congruence_subset(frame, class_of)
+        xs = _split_subset(frame, class_of)
         self._accept(frame, xs, (classes, tuple(class_of)), classes)
 
     @staticmethod
@@ -359,13 +348,11 @@ class Congruence(_Presentation):
     def _generate(
         frame: DownSetFrame, subset: Iterable[int]
     ) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
-        xs = _mask(subset)
-        first: dict[int, int] = {}  # cut -> class index, numbered by least member
-        class_of = tuple(first.setdefault(d & xs, len(first)) for d in frame.masks)
-        groups: list[list[int]] = [[] for _ in first]
+        class_of, tops = _fibres(frame, _mask(subset))
+        groups: list[list[int]] = [[] for _ in tops]
         for a, c in enumerate(class_of):
             groups[c].append(a)
-        return tuple(map(frozenset, groups)), class_of
+        return tuple(map(frozenset, groups)), tuple(class_of)
 
     @property
     def classes(self) -> tuple[frozenset[int], ...]:
@@ -399,7 +386,7 @@ class Congruence(_Presentation):
 class Sublocale(_Presentation):
     """Down-set ids closed under all intersections and under implication
     from arbitrary down-sets into members: the fixed points of implication
-    from X.
+    from X, one greatest down-set in each fibre of d -> d & X.
 
     ``members`` is a view built from X.  Members from outside must be down-set
     ids and the fixed points of implication from X = {p : some member
@@ -410,9 +397,9 @@ class Sublocale(_Presentation):
     __slots__ = ()
 
     def __init__(self, frame: DownSetFrame, members: Iterable[int]):
-        members = frozenset(members)
+        members, size = frozenset(members), len(frame)
         for i in members:
-            if not _is_id(frame, i):
+            if not (type(i) is int and 0 <= i < size):
                 raise NotASublocaleError(f"{i!r} is not a down-set id", witness={"id": i})
         self._accept(frame, _sublocale_subset(frame, members), members, members)
 
@@ -446,8 +433,7 @@ class Sublocale(_Presentation):
 
     @staticmethod
     def _generate(frame: DownSetFrame, subset: Iterable[int]) -> frozenset[int]:
-        fixed = _implication_masks(frame, _mask(subset))
-        return frozenset(i for i, (d, j) in enumerate(zip(frame.masks, fixed)) if d == j)
+        return frozenset(_fibres(frame, _mask(subset))[1])
 
     @property
     def members(self) -> frozenset[int]:
@@ -556,9 +542,9 @@ def subset_forms(
 ) -> SubsetForms:
     """The nucleus, congruence, and sublocale generated by a subset.
 
-    The nucleus is implication from the subset; the congruence identifies
-    down-sets with equal subset cut; the sublocale collects the
-    implication-fixed down-sets.
+    The congruence identifies down-sets with equal subset cut; the nucleus
+    sends each down-set to the greatest member of its class, implication
+    from the subset; the sublocale collects those greatest members.
     """
     topology = GrothTopology(poset, subset)
     frame = _topology_frame(topology, frame)

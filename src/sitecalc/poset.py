@@ -233,7 +233,9 @@ class FinitePoset:
             if not (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(type(i) is int and 0 <= i < n for i in pair)
+                and type(pair[0]) is type(pair[1]) is int
+                and 0 <= pair[0] < n
+                and 0 <= pair[1] < n
             ):
                 raise ParseError(
                     f"le_pairs entry {pair!r} is not a pair of ids below {n}",

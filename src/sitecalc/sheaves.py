@@ -809,9 +809,16 @@ def _bottom_restrictions(
 def extend_sheaf_over_bottom(
     sheaf: Presheaf, poset0: FinitePoset, p0: int
 ) -> Presheaf | None:
-    """Transport a sheaf to the poset with an adjoined bottom, taking the
+    """Transport a sheaf to ``poset0 = adjoin_zero(sheaf.poset)``, taking the
     base-point value at the bottom.  None when some needed restriction is
-    not invertible (impossible for true derived-topology sheaves)."""
+    not invertible (impossible for true derived-topology sheaves).
+
+    The lift is functorial by construction.  Once ``_bottom_restrictions``
+    succeeds, every q has some r <= q, p0, and the table at q is
+    inv(F(r <= p0)) . F(r <= q) for any such r.  For q < p that r lies
+    below p as well, so the table at q composed with F(q <= p) is
+    inv(F(r <= p0)) . F(r <= p), the table at p.
+    """
     poset = sheaf.poset
     tables, ok = _bottom_restrictions(sheaf, p0)
     if not ok:
@@ -821,10 +828,7 @@ def extend_sheaf_over_bottom(
     maps: dict[tuple[int, int], tuple[int, ...]] = dict(sheaf.maps)
     for p in range(poset.n):
         maps[(bottom, p)] = tables[p]
-    try:
-        return Presheaf(poset0, sizes, maps)
-    except FunctorialityError:
-        return None
+    return Presheaf._trusted(poset0, sizes, maps)
 
 
 @dataclass(frozen=True)

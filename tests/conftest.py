@@ -239,15 +239,16 @@ def catalog_pair(request):
 
 
 def class_join_table(congruence) -> tuple[int, ...]:
-    """Each down-set sent to the union of its whole class, element by element."""
+    """Each down-set sent to the union of its whole class, element by element;
+    each class's union is taken once."""
     frame = congruence.frame
-    table = []
-    for a in range(len(frame)):
+    joins = []
+    for cls in congruence.classes:
         acc: frozenset[int] = frozenset()
-        for b in congruence.classes[congruence.class_of[a]]:
+        for b in cls:
             acc |= frame.downset(b)
-        table.append(frame.id_of(acc))
-    return tuple(table)
+        joins.append(frame.id_of(acc))
+    return tuple(joins[c] for c in congruence.class_of)
 
 
 def least_member_table(sublocale) -> tuple[int, ...]:

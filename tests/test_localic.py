@@ -4,6 +4,8 @@ import pytest
 from conftest import (
     LADDER,
     all_subsets,
+    antichain,
+    class_join_table,
     congruence_complete_scan,
     covers_of,
     dm_closure,
@@ -11,8 +13,10 @@ from conftest import (
     frame_downsets,
     heyting_union_oracle,
     nucleus_complete_scan,
+    nucleus_table_from_covers,
     sublocale_failure_oracle,
     sublocale_frame_iso_oracle,
+    sublocale_members_from_covers,
 )
 
 from sitecalc import (
@@ -220,6 +224,46 @@ def test_subset_nucleus_is_adjoint_composite(catalog_pair):
         g = upper_adjoint(f)
         composite = tuple(g.table[f.table[a]] for a in range(len(frame)))
         assert composite == subset_forms(p, x, frame).nucleus.table
+
+
+# -- the fibres of d -> d & X ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, *LADDER])
+def test_fibre_tops_are_the_members_and_the_nucleus_values(name):
+    """Each sublocale member is the largest id of its fibre of d -> d & X,
+    and the nucleus sends every id of the fibre there.  Fibres, table and
+    members come from cuts and cover membership, not from the library."""
+    p = LADDER[name] if name in LADDER else catalog_poset(name)
+    frame = enumerate_downsets(p)
+    for x in all_subsets(p.n):
+        j = subset_topology(p, x)
+        fibres: dict = {}
+        for a, d in enumerate(frame_downsets(frame)):
+            fibres.setdefault(d & x, []).append(a)
+        tops = {max(f) for f in fibres.values()}
+        table = nucleus_table_from_covers(j, frame)
+        assert sublocale_members_from_covers(j, frame) == tops
+        assert all(table[a] == max(f) for f in fibres.values() for a in f)
+        forms = subset_forms(p, x, frame)
+        assert forms.nucleus.table == table
+        assert forms.congruence.classes == tuple(map(frozenset, fibres.values()))
+        assert forms.sublocale.members == tops
+
+
+@pytest.mark.parametrize("x", [range(0, 13, 2), range(13), ()], ids=["seven", "all", "none"])
+def test_fibre_views_at_8192_downsets(x):
+    p, x = antichain(13), frozenset(x)
+    frame = enumerate_downsets(p)
+    forms = subset_forms(p, x, frame)
+    classes, members = forms.congruence.classes, forms.sublocale.members
+    assert len(frame) == 8192
+    assert len(classes) == len(members) == 2 ** len(x)
+    assert forms.nucleus.table == class_join_table(forms.congruence)
+    assert members == sublocale_members_from_covers(subset_topology(p, x), frame)
+    assert Nucleus(frame, forms.nucleus.table).subset == x
+    assert Congruence(frame, classes).subset == x
+    assert Sublocale(frame, members).subset == x
 
 
 def test_mx_frame_isomorphism(catalog_pair):

@@ -41,7 +41,8 @@ PUBLIC = (
 REMOVED = (
     "sieves_on", "upper_bounds", "lower_bounds", "dm_closure", "dm_completion", "negation",
     "double_negation", "double_negation_nucleus", "extract_subset", "is_complete",
-    "nucleus_is_complete", "congruence_is_complete", "_close_relation",
+    "nucleus_is_complete", "congruence_is_complete", "_close_relation", "_implication_masks",
+    "_nucleus_subset", "_congruence_subset", "_is_id",
 )
 
 REMOVED_ATTRIBUTES = (

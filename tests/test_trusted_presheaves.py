@@ -1,6 +1,6 @@
 """Presheaves that the library builds functorial by construction skip the
-constructor's checks: restriction to a subposet, the extension Ran_X and
-the enumerator.  Each must be the presheaf that the validating constructor
+constructor's checks: restriction to a subposet, the extension Ran_X, the
+extension over an adjoined bottom and the enumerator.  Each must be the presheaf that the validating constructor
 builds from the same data, and the enumerator must keep exactly the
 choices that pass the functor laws.  Induced subposets are built once per
 subset and shared."""
@@ -22,6 +22,7 @@ from sitecalc import (
     extend_presheaf,
     restrict_presheaf,
 )
+from sitecalc.sheaves import _bottom_restrictions, adjoin_zero, extend_sheaf_over_bottom
 
 
 def _assert_certified(f: Presheaf) -> None:
@@ -66,6 +67,31 @@ def test_catalog_constructions_pass_the_constructor(name):
         for f in presheaves[::7]:
             for g in _trusted_builds(f, xs):
                 _assert_certified(g)
+
+
+def test_bottom_extension_passes_the_constructor():
+    """Every presheaf of value cap 2 on a catalog poset or the bowtie (two
+    minimal elements under two maximal ones, where the table at the bottom
+    can depend on the mediating element), lifted over an adjoined bottom at
+    every base point: the lift is the presheaf that the validating
+    constructor builds whenever the bottom restrictions exist, V and the
+    antichains included, and None otherwise."""
+    bowtie = FinitePoset(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    lifts = 0
+    for poset in [*map(catalog_poset, CATALOG_NAMES), bowtie]:
+        assert poset.n <= 4
+        poset0 = adjoin_zero(poset)
+        for f in enumerate_presheaves(poset, 2, max_elements=poset.n):
+            for p0 in range(poset.n):
+                lift = extend_sheaf_over_bottom(f, poset0, p0)
+                if _bottom_restrictions(f, p0)[1]:
+                    _assert_certified(lift)
+                    assert lift.poset == poset0 and lift.sizes == (*f.sizes, f.sizes[p0])
+                    assert restrict_presheaf(lift, range(poset.n)) == f
+                    lifts += 1
+                else:
+                    assert lift is None
+    assert lifts == 1012
 
 
 def _raw_functors(poset: FinitePoset, cap: int) -> list[tuple]:

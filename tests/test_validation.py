@@ -177,8 +177,18 @@ def test_bad_ids_and_empty_classes_are_domain_errors():
     with pytest.raises(NotACongruenceError) as exc:
         Congruence(frame, [[0, 1, 2, 3], []])
     assert exc.value.witness == {"class": []}
-    with pytest.raises(NotASublocaleError):
-        Sublocale(frame, [size - 1, "top"])
+    for bad in (True, 1.0):
+        with pytest.raises(NotACongruenceError) as exc:
+            Congruence(frame, [[0, 2, 3], [bad]])
+        assert exc.value.witness["id"] is bad
+    for bad in (-1, True, 1.0):
+        with pytest.raises(NotANucleusError) as exc:
+            Nucleus(frame, [0, bad, 2, 3])
+        assert exc.value.witness["value"] is bad
+    for bad in (size, -1, True, "top"):
+        with pytest.raises(NotASublocaleError) as exc:
+            Sublocale(frame, [size - 1, bad])
+        assert exc.value.witness == {"id": bad} and type(exc.value.witness["id"]) is type(bad)
 
 
 # -- checks that survive python -O --------------------------------------------
