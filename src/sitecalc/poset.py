@@ -14,6 +14,14 @@ lexicographic order on characteristic vectors, so golden files stay
 byte-identical across runs.  Meets, joins and implications are computed on
 the masks; one down-set converts to a frozenset of element ids on request.
 
+A :class:`FrameMap` D(P) -> D(Q) is a table of ids.  By Birkhoff duality
+the frame morphisms among them are exactly the preimage maps of monotone
+maps phi: Q -> P, so one kernel reads phi off the table and accepts the
+table when it is phi's preimage map.  The upper adjoint is
+e -> {p : f(down(p)) <= e}, and the restriction A -> A & X is the preimage
+map of the inclusion X -> P.  Only a rejected table is scanned pair by pair,
+for the witness of its first failing law.
+
 All types are immutable after construction and safe to share across
 concurrent readers.  The cover pairs, the frozenset views and the
 induced-subposet memo on :class:`FinitePoset` are write-once and
@@ -512,28 +520,78 @@ def heyting_implication(
 
 @dataclass(frozen=True)
 class FrameMap:
-    """A monotone table-backed map between two down-set frames."""
+    """A table-backed map between two down-set frames: ``table[i]``, an int,
+    is the target id of source down-set i."""
 
     source: DownSetFrame
     target: DownSetFrame
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.table) != len(self.source):
+        table, size = tuple(self.table), len(self.target)
+        object.__setattr__(self, "table", table)
+        if len(table) != len(self.source):
             raise NotAFrameMorphismError(
-                f"table has {len(self.table)} entries for a {len(self.source)}-element frame"
+                f"table has {len(table)} entries for a {len(self.source)}-element frame",
+                witness={"entries": len(table), "size": len(self.source)},
             )
-        for i in self.table:
-            if not (0 <= i < len(self.target)):
-                raise NotAFrameMorphismError(f"table entry {i} is not a target id")
+        for i in table:
+            if not (type(i) is int and 0 <= i < size):
+                raise NotAFrameMorphismError(
+                    f"table entry {i!r} is not a target id", witness={"id": i}
+                )
+
+
+def _members(frame: DownSetFrame, i: int) -> list[str]:
+    """The labels of down-set i, sorted: the form every law witness takes."""
+    return sorted(frame.poset.labels[e] for e in _bits(frame.masks[i]))
+
+
+def _preimage_table(
+    source: DownSetFrame, target: DownSetFrame, fibres: Sequence[int]
+) -> tuple[int | None, ...]:
+    """The table of the preimage map D(P) -> D(Q) of a map phi: Q -> P given
+    by its fibres, ``fibres[p]`` the mask of {q : phi(q) = p}.  An entry is
+    None where the preimage is not a down-set, which happens for some entry
+    iff phi is not monotone."""
+    index = target.mask_index
+    return tuple(index.get(_down_closure(fibres, d)) for d in source.masks)
+
+
+def _dual_fibres(f: FrameMap) -> list[int] | None:
+    """The fibres of the monotone phi: Q -> P with f = phi^-1, or None when
+    there is none, that is, when f is not a frame morphism.
+
+    On finite posets the frame morphisms D(P) -> D(Q) are exactly the
+    preimage maps of monotone maps Q -> P (Birkhoff duality; Davey &
+    Priestley, Introduction to Lattices and Order, ch. 5).  For f = phi^-1,
+    q lies in f(down(p)) iff phi(q) <= p, so phi(q) is the first p along
+    P's linear extension with q in f(down(p)).  f is accepted when every q
+    gets a phi(q) and the table equals the preimage table of that phi, at
+    O(|D(P)| n) cost.
+    """
+    src, tgt, table = f.source, f.target, f.table
+    index, masks = src.mask_index, tgt.masks
+    fibres, seen = [0] * src.poset.n, 0
+    for p in src.poset.linear_extension:
+        image = masks[table[index[src.principal[p]]]]
+        fibres[p] = image & ~seen
+        seen |= image
+    if seen != (1 << tgt.poset.n) - 1 or _preimage_table(src, tgt, fibres) != table:
+        return None
+    return fibres
 
 
 def frame_morphism_violation(f: FrameMap) -> dict | None:
     """None if ``f`` preserves finite meets and all joins, else a witness.
 
-    On a finite frame, arbitrary meets and joins reduce to the binary and
-    empty cases, so the check covers top, bottom, and all pairs.
+    A table is accepted when it is a preimage map (``_dual_fibres``).  A
+    rejected table is scanned for its first failing law: top, bottom, then
+    meet and join on each pair of down-set ids i < j.  Should none fail,
+    which Birkhoff duality rules out, the witness names the preimage check.
     """
+    if _dual_fibres(f) is not None:
+        return None
     src, tgt, table = f.source, f.target, f.table
     if table[src.top_id] != tgt.top_id:
         return {"law": "top", "a": None, "b": None}
@@ -546,58 +604,50 @@ def frame_morphism_violation(f: FrameMap) -> dict | None:
                 return {"law": "meet", "a": i, "b": j}
             if table[src.join(i, j)] != tgt.join(table[i], table[j]):
                 return {"law": "join", "a": i, "b": j}
-    return None
+    return {"law": "preimage", "a": None, "b": None}
+
+
+def _frame_dual(f: FrameMap) -> list[int]:
+    """The fibres of phi with f = phi^-1, else NotAFrameMorphismError whose
+    witness names the first failing law and its down-sets as sorted labels."""
+    fibres = _dual_fibres(f)
+    if fibres is None:
+        witness = frame_morphism_violation(f)
+        if witness["a"] is not None:
+            witness.update(a=_members(f.source, witness["a"]), b=_members(f.source, witness["b"]))
+        raise NotAFrameMorphismError(
+            f"map is not a frame morphism: {witness['law']} fails", witness=witness
+        )
+    return fibres
 
 
 def upper_adjoint(f: FrameMap) -> FrameMap:
-    """Upper adjoint of a frame morphism, as the join of everything mapped below.
-
-    The adjunction ``f(A) <= B  iff  A <= g(B)`` is verified exhaustively on
-    construction.
-    """
-    witness = frame_morphism_violation(f)
-    if witness is not None:
-        if witness["a"] is not None:
-            witness = dict(
-                witness,
-                a=sorted(f.source.downset(witness["a"])),
-                b=sorted(f.source.downset(witness["b"])),
-            )
-        raise NotAFrameMorphismError(
-            f"map does not preserve {witness['law']}", witness=witness
-        )
+    """The upper adjoint g of a frame morphism f = phi^-1:
+    g(e) = {p : f(down(p)) <= e}, the union of every down-set f sends into
+    e, since f preserves joins and every down-set is the union of the
+    principal down-sets below it."""
+    fibres = _frame_dual(f)
     src, tgt = f.source, f.target
-    images = [tgt.masks[t] for t in f.table]
-    table = []
-    for tb in tgt.masks:
-        acc = 0
-        for fa, sa in zip(images, src.masks):
-            if not fa & ~tb:
-                acc |= sa
-        table.append(src.mask_index[acc])
-    g = FrameMap(tgt, src, tuple(table))
-    below = [src.masks[i] for i in g.table]
-    for a, (fa, sa) in enumerate(zip(images, src.masks)):
-        for b, tb in enumerate(tgt.masks):
-            if (not fa & ~tb) != (not sa & ~below[b]):
-                raise NotAFrameMorphismError(
-                    "adjunction failed; input is not a frame morphism",
-                    witness={"a": sorted(src.downset(a)), "b": sorted(tgt.downset(b))},
-                )
-    return g
+    images = [_down_closure(fibres, down) for down in src.principal]
+    table = tuple(
+        src.mask_index[_mask(p for p, image in enumerate(images) if not image & ~e)]
+        for e in tgt.masks
+    )
+    return FrameMap(tgt, src, table)
 
 
 def restriction_frame_map(
     frame: DownSetFrame, subset: Iterable[int], sub_frame: DownSetFrame | None = None
 ) -> FrameMap:
-    """The frame surjection D(P) -> D(X) given by A |-> A & X."""
+    """The frame surjection D(P) -> D(X) given by A |-> A & X: the preimage
+    map of the inclusion X -> P, X renumbered in index order."""
     elems = sorted(set(subset))
-    pos = {e: k for k, e in enumerate(elems)}
     if sub_frame is None:
         sub_frame = enumerate_downsets(frame.poset.induced(elems))
-    index = sub_frame.mask_index
-    table = tuple(index[_mask(pos[e] for e in _bits(d) if e in pos)] for d in frame.masks)
-    return FrameMap(frame, sub_frame, table)
+    fibres = [0] * frame.poset.n
+    for k, e in enumerate(elems):
+        fibres[e] = 1 << k
+    return FrameMap(frame, sub_frame, _preimage_table(frame, sub_frame, fibres))
 
 
 # -- order morphisms -----------------------------------------------------
@@ -612,13 +662,18 @@ class OrderMorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.mapping) != self.source.n:
+        mapping = tuple(self.mapping)
+        object.__setattr__(self, "mapping", mapping)
+        if len(mapping) != self.source.n:
             raise NotOrderMorphismError(
-                f"mapping has {len(self.mapping)} entries for {self.source.n} elements"
+                f"mapping has {len(mapping)} entries for {self.source.n} elements",
+                witness={"entries": len(mapping), "size": self.source.n},
             )
-        for i in self.mapping:
-            if not (0 <= i < self.target.n):
-                raise NotOrderMorphismError(f"image {i} is not a target element")
+        for i in mapping:
+            if not (type(i) is int and 0 <= i < self.target.n):
+                raise NotOrderMorphismError(
+                    f"image {i!r} is not a target element", witness={"id": i}
+                )
         for x in range(self.source.n):
             for y in self.source.up(x):
                 if not self.target.leq(self.mapping[x], self.mapping[y]):

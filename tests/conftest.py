@@ -43,6 +43,15 @@ builder for nucleus tables that are lawful on chains only.  The closed-form
 isomorphism between a subset sublocale and D(X) has the frozenset
 construction with its bijection, inverse, meet and join checks, and the
 sublocale law scan has the first failing law in id order.
+
+Frame maps, accepted by Birkhoff duality as the preimage map of one
+monotone map between the posets, have the loops that closed form
+replaced: the law scan over every pair of down-sets with its first
+failing law, the upper adjoint as the union of everything mapped below
+with the adjunction checked on every pair, and the factorization through
+a quotient on class representatives, checked for injectivity, meets and
+joins on every pair of classes, and recomposition.  Preimage tables are
+built on frozensets.
 """
 
 from __future__ import annotations
@@ -54,7 +63,9 @@ import pytest
 
 from sitecalc import (
     CATALOG_NAMES,
+    Congruence,
     FinitePoset,
+    NotSurjectiveError,
     catalog,
     subset_subcanonicity_witnesses,
     validate_topology,
@@ -376,6 +387,77 @@ def sublocale_law_oracle(frame, members) -> bool:
         frame.id_of(range(frame.poset.n)) in members
         and all(meets[a][b] in members for a in members for b in members)
         and all(implication(a, ds[m]) in members for a in ds for m in members)
+    )
+
+
+def frame_law_scan_oracle(f) -> dict | None:
+    """The first law a frame-map table breaks: top, bottom, then meet and
+    join on each pair of down-set ids i < j in id order, as
+    ``{"law", "a", "b"}`` with ids; None when every law holds."""
+    src, tgt, table = f.source, f.target, f.table
+    if table[src.top_id] != tgt.top_id:
+        return {"law": "top", "a": None, "b": None}
+    if table[src.bottom_id] != tgt.bottom_id:
+        return {"law": "bottom", "a": None, "b": None}
+    m = len(src)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if table[src.meet(i, j)] != tgt.meet(table[i], table[j]):
+                return {"law": "meet", "a": i, "b": j}
+            if table[src.join(i, j)] != tgt.join(table[i], table[j]):
+                return {"law": "join", "a": i, "b": j}
+    return None
+
+
+def upper_adjoint_oracle(f) -> tuple[int, ...]:
+    """The upper adjoint of a frame morphism as a table: each target
+    down-set b goes to the union of every source down-set that f maps into
+    b.  The adjunction f(a) <= b iff a <= g(b) is asserted on every pair."""
+    src, tgt = f.source, f.target
+    ds, ts = frame_downsets(src), frame_downsets(tgt)
+    table = tuple(
+        src.id_of(frozenset().union(*(a for a, fa in zip(ds, f.table) if ts[fa] <= b)))
+        for b in ts
+    )
+    for a, fa in zip(ds, f.table):
+        for b, gb in zip(ts, table):
+            assert (ts[fa] <= b) == (a <= ds[gb])
+    return table
+
+
+def factorization_oracle(f) -> tuple:
+    """The kernel and the iso of a frame surjection, through the quotient
+    on class representatives: NotSurjectiveError naming the least target
+    down-set outside the image; else the kernel from the fibres of the table,
+    validated as a congruence from outside, and the iso from each class's
+    least member, asserted injective, preserving meets and joins on every
+    pair of classes, and recomposing to f.  Returns (kernel, iso)."""
+    src, tgt = f.source, f.target
+    missing = sorted(set(range(len(tgt))) - set(f.table))
+    if missing:
+        raise NotSurjectiveError(
+            "map is not surjective", witness={"missing": sorted(tgt.downset(missing[0]))}
+        )
+    fibres: dict[int, list[int]] = {}
+    for a, t in enumerate(f.table):
+        fibres.setdefault(t, []).append(a)
+    kernel = Congruence(src, fibres.values())
+    reps = [min(c) for c in kernel.classes]
+    iso = tuple(f.table[r] for r in reps)
+    assert len(set(iso)) == len(reps)
+    for c1, r1 in enumerate(reps):
+        for c2, r2 in enumerate(reps):
+            assert iso[kernel.class_of[src.meet(r1, r2)]] == tgt.meet(iso[c1], iso[c2])
+            assert iso[kernel.class_of[src.join(r1, r2)]] == tgt.join(iso[c1], iso[c2])
+    assert all(f.table[a] == iso[kernel.class_of[a]] for a in range(len(src)))
+    return kernel, iso
+
+
+def preimage_table_oracle(source, target, phi) -> tuple[int, ...]:
+    """The table of d -> {q : phi(q) in d}, D(P) -> D(Q), for a monotone
+    phi: Q -> P given as a sequence, on frozensets."""
+    return tuple(
+        target.id_of(q for q, p in enumerate(phi) if p in d) for d in frame_downsets(source)
     )
 
 

@@ -42,7 +42,6 @@ from sitecalc import (
     nucleus_from_congruence,
     nucleus_from_sublocale,
     nucleus_from_topology,
-    quotient_frame,
     restriction_frame_map,
     sublocale_from_nucleus,
     sublocale_from_topology,
@@ -357,12 +356,16 @@ def test_everything_is_complete_on_finite_frames(catalog_pair):
 
 
 def test_quotient_extremes():
+    """The identity factors through the diagonal congruence, one class per
+    down-set; the map onto D(empty) through the total one."""
     chain2 = catalog_poset("chain2")
     frame = enumerate_downsets(chain2)
-    diag = congruence_from_nucleus(_identity_nucleus(frame))
-    assert quotient_frame(diag).size == len(frame)
-    total = congruence_from_nucleus(Nucleus(frame, (frame.top_id,) * len(frame)))
-    assert quotient_frame(total).size == 1
+    ident = homomorphism_factorization(FrameMap(frame, frame, tuple(range(len(frame)))))
+    assert ident.kernel == congruence_from_nucleus(_identity_nucleus(frame))
+    assert len(ident.kernel.classes) == len(frame) and ident.iso == tuple(range(len(frame)))
+    total = homomorphism_factorization(restriction_frame_map(frame, ()))
+    assert total.kernel == congruence_from_nucleus(Nucleus(frame, (frame.top_id,) * len(frame)))
+    assert len(total.kernel.classes) == 1 and total.iso == (0,)
 
 
 def test_factorization_of_restriction():
@@ -370,7 +373,7 @@ def test_factorization_of_restriction():
     frame = enumerate_downsets(chain2)
     f = restriction_frame_map(frame, {0})
     witness = homomorphism_factorization(f)
-    assert witness.quotient.size == 2 == len(f.target)
+    assert len(witness.kernel.classes) == 2 == len(f.target)
     assert witness.kernel == subset_forms(chain2, {0}, frame).congruence
 
 

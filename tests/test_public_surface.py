@@ -1,7 +1,7 @@
 """The public names of ``sitecalc``, pinned, so that a change to the surface
 is a deliberate edit of this list; and the frozenset layer, the constant
-predicates and the set fixpoint of the order relation that left the
-library, which must resolve nowhere."""
+predicates, the set fixpoint of the order relation and the frame quotient
+that left the library, which must resolve nowhere."""
 
 import types
 
@@ -29,7 +29,7 @@ PUBLIC = (
     "is_site_isomorphism", "is_subcanonical", "join", "kx_sheaf_equivalence_check",
     "lx_topology", "lxy_topology", "matching_families", "meet", "mx_frame_isomorphism",
     "natural_iso_exists", "nucleus_from_congruence", "nucleus_from_sublocale",
-    "nucleus_from_topology", "parse_poset", "quotient_frame", "representable_is_sheaf",
+    "nucleus_from_topology", "parse_poset", "representable_is_sheaf",
     "restrict_presheaf", "restrict_topology", "restriction_frame_map",
     "site_morphism_report", "subcanonicity_report", "sublocale_from_nucleus",
     "sublocale_from_topology", "subset_forms", "subset_of_labels",
@@ -42,7 +42,7 @@ REMOVED = (
     "sieves_on", "upper_bounds", "lower_bounds", "dm_closure", "dm_completion", "negation",
     "double_negation", "double_negation_nucleus", "extract_subset", "is_complete",
     "nucleus_is_complete", "congruence_is_complete", "_close_relation", "_implication_masks",
-    "_nucleus_subset", "_congruence_subset", "_is_id",
+    "_nucleus_subset", "_congruence_subset", "_is_id", "quotient_frame", "QuotientFrame",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -53,6 +53,7 @@ REMOVED_ATTRIBUTES = (
     (poset.DownSetFrame, "_index"),
     (poset.FrameMap, "apply"),
     (localic.Nucleus, "apply"),
+    (localic.FactorizationWitness, "quotient"),
 )
 
 

@@ -193,13 +193,13 @@ def test_bad_ids_and_empty_classes_are_domain_errors():
 
 # -- checks that survive python -O --------------------------------------------
 
-BROKEN_QUOTIENT = """
+BROKEN_KERNEL = """
 from sitecalc import NotAFrameMorphismError, catalog_poset, enumerate_downsets
-from sitecalc import homomorphism_factorization, localic, restriction_frame_map
+from sitecalc import homomorphism_factorization, poset, restriction_frame_map
 
 f = restriction_frame_map(enumerate_downsets(catalog_poset("chain2")), {0})
 homomorphism_factorization(f)
-localic.QuotientFrame.meet = lambda self, c1, c2: 0
+poset._preimage_table = lambda source, target, fibres: (0,) * len(source)
 try:
     homomorphism_factorization(f)
 except NotAFrameMorphismError as err:
@@ -211,8 +211,8 @@ def test_factorization_checks_survive_optimization():
     src = os.path.dirname(os.path.dirname(os.path.abspath(sitecalc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_QUOTIENT],
+        [sys.executable, "-O", "-c", BROKEN_KERNEL],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "meet"
+    assert done.stdout.strip() == "preimage"
