@@ -17,8 +17,16 @@ from typing import Sequence
 
 from . import localic, sheaves, sites
 from .catalog import ALIASES, catalog, catalog_poset
-from .errors import ParseError, SiteCalcError
-from .poset import FinitePoset, enumerate_downsets, export_dot, parse_poset, subset_of_labels
+from .errors import ParseError, PosetMismatchError, SiteCalcError
+from .poset import (
+    FinitePoset,
+    _LabelRows,
+    _Text,
+    enumerate_downsets,
+    export_dot,
+    parse_poset,
+    subset_of_labels,
+)
 
 
 _encode_int = int.__repr__
@@ -34,9 +42,11 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
     the nesting level whose newline-plus-indent is ``nl``.  Lists of exact
     ``str`` or ``int``, and lists of such lists, are joined over the C
     mappers in one pass; ``_Fallback`` for anything else it does not know.
-    ``memo`` marks each list of lists it renders by (id, ``nl``) and keeps
-    the text of one it meets a second time: a list that the document holds
-    k times at one level is rendered twice, not k times, and one held once
+    A ``_Text`` writes its own text: label rows held as masks and id
+    tables, from the library's document builders.  ``memo`` marks each
+    ``_Text`` and list of lists it renders by (id, ``nl``) and keeps the
+    text of one it meets a second time: a value that the document holds k
+    times at one level is rendered twice, not k times, and one held once
     keeps no copy of its text.  Ids are stable while the document, which
     holds every object, is being written."""
     kind = type(obj)
@@ -51,6 +61,10 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
     ref = (id(obj), nl)
     text = memo.get(ref)
     if text:
+        return text
+    if kind is _Text:
+        text = obj.render(nl)
+        memo[ref] = text if ref in memo else ""
         return text
     inner = nl + "  "
     sep = "," + inner
@@ -86,10 +100,12 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
 
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, without its
-    pure-Python encoder on the containers this CLI writes.  A non-``str``
-    key, a subclass, an unknown type or a cycle hands the whole document to
-    ``json.dumps``, so its key coercion and its errors stay as they are.
-    The memo of rendered lists lives for this call only."""
+    pure-Python encoder on the containers this CLI writes; a ``_Text``
+    writes the value it holds.  A non-``str`` key, a subclass, an unknown
+    type or a cycle hands the whole document to ``json.dumps``, so its key
+    coercion and its errors stay as they are; the documents that hold a
+    ``_Text`` have none of these.  The memo of rendered lists lives for this
+    call only."""
     try:
         return _render(obj, "\n", {})
     except _Fallback:
@@ -119,11 +135,17 @@ def _parse_json(path: str, text: str):
         ) from None
 
 
-def _load_poset(path: str) -> FinitePoset:
+def _read_poset(path: str) -> tuple[FinitePoset, object]:
+    """The poset in the file and its JSON document, None for the text form."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return FinitePoset.from_json(_parse_json(path, text))
-    return parse_poset(text)
+        doc = _parse_json(path, text)
+        return FinitePoset.from_json(doc), doc
+    return parse_poset(text), None
+
+
+def _load_poset(path: str) -> FinitePoset:
+    return _read_poset(path)[0]
 
 
 def _load_json(path: str) -> dict:
@@ -157,14 +179,15 @@ def _cmd_topology(args) -> int:
         topology = sites.derived_topology(poset, _split_elements(poset, args.derived))
     else:
         topology = sites.lx_topology(poset, _split_elements(poset, args.lx))
-    _emit(topology.to_json())
+    _emit(topology._json(_LabelRows(poset.labels, text=True)))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     poset = _load_poset(args.poset)
     topologies = sites.enumerate_all_topologies(poset, cap=args.cap)
-    listing = sites._CoverListing(poset)  # one family per (p, L_p), shared across the census
+    # one family per (p, L_p), shared across the census and written from its masks
+    listing = sites._CoverListing(poset, _LabelRows(poset.labels, text=True))
     out = [
         {
             "covers": listing.covers_json(topology.subset),
@@ -176,27 +199,46 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _require_document_poset(poset: FinitePoset, given: object, doc: object) -> None:
+    """PosetMismatchError when a presentation document names a poset other
+    than ``--poset``, whose JSON document is ``given``.  The two JSON values
+    are compared first, and the document's poset is read only when they
+    differ; a document with no ``poset`` field is left to its reader."""
+    if not isinstance(doc, dict) or "poset" not in doc or doc["poset"] == given:
+        return
+    own = FinitePoset.from_json(doc["poset"])
+    if own == poset:
+        return
+    if own.labels != poset.labels:
+        witness = {"document": list(own.labels), "poset": list(poset.labels)}
+    else:
+        n = poset.n
+        a, b = next((a, b) for a in range(n) for b in range(n) if own.leq(a, b) != poset.leq(a, b))
+        witness = {"pair": [poset.labels[a], poset.labels[b]], "in_document": own.leq(a, b)}
+    raise PosetMismatchError("the document is on another poset than --poset", witness=witness)
+
+
 def _cmd_convert(args) -> int:
-    poset = _load_poset(args.poset)
+    poset, given = _read_poset(args.poset)
     frame = enumerate_downsets(poset)
     if args.to is not None:
         topology = sites.GrothTopology.from_json(_load_json(args.topology))
-        nucleus = localic.nucleus_from_topology(topology, frame)
-        if args.to == "nucleus":
-            _emit(nucleus.to_json())
-        elif args.to == "congruence":
-            _emit(localic.congruence_from_nucleus(nucleus).to_json())
-        else:
-            _emit(localic.sublocale_from_nucleus(nucleus).to_json())
+        view = localic.nucleus_from_topology(topology, frame)
+        if args.to == "congruence":
+            view = localic.congruence_from_nucleus(view)
+        elif args.to == "sublocale":
+            view = localic.sublocale_from_nucleus(view)
+        _emit(view._json(_LabelRows(poset.labels, text=True)))
         return 0
     doc = _load_json(args.input)
+    _require_document_poset(poset, given, doc)
     if args.from_ == "nucleus":
         nucleus = localic.Nucleus.from_json(doc, frame)
     elif args.from_ == "congruence":
         nucleus = localic.nucleus_from_congruence(localic.Congruence.from_json(doc, frame))
     else:
         nucleus = localic.nucleus_from_sublocale(localic.Sublocale.from_json(doc, frame))
-    _emit(localic.topology_from_nucleus(nucleus).to_json())
+    _emit(localic.topology_from_nucleus(nucleus)._json(_LabelRows(poset.labels, text=True)))
     return 0
 
 

@@ -52,6 +52,7 @@ from .poset import (
     DownSetFrame,
     FinitePoset,
     FrameMap,
+    _LabelRows,
     _down_closure,
     _frame_dual,
     _mask,
@@ -166,6 +167,11 @@ class _Presentation:
     def __hash__(self) -> int:
         return hash((self.frame, self.subset))
 
+    def to_json(self) -> dict:
+        """The frame's JSON form plus this presentation's own field; the
+        ``_json`` of each kind builds it with the rows written as given."""
+        return self._json(_LabelRows(self.frame.poset.labels))
+
 
 class Nucleus(_Presentation):
     """An inflationary, idempotent, meet-preserving endomap of a frame:
@@ -234,9 +240,9 @@ class Nucleus(_Presentation):
     def __repr__(self) -> str:
         return f"<Nucleus on {len(self.frame)} down-sets>"
 
-    def to_json(self) -> dict:
-        doc = self.frame.to_json()
-        doc["pairs"] = [[i, t] for i, t in enumerate(self.table)]
+    def _json(self, rows: _LabelRows) -> dict:
+        doc = self.frame._json(rows)
+        doc["pairs"] = rows.pairs(self.table)
         return doc
 
     @classmethod
@@ -283,17 +289,43 @@ class Congruence(_Presentation):
     __slots__ = ()
 
     def __init__(self, frame: DownSetFrame, classes: Iterable[Iterable[int]]):
-        normalized, size = [], len(frame)
+        self._build(frame, classes, parsing=False)
+
+    def _build(self, frame: DownSetFrame, classes: Iterable, parsing: bool) -> None:
+        """Check the classes in one pass over their members, then accept
+        them.  A member that is not an exact in-range int, or an empty
+        class, is a NotACongruenceError.  When ``parsing`` a JSON document,
+        a class that is not a list or a member that is not an int is a
+        ParseError instead, and it outranks a NotACongruenceError found
+        before it, which waits until the pass ends."""
+        normalized, size, error = [], len(frame), None
+
+        def unparsed(c: object) -> ParseError:
+            return ParseError(f"class {c!r} is not a list of ids", witness={"class": c})
+
         for c in classes:
-            cls = frozenset(c)
+            if parsing and not isinstance(c, list):
+                raise unparsed(c)
+            try:
+                cls = frozenset(c)
+            except TypeError:
+                if parsing:
+                    raise unparsed(c) from None
+                raise
             for a in cls:
                 if not (type(a) is int and 0 <= a < size):
-                    raise NotACongruenceError(
+                    if parsing and not isinstance(a, int):
+                        raise unparsed(c)
+                    error = error or NotACongruenceError(
                         f"{a!r} is not a down-set id", witness={"id": a}
                     )
             if not cls:
-                raise NotACongruenceError("a class is empty", witness={"class": []})
+                error = error or NotACongruenceError("a class is empty", witness={"class": []})
+            if error and not parsing:
+                raise error
             normalized.append(cls)
+        if error:
+            raise error
         classes = tuple(sorted(normalized, key=min))
         class_of = [-1] * size
         for ci, cls in enumerate(classes):
@@ -368,19 +400,18 @@ class Congruence(_Presentation):
     def __repr__(self) -> str:
         return f"<Congruence with {len(self.classes)} classes>"
 
-    def to_json(self) -> dict:
-        doc = self.frame.to_json()
+    def _json(self, rows: _LabelRows) -> dict:
+        doc = self.frame._json(rows)
         doc["classes"] = [sorted(c) for c in self.classes]
         return doc
 
     @classmethod
     def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Congruence":
         classes = _json_list(doc, "classes", "congruence")
-        for c in classes:
-            if not (isinstance(c, list) and all(isinstance(a, int) for a in c)):
-                raise ParseError(f"class {c!r} is not a list of ids", witness={"class": c})
         frame = frame if frame is not None else frame_for_json(doc)
-        return cls(frame, classes)
+        out = cls.__new__(cls)
+        out._build(frame, classes, parsing=True)
+        return out
 
 
 class Sublocale(_Presentation):
@@ -433,7 +464,20 @@ class Sublocale(_Presentation):
 
     @staticmethod
     def _generate(frame: DownSetFrame, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(_fibres(frame, _mask(subset))[1])
+        """The greatest member of each fibre of d -> d & X.  The cuts d & X
+        are the down-sets y of X as an induced subposet, grown along P's
+        linear extension, and the greatest down-set cutting to y is
+        j(down(y)) = {q : X & down(q) <= y}, all of P but the up-closure of
+        X - y: |D(X)| members, with no pass over D(P)."""
+        xs = _mask(subset)
+        poset, index = frame.poset, frame.mask_index
+        cuts = [0]
+        for e in poset.linear_extension:
+            if xs >> e & 1:
+                pred = frame.principal[e] & xs ^ 1 << e
+                cuts.extend([y | 1 << e for y in cuts if y & pred == pred])
+        full = (1 << poset.n) - 1
+        return frozenset(index[full ^ _down_closure(poset.up_masks, xs & ~y)] for y in cuts)
 
     @property
     def members(self) -> frozenset[int]:
@@ -442,8 +486,8 @@ class Sublocale(_Presentation):
     def __repr__(self) -> str:
         return f"<Sublocale with {len(self.members)} members>"
 
-    def to_json(self) -> dict:
-        doc = self.frame.to_json()
+    def _json(self, rows: _LabelRows) -> dict:
+        doc = self.frame._json(rows)
         doc["members"] = sorted(self.members)
         return doc
 

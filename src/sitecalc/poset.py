@@ -14,6 +14,12 @@ lexicographic order on characteristic vectors, so golden files stay
 byte-identical across runs.  Meets, joins and implications are computed on
 the masks; one down-set converts to a frozenset of element ids on request.
 
+Rows of labels held as masks go through one private kernel,
+:class:`_LabelRows`, both ways: a row read from outside becomes a mask off
+one label-to-bit table, and a row written out is joined from one fragment
+per 8-bit chunk of its mask, label lists for library callers or encoded
+JSON text for the CLI writer.
+
 A :class:`FrameMap` D(P) -> D(Q) is a table of ids.  By Birkhoff duality
 the frame morphisms among them are exactly the preimage maps of monotone
 maps phi: Q -> P, so one kernel reads phi off the table and accepts the
@@ -32,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii as _encode_label
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CycleError,
@@ -42,6 +49,7 @@ from .errors import (
     NotOrderIsomorphismError,
     NotOrderMorphismError,
     ParseError,
+    PosetMismatchError,
 )
 
 DEFAULT_FRAME_CAP = 2**20
@@ -354,25 +362,122 @@ def _maximal(principal: Sequence[int], mask: int) -> int:
     return mask & ~shadow
 
 
-def _label_lists(labels: Sequence[str], masks: Sequence[int]) -> list[list[str]]:
-    """The labels of each mask's elements, ascending, as fresh lists.
+class _Text:
+    """A JSON value held as the function that writes it as
+    ``json.dumps(indent=2)`` would, at the nesting level whose
+    newline-plus-indent it is given.  Only the CLI writer reads it, in
+    documents whose keys and labels are exact strings."""
 
-    Each 8-bit chunk of a mask is read off a table of label lists built
-    here, one table per chunk position.
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[str], str]):
+        self.render = render
+
+
+class _Fragments(dict):
+    """The fragment of each value of one 8-bit chunk of a row's mask, from
+    ``pieces``, the fragment of each of its bits, and ``self[0]``, the empty
+    one: built on first lookup, as the fragment of the value without its top
+    bit followed by that bit's."""
+
+    __slots__ = ("pieces",)
+
+    def __missing__(self, chunk: int) -> str | list:
+        high = chunk.bit_length() - 1
+        out = self[chunk] = self[chunk ^ 1 << high] + self.pieces[high]
+        return out
+
+
+class _LabelRows:
+    """Rows of one poset's labels held as masks, read in and written out.
+
+    In, ``bits`` maps each label to its bit, so a row of labels from outside
+    becomes a mask with one lookup per label.  Out, ``rows(masks)`` gives
+    the labels of each mask's elements, ascending, as fresh lists
+    (:func:`_label_lists`), or, for a writer of JSON text, as a
+    :class:`_Text`; ``pairs(table)`` gives an id table as ``[i, table[i]]``
+    rows the same two ways.  A row is joined from one fragment per 8-bit
+    chunk of its mask, read off a table per chunk position: a list of
+    labels, or the encoded labels each behind its separator.  A table fills
+    in the fragment of a chunk value on its first lookup and keeps it, one
+    set of tables per nesting level of the text, so an instance that serves
+    one document renders each fragment once for it.
     """
-    n = len(labels)
-    bases = range(0, max(n, 1), 8)  # the empty poset still lists its one down-set
-    rows: list = []
-    for base in bases:
-        table = [[]]
-        for chunk in range(1, 1 << min(8, n - base)):
-            high = chunk.bit_length() - 1
-            table.append(table[chunk ^ 1 << high] + [labels[base + high]])
-        if base == 0:
-            rows = [table[m & 255] for m in masks]  # distinct masks, distinct lists
-        else:
+
+    __slots__ = ("labels", "text", "_bits", "_tables")
+
+    def __init__(self, labels: Sequence[str], text: bool = False):
+        self.labels = labels
+        self.text = text
+        self._bits: dict[str, int] | None = None
+        self._tables: dict[str | None, list[_Fragments]] = {}
+
+    @property
+    def bits(self) -> dict[str, int]:
+        if self._bits is None:
+            self._bits = {label: 1 << i for i, label in enumerate(self.labels)}
+        return self._bits
+
+    def rows(self, masks: Sequence[int]) -> list[list[str]] | _Text:
+        if self.text:
+            return _Text(lambda nl: self._rows_text(masks, nl))
+        return _label_lists(self, masks)
+
+    def pairs(self, table: Sequence[int]) -> list[list[int]] | _Text:
+        if self.text:
+            return _Text(lambda nl: _pairs_text(table, nl))
+        return [[i, t] for i, t in enumerate(table)]
+
+    def _join(self, masks: Sequence[int], deep: str | None) -> list:
+        """Each mask's row: fresh label lists when ``deep`` is None, else the
+        encoded labels each behind ``,`` and ``deep``, the newline and indent
+        of a row member."""
+        tables = self._tables.get(deep)
+        if tables is None:
+            labels = self.labels
+            if deep is None:
+                empty, pieces = [], [[label] for label in labels]
+            else:
+                empty, pieces = "", ["," + deep + _encode_label(label) for label in labels]
+            tables = self._tables[deep] = []
+            for base in range(0, max(len(labels), 1), 8):  # the empty poset still has a row
+                table = _Fragments({0: empty})
+                table.pieces = pieces[base:base + 8]
+                tables.append(table)
+        first = tables[0]
+        empty = first[0]
+        rows = [empty + first[m & 255] for m in masks]  # a fresh list for each row
+        for k in range(1, len(tables)):
+            table, base = tables[k], 8 * k
             rows = [row + table[m >> base & 255] for row, m in zip(rows, masks)]
-    return rows
+        return rows
+
+    def _rows_text(self, masks: Sequence[int], nl: str) -> str:
+        """The rows as ``json.dumps(indent=2)`` writes them at the nesting
+        level ``nl``: each row's joined fragments less the first comma."""
+        if not masks:
+            return "[]"
+        inner = nl + "  "
+        tail = inner + "]"
+        rows = [f"[{body[1:]}{tail}" if body else "[]" for body in self._join(masks, inner + "  ")]
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+
+
+def _label_lists(rows: _LabelRows, masks: Sequence[int]) -> list[list[str]]:
+    """The labels of each mask's elements, ascending, each row a fresh list:
+    the plain reading of the kernel, for library callers."""
+    return rows._join(masks, None)
+
+
+def _pairs_text(table: Sequence[int], nl: str) -> str:
+    """``[[i, table[i]], ...]`` as ``json.dumps(indent=2)`` writes it at the
+    nesting level ``nl``."""
+    if not table:
+        return "[]"
+    inner = nl + "  "
+    deep = inner + "  "
+    rows = [f"[{deep}{i},{deep}{t}{inner}]" for i, t in enumerate(table)]
+    return "[" + inner + ("," + inner).join(rows) + nl + "]"
 
 
 def _downset_masks(poset: FinitePoset, within: int, cap: int, start: int = 0) -> list[int]:
@@ -418,15 +523,39 @@ class DownSetFrame:
     ``masks`` holds the down-sets by id, ``mask_index`` maps a mask back to
     its id and ``principal`` holds the mask of each principal down-set; the
     frame operations run on these alone.  ``downset(i)`` converts one mask
-    to a frozenset.
+    to a frozenset.  Masks given to the constructor must be exactly D(P) in
+    id order; :func:`enumerate_downsets` builds them so and skips the check.
     """
 
     __slots__ = ("poset", "masks", "mask_index", "principal")
 
     def __init__(self, poset: FinitePoset, masks: Sequence[int]):
+        masks = tuple(masks)
+        expected = _downset_masks(poset, (1 << poset.n) - 1, DEFAULT_FRAME_CAP)
+        for i, (m, e) in enumerate(zip(masks, expected)):
+            if type(m) is not int or m != e:
+                raise PosetMismatchError(
+                    f"mask {m!r} at id {i} is not the down-set that D(P) lists there",
+                    witness={"id": i, "mask": m if type(m) is int else repr(m)},
+                )
+        if len(masks) != len(expected):
+            raise PosetMismatchError(
+                f"{len(masks)} masks for the {len(expected)} down-sets of the poset",
+                witness={"masks": len(masks), "downsets": len(expected)},
+            )
+        self._fill(poset, masks)
+
+    @classmethod
+    def _trusted(cls, poset: FinitePoset, masks: Sequence[int]) -> "DownSetFrame":
+        """The frame on ``masks``, which must be D(P) in id order, unchecked."""
+        out = cls.__new__(cls)
+        out._fill(poset, tuple(masks))
+        return out
+
+    def _fill(self, poset: FinitePoset, masks: tuple[int, ...]) -> None:
         self.poset = poset
-        self.masks = tuple(masks)
-        self.mask_index = dict(zip(self.masks, range(len(self.masks))))
+        self.masks = masks
+        self.mask_index = dict(zip(masks, range(len(masks))))
         self.principal = poset.down_masks
 
     def __len__(self) -> int:
@@ -487,16 +616,17 @@ class DownSetFrame:
     def __hash__(self) -> int:
         return hash((self.poset, self.masks))
 
+    def _json(self, rows: _LabelRows) -> dict:
+        """The JSON form, with the down-sets as ``rows`` writes them."""
+        return {"poset": self.poset.to_json(), "downsets": rows.rows(self.masks)}
+
     def to_json(self) -> dict:
-        return {
-            "poset": self.poset.to_json(),
-            "downsets": _label_lists(self.poset.labels, self.masks),
-        }
+        return self._json(_LabelRows(self.poset.labels))
 
 
 def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> DownSetFrame:
     """Materialize D(P) with stable ids; FrameTooLargeError beyond ``cap``."""
-    return DownSetFrame(poset, _downset_masks(poset, (1 << poset.n) - 1, cap))
+    return DownSetFrame._trusted(poset, _downset_masks(poset, (1 << poset.n) - 1, cap))
 
 
 # -- Heyting structure --------------------------------------------------

@@ -19,7 +19,12 @@ and conversion computes X in closed form (min: minimal elements):
 Families from outside, in :func:`validate_topology`, must hold element ids
 and must equal J(X) for the X read off them; otherwise the axiom scan finds
 the exact witness, and families that pass it, refuting the normal form,
-raise instead of being replaced by J(X).  The scan runs on masks: the sieves
+raise instead of being replaced by J(X).  A topology document is read
+straight into masks, one label-to-bit table per document, and accepted
+without listing J(X) when each family is the whole interval between L_p
+and down(p), checked by bounds and by count; any other document goes on to
+:func:`validate_topology`, so its error and witness are those of the full
+check.  The scan runs on masks: the sieves
 on p come from the same down-set kernel, and transitivity tests each cover
 against one held set per non-cover.  Subset arguments go through one id
 check.  The census :func:`enumerate_all_topologies` lists J(X) for the 2^n
@@ -56,6 +61,8 @@ listings instead order sieves by their stable frame id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -73,6 +80,7 @@ from .poset import (
     DEFAULT_FRAME_CAP,
     FinitePoset,
     OrderMorphism,
+    _LabelRows,
     _bits,
     _down_closure,
     _downset_masks,
@@ -138,8 +146,13 @@ class GrothTopology:
         call's own."""
         return _CoverListing(self.poset).covers_json(self.subset)
 
+    def _json(self, rows: _LabelRows) -> dict:
+        """The JSON form, with the covers as ``rows`` writes them."""
+        covers = _CoverListing(self.poset, rows).covers_json(self.subset)
+        return {"poset": self.poset.to_json(), "covers": covers}
+
     def to_json(self) -> dict:
-        return {"poset": self.poset.to_json(), "covers": self.covers_json()}
+        return self._json(_LabelRows(self.poset.labels))
 
     @classmethod
     def from_json(cls, doc: object) -> "GrothTopology":
@@ -151,23 +164,11 @@ class GrothTopology:
         families = doc.get("covers")
         if not isinstance(families, dict):
             raise ParseError("'covers' is not an object", witness={"covers": families})
-        # one lookup table per document; index_of raises for an unknown label
-        ids = {label: i for i, label in enumerate(poset.labels)}
-        covers: list[set[frozenset[int]]] = [set() for _ in range(poset.n)]
-        for label, sieves in families.items():
-            p = ids[label] if label in ids else poset.index_of(label)
-            if not (
-                isinstance(sieves, list)
-                and all(isinstance(s, list) and all(isinstance(m, str) for m in s) for s in sieves)
-            ):
-                raise ParseError(
-                    f"the covers of {label!r} are not lists of element labels",
-                    witness={"element": label, "family": sieves},
-                )
-            covers[p].update(
-                frozenset(ids[m] if m in ids else poset.index_of(m) for m in s) for s in sieves
-            )
-        return validate_topology(poset, covers)
+        fams = _family_rows(poset, families)
+        xs = _subset_of_masks(poset, fams)
+        if xs is not None:
+            return cls(poset, _bits(xs))
+        return validate_topology(poset, [{frozenset(_bits(m)) for m in fam} for fam in fams])
 
 
 def find_axiom_violation(
@@ -273,6 +274,79 @@ def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
     return [_down_closure(principal, xs & down) for down in principal]
 
 
+def _downset_count(poset: FinitePoset, mask: int, limit: int) -> int:
+    """|D(Q)| for Q the subposet on ``mask``, or a number above ``limit``
+    once it is known to exceed it.  The down-sets without the last element e
+    of Q are those of Q - up(e); those with it are down(e) & Q joined to
+    those of Q - down(e)."""
+    up, down = poset.up_masks, poset.down_masks
+    memo = {0: 1}
+
+    def count(m: int) -> int:
+        got = memo.get(m)
+        if got is None:
+            e = m.bit_length() - 1
+            got = count(m & ~up[e])
+            if got <= limit:
+                got += count(m & ~down[e])
+            memo[m] = got
+        return got
+
+    return count(mask)
+
+
+def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
+    """Each element's family, given as label rows under its label, as a set
+    of masks, empty for an element with none.  A row becomes a mask off one
+    label-to-bit table per document, its bits combined by OR, so a label
+    repeated in a row is one member and cannot carry into the next bit.  A
+    family that is not read so is checked member by member: an unknown
+    label, or a family that is not lists of labels, is a ParseError."""
+    bits = _LabelRows(poset.labels).bits
+    get = bits.__getitem__
+    fams: list[set[int]] = [set() for _ in range(poset.n)]
+    for label, sieves in families.items():
+        p = get(label).bit_length() - 1 if label in bits else poset.index_of(label)
+        try:
+            if type(sieves) is list and set(map(type, sieves)) <= {list}:
+                fams[p] = {reduce(or_, map(get, s), 0) for s in sieves}
+                continue
+        except (KeyError, TypeError):  # an unknown or unhashable label
+            pass
+        if not (
+            isinstance(sieves, list)
+            and all(isinstance(s, list) and all(isinstance(m, str) for m in s) for s in sieves)
+        ):
+            raise ParseError(
+                f"the covers of {label!r} are not lists of element labels",
+                witness={"element": label, "family": sieves},
+            )
+        fams[p] = {_mask(map(poset.index_of, s)) for s in sieves}
+    return fams
+
+
+def _subset_of_masks(poset: FinitePoset, fams: Sequence[set[int]]) -> int | None:
+    """X as a mask when the families of masks are J(X) for
+    X = {p : the only cover of p is down(p)}, else None, without listing
+    J(X).  The covers of p in J(X) are the down-sets between
+    L_p = down(X & down(p)) and down(p), as many as the down-sets of
+    down(p) - L_p; so a family equals them iff its masks are down-closed,
+    lie between the two and are that many."""
+    down = poset.down_masks
+    xs = _mask(p for p, fam in enumerate(fams) if fam == {down[p]})
+    for p, least in enumerate(_least_covers(down, xs)):
+        high, fam = down[p], fams[p]
+        for s in fam:
+            if s & ~high or least & ~s:
+                return None
+            for e in _bits(s & ~least):
+                if down[e] & ~s:
+                    return None
+        if len(fam) != _downset_count(poset, high & ~least, len(fam)):
+            return None
+    return xs
+
+
 def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
     """J(X) on masks, X given as one: per element p, the covers of p in
     frame id order.  They are the sieves L_p | t for t a down-set of
@@ -289,20 +363,20 @@ class _CoverListing:
 
     The covers of p are the sieves on p holding L_p = down(X & down(p)), so
     a family depends only on the key (p, L_p): it is listed once per key and
-    handed out again for every later X with that key.  Labels are read off
-    one table per 8-bit chunk of a mask, filled one chunk value at a time.
-    An instance serves one call, so its lists are shared only inside the
+    handed out again for every later X with that key.  Each family is
+    written by ``rows``, plain label lists unless given a text writer.  An
+    instance serves one call, so its families are shared only inside the
     document that call builds.
     """
 
-    __slots__ = ("poset", "_families", "_chunks")
+    __slots__ = ("poset", "rows", "_families")
 
-    def __init__(self, poset: FinitePoset):
+    def __init__(self, poset: FinitePoset, rows: _LabelRows | None = None):
         self.poset = poset
-        self._families: dict[tuple[int, int], list[list[str]]] = {}
-        self._chunks: list[dict[int, list[str]]] = [{} for _ in range(0, poset.n, 8)]
+        self.rows = rows if rows is not None else _LabelRows(poset.labels)
+        self._families: dict[tuple[int, int], object] = {}
 
-    def covers_json(self, subset: Iterable[int]) -> dict[str, list[list[str]]]:
+    def covers_json(self, subset: Iterable[int]) -> dict[str, object]:
         poset = self.poset
         down = poset.down_masks
         out = {}
@@ -310,27 +384,9 @@ class _CoverListing:
             family = self._families.get((p, least))
             if family is None:
                 masks = _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, least)
-                family = self._families[p, least] = self._label_rows(masks)
+                family = self._families[p, least] = self.rows.rows(masks)
             out[poset.labels[p]] = family
         return out
-
-    def _label_rows(self, masks: list[int]) -> list[list[str]]:
-        """The labels of each mask's elements, ascending, as fresh lists."""
-        labels, chunks = self.poset.labels, self._chunks
-        rows = []
-        for m in masks:
-            k = 0
-            row: list[str] = []
-            while m:
-                chunk, table = m & 255, chunks[k]
-                part = table.get(chunk)
-                if part is None:
-                    part = table[chunk] = [labels[8 * k + i] for i in _bits(chunk)]
-                row += part
-                m >>= 8
-                k += 1
-            rows.append(row)
-        return rows
 
 
 def _family_masks(poset: FinitePoset, covers: Sequence[Iterable]) -> list[set[int]]:

@@ -476,6 +476,78 @@ def test_topology_on_another_poset_is_a_mismatch(capsys, tmp_path, v_file, chain
     assert _error(out)["code"] == "PosetMismatchError"
 
 
+ANTICHAIN_PQ = FinitePoset(["p", "q"])  # 4 down-sets
+CHAIN_XYZ = FinitePoset(["x", "y", "z"], [(0, 1), (1, 2)])  # 4 down-sets as well
+
+
+def _presentation_docs(capsys, tmp_path, poset):
+    """The nucleus, congruence and sublocale documents of J({first element})
+    on ``poset``, as ``convert --to`` writes them."""
+    poset_file = tmp_path / "own.json"
+    poset_file.write_text(json.dumps(poset.to_json()))
+    topo_file = tmp_path / "own-topology.json"
+    topo_file.write_text(json.dumps(_topology_doc(capsys, str(poset_file), poset.labels[0])))
+    docs = {}
+    for kind in ("nucleus", "congruence", "sublocale"):
+        argv = ["--poset", str(poset_file), "--topology", str(topo_file), "--to", kind]
+        docs[kind] = json.loads(run(capsys, "convert", *argv)[1])
+    return docs
+
+
+@pytest.mark.parametrize("kind", ["nucleus", "congruence", "sublocale"])
+@pytest.mark.parametrize(
+    "own, witness",
+    [
+        (ANTICHAIN_PQ, {"document": ["p", "q"], "poset": ["x", "y", "z"]}),
+        (FinitePoset(["x", "y", "z"], [(0, 1)]), {"pair": ["x", "z"], "in_document": False}),
+    ],
+    ids=["antichain", "same-labels"],
+)
+def test_convert_from_refuses_a_document_on_another_poset(capsys, tmp_path, kind, own, witness):
+    """A presentation document is read against its own poset: one on another
+    poset than ``--poset`` is a PosetMismatchError naming the first
+    difference, even where the two frames have the same size."""
+    doc = _presentation_docs(capsys, tmp_path, own)[kind]
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps(CHAIN_XYZ.to_json()))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["--poset", str(chain_file), "--from", kind, "--input", str(path)]
+    code, out = run(capsys, "convert", *argv)
+    assert code == 1
+    error = _error(out)
+    assert (error["code"], error["witness"]) == ("PosetMismatchError", witness)
+
+
+@pytest.mark.parametrize("kind", ["nucleus", "congruence", "sublocale"])
+def test_convert_from_reads_the_documents_poset_only_when_it_differs(
+    capsys, tmp_path, monkeypatch, kind
+):
+    """The document's ``poset`` is compared with the ``--poset`` document as
+    JSON first, and parsed only when the two differ: the same poset written
+    with its pairs in another order is accepted, and a document with no
+    ``poset`` field is read against ``--poset`` as before."""
+    doc = _presentation_docs(capsys, tmp_path, CHAIN_XYZ)[kind]
+    poset_file = tmp_path / "own.json"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["convert", "--poset", str(poset_file), "--from", kind, "--input", str(path)]
+    reads = []
+    original = FinitePoset.from_json.__func__
+    monkeypatch.setattr(
+        FinitePoset, "from_json", classmethod(lambda cls, d: reads.append(d) or original(cls, d))
+    )
+    code, expected = run(capsys, *argv)
+    assert code == 0 and len(reads) == 1  # --poset only
+    monkeypatch.undo()
+    for variant in (
+        {**doc, "poset": {"elements": ["x", "y", "z"], "le_pairs": [[1, 2], [0, 1]]}},
+        {key: value for key, value in doc.items() if key != "poset"},
+    ):
+        path.write_text(json.dumps(variant))
+        assert run(capsys, *argv) == (0, expected)
+
+
 @pytest.mark.parametrize(
     "kind, field, value, witness",
     [

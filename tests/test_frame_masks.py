@@ -13,14 +13,17 @@ from hypothesis import strategies as st
 
 from sitecalc import (
     CATALOG_NAMES,
+    DownSetFrame,
     FinitePoset,
+    GrothTopology,
     catalog,
     discrete_topology,
     enumerate_downsets,
     subset_topology,
 )
+from sitecalc import poset as poset_module
 from sitecalc.cli import main
-from sitecalc.errors import FrameTooLargeError
+from sitecalc.errors import FrameTooLargeError, PosetMismatchError
 
 KINDS = ("nucleus", "congruence", "sublocale")
 
@@ -79,6 +82,36 @@ def test_frame_listing_reads_every_mask(poset):
     listing = frame.to_json()["downsets"]
     assert listing == [[poset.labels[p] for p in sorted(frame.downset(i))] for i in range(len(frame))]
     assert len({id(row) for row in listing}) == len(listing)
+
+
+@pytest.mark.parametrize(
+    "masks, witness",
+    [
+        ([0, 2, 3], {"id": 1, "mask": 2}),
+        ([0, 3], {"id": 1, "mask": 3}),
+        ([0, 3, 1], {"id": 1, "mask": 3}),
+        ([0, True, 3], {"id": 1, "mask": "True"}),
+        ([0, 1, 3, 3], {"masks": 4, "downsets": 3}),
+        ([], {"masks": 0, "downsets": 3}),
+    ],
+    ids=["not-a-downset", "missing", "out-of-order", "bool", "extra", "empty"],
+)
+def test_frame_constructor_takes_exactly_the_downsets(masks, witness):
+    """Masks that are not D(P) in id order name the first offending one; on
+    [0, 3] the identity map used to end in a bare KeyError."""
+    chain2 = catalog()["chain2"]
+    with pytest.raises(PosetMismatchError) as err:
+        DownSetFrame(chain2, masks)
+    assert err.value.witness == witness
+    assert DownSetFrame(chain2, [0, 1, 3]) == enumerate_downsets(chain2)
+
+
+def test_enumerated_frames_skip_the_constructor_check(monkeypatch):
+    def refuse(self, poset, masks):
+        raise AssertionError("the checking constructor ran")
+
+    monkeypatch.setattr(DownSetFrame, "__init__", refuse)
+    assert len(enumerate_downsets(antichain(5))) == 32
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])
@@ -158,7 +191,45 @@ def test_convert_builds_no_frozenset_view(poset, tmp_path):
         assert code == 0 or name.startswith("corrupted"), (name, out)
 
 
-# SHA-256 of each run's stdout, recorded before the frame moved to bitmasks.
+@pytest.mark.parametrize(
+    "poset",
+    [*catalog().values(), antichain(8), fence(17)],
+    ids=[*CATALOG_NAMES, "antichain8", "fence17"],
+)
+def test_cli_builds_no_label_lists(poset, tmp_path, monkeypatch):
+    """``convert``, ``topology`` and ``enumerate`` write their label rows
+    from masks: the library's list readings raise if anything calls them."""
+    poset_file = tmp_path / "poset.json"
+    poset_file.write_text(json.dumps(poset.to_json()))
+    doc = subset_topology(poset, range(1, poset.n, 3)).to_json()
+    topology_file = tmp_path / "topology.json"
+    topology_file.write_text(json.dumps(doc))
+    written = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def refuse(*args):
+        raise AssertionError("a label list was built")
+
+    monkeypatch.setattr(poset_module, "_label_lists", refuse)
+    monkeypatch.setattr(GrothTopology, "covers_json", refuse)
+    base = ["convert", "--poset", str(poset_file)]
+    for kind in KINDS:
+        code, out = _run(base + ["--topology", str(topology_file), "--to", kind])
+        assert code == 0, (kind, out)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(out)
+        assert _run(base + ["--from", kind, "--input", str(path)]) == (0, written)
+    subset = ",".join(poset.labels[1::3])
+    runs = [["topology", "--subset", subset], ["topology", "--kind", "discrete"]]
+    if poset.n <= 8:
+        runs.append(["enumerate", "--cap", "8"])
+    for argv in runs:
+        code, out = _run([argv[0], "--poset", str(poset_file), *argv[1:]])
+        assert code == 0, (argv, out)
+
+
+# SHA-256 of each run's stdout, recorded before the frame moved to bitmasks;
+# fence17 and grid5x5, whose rows span three and four 8-bit chunks, were
+# recorded before label rows were written from masks.
 PINNED = {
     "antichain8": {
         "to nucleus": "84a3afc5a63d266b23bf78cce57462b960e1e56b5844ed155126d43b9afa5d0d",
@@ -193,9 +264,37 @@ PINNED = {
         "corrupted congruence": "9d6661b6c6a2e47267c77f61d9272e73902feacd51153cadf458bd60a8a70c5c",
         "corrupted sublocale": "ed30191e04b94df433d04068878aaba444ca6a6f72218e26d8f9c552cad52bf7",
     },
+    "fence17": {
+        "to nucleus": "15d12dcc3f374d4e054cbeebcd37d110fe5bf9ee9e298bf78bfbb9ac07ce517d",
+        "to congruence": "84b433e4ff2b0cdfb40a1cd04e3d1a3fe3564bcc98a757669ae97c7c7920b53a",
+        "to sublocale": "8fd1dd1b6a7af2e8f3ab39e13c44d1d56d26a3165bc1a513489163e4d0be97a0",
+        "from nucleus": "b11ca3ced7b065f583b65f9e35ed5d2c4979c6358ec5653925290cda9fcf7dcb",
+        "from congruence": "b11ca3ced7b065f583b65f9e35ed5d2c4979c6358ec5653925290cda9fcf7dcb",
+        "from sublocale": "b11ca3ced7b065f583b65f9e35ed5d2c4979c6358ec5653925290cda9fcf7dcb",
+        "corrupted nucleus": "127eef03deb9b1f66c15aca7f3cf09a180699e5279f0a86d4b7b03e57b6f38e4",
+        "corrupted congruence": "23584d8ca561d570af64d01f646a0b28d34434225e796c4b7c15b544f50db537",
+        "corrupted sublocale": "b30d9a937b92fcf4a02a09772575f6e2b1003c96f1adae3cdc9f8c5d9543edcd",
+    },
+    "grid5x5": {
+        "to nucleus": "8b6f1aed8659ac603779c9ee4b7e45e64ea3171ff95f0b0c36b1f0c1e81ed69f",
+        "to congruence": "22f7b38f9c69ae6d2e195bff5518ef2db84f940bd3479b23b79e867eabb9192c",
+        "to sublocale": "42a72ef7e8c167b183aebf9e5ebcc83eed13e5e2e54c7bc22decca9668ce489d",
+        "from nucleus": "f1ee3d8cb18d0872313b2426430563cd4799b00e245762ac64c66b936867b9f6",
+        "from congruence": "f1ee3d8cb18d0872313b2426430563cd4799b00e245762ac64c66b936867b9f6",
+        "from sublocale": "f1ee3d8cb18d0872313b2426430563cd4799b00e245762ac64c66b936867b9f6",
+        "corrupted nucleus": "2d1908872e30dfc4f9bb46b6215ceee198dcb425d625fc01b1a3f2e90a221272",
+        "corrupted congruence": "9d6661b6c6a2e47267c77f61d9272e73902feacd51153cadf458bd60a8a70c5c",
+        "corrupted sublocale": "b30d9a937b92fcf4a02a09772575f6e2b1003c96f1adae3cdc9f8c5d9543edcd",
+    },
 }
 
-PINNED_POSETS = {"antichain8": antichain(8), "fence10": fence(10), "grid3x5": grid(3, 5)}
+PINNED_POSETS = {
+    "antichain8": antichain(8),
+    "fence10": fence(10),
+    "grid3x5": grid(3, 5),
+    "fence17": fence(17),
+    "grid5x5": grid(5, 5),
+}
 
 
 @pytest.mark.parametrize("name", PINNED_POSETS)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sitecalc import FinitePoset, enumerate_downsets, sites, subset_forms, subset_topology
 from sitecalc.cli import _dumps
+from sitecalc.poset import _LabelRows
 
 
 def reference(value) -> str:
@@ -137,3 +139,82 @@ def _nested(depth):
 )
 def test_writer_matches_json_dumps_on_edge_cases(value):
     assert_same(value)
+
+
+# -- label rows written from masks ---------------------------------------------
+
+ESCAPED = ['q"', "b\\", "ñ", "é ", "☃", "t\tab", "n\nl", "/"]
+
+
+def _labelled(n: int, escaped: bool) -> list[str]:
+    if escaped:
+        return [f"{ESCAPED[i % len(ESCAPED)]}{i}" for i in range(n)]
+    return [f"e{i}" for i in range(n)]
+
+
+def _two_chains(n: int, escaped: bool) -> FinitePoset:
+    """Two chains side by side, of sizes ceil(n/2) and floor(n/2): rows that
+    skip bits, end in every chunk and leave some chunks empty."""
+    half = (n + 1) // 2
+    pairs = [(i, i + 1) for i in range(half - 1)] + [(i, i + 1) for i in range(half, n - 1)]
+    return FinitePoset(_labelled(n, escaped), pairs)
+
+
+def _chain(n: int, escaped: bool) -> FinitePoset:
+    return FinitePoset(_labelled(n, escaped), [(i, i + 1) for i in range(n - 1)])
+
+
+SIZES = [0, 1, 8, 9, 16, 17, 25]  # one to four 8-bit chunks
+ROW_POSETS = {
+    f"{shape.__name__[1:]}{n}{'-escaped' if escaped else ''}": shape(n, escaped)
+    for shape in (_chain, _two_chains)
+    for n in SIZES
+    for escaped in (False, True)
+}
+
+
+def _text(poset: FinitePoset) -> _LabelRows:
+    return _LabelRows(poset.labels, text=True)
+
+
+@pytest.mark.parametrize("name", ROW_POSETS)
+def test_rows_from_masks_write_the_bytes_of_the_plain_documents(name):
+    """Frames, the three presentations and covers, each written from masks
+    by the kernel and by ``json.dumps`` from the plain lists of ``to_json``."""
+    poset = ROW_POSETS[name]
+    frame = enumerate_downsets(poset)
+    assert _dumps(frame._json(_text(poset))) == reference(frame.to_json())
+    for xs in (range(0), range(1, poset.n, 3), range(poset.n)):
+        topology = subset_topology(poset, xs)
+        assert _dumps(topology._json(_text(poset))) == reference(topology.to_json())
+        forms = subset_forms(poset, xs, frame)
+        for form in (forms.nucleus, forms.congruence, forms.sublocale):
+            assert _dumps(form._json(_text(poset))) == reference(form.to_json())
+
+
+def test_rows_from_masks_on_empty_listings_and_empty_rows():
+    poset = _two_chains(9, True)
+    rows, lists = _text(poset), _LabelRows(poset.labels)
+    for masks in ([], [0], [0, 0b100000001], [0b100000000, 0, 1]):
+        for wrap in (lambda v: {"rows": v}, lambda v: [[v]]):
+            assert _dumps(wrap(rows.rows(masks))) == reference(wrap(lists.rows(masks)))
+    assert _dumps({"pairs": rows.pairs(())}) == reference({"pairs": []})
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_rows_from_masks_share_the_families_of_the_census(n):
+    """The ``enumerate`` census hands one family to every J(X) with its key
+    (p, L_p); written from masks, a shared family is the same ``_Text``,
+    and the document keeps the bytes of the plain one, with the family at
+    one nesting level and at two."""
+    poset = _two_chains(n, True)
+    shared = sites._CoverListing(poset, _text(poset))
+    plain = sites._CoverListing(poset)
+    subsets = [range(0), range(0, n, 2), range(1, n, 2), range(n)]
+    doc = [{"covers": shared.covers_json(xs)} for xs in subsets]
+    held = [family for entry in doc for family in entry["covers"].values()]
+    assert len({id(f) for f in held}) < len(held)
+    expected = [{"covers": plain.covers_json(xs)} for xs in subsets]
+    assert _dumps(doc) == reference(expected)
+    family, listed = held[0], expected[0]["covers"][poset.labels[0]]
+    assert _dumps([family, {"k": [family]}, family]) == reference([listed, {"k": [listed]}, listed])

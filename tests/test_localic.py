@@ -53,6 +53,8 @@ from sitecalc import (
     upper_adjoint,
     verify_commuting_diagram,
 )
+from sitecalc import localic
+from sitecalc.errors import SiteCalcError
 
 SMALL = ("point", "chain2", "chain3", "antichain2", "antichain3", "V", "Lambda")
 
@@ -430,3 +432,46 @@ def test_localic_json_round_trips():
     assert Congruence.from_json(forms.congruence.to_json(), frame) == forms.congruence
     assert Sublocale.from_json(forms.sublocale.to_json(), frame) == forms.sublocale
     assert Nucleus.from_json(forms.nucleus.to_json()) == forms.nucleus
+
+
+@pytest.mark.parametrize(
+    "poset", [*catalog().values(), *LADDER.values()], ids=[*catalog(), *LADDER]
+)
+def test_sublocale_members_are_read_off_the_downsets_of_x(poset):
+    """The sublocale of J(X) built from D(X), j(down(y)) for each down-set y
+    of X, is the set of fibre tops of d -> d & X over all of D(P)."""
+    frame = enumerate_downsets(poset)
+    for xs in all_subsets(poset.n):
+        mask = sum(1 << e for e in xs)
+        assert Sublocale._generate(frame, xs) == frozenset(localic._fibres(frame, mask)[1])
+        assert len(Sublocale._generate(frame, xs)) == len(enumerate_downsets(poset.induced(xs)))
+
+
+@pytest.mark.parametrize(
+    "classes, code, witness",
+    [
+        ([[0, 1], [True]], "NotACongruenceError", {"id": True}),
+        ([[0, 1], [2, "2"]], "ParseError", {"class": [2, "2"]}),
+        ([[True], [0, 1, 2, "x"]], "ParseError", {"class": [0, 1, 2, "x"]}),
+        ([[0, 7], [1, 2, 1.5]], "ParseError", {"class": [1, 2, 1.5]}),
+        ([[0, 7], [1, 2]], "NotACongruenceError", {"id": 7}),
+        ([[], [0, 1, 2]], "NotACongruenceError", {"class": []}),
+        ([[0, 1], [[2]]], "ParseError", {"class": [[2]]}),
+        ([[0, 1], 2], "ParseError", {"class": 2}),
+    ],
+    ids=["bool", "str", "str-after-bool", "float-after-range", "range", "empty", "list", "int"],
+)
+def test_congruence_members_are_checked_once_with_their_codes(classes, code, witness):
+    """One pass over the members keeps each input's error: a member that is
+    no int at all is a ParseError from a document, and it outranks a bool,
+    an out-of-range id or an empty class found before it, which stay
+    NotACongruenceError."""
+    frame = enumerate_downsets(catalog_poset("chain2"))
+    doc = {**frame.to_json(), "classes": classes}
+    with pytest.raises(SiteCalcError) as err:
+        Congruence.from_json(doc, frame)
+    assert (err.value.code, err.value.witness) == (code, witness)
+    if code == "NotACongruenceError":
+        with pytest.raises(NotACongruenceError) as err:
+            Congruence(frame, classes)
+        assert err.value.witness == witness

@@ -1,10 +1,11 @@
 """Topology constructors, the axioms, the lattice of topologies, enumeration."""
 
 import pytest
-from conftest import all_subsets, complete_scan_oracle, covers_of, sieves_on
+from conftest import LADDER, all_subsets, complete_scan_oracle, covers_of, powerset, sieves_on
 
 from sitecalc import (
     AxiomViolation,
+    FinitePoset,
     GrothTopology,
     InvalidInnerTopologyError,
     NotDenseError,
@@ -13,6 +14,7 @@ from sitecalc import (
     TooLargeForBruteForceError,
     atomic_topology,
     canonical_constructors,
+    catalog,
     catalog_poset,
     dense_topology,
     derived_topology,
@@ -30,6 +32,8 @@ from sitecalc import (
     topology_leq,
     validate_topology,
 )
+from sitecalc import sites
+from sitecalc.errors import SiteCalcError
 
 SMALL = ("point", "chain2", "chain3", "antichain2", "antichain3", "V", "Lambda")
 
@@ -395,3 +399,81 @@ def test_topology_json_round_trip(catalog_pair):
     for x in all_subsets(p.n):
         j = subset_topology(p, x)
         assert GrothTopology.from_json(j.to_json()) == j
+
+
+# -- topology documents read straight into masks ---------------------------------
+
+
+def _outcome(read):
+    try:
+        return read()
+    except SiteCalcError as err:
+        return (type(err).__name__, err.message, err.witness, getattr(err, "sieve", None))
+
+
+def _document(p, families):
+    return {
+        "poset": p.to_json(),
+        "covers": {
+            p.labels[q]: [[p.labels[e] for e in sorted(s)] for s in fam]
+            for q, fam in enumerate(families)
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "poset", [*catalog().values(), *LADDER.values()], ids=[*catalog(), *LADDER]
+)
+def test_documents_of_j_of_x_are_accepted_from_masks(poset, monkeypatch):
+    """Every J(X) document is accepted by bounds and count alone, without the
+    listing check of ``validate_topology``."""
+
+    def refuse(*args):
+        raise AssertionError("the full check ran on a J(X) document")
+
+    monkeypatch.setattr(sites, "validate_topology", refuse)
+    for xs in all_subsets(poset.n):
+        topology = subset_topology(poset, xs)
+        assert GrothTopology.from_json(topology.to_json()) == topology
+
+
+@pytest.mark.parametrize("name", SMALL + ("chain4", "diamond"))
+def test_documents_one_sieve_off_j_of_x_get_the_full_checks_verdict(name):
+    """Toggling any one sieve on p in any family of any J(X), swapping its
+    first cover for any subset of down(p) that is no sieve, so that the
+    count still holds, or listing a cover twice, gives from ``from_json``
+    exactly what ``validate_topology`` gives on the same families: the
+    topology, or the same error, message and witness."""
+    p = catalog_poset(name)
+    for xs in all_subsets(p.n):
+        base = [set(fam) for fam in covers_of(subset_topology(p, xs))]
+        for q in range(p.n):
+            first = min(base[q], key=sorted)
+            changes = [{s} for s in sieves_on(p, q)]
+            changes += [
+                {first, r} for r in map(frozenset, powerset(p.down(q))) if r not in sieves_on(p, q)
+            ]
+            for change in changes:
+                covers = [set(fam) for fam in base]
+                covers[q] ^= change
+                doc = _document(p, covers)
+                want = _outcome(lambda: validate_topology(p, covers))
+                assert _outcome(lambda: GrothTopology.from_json(doc)) == want
+            doc = _document(p, base)
+            label = p.labels[q]
+            doc["covers"][label] = doc["covers"][label] + doc["covers"][label][:1]
+            assert GrothTopology.from_json(doc) == subset_topology(p, xs)
+
+
+def test_a_label_repeated_in_a_row_is_one_member():
+    """On the chain a < b < c, ``["a", "a", "a", "c"]`` is the non-sieve
+    {a, c}, as the parent reader found; reading bits by a sum would carry
+    a + a + a + c into {a, b, c}, the maximal sieve, and accept J({c})."""
+    p = FinitePoset(["a", "b", "c"], [(0, 1), (1, 2)])
+    doc = discrete_topology(p).to_json()
+    doc["covers"]["c"] = [["a", "a", "a", "c"], ["a", "b", "c"]]
+    with pytest.raises(AxiomViolation) as exc:
+        GrothTopology.from_json(doc)
+    assert (exc.value.axiom, str(exc.value)) == ("sieve", "['a', 'c'] is not a sieve on c")
+    doc["covers"]["c"] = [["a", "a"], [], ["b", "a", "b"], ["c", "b", "a", "a"]]
+    assert GrothTopology.from_json(doc) == discrete_topology(p)
