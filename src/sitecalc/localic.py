@@ -292,12 +292,13 @@ class Congruence(_Presentation):
         self._build(frame, classes, parsing=False)
 
     def _build(self, frame: DownSetFrame, classes: Iterable, parsing: bool) -> None:
-        """Check the classes in one pass over their members, then accept
-        them.  A member that is not an exact in-range int, or an empty
-        class, is a NotACongruenceError.  When ``parsing`` a JSON document,
-        a class that is not a list or a member that is not an int is a
+        """Check the classes in one pass, then accept them.  A member of a
+        class's set that is not an exact in-range int, or an empty class, is
+        a NotACongruenceError.  When ``parsing`` a JSON document, a class
+        that is not a list, or a listed member that is not an int, is a
         ParseError instead, and it outranks a NotACongruenceError found
-        before it, which waits until the pass ends."""
+        before it, which waits until the pass ends.  The ParseError looks at
+        the list because the set merges 2.0 into 2."""
         normalized, size, error = [], len(frame), None
 
         def unparsed(c: object) -> ParseError:
@@ -306,16 +307,11 @@ class Congruence(_Presentation):
         for c in classes:
             if parsing and not isinstance(c, list):
                 raise unparsed(c)
-            try:
-                cls = frozenset(c)
-            except TypeError:
-                if parsing:
-                    raise unparsed(c) from None
-                raise
+            if parsing and not all(isinstance(a, int) for a in c):
+                raise unparsed(c)
+            cls = frozenset(c)
             for a in cls:
                 if not (type(a) is int and 0 <= a < size):
-                    if parsing and not isinstance(a, int):
-                        raise unparsed(c)
                     error = error or NotACongruenceError(
                         f"{a!r} is not a down-set id", witness={"id": a}
                     )

@@ -393,8 +393,8 @@ class _LabelRows:
 
     In, ``bits`` maps each label to its bit, so a row of labels from outside
     becomes a mask with one lookup per label.  Out, ``rows(masks)`` gives
-    the labels of each mask's elements, ascending, as fresh lists
-    (:func:`_label_lists`), or, for a writer of JSON text, as a
+    the labels of each mask's elements, ascending, as fresh lists for
+    library callers, or, for a writer of JSON text, as a
     :class:`_Text`; ``pairs(table)`` gives an id table as ``[i, table[i]]``
     rows the same two ways.  A row is joined from one fragment per 8-bit
     chunk of its mask, read off a table per chunk position: a list of
@@ -421,7 +421,7 @@ class _LabelRows:
     def rows(self, masks: Sequence[int]) -> list[list[str]] | _Text:
         if self.text:
             return _Text(lambda nl: self._rows_text(masks, nl))
-        return _label_lists(self, masks)
+        return self._join(masks, None)
 
     def pairs(self, table: Sequence[int]) -> list[list[int]] | _Text:
         if self.text:
@@ -461,12 +461,6 @@ class _LabelRows:
         tail = inner + "]"
         rows = [f"[{body[1:]}{tail}" if body else "[]" for body in self._join(masks, inner + "  ")]
         return "[" + inner + ("," + inner).join(rows) + nl + "]"
-
-
-def _label_lists(rows: _LabelRows, masks: Sequence[int]) -> list[list[str]]:
-    """The labels of each mask's elements, ascending, each row a fresh list:
-    the plain reading of the kernel, for library callers."""
-    return rows._join(masks, None)
 
 
 def _pairs_text(table: Sequence[int], nl: str) -> str:

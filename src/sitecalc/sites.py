@@ -17,14 +17,13 @@ and conversion computes X in closed form (min: minimal elements):
   Y & down(p) <= s, as Y <= D.
 
 Families from outside, in :func:`validate_topology`, must hold element ids
-and must equal J(X) for the X read off them; otherwise the axiom scan finds
-the exact witness, and families that pass it, refuting the normal form,
-raise instead of being replaced by J(X).  A topology document is read
-straight into masks, one label-to-bit table per document, and accepted
-without listing J(X) when each family is the whole interval between L_p
-and down(p), checked by bounds and by count; any other document goes on to
-:func:`validate_topology`, so its error and witness are those of the full
-check.  The scan runs on masks: the sieves
+and must equal J(X) for the X read off them, checked without listing J(X):
+each family must be the whole interval between L_p and down(p), by bounds,
+down-closure and count.  Otherwise the axiom scan finds the exact witness,
+and families that pass it, refuting the normal form, raise instead of being
+replaced by J(X).  A topology document is read straight into masks, one
+label-to-bit table per document, and goes through the same check.  The
+scan runs on masks: the sieves
 on p come from the same down-set kernel, and transitivity tests each cover
 against one held set per non-cover.  Subset arguments go through one id
 check.  The census :func:`enumerate_all_topologies` lists J(X) for the 2^n
@@ -164,22 +163,16 @@ class GrothTopology:
         families = doc.get("covers")
         if not isinstance(families, dict):
             raise ParseError("'covers' is not an object", witness={"covers": families})
-        fams = _family_rows(poset, families)
-        xs = _subset_of_masks(poset, fams)
-        if xs is not None:
-            return cls(poset, _bits(xs))
-        return validate_topology(poset, [{frozenset(_bits(m)) for m in fam} for fam in fams])
+        return _validate_masks(poset, _family_rows(poset, families))
 
 
-def find_axiom_violation(
-    poset: FinitePoset, covers: Sequence[frozenset[frozenset[int]]]
-) -> AxiomViolation | None:
+def find_axiom_violation(poset: FinitePoset, fams: Sequence[set[int]]) -> AxiomViolation | None:
     """First axiom failure in deterministic witness order, or None: the sieve,
     maximality, stability and transitivity passes in turn, each with p
     ascending, then sieves in sorted-member order, then q ascending.
 
-    The families, one per element, must hold element ids, as
-    :func:`validate_topology` checks.  Each pass runs on masks and returns
+    The families, one per element, are sets of masks, as
+    :func:`validate_topology` reads them.  Each pass returns
     the least failure of p in sorted-member order; frozensets are built only
     for the returned violation.  Transitivity: a non-cover r of p fails at
     the cover s iff s lies in the held set H_r = {q <= p : r & down(q)
@@ -188,7 +181,6 @@ def find_axiom_violation(
     """
     labels = poset.labels
     principal = poset.down_masks
-    fams = [{_mask(s) for s in fam} for fam in covers]
 
     def names(mask: int) -> list[str]:
         return sorted(labels[i] for i in _bits(mask))
@@ -325,37 +317,24 @@ def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
     return fams
 
 
-def _subset_of_masks(poset: FinitePoset, fams: Sequence[set[int]]) -> int | None:
-    """X as a mask when the families of masks are J(X) for
-    X = {p : the only cover of p is down(p)}, else None, without listing
-    J(X).  The covers of p in J(X) are the down-sets between
+def _equals_j_of(poset: FinitePoset, fams: Sequence[set[int]], xs: int) -> bool:
+    """Whether the families of masks are J(X), X given as a mask, without
+    listing J(X).  The covers of p in J(X) are the down-sets between
     L_p = down(X & down(p)) and down(p), as many as the down-sets of
     down(p) - L_p; so a family equals them iff its masks are down-closed,
     lie between the two and are that many."""
     down = poset.down_masks
-    xs = _mask(p for p, fam in enumerate(fams) if fam == {down[p]})
     for p, least in enumerate(_least_covers(down, xs)):
         high, fam = down[p], fams[p]
         for s in fam:
             if s & ~high or least & ~s:
-                return None
+                return False
             for e in _bits(s & ~least):
                 if down[e] & ~s:
-                    return None
+                    return False
         if len(fam) != _downset_count(poset, high & ~least, len(fam)):
-            return None
-    return xs
-
-
-def _subset_covers(poset: FinitePoset, xs: int) -> list[list[int]]:
-    """J(X) on masks, X given as one: per element p, the covers of p in
-    frame id order.  They are the sieves L_p | t for t a down-set of
-    down(p) - L_p, so they are grown from L_p."""
-    down = poset.down_masks
-    return [
-        _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, least)
-        for p, least in enumerate(_least_covers(down, xs))
-    ]
+            return False
+    return True
 
 
 class _CoverListing:
@@ -429,12 +408,15 @@ def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTo
     axiom scan's first violation raises, and families that pass it, refuting
     the normal form, raise NotSubsetGeneratedError instead of being replaced
     by J(X).  A wrong number of families or a member that is not an element
-    id raises PosetMismatchError first.  Families are compared as sets of
-    masks."""
-    fams = _family_masks(poset, covers)
+    id raises PosetMismatchError first."""
+    return _validate_masks(poset, _family_masks(poset, covers))
+
+
+def _validate_masks(poset: FinitePoset, fams: Sequence[set[int]]) -> GrothTopology:
+    """:func:`validate_topology` on families already read into masks."""
     xs = _mask(p for p, down in enumerate(poset.down_masks) if fams[p] == {down})
-    if fams != [set(f) for f in _subset_covers(poset, xs)]:
-        violation = find_axiom_violation(poset, covers)
+    if not _equals_j_of(poset, fams, xs):
+        violation = find_axiom_violation(poset, fams)
         if violation is None:
             violation = NotSubsetGeneratedError(
                 "the covers satisfy every axiom but are not J(X)",

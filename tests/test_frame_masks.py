@@ -206,10 +206,16 @@ def test_cli_builds_no_label_lists(poset, tmp_path, monkeypatch):
     topology_file.write_text(json.dumps(doc))
     written = json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    join = poset_module._LabelRows._join
+
+    def text_only(rows, masks, deep):
+        assert deep is not None, "a label list was built"
+        return join(rows, masks, deep)
+
     def refuse(*args):
         raise AssertionError("a label list was built")
 
-    monkeypatch.setattr(poset_module, "_label_lists", refuse)
+    monkeypatch.setattr(poset_module._LabelRows, "_join", text_only)
     monkeypatch.setattr(GrothTopology, "covers_json", refuse)
     base = ["convert", "--poset", str(poset_file)]
     for kind in KINDS:

@@ -454,18 +454,22 @@ def test_sublocale_members_are_read_off_the_downsets_of_x(poset):
         ([[0, 1], [2, "2"]], "ParseError", {"class": [2, "2"]}),
         ([[True], [0, 1, 2, "x"]], "ParseError", {"class": [0, 1, 2, "x"]}),
         ([[0, 7], [1, 2, 1.5]], "ParseError", {"class": [1, 2, 1.5]}),
+        ([[0, 1], [2, 2.0]], "ParseError", {"class": [2, 2.0]}),
         ([[0, 7], [1, 2]], "NotACongruenceError", {"id": 7}),
         ([[], [0, 1, 2]], "NotACongruenceError", {"class": []}),
         ([[0, 1], [[2]]], "ParseError", {"class": [[2]]}),
         ([[0, 1], 2], "ParseError", {"class": 2}),
     ],
-    ids=["bool", "str", "str-after-bool", "float-after-range", "range", "empty", "list", "int"],
+    ids=[
+        "bool", "str", "str-after-bool", "float-after-range", "float-equal-to-an-int",
+        "range", "empty", "list", "int",
+    ],
 )
 def test_congruence_members_are_checked_once_with_their_codes(classes, code, witness):
-    """One pass over the members keeps each input's error: a member that is
-    no int at all is a ParseError from a document, and it outranks a bool,
-    an out-of-range id or an empty class found before it, which stay
-    NotACongruenceError."""
+    """One pass over the classes keeps each input's error: a listed member
+    that is no int, 2.0 beside 2 among them, is a ParseError from a
+    document, and it outranks a bool, an out-of-range id or an empty class
+    found before it, which stay NotACongruenceError."""
     frame = enumerate_downsets(catalog_poset("chain2"))
     doc = {**frame.to_json(), "classes": classes}
     with pytest.raises(SiteCalcError) as err:

@@ -425,16 +425,18 @@ def _document(p, families):
     "poset", [*catalog().values(), *LADDER.values()], ids=[*catalog(), *LADDER]
 )
 def test_documents_of_j_of_x_are_accepted_from_masks(poset, monkeypatch):
-    """Every J(X) document is accepted by bounds and count alone, without the
-    listing check of ``validate_topology``."""
+    """Every J(X) document is accepted by bounds and count alone: neither a
+    listing of sieves nor the axiom scan runs."""
 
     def refuse(*args):
-        raise AssertionError("the full check ran on a J(X) document")
+        raise AssertionError("a J(X) document was listed or scanned")
 
-    monkeypatch.setattr(sites, "validate_topology", refuse)
-    for xs in all_subsets(poset.n):
-        topology = subset_topology(poset, xs)
-        assert GrothTopology.from_json(topology.to_json()) == topology
+    topologies = [subset_topology(poset, xs) for xs in all_subsets(poset.n)]
+    docs = [t.to_json() for t in topologies]
+    monkeypatch.setattr(sites, "_downset_masks", refuse)
+    monkeypatch.setattr(sites, "find_axiom_violation", refuse)
+    for topology, doc in zip(topologies, docs):
+        assert GrothTopology.from_json(doc) == topology
 
 
 @pytest.mark.parametrize("name", SMALL + ("chain4", "diamond"))
@@ -459,6 +461,9 @@ def test_documents_one_sieve_off_j_of_x_get_the_full_checks_verdict(name):
                 doc = _document(p, covers)
                 want = _outcome(lambda: validate_topology(p, covers))
                 assert _outcome(lambda: GrothTopology.from_json(doc)) == want
+                x = [r for r in range(p.n) if covers[r] == {frozenset(p.down(r))}]
+                listed = [set(fam) for fam in covers_of(subset_topology(p, x))]
+                assert isinstance(want, GrothTopology) == (covers == listed)
             doc = _document(p, base)
             label = p.labels[q]
             doc["covers"][label] = doc["covers"][label] + doc["covers"][label][:1]

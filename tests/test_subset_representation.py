@@ -155,15 +155,15 @@ def test_closed_forms_match_the_oracles_on_random_posets(case):
 
 
 def _drop_the_empty_sieve(monkeypatch):
-    """Make the mask lister of J drop the empty sieve, mask 0, from every
+    """Make the check against J count the empty sieve, mask 0, out of every
     family: J(X) stops being the topology it should be, while raw families
     stay valid."""
-    original = sites._subset_covers
+    original = sites._equals_j_of
 
-    def broken(poset, xs):
-        return [tuple(s for s in fam if s) for fam in original(poset, xs)]
+    def broken(poset, fams, xs):
+        return original(poset, [{s for s in fam if s} for fam in fams], xs)
 
-    monkeypatch.setattr(sites, "_subset_covers", broken)
+    monkeypatch.setattr(sites, "_equals_j_of", broken)
 
 
 def test_census_refuses_valid_families_that_are_not_j_of_x(monkeypatch):
