@@ -54,7 +54,11 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
         return _encode_str(obj)
     if kind is int:
         return _encode_int(obj)
-    if obj is None or kind is bool or kind is float:
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is float:
         return json.dumps(obj)
     if len(nl) > _MAX_INDENT:
         raise _Fallback  # a cycle, or nesting left to json's own limits
@@ -152,6 +156,12 @@ def _load_json(path: str) -> dict:
     return _parse_json(path, _read_text(path))
 
 
+def _load_topology(path: str, poset: FinitePoset, given: object) -> sites.GrothTopology:
+    """The topology in the file, on ``poset`` itself when the document
+    embeds ``given``, the JSON document of ``--poset``."""
+    return sites.GrothTopology._from_json(_load_json(path), poset, given)
+
+
 def _split_elements(poset: FinitePoset, raw: str) -> frozenset[int]:
     names = [tok for tok in raw.replace(",", " ").split() if tok]
     return subset_of_labels(poset, names)
@@ -200,11 +210,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _require_document_poset(poset: FinitePoset, given: object, doc: object) -> None:
-    """PosetMismatchError when a presentation document names a poset other
-    than ``--poset``, whose JSON document is ``given``.  The two JSON values
-    are compared first, and the document's poset is read only when they
-    differ; a document with no ``poset`` field is left to its reader."""
-    if not isinstance(doc, dict) or "poset" not in doc or doc["poset"] == given:
+    """PosetMismatchError when a presentation or presheaf document names a
+    poset other than ``--poset``, whose JSON document is ``given``.  The two
+    JSON values are compared first, and the document's poset is read only
+    when they differ or ``--poset`` is in the text form; a document with no
+    ``poset`` field is left to its reader."""
+    if not isinstance(doc, dict) or "poset" not in doc:
+        return
+    if given is not None and doc["poset"] == given:
         return
     own = FinitePoset.from_json(doc["poset"])
     if own == poset:
@@ -222,7 +235,7 @@ def _cmd_convert(args) -> int:
     poset, given = _read_poset(args.poset)
     frame = enumerate_downsets(poset)
     if args.to is not None:
-        topology = sites.GrothTopology.from_json(_load_json(args.topology))
+        topology = _load_topology(args.topology, poset, given)
         view = localic.nucleus_from_topology(topology, frame)
         if args.to == "congruence":
             view = localic.congruence_from_nucleus(view)
@@ -243,17 +256,19 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_sheaf(args) -> int:
-    poset = _load_poset(args.poset)
-    topology = sites.GrothTopology.from_json(_load_json(args.topology))
-    presheaf = sheaves.Presheaf.from_json(_load_json(args.presheaf), poset)
+    poset, given = _read_poset(args.poset)
+    topology = _load_topology(args.topology, poset, given)
+    doc = _load_json(args.presheaf)
+    _require_document_poset(poset, given, doc)
+    presheaf = sheaves.Presheaf.from_json(doc, poset)
     check = sheaves.is_sheaf(presheaf, topology)
     _emit({"is_sheaf": check.ok, "witness": check.witness})
     return 0
 
 
 def _cmd_subcanonical(args) -> int:
-    poset = _load_poset(args.poset)
-    topology = sites.GrothTopology.from_json(_load_json(args.topology))
+    poset, given = _read_poset(args.poset)
+    topology = _load_topology(args.topology, poset, given)
     witnesses = sites.subcanonicity_report(poset, topology)
     _emit(
         {

@@ -2,10 +2,10 @@
 
 Elements are dense integer indices ``0..n-1``; labels are display metadata
 only.  The order relation is stored fully closed (reflexive-transitive)
-as masks only, the up mask and the down mask of each element; the linear
-extension that down-set enumeration grows along is fixed once per poset,
-and the cover pairs and the frozenset views of the up-sets and down-sets
-are built from the masks on first read.
+as masks only, the up mask and the down mask of each element, with a
+linear extension fixed once per poset; the cover pairs, the strict pairs
+and the frozenset views of the up-sets and down-sets are built from the
+masks on first read.
 
 A down-set is an int bitmask, bit p set iff p is in it.  A
 :class:`DownSetFrame` enumerates all down-sets of a poset as masks, with
@@ -29,7 +29,7 @@ map of the inclusion X -> P.  Only a rejected table is scanned pair by pair,
 for the witness of its first failing law.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The cover pairs, the frozenset views and the
+concurrent readers.  The cover and strict pairs, the frozenset views and the
 induced-subposet memo on :class:`FinitePoset` are write-once and
 idempotent, so concurrent recomputation is benign.
 """
@@ -71,7 +71,7 @@ class FinitePoset:
 
     __slots__ = (
         "n", "labels", "up_masks", "down_masks", "linear_extension",
-        "_up_sets", "_down_sets", "_hasse", "_induced_cache", "_hash",
+        "_up_sets", "_down_sets", "_hasse", "_strict", "_induced_cache", "_hash",
     )
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
@@ -116,6 +116,7 @@ class FinitePoset:
         self._up_sets: tuple[frozenset[int], ...] | None = None
         self._down_sets: tuple[frozenset[int], ...] | None = None
         self._hasse: tuple[tuple[int, int], ...] | None = None
+        self._strict: tuple[tuple[int, int], ...] | None = None
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
         self._hash = hash((self.labels, self.up_masks))
 
@@ -184,6 +185,15 @@ class FinitePoset:
                 (q, p) for p in range(self.n) for q in _bits(_maximal(down, down[p] ^ 1 << p))
             )
         return self._hasse
+
+    def _strict_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The strict pairs (q, p), q < p, q ascending, then p ascending.
+        Built once."""
+        if self._strict is None:
+            self._strict = tuple(
+                (q, p) for q, up in enumerate(self.up_masks) for p in _bits(up ^ 1 << q)
+            )
+        return self._strict
 
     def induced(self, subset: Iterable[int]) -> "FinitePoset":
         """Full subposet on ``subset``; elements are renumbered in index order.
@@ -479,30 +489,29 @@ def _downset_masks(poset: FinitePoset, within: int, cap: int, start: int = 0) ->
     and lie in the down-set mask ``within``, in id order;
     FrameTooLargeError once there are more than ``cap``.
 
-    Grows ``start`` by the other elements in the poset's linear extension; a
-    down-set of a prefix is a down-set of the whole, so intermediate
-    collections never exceed the final count and the cap check is exact.
-    Each entry carries, above its n mask bits, the mask with bit order
-    reversed (element 0 highest), so a plain integer sort is the
-    lexicographic order on characteristic vectors.
+    Decides the other elements in descending index order.  Deciding e keeps
+    the sets that hold nothing above e, then adds e to the sets that hold
+    the decided part of down(e); as e is the most significant place of the
+    characteristic vector so far, the sets without it come first and the
+    list stays in id order.  Each list is the down-sets of the decided
+    subposet, which are no more than those of the whole, so the cap check
+    is exact.
     """
-    n = poset.n
-    down = poset.down_masks
+    up, down = poset.up_masks, poset.down_masks
     free = within & ~start
-    sets = [start | _mask(2 * n - 1 - e for e in _bits(start))]
-    for e in poset.linear_extension:
-        if not free >> e & 1:
-            continue
-        pred = down[e] ^ 1 << e
-        bit = 1 << e | 1 << (2 * n - 1 - e)
-        sets.extend([s | bit for s in sets if s & pred == pred])
+    sets = [start]
+    for e in reversed(_bits(free)):
+        bit = 1 << e
+        above = up[e] ^ bit
+        need = down[e] & ~(free & bit - 1) ^ bit  # start and the decided elements below e
+        kept = [s for s in sets if not s & above] if above else sets
+        grown = [s | bit for s in sets if s & need == need] if need else [s | bit for s in sets]
+        sets = kept + grown
         if len(sets) > cap:
             raise FrameTooLargeError(
                 f"more than {cap} down-sets", witness={"cap": cap}
             )
-    sets.sort()
-    low = (1 << n) - 1
-    return [s & low for s in sets]
+    return sets
 
 
 class DownSetFrame:

@@ -6,12 +6,28 @@ tuples indexed by the upstairs value.  Natural-isomorphism checks compare
 componentwise bijections, never abstract equivalences: the explicit
 unit/counit maps are constructed and tested for bijectivity and
 naturality.
+
+Each law is checked once, on the least data that decides it:
+
+- a presheaf document is read in one pass, with composition checked on the
+  triples whose lower step is a cover edge; any document that pass does
+  not accept is read member by member, for the same result or error;
+- naturality is checked on the squares of cover edges, which between
+  functors imply every square; :func:`naturality_failure` keeps the scan
+  of every strict pair for its witness;
+- a sheaf verdict counts matching families only on cuts whose tops share
+  an element of X below them (see :func:`_least_cover_failures`);
+- isomorphism classes are searched only among presheaves with equal value
+  sizes and equal fibre sizes along each cover edge;
+- the kx report reuses each lift that restricts back to its sheaf, and the
+  Ran_X extension that the comparison built for each class representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, permutations, product
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -175,6 +191,9 @@ class Presheaf:
         for field, value in (("values", values), ("maps", tables)):
             if not isinstance(value, dict):
                 raise ParseError(f"'{field}' is not an object", witness={field: value})
+        bulk = _read_in_bulk(poset, values, tables)
+        if bulk is not None:
+            return bulk
         # one lookup table per document; index_of raises for an unknown label
         ids = {label: i for i, label in enumerate(poset.labels)}
 
@@ -197,6 +216,53 @@ class Presheaf:
             qlab, plab = key.split("<=", 1)
             maps[(index(qlab.strip()), index(plab.strip()))] = tab
         return cls(poset, sizes, maps)
+
+
+def _read_in_bulk(poset: FinitePoset, values: dict, tables: dict) -> Presheaf | None:
+    """The presheaf of a well-formed document, read in one pass, or None
+    for any document that this pass does not accept, which
+    :meth:`Presheaf.from_json` then reads member by member, so its result
+    or error is as before.
+
+    Accepted: a size for every label and no other, a table under the name
+    ``q<=p`` of every strict pair and no other key, every entry an exact
+    ``int`` in range, and composition on the triples whose lower step is a
+    cover edge, which implies it on every triple.  Keys name their pairs
+    exactly only when no label holds ``<=`` or surrounding whitespace."""
+    labels = poset.labels
+    if any("<=" in label or label != label.strip() for label in labels):
+        return None
+    sizes = list(map(values.get, labels))
+    if len(values) != poset.n or not set(map(type, sizes)) <= {int} or min(sizes, default=0) < 0:
+        return None
+    pairs = poset._strict_pairs()
+    tabs = [tables.get(f"{labels[q]}<={labels[p]}") for q, p in pairs]
+    if (
+        len(tables) != len(pairs)
+        or not set(map(type, tabs)) <= {list}
+        or list(map(len, tabs)) != [sizes[p] for _, p in pairs]
+    ):
+        return None
+    entries = list(chain.from_iterable(tabs))
+    if not set(map(type, entries)) <= {int} or min(entries, default=0) < 0:
+        return None
+    tuples = list(map(tuple, tabs))
+    spans = []  # the strict pairs of q are consecutive, and its tables map into F(q)
+    start = 0
+    for q, up in enumerate(poset.up_masks):
+        end = start + up.bit_count() - 1
+        if max(chain.from_iterable(tuples[start:end]), default=-1) >= sizes[q]:
+            return None
+        spans.append((start, end))
+        start = end
+    maps = dict(zip(pairs, tuples))
+    for r, q in poset.hasse_pairs():
+        lower = maps[r, q].__getitem__
+        start, end = spans[q]
+        for (_, p), tab in zip(pairs[start:end], tuples[start:end]):
+            if tuple(map(lower, tab)) != maps[r, p]:
+                return None
+    return Presheaf._trusted(poset, sizes, maps)
 
 
 def _pair_name(labels: Sequence[str], key: object) -> str:
@@ -375,32 +441,51 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
     - one top t: a family is fixed by its value at t, so there are |F(t)|;
       with no top there is one, the empty family.
 
-    Only a cut with two or more tops counts its families, stopping at
-    |F(p)| + 1: with F(p) separated, its images are |F(p)| of them.  The
-    separation of every s is decided first, into one mask."""
+    - tops with no element of X below two of them: every member of the cut
+      lies under exactly one top, so any tuple of top values is a family,
+      and there are the product of the |F(t)|.
+
+    Only a cut whose tops share an element of X below them counts its
+    families, stopping at |F(p)| + 1: with F(p) separated, its images are
+    |F(p)| of them.  The separation of every s is decided first, into one
+    mask."""
     poset, xs, sizes, maps = presheaf.poset, topology.subset, presheaf.sizes, presheaf.maps
     tops = topology._cut_tops()
     unseparated = 0
-    for s in range(poset.n):
-        if s not in xs and (
-            len(set(zip(*(maps[(t, s)] for t in tops[s])))) != sizes[s]
-            if tops[s]
-            else sizes[s] > 1
-        ):
+    for s, ts in enumerate(tops):
+        if len(ts) == 1:
+            if ts[0] != s and len(set(maps[ts[0], s])) != sizes[s]:  # ts == (s,) iff s in X
+                unseparated |= 1 << s
+        elif ts:
+            if len(set(zip(*[maps[t, s] for t in ts]))) != sizes[s]:
+                unseparated |= 1 << s
+        elif sizes[s] > 1:
             unseparated |= 1 << s
     down = poset.down_masks
-    for p in range(poset.n):
+    for p, ts in enumerate(tops):
         if down[p] & unseparated:
             yield p
-        elif p in xs:
-            continue
-        elif len(tops[p]) < 2:
-            if sizes[p] != (sizes[tops[p][0]] if tops[p] else 1):
+        elif len(ts) < 2:
+            if sizes[p] != (sizes[ts[0]] if ts else 1):  # p in X passes: ts == (p,)
+                yield p
+        elif _disjoint_below(down, _mask(xs), ts):
+            if sizes[p] != prod(map(sizes.__getitem__, ts)):
                 yield p
         elif next(
             islice(matching_families(presheaf, xs & poset.down(p)), sizes[p], None), None
         ) is not None:
             yield p
+
+
+def _disjoint_below(down: Sequence[int], xs: int, tops: Sequence[int]) -> bool:
+    """Whether no element of X, given as a mask, lies below two of ``tops``."""
+    seen = 0
+    for t in tops:
+        below = down[t] & xs
+        if seen & below:
+            return False
+        seen |= below
+    return True
 
 
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
@@ -440,15 +525,11 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
 
 def restrict_presheaf(presheaf: Presheaf, subset: Iterable[int]) -> Presheaf:
     """Reindex values and restrictions to the induced subposet."""
-    poset = presheaf.poset
     elems = sorted(set(subset))
-    sub = poset.induced(elems)
+    sub = presheaf.poset.induced(elems)
     sizes = [presheaf.sizes[e] for e in elems]
-    maps = {}
-    for kq, q in enumerate(elems):
-        for kp, p in enumerate(elems):
-            if q != p and poset.leq(q, p):
-                maps[(kq, kp)] = presheaf.restriction(q, p)
+    tables = presheaf.maps
+    maps = {(q, p): tables[elems[q], elems[p]] for q, p in sub._strict_pairs()}
     return Presheaf._trusted(sub, sizes, maps)
 
 
@@ -526,24 +607,41 @@ def naturality_failure(
     return None
 
 
+def _is_natural(
+    source: Presheaf, target: Presheaf, components: Sequence[Sequence[int]]
+) -> bool:
+    """Whether the components are natural, from the squares of the cover
+    edges alone: between functors the square of q < r < p is the square of
+    q < r pasted to that of r < p, so every square commutes once those of
+    the cover edges do."""
+    return all(
+        _square_commutes(source, target, q, p, components[q], components[p])
+        for q, p in source.poset.hasse_pairs()
+    )
+
+
 def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     """Search for a componentwise bijection commuting with restrictions.
 
-    Components are assigned along a linear extension, so every assigned
-    element comparable to p lies below p: each square is checked once, when
-    its top is assigned, and the search is exhaustive.
+    Components are assigned along a linear extension, so the lower covers
+    of p are assigned before p: each square of a cover edge is checked once,
+    when its top is assigned, which suffices by :func:`_is_natural`, and
+    the search is exhaustive.
     """
     if f.poset != g.poset or f.sizes != g.sizes:
         return False
     poset = f.poset
     order = poset.linear_extension
+    lower: list[list[int]] = [[] for _ in range(poset.n)]
+    for q, p in poset.hasse_pairs():
+        lower[p].append(q)
     comps: dict[int, tuple[int, ...]] = {}
 
     def assign(idx: int) -> bool:
         if idx == len(order):
             return True
         p = order[idx]
-        below = poset.down(p) - {p}
+        below = lower[p]
         for comp in permutations(range(f.sizes[p])):
             if all(_square_commutes(f, g, q, p, comps[q], comp) for q in below):
                 comps[p] = comp  # a stale entry is reassigned before it is read
@@ -554,17 +652,31 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     return assign(0)
 
 
+def _iso_key(presheaf: Presheaf) -> tuple:
+    """An invariant of natural isomorphism: the value sizes and, per cover
+    edge q < p, the sorted fibre sizes of the restriction F(p) -> F(q)."""
+    sizes, maps = presheaf.sizes, presheaf.maps
+    return sizes, tuple(
+        tuple(sorted(map(maps[q, p].count, range(sizes[q]))))
+        for q, p in presheaf.poset.hasse_pairs()
+    )
+
+
 def _iso_classes(presheaves: Sequence[Presheaf]) -> tuple[list[Presheaf], list[int]]:
     """The first member of each natural-isomorphism class, in order, and
-    the class label (an index into those reps) of every presheaf."""
+    the class label (an index into those reps) of every presheaf.  The
+    search runs only against the earlier reps with the same
+    :func:`_iso_key`, in order, so it finds the same first isomorphic rep."""
     reps: list[Presheaf] = []
     labels: list[int] = []
+    buckets: dict[tuple, list[int]] = {}
     for f in presheaves:
-        label = next(
-            (k for k, r in enumerate(reps) if natural_iso_exists(f, r)), len(reps)
-        )
-        if label == len(reps):
+        bucket = buckets.setdefault(_iso_key(f), [])
+        label = next((k for k in bucket if natural_iso_exists(f, reps[k])), None)
+        if label is None:
+            label = len(reps)
             reps.append(f)
+            bucket.append(label)
         labels.append(label)
     return reps, labels
 
@@ -594,8 +706,9 @@ def enumerate_presheaves(
     paths, so every table is a function between the value sets.  A choice
     is kept when composition holds on each triple r < q < p whose lower
     step r < q is a cover edge; by induction on the length of [r, q] it then
-    holds on every triple.  Shapes that would need a function into an empty
-    set are skipped automatically.
+    holds on every triple.  A triple that is the canonical path of r < p
+    holds by construction and is not checked.  Shapes that would need a
+    function into an empty set are skipped automatically.
     """
     if poset.n > max_elements or value_cap > max_value_cap:
         raise TooLargeError(
@@ -603,9 +716,15 @@ def enumerate_presheaves(
             witness={"max_elements": max_elements, "max_value_cap": max_value_cap},
         )
     edges = poset.hasse_pairs()
-    pairs = [(q, p) for q in range(poset.n) for p in poset.up(q) - {q}]
-    triples = [(r, q, p) for r, q in edges for p in poset.up(q) - {q}]
+    pairs = poset._strict_pairs()
     routes = _routes(poset, edges)
+    made = set(routes)
+    triples = [
+        (r, q, p)
+        for r, q in edges
+        for p in _bits(poset.up_masks[q] ^ 1 << q)
+        if (r, q, p) not in made
+    ]
     out: list[Presheaf] = []
     for sizes in product(range(value_cap + 1), repeat=poset.n):
         # the first edge varies slowest, as in a depth-first assignment
@@ -613,13 +732,12 @@ def enumerate_presheaves(
         for choice in product(*tables):
             composed = dict(zip(edges, choice))
             for q, r, p in routes:
-                lower = composed[(q, r)]
-                composed[(q, p)] = tuple(lower[a] for a in composed[(r, p)])
-            maps = {pair: composed[pair] for pair in pairs}
+                composed[q, p] = tuple(map(composed[q, r].__getitem__, composed[r, p]))
             if all(
-                maps[(r, p)] == tuple(maps[(r, q)][b] for b in maps[(q, p)])
+                composed[r, p] == tuple(map(composed[r, q].__getitem__, composed[q, p]))
                 for r, q, p in triples
             ):
+                maps = {pair: composed[pair] for pair in pairs}
                 out.append(Presheaf._trusted(poset, sizes, maps))
     return out
 
@@ -722,6 +840,18 @@ def comparison_check(
     ambient one and the unit (amalgamation) components are natural
     bijections.
     """
+    return _comparison(poset, subset, topology, base_presheaves, value_cap)[0]
+
+
+def _comparison(
+    poset: FinitePoset,
+    subset: Iterable[int],
+    topology: GrothTopology,
+    base_presheaves: Sequence[Presheaf] | None,
+    value_cap: int,
+) -> tuple[ComparisonReport, list[ExtendedPresheaf]]:
+    """:func:`comparison_check`, with the Ran_X extension of each presheaf
+    on the subset that it built, in sample order."""
     xs = frozenset(subset)
     elems = sorted(xs)
     induced = restrict_topology(poset, topology, xs)
@@ -730,21 +860,23 @@ def comparison_check(
             poset.induced(elems), value_cap, max_elements=poset.n, max_value_cap=value_cap
         )
     records = []
+    extensions = []
     for idx, base in enumerate(base_presheaves):
         base_ok = is_sheaf(base, induced).ok
         ext = extend_presheaf(base, poset, xs)
+        extensions.append(ext)
         ext_ok = is_sheaf(ext.presheaf, topology).ok
         counit = _counit_components(ext, elems)
         restricted = restrict_presheaf(ext.presheaf, xs)
         counit_bij = _is_bijection_columns(counit, base.sizes)
-        counit_nat = naturality_failure(restricted, base, counit) is None
+        counit_nat = _is_natural(restricted, base, counit)
         unit_bij = unit_nat = None
         if base_ok and ext_ok:
             sheaf = ext.presheaf
             re_ext = extend_presheaf(restricted, poset, xs)
             unit, unique = _unit_components(re_ext, sheaf)
             unit_bij = unique and _is_bijection_columns(unit, sheaf.sizes)
-            unit_nat = naturality_failure(re_ext.presheaf, sheaf, unit) is None
+            unit_nat = _is_natural(re_ext.presheaf, sheaf, unit)
         records.append(
             ComparisonRecord(
                 index=idx,
@@ -756,7 +888,7 @@ def comparison_check(
                 unit_natural=unit_nat,
             )
         )
-    return ComparisonReport(tuple(records))
+    return ComparisonReport(tuple(records)), extensions
 
 
 # -- derived-topology sheaves via the freely adjoined bottom --------------------
@@ -910,32 +1042,34 @@ def kx_sheaf_equivalence_check(
         topology0 = derived_topology(poset0, xs)
         matches_subset_form = topology0 == subset_topology(poset0, x0)
         records_list = []
-        extended: list[Presheaf] = []
+        # each lift, and whether it restricts back to its sheaf
+        lifts: list[tuple[Presheaf, bool]] = []
         transported = []
         for i, f in enumerate(sample):
             lifted = extend_sheaf_over_bottom(f, poset0, base_point)
             if lifted is None:
                 failures.append(f"sheaf #{i}: bottom extension is not well defined")
                 continue
-            extended.append(lifted)
             roundtrip = restrict_presheaf(lifted, range(poset.n)) == f
+            lifts.append((lifted, roundtrip))
             lifted_ok = is_sheaf(lifted, topology0).ok
             records_list.append(KxEquivalenceRecord(i, roundtrip, lifted_ok))
             transported.append(restrict_presheaf(lifted, x0))
         records = tuple(records_list)
         beta_ok = True
-        samples0 = list(extended)
         if poset0.n <= 4:
-            samples0 += [
-                g
+            lifts += [
+                (g, False)
                 for g in enumerate_presheaves(
                     poset0, value_cap, max_elements=poset0.n, max_value_cap=value_cap
                 )
                 if is_sheaf(g, topology0).ok
             ]
-        for g in samples0:
-            inner = restrict_presheaf(g, range(poset.n))
-            back = extend_sheaf_over_bottom(inner, poset0, base_point)
+        for g, roundtrip in lifts:
+            # a lift that restricts back to its sheaf f is the lift of f
+            back = g if roundtrip else extend_sheaf_over_bottom(
+                restrict_presheaf(g, range(poset.n)), poset0, base_point
+            )
             if back is None:
                 beta_ok = False
                 continue
@@ -943,7 +1077,7 @@ def kx_sheaf_equivalence_check(
             comps.append(g.restriction(bottom, base_point))
             if not _is_bijection_columns(comps, g.sizes):
                 beta_ok = False
-            elif naturality_failure(back, g, comps) is not None:
+            elif not _is_natural(back, g, comps):
                 beta_ok = False
         ambient, amb_subset, amb_topology, reduced = poset0, x0, topology0, False
     # the presheaves on the subset, enumerated once for the comparison and
@@ -952,8 +1086,8 @@ def kx_sheaf_equivalence_check(
     sub_presheaves = enumerate_presheaves(
         sub_poset, value_cap, max_elements=sub_poset.n, max_value_cap=value_cap
     )
-    comparison = comparison_check(
-        ambient, amb_subset, amb_topology, base_presheaves=sub_presheaves, value_cap=value_cap
+    comparison, extensions = _comparison(
+        ambient, amb_subset, amb_topology, sub_presheaves, value_cap
     )
     sheaf_reps, sheaf_labels = _iso_classes(sample)
     transported_reps, transported_labels = _iso_classes(transported)
@@ -966,9 +1100,14 @@ def kx_sheaf_equivalence_check(
     )
     covered = 0
     cap_skipped = 0
-    classes, _ = _iso_classes(sub_presheaves)
-    for h in classes:
-        lifted = extend_presheaf(h, ambient, amb_subset).presheaf
+    rep_keys = [_iso_key(f) for f in sheaf_reps]
+    classes = 0
+    # the first member of each class is the one whose label is new
+    for ext, label in zip(extensions, _iso_classes(sub_presheaves)[1]):
+        if label < classes:
+            continue
+        classes += 1
+        lifted = ext.presheaf
         if not reduced:
             lifted = restrict_presheaf(lifted, range(poset.n))
         if max(lifted.sizes, default=0) > value_cap:
@@ -977,7 +1116,8 @@ def kx_sheaf_equivalence_check(
         if not is_sheaf(lifted, topology).ok:
             failures.append("back-transported presheaf is not a sheaf")
             continue
-        if any(natural_iso_exists(lifted, f) for f in sheaf_reps):
+        key = _iso_key(lifted)
+        if any(natural_iso_exists(lifted, f) for f, k in zip(sheaf_reps, rep_keys) if k == key):
             covered += 1
         else:
             failures.append("back-transported sheaf misses the enumeration")

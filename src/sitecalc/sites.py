@@ -22,7 +22,8 @@ each family must be the whole interval between L_p and down(p), by bounds,
 down-closure and count.  Otherwise the axiom scan finds the exact witness,
 and families that pass it, refuting the normal form, raise instead of being
 replaced by J(X).  A topology document is read straight into masks, one
-label-to-bit table per document, and goes through the same check.  The
+label-to-bit table per document, and goes through the same check; the CLI
+hands it the ``--poset`` poset when the document embeds the same JSON.  The
 scan runs on masks: the sieves
 on p come from the same down-set kernel, and transitivity tests each cover
 against one held set per non-cover.  Subset arguments go through one id
@@ -61,8 +62,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -79,6 +81,7 @@ from .poset import (
     DEFAULT_FRAME_CAP,
     FinitePoset,
     OrderMorphism,
+    _Fragments,
     _LabelRows,
     _bits,
     _down_closure,
@@ -157,9 +160,26 @@ class GrothTopology:
     def from_json(cls, doc: object) -> "GrothTopology":
         """Read ``{"poset": {...}, "covers": {label: [[label, ...], ...]}}`` and
         validate it; any other shape is a ParseError with the offending value."""
+        return cls._from_json(doc)
+
+    @classmethod
+    def _from_json(
+        cls, doc: object, poset: FinitePoset | None = None, given: object = None
+    ) -> "GrothTopology":
+        """:meth:`from_json`, on ``poset`` itself when the document's poset is
+        ``given``, the JSON document ``poset`` was read from, with every id
+        an exact ``int``: ``1.0`` and ``true`` equal ``1`` but are read as
+        errors, so a document holding one is read on its own."""
         if not isinstance(doc, dict):
             raise ParseError("topology JSON must be an object", witness={"document": doc})
-        poset = FinitePoset.from_json(doc.get("poset"))
+        own = doc.get("poset")
+        if not (
+            poset is not None
+            and given is not None
+            and own == given
+            and set(map(type, chain.from_iterable(own.get("le_pairs", ())))) <= {int}
+        ):
+            poset = FinitePoset.from_json(own)
         families = doc.get("covers")
         if not isinstance(families, dict):
             raise ParseError("'covers' is not an object", witness={"covers": families})
@@ -266,11 +286,12 @@ def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
     return [_down_closure(principal, xs & down) for down in principal]
 
 
-def _downset_count(poset: FinitePoset, mask: int, limit: int) -> int:
-    """|D(Q)| for Q the subposet on ``mask``, or a number above ``limit``
-    once it is known to exceed it.  The down-sets without the last element e
-    of Q are those of Q - up(e); those with it are down(e) & Q joined to
-    those of Q - down(e)."""
+def _downset_counter(poset: FinitePoset, limit: int) -> Callable[[int], int]:
+    """A function giving |D(Q)| for Q the subposet on a mask, or a number
+    above ``limit`` once it is known to exceed it; its memo is shared by
+    every mask it is given.  The down-sets without the last element e of Q
+    are those of Q - up(e); those with it are down(e) & Q joined to those
+    of Q - down(e)."""
     up, down = poset.up_masks, poset.down_masks
     memo = {0: 1}
 
@@ -284,7 +305,7 @@ def _downset_count(poset: FinitePoset, mask: int, limit: int) -> int:
             memo[m] = got
         return got
 
-    return count(mask)
+    return count
 
 
 def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
@@ -317,24 +338,57 @@ def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
     return fams
 
 
+class _Closures(_Fragments):
+    """The down-closure of each value of one 8-bit chunk of a mask, from
+    ``pieces``, the principal down-set of each of its bits: built on first
+    lookup, as the closure of the value without its top bit joined with
+    that bit's down-set."""
+
+    __slots__ = ()
+
+    def __missing__(self, chunk: int) -> int:
+        high = chunk.bit_length() - 1
+        out = self[chunk] = self[chunk ^ 1 << high] | self.pieces[high]
+        return out
+
+
+def _closure_of(principal: Sequence[int]) -> Callable[[int], int]:
+    """The down-closure of a mask, from the masks of the principal down-sets,
+    joined from one :class:`_Closures` table per 8-bit chunk of the mask."""
+    tables = []
+    for base in range(0, len(principal), 8):
+        table = _Closures({0: 0})
+        table.pieces = principal[base:base + 8]
+        tables.append((base, table))
+    if len(tables) == 1:
+        return tables[0][1].__getitem__
+
+    def closure(mask: int) -> int:
+        out = 0
+        for base, table in tables:
+            out |= table[mask >> base & 255]
+        return out
+
+    return closure
+
+
 def _equals_j_of(poset: FinitePoset, fams: Sequence[set[int]], xs: int) -> bool:
     """Whether the families of masks are J(X), X given as a mask, without
     listing J(X).  The covers of p in J(X) are the down-sets between
     L_p = down(X & down(p)) and down(p), as many as the down-sets of
     down(p) - L_p; so a family equals them iff its masks are down-closed,
-    lie between the two and are that many."""
+    lie between the two and are that many.  Each down-closure is read off
+    chunk tables of the poset's down-sets, and one count serves every p."""
     down = poset.down_masks
-    for p, least in enumerate(_least_covers(down, xs)):
-        high, fam = down[p], fams[p]
-        for s in fam:
-            if s & ~high or least & ~s:
+    closure = _closure_of(down)
+    least = [closure(xs & high) for high in down]
+    for p, high in enumerate(down):
+        low = least[p]
+        for s in fams[p]:
+            if s & ~high or low & ~s or closure(s) != s:
                 return False
-            for e in _bits(s & ~least):
-                if down[e] & ~s:
-                    return False
-        if len(fam) != _downset_count(poset, high & ~least, len(fam)):
-            return False
-    return True
+    count = _downset_counter(poset, max(map(len, fams), default=0))
+    return all(len(fam) == count(high & ~low) for fam, high, low in zip(fams, down, least))
 
 
 class _CoverListing:

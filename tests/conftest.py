@@ -108,6 +108,22 @@ def downsets_oracle(poset: FinitePoset, elems=None) -> list[frozenset[int]]:
     return sets
 
 
+def downset_masks_sorting_oracle(poset: FinitePoset, within: int, start: int = 0) -> list[int]:
+    """The down-set masks between ``start`` and ``within``, grown along a
+    linear extension with each mask carrying its bit-reversed copy above
+    bit n, then sorted: a plain integer sort of the pairs is the id order."""
+    n = poset.n
+    down = poset.down_masks
+    flip = [1 << (2 * n - 1 - e) for e in range(n)]
+    sets = [start | sum(flip[e] for e in range(n) if start >> e & 1)]
+    for e in sorted(range(n), key=lambda e: (down[e].bit_count(), e)):
+        if within >> e & 1 and not start >> e & 1:
+            pred = down[e] ^ 1 << e
+            sets.extend([s | 1 << e | flip[e] for s in sets if s & pred == pred])
+    sets.sort()
+    return [s & (1 << n) - 1 for s in sets]
+
+
 def recursive_downset_count(poset: FinitePoset, elems: frozenset[int] | None = None) -> int:
     """Split on one element: down-sets avoid its up-set or contain its down-set."""
     if elems is None:

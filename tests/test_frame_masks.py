@@ -7,7 +7,16 @@ import io
 import json
 
 import pytest
-from conftest import LADDER, antichain, chain_poset, downsets_oracle, fan, fence, grid
+from conftest import (
+    LADDER,
+    antichain,
+    chain_poset,
+    downset_masks_sorting_oracle,
+    downsets_oracle,
+    fan,
+    fence,
+    grid,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +33,7 @@ from sitecalc import (
 from sitecalc import poset as poset_module
 from sitecalc.cli import main
 from sitecalc.errors import FrameTooLargeError, PosetMismatchError
+from sitecalc.poset import _bits, _down_closure, _downset_masks, _mask
 
 KINDS = ("nucleus", "congruence", "sublocale")
 
@@ -62,6 +72,37 @@ def relabelled_posets(draw):
 @given(relabelled_posets())
 def test_masks_match_the_oracle_on_random_posets(poset):
     assert_frame_matches_oracle(poset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_posets(), st.data())
+def test_downset_masks_match_the_sorting_oracle(poset, data):
+    """Deciding elements in descending index order lists the down-sets
+    between ``start`` and ``within`` in id order, as growing them along a
+    linear extension and sorting by bit-reversed mask does."""
+    members = data.draw(st.lists(st.integers(0, max(poset.n - 1, 0)), max_size=poset.n))
+    within = _down_closure(poset.down_masks, _mask(m for m in members if m < poset.n))
+    if data.draw(st.booleans()):
+        within = (1 << poset.n) - 1
+    kept = _mask(e for e in _bits(within) if data.draw(st.booleans()))
+    start = _down_closure(poset.down_masks, kept)
+    expected = downset_masks_sorting_oracle(poset, within, start)
+    assert _downset_masks(poset, within, 10**6, start) == expected
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [*LADDER.values(), antichain(13), grid(4, 4)],
+    ids=[*LADDER, "antichain13", "grid4x4"],
+)
+def test_downset_masks_match_the_sorting_oracle_on_the_ladder(poset):
+    full = (1 << poset.n) - 1
+    assert _downset_masks(poset, full, 10**6) == downset_masks_sorting_oracle(poset, full)
+    for p in range(poset.n):
+        least = poset.down_masks[p] & ~(1 << p)
+        assert _downset_masks(poset, poset.down_masks[p], 10**6, least) == (
+            downset_masks_sorting_oracle(poset, poset.down_masks[p], least)
+        )
 
 
 @pytest.mark.parametrize(

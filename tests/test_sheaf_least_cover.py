@@ -169,7 +169,9 @@ def test_cut_tops_match_the_oracle_on_relabelled_posets(case):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
     """Deciding ``ok`` counts matching families only on cuts with two or
-    more tops; the catalog posets with such a cut do reach the count."""
+    more tops that share an element of X below them; tops that share none
+    give the product of their value sizes.  V's wide cut is of the second
+    kind, so of the catalog posets only diamond reaches the count."""
     p = catalog()[name]
     presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
     counted: list[frozenset[int]] = []
@@ -180,20 +182,27 @@ def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
         return original(presheaf, cover)
 
     monkeypatch.setattr(sitecalc.sheaves, "matching_families", counting)
-    reached = has_wide_cut = False
+    reached = has_wide_cut = has_shared_cut = False
     for xs in all_subsets(p.n):
         topology = subset_topology(p, xs)
-        wide = {
-            frozenset(xs) & p.down(q)
+        wide = [
+            (frozenset(xs) & p.down(q), tops)
             for q, tops in enumerate(cut_tops_oracle(p, xs)) if len(tops) >= 2
+        ]
+        shared = {
+            cut
+            for cut, tops in wide
+            if any(cut & p.down(t) & p.down(u) for t in tops for u in tops if t < u)
         }
         has_wide_cut = has_wide_cut or bool(wide)
+        has_shared_cut = has_shared_cut or bool(shared)
         for f in presheaves:
             counted.clear()
             assert is_sheaf(f, topology).ok == sheaf_scan_oracle(f, topology).ok
-            assert set(counted) <= wide
+            assert set(counted) <= shared
             reached = reached or bool(counted)
-    assert reached == has_wide_cut == (name in {"V", "diamond"})
+    assert has_wide_cut == (name in {"V", "diamond"})
+    assert reached == has_shared_cut == (name == "diamond")
 
 
 def _assert_constructor_matches_the_scan(poset, sizes, maps) -> bool:
