@@ -156,10 +156,24 @@ def _load_json(path: str) -> dict:
     return _parse_json(path, _read_text(path))
 
 
+def _embeds(given: object, doc: object) -> bool:
+    """Whether a document's ``poset`` is ``given``, the JSON document of
+    ``--poset`` (None for the text form), with every id an exact ``int``:
+    ``1.0`` and ``true`` equal ``1`` but are read as errors, so a document
+    holding one has its poset read on its own."""
+    return (
+        given is not None
+        and isinstance(doc, dict)
+        and doc.get("poset") == given
+        and set(map(type, chain.from_iterable(doc["poset"].get("le_pairs", ())))) <= {int}
+    )
+
+
 def _load_topology(path: str, poset: FinitePoset, given: object) -> sites.GrothTopology:
     """The topology in the file, on ``poset`` itself when the document
-    embeds ``given``, the JSON document of ``--poset``."""
-    return sites.GrothTopology._from_json(_load_json(path), poset, given)
+    embeds ``given``."""
+    doc = _load_json(path)
+    return sites.GrothTopology._from_json(doc, poset if _embeds(given, doc) else None)
 
 
 def _split_elements(poset: FinitePoset, raw: str) -> frozenset[int]:
@@ -211,13 +225,10 @@ def _cmd_enumerate(args) -> int:
 
 def _require_document_poset(poset: FinitePoset, given: object, doc: object) -> None:
     """PosetMismatchError when a presentation or presheaf document names a
-    poset other than ``--poset``, whose JSON document is ``given``.  The two
-    JSON values are compared first, and the document's poset is read only
-    when they differ or ``--poset`` is in the text form; a document with no
-    ``poset`` field is left to its reader."""
-    if not isinstance(doc, dict) or "poset" not in doc:
-        return
-    if given is not None and doc["poset"] == given:
+    poset other than ``--poset``, whose JSON document is ``given``.  The
+    document's poset is read unless it :func:`_embeds` ``given``; a document
+    with no ``poset`` field is left to its reader."""
+    if not isinstance(doc, dict) or "poset" not in doc or _embeds(given, doc):
         return
     own = FinitePoset.from_json(doc["poset"])
     if own == poset:

@@ -9,12 +9,12 @@ naturality.
 
 Each law is checked once, on the least data that decides it:
 
-- a presheaf document is read in one pass, with composition checked on the
-  triples whose lower step is a cover edge; any document that pass does
-  not accept is read member by member, for the same result or error;
+- a presheaf, from a document or a library caller, is checked by its
+  constructor in one pass over the strict pairs, with composition on the
+  triples whose lower step is a cover edge; only rejected input is scanned
+  law by law, for the first failure in index order;
 - naturality is checked on the squares of cover edges, which between
-  functors imply every square; :func:`naturality_failure` keeps the scan
-  of every strict pair for its witness;
+  functors imply every square;
 - a sheaf verdict counts matching families only on cuts whose tops share
   an element of X below them (see :func:`_least_cover_failures`);
 - isomorphism classes are searched only among presheaves with equal value
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, permutations, product
-from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -56,9 +55,11 @@ class Presheaf:
 
     ``sizes[p]`` is the cardinality of the value at ``p``; ``maps[(q, p)]``
     (for each strict comparable pair) sends values at ``p`` down to values
-    at ``q``.  Identity and composition laws are enforced on construction,
-    except by the private :meth:`_trusted`, which the library's own
-    functorial-by-construction builders use.
+    at ``q``.  Construction checks the laws: every size is an exact ``int``
+    of at least 0, each strict pair has one list or tuple of exact ``int``s
+    that is a function between the value sets, no other key is given, and
+    composition holds.  The private :meth:`_trusted`, which the library's
+    own functorial-by-construction builders use, skips the check.
     """
 
     __slots__ = ("poset", "sizes", "maps", "_identities")
@@ -70,59 +71,13 @@ class Presheaf:
         maps: Mapping[tuple[int, int], Sequence[int]],
     ):
         sizes = tuple(sizes)
-        labels = poset.labels
-        if len(sizes) != poset.n or any(s < 0 for s in sizes):
-            witness = dict(zip(labels, sizes)) if len(sizes) == poset.n else list(sizes)
+        if len(sizes) != poset.n or not set(map(type, sizes)) <= {int} or min(sizes, default=0) < 0:
+            witness = dict(zip(poset.labels, sizes)) if len(sizes) == poset.n else list(sizes)
             raise ParseError(f"bad value sizes {sizes}", witness={"sizes": witness})
-
-        def broken(message: str, **elems: int) -> FunctorialityError:
-            witness = {k: labels[e] for k, e in elems.items()}
-            return FunctorialityError(message, witness=witness, **elems)
-
-        cleaned: dict[tuple[int, int], tuple[int, ...]] = {}
-        for q in range(poset.n):
-            for p in poset.up(q) - {q}:
-                if (q, p) not in maps:
-                    raise broken(f"missing restriction for {labels[q]} <= {labels[p]}", q=q, p=p)
-                tab = tuple(maps[(q, p)])
-                if len(tab) != sizes[p] or any(not 0 <= v < sizes[q] for v in tab):
-                    raise broken(
-                        f"restriction for {labels[q]} <= {labels[p]} "
-                        f"is not a function between the value sets",
-                        q=q,
-                        p=p,
-                    )
-                cleaned[(q, p)] = tab
-        for key in maps:
-            if key not in cleaned:
-                named = _pair_name(labels, key)
-                raise ParseError(
-                    f"restriction {named!r} does not match a strict pair", witness={"key": named}
-                )
-        # composition on the triples r < q < p whose lower step is a cover
-        # edge implies it on every triple, by induction on the length of
-        # [r, q]; on a failure the witness is the full scan's first triple
-        for r, q in poset.hasse_pairs():
-            lower = cleaned[(r, q)]
-            if any(
-                tuple(lower[b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
-                for p in poset.up(q) - {q}
-            ):
-                r, q, p = next(
-                    (r, q, p)
-                    for r in range(poset.n)
-                    for q in poset.up(r) - {r}
-                    for p in poset.up(q) - {q}
-                    if tuple(cleaned[(r, q)][b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
-                )
-                raise broken(
-                    f"composite restriction violated at "
-                    f"{labels[r]} <= {labels[q]} <= {labels[p]}",
-                    r=r,
-                    q=q,
-                    p=p,
-                )
-        self._fill(poset, sizes, cleaned)
+        tables = _functor_tables(poset, sizes, maps)
+        if tables is None:
+            tables = _scanned_tables(poset, sizes, maps)
+        self._fill(poset, sizes, tables)
 
     @classmethod
     def _trusted(
@@ -183,7 +138,8 @@ class Presheaf:
     @classmethod
     def from_json(cls, doc: dict, poset: FinitePoset | None = None) -> "Presheaf":
         """Read ``{"values": {label: size}, "maps": {"q<=p": [value, ...]}}``;
-        any other shape is a ParseError with the offending value as witness."""
+        any other shape is a ParseError with the offending value as witness.
+        Labels become element ids here, and the constructor checks the laws."""
         if not isinstance(doc, dict):
             raise ParseError("presheaf JSON must be an object", witness={"document": doc})
         poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
@@ -191,11 +147,9 @@ class Presheaf:
         for field, value in (("values", values), ("maps", tables)):
             if not isinstance(value, dict):
                 raise ParseError(f"'{field}' is not an object", witness={field: value})
-        bulk = _read_in_bulk(poset, values, tables)
-        if bulk is not None:
-            return bulk
         # one lookup table per document; index_of raises for an unknown label
-        ids = {label: i for i, label in enumerate(poset.labels)}
+        labels = poset.labels
+        ids = {label: i for i, label in enumerate(labels)}
 
         def index(label: str) -> int:
             return ids[label] if label in ids else poset.index_of(label)
@@ -206,48 +160,56 @@ class Presheaf:
                 raise ParseError(f"value size {size!r} is not an integer",
                                  witness={"element": label, "size": size})
             sizes[index(label)] = size
-        maps = {}
-        for key, tab in tables.items():
+        # a key that is the name of a pair of labels holding no "<=" and no
+        # surrounding whitespace splits into exactly that pair, so it is
+        # looked up whole; any other key is split at its first "<="
+        exact = [label == label.strip() and "<=" not in label for label in labels]
+        names = {
+            f"{labels[q]}<={labels[p]}": (q, p)
+            for q, p in poset._strict_pairs()
+            if exact[q] and exact[p]
+        }
+
+        def pair_of(key: str, tab: object) -> tuple[int, int]:
             if "<=" not in key:
                 raise ParseError(f"bad restriction key {key!r}", witness={"key": key})
             if not (isinstance(tab, list) and all(type(v) is int for v in tab)):
                 raise ParseError(f"restriction {key!r} is not a list of integers",
                                  witness={"key": key, "map": tab})
             qlab, plab = key.split("<=", 1)
-            maps[(index(qlab.strip()), index(plab.strip()))] = tab
+            return index(qlab.strip()), index(plab.strip())
+
+        tabs = tables.values()
+        maps = dict(zip(map(names.get, tables), tabs))
+        if (
+            None in maps
+            or not set(map(type, tabs)) <= {list}
+            or not set(map(type, chain.from_iterable(tabs))) <= {int}
+        ):  # a key to split or a bad key or table: read key by key, in order
+            maps = {pair_of(key, tab): tab for key, tab in tables.items()}
         return cls(poset, sizes, maps)
 
 
-def _read_in_bulk(poset: FinitePoset, values: dict, tables: dict) -> Presheaf | None:
-    """The presheaf of a well-formed document, read in one pass, or None
-    for any document that this pass does not accept, which
-    :meth:`Presheaf.from_json` then reads member by member, so its result
-    or error is as before.
-
-    Accepted: a size for every label and no other, a table under the name
-    ``q<=p`` of every strict pair and no other key, every entry an exact
-    ``int`` in range, and composition on the triples whose lower step is a
-    cover edge, which implies it on every triple.  Keys name their pairs
-    exactly only when no label holds ``<=`` or surrounding whitespace."""
-    labels = poset.labels
-    if any("<=" in label or label != label.strip() for label in labels):
-        return None
-    sizes = list(map(values.get, labels))
-    if len(values) != poset.n or not set(map(type, sizes)) <= {int} or min(sizes, default=0) < 0:
-        return None
+def _functor_tables(
+    poset: FinitePoset, sizes: tuple[int, ...], maps: Mapping[tuple[int, int], Sequence[int]]
+) -> dict[tuple[int, int], tuple[int, ...]] | None:
+    """The tables of a functor, as tuples keyed by the strict pairs, or None
+    when any law fails.  Each check runs over all tables at once, and
+    composition on the triples whose lower step is a cover edge implies it
+    on every triple, by induction on the length of [r, q]."""
     pairs = poset._strict_pairs()
-    tabs = [tables.get(f"{labels[q]}<={labels[p]}") for q, p in pairs]
+    tabs = list(map(maps.get, pairs))
     if (
-        len(tables) != len(pairs)
-        or not set(map(type, tabs)) <= {list}
+        len(maps) != len(pairs)
+        or not set(map(type, tabs)) <= {list, tuple}
         or list(map(len, tabs)) != [sizes[p] for _, p in pairs]
     ):
         return None
-    entries = list(chain.from_iterable(tabs))
+    tuples = list(map(tuple, tabs))
+    entries = list(chain.from_iterable(tuples))
     if not set(map(type, entries)) <= {int} or min(entries, default=0) < 0:
         return None
-    tuples = list(map(tuple, tabs))
-    spans = []  # the strict pairs of q are consecutive, and its tables map into F(q)
+    spans = []  # the strict pairs of q are consecutive, and their tables map into F(q)
     start = 0
     for q, up in enumerate(poset.up_masks):
         end = start + up.bit_count() - 1
@@ -255,14 +217,65 @@ def _read_in_bulk(poset: FinitePoset, values: dict, tables: dict) -> Presheaf | 
             return None
         spans.append((start, end))
         start = end
-    maps = dict(zip(pairs, tuples))
+    tables = dict(zip(pairs, tuples))
     for r, q in poset.hasse_pairs():
-        lower = maps[r, q].__getitem__
+        lower = tables[r, q].__getitem__
         start, end = spans[q]
         for (_, p), tab in zip(pairs[start:end], tuples[start:end]):
-            if tuple(map(lower, tab)) != maps[r, p]:
+            if tuple(map(lower, tab)) != tables[r, p]:
                 return None
-    return Presheaf._trusted(poset, sizes, maps)
+    return tables
+
+
+def _scanned_tables(
+    poset: FinitePoset, sizes: tuple[int, ...], maps: Mapping[tuple[int, int], Sequence[int]]
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The tables of a functor, checked one law at a time; the first failure
+    is raised: a missing or non-function table, pairs in (q, p) order, then
+    a key that is no strict pair, then a broken composite, triples in
+    (r, q, p) order."""
+    labels = poset.labels
+
+    def broken(message: str, **elems: int) -> FunctorialityError:
+        witness = {k: labels[e] for k, e in elems.items()}
+        return FunctorialityError(message, witness=witness, **elems)
+
+    pairs = poset._strict_pairs()
+    tables: dict[tuple[int, int], tuple[int, ...]] = {}
+    for q, p in pairs:
+        if (q, p) not in maps:
+            raise broken(f"missing restriction for {labels[q]} <= {labels[p]}", q=q, p=p)
+        tab = maps[q, p]
+        if not (
+            type(tab) in (list, tuple)
+            and len(tab) == sizes[p]
+            and all(type(v) is int and 0 <= v < sizes[q] for v in tab)
+        ):
+            raise broken(
+                f"restriction for {labels[q]} <= {labels[p]} "
+                f"is not a function between the value sets",
+                q=q,
+                p=p,
+            )
+        tables[q, p] = tuple(tab)
+    for key in maps:
+        if key not in tables:
+            named = _pair_name(labels, key)
+            raise ParseError(
+                f"restriction {named!r} does not match a strict pair", witness={"key": named}
+            )
+    for r, q in pairs:
+        lower = tables[r, q]
+        for p in _bits(poset.up_masks[q] ^ 1 << q):
+            if tuple(lower[b] for b in tables[q, p]) != tables[r, p]:
+                raise broken(
+                    f"composite restriction violated at "
+                    f"{labels[r]} <= {labels[q]} <= {labels[p]}",
+                    r=r,
+                    q=q,
+                    p=p,
+                )
+    return tables
 
 
 def _pair_name(labels: Sequence[str], key: object) -> str:
@@ -436,25 +449,24 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
     - separation on tops: F(s) is separated iff restriction to the tops of
       its cut is injective; for s in X the top is s and restriction is the
       identity, and an empty cut has one family, so |F(s)| <= 1 is needed;
-    - p in X: a family on the cut is fixed by its value at p, so there
-      are |F(p)|;
-    - one top t: a family is fixed by its value at t, so there are |F(t)|;
-      with no top there is one, the empty family.
-
-    - tops with no element of X below two of them: every member of the cut
-      lies under exactly one top, so any tuple of top values is a family,
-      and there are the product of the |F(t)|.
+    - tops with no element of X below two of them, as with fewer than two
+      tops: every member of the cut lies under exactly one top, so any
+      tuple of top values is a family, and there are the product of the
+      |F(t)|; that is |F(p)| for p in X, whose one top is p, and 1, the
+      empty family, with no top.
 
     Only a cut whose tops share an element of X below them counts its
     families, stopping at |F(p)| + 1: with F(p) separated, its images are
     |F(p)| of them.  The separation of every s is decided first, into one
-    mask."""
-    poset, xs, sizes, maps = presheaf.poset, topology.subset, presheaf.sizes, presheaf.maps
+    mask, and the same pass reads X off the tops into another."""
+    poset, sizes, maps = presheaf.poset, presheaf.sizes, presheaf.maps
     tops = topology._cut_tops()
-    unseparated = 0
+    unseparated = members = 0
     for s, ts in enumerate(tops):
         if len(ts) == 1:
-            if ts[0] != s and len(set(maps[ts[0], s])) != sizes[s]:  # ts == (s,) iff s in X
+            if ts[0] == s:  # ts == (s,) iff s in X
+                members |= 1 << s
+            elif len(set(maps[ts[0], s])) != sizes[s]:
                 unseparated |= 1 << s
         elif ts:
             if len(set(zip(*[maps[t, s] for t in ts]))) != sizes[s]:
@@ -465,14 +477,14 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
     for p, ts in enumerate(tops):
         if down[p] & unseparated:
             yield p
-        elif len(ts) < 2:
-            if sizes[p] != (sizes[ts[0]] if ts else 1):  # p in X passes: ts == (p,)
-                yield p
-        elif _disjoint_below(down, _mask(xs), ts):
-            if sizes[p] != prod(map(sizes.__getitem__, ts)):
+        elif len(ts) < 2 or _disjoint_below(down, members, ts):
+            families = 1
+            for t in ts:
+                families *= sizes[t]
+            if sizes[p] != families:
                 yield p
         elif next(
-            islice(matching_families(presheaf, xs & poset.down(p)), sizes[p], None), None
+            islice(matching_families(presheaf, _bits(members & down[p])), sizes[p], None), None
         ) is not None:
             yield p
 
@@ -559,21 +571,17 @@ def extend_presheaf(
     pos = {e: k for k, e in enumerate(elems)}
     if base.poset != poset.induced(elems):
         raise PosetMismatchError("base presheaf is not on the induced subposet")
-    members = frozenset(elems)
-    support = tuple(tuple(sorted(members & poset.down(p))) for p in range(poset.n))
+    down, members = poset.down_masks, _mask(elems)
+    support = tuple(tuple(_bits(members & below)) for below in down)
     families = tuple(
         tuple(tuple(fam.values()) for fam in matching_families(base, [pos[x] for x in xs]))
         for xs in support
     )
+    lookups = [{fam: i for i, fam in enumerate(fams)} for fams in families]
     maps = {}
-    for q in range(poset.n):
-        below = set(support[q])
-        lookup = {fam: i for i, fam in enumerate(families[q])}
-        for p in poset.up(q) - {q}:
-            keep = [i for i, x in enumerate(support[p]) if x in below]
-            maps[(q, p)] = tuple(
-                lookup[tuple(fam[i] for i in keep)] for fam in families[p]
-            )
+    for q, p in poset._strict_pairs():
+        keep = [i for i, x in enumerate(support[p]) if down[q] >> x & 1]
+        maps[(q, p)] = tuple(lookups[q][tuple(fam[i] for i in keep)] for fam in families[p])
     presheaf = Presheaf._trusted(poset, [len(f) for f in families], maps)
     return ExtendedPresheaf(presheaf, support, families)
 
@@ -593,18 +601,6 @@ def _square_commutes(
     the component at p equals the component at q after restricting."""
     down_t, down_s = target.restriction(q, p), source.restriction(q, p)
     return all(down_t[cp[a]] == cq[down_s[a]] for a in range(source.sizes[p]))
-
-
-def naturality_failure(
-    source: Presheaf, target: Presheaf, components: Sequence[Sequence[int]]
-) -> tuple[int, int] | None:
-    """A strict pair (q, p) whose naturality square fails, or None."""
-    poset = source.poset
-    for q in range(poset.n):
-        for p in poset.up(q) - {q}:
-            if not _square_commutes(source, target, q, p, components[q], components[p]):
-                return (q, p)
-    return None
 
 
 def _is_natural(
@@ -685,13 +681,13 @@ def _iso_classes(presheaves: Sequence[Presheaf]) -> tuple[list[Presheaf], list[i
 
 
 def yoneda_presheaf(poset: FinitePoset, p: int) -> Presheaf:
-    """Singleton values on the down-set of p, empty elsewhere."""
-    sizes = [1 if poset.leq(q, p) else 0 for q in range(poset.n)]
-    maps = {}
-    for q in range(poset.n):
-        for r in poset.up(q) - {q}:
-            maps[(q, r)] = (0,) * sizes[r]
-    return Presheaf(poset, sizes, maps)
+    """Singleton values on the down-set of p, empty elsewhere.  Functorial
+    by construction: every table is constant at 0, and the table of q < r
+    is empty unless r <= p, and then q <= p, so F(q) holds 0."""
+    below = poset.down_masks[p]
+    sizes = [below >> q & 1 for q in range(poset.n)]
+    maps = {(q, r): (0,) * sizes[r] for q, r in poset._strict_pairs()}
+    return Presheaf._trusted(poset, sizes, maps)
 
 
 def enumerate_presheaves(
@@ -750,12 +746,13 @@ def _routes(
     above q.  Ordered by p along the linear extension, so (q, r) is an edge
     or comes earlier."""
     edge_set = set(edges)
+    down = poset.down_masks
     out = []
     for p in poset.linear_extension:
         lower = [r for r, pp in edges if pp == p]
-        for q in sorted(poset.down(p) - {p}):
+        for q in _bits(down[p] ^ 1 << p):
             if (q, p) not in edge_set:
-                out.append((q, min(r for r in lower if poset.leq(q, r)), p))
+                out.append((q, min(r for r in lower if down[r] >> q & 1), p))
     return out
 
 
@@ -919,11 +916,11 @@ def _bottom_restrictions(
     """Restriction maps from each element to the adjoined bottom, built as
     inverse-at-the-base-point composites; checked for independence of the
     mediating element."""
-    poset = sheaf.poset
+    masks = sheaf.poset.down_masks
     tables: dict[int, tuple[int, ...]] = {}
-    for p in range(poset.n):
+    for p, below in enumerate(masks):
         seen = set()
-        for r in sorted(poset.down(p) & poset.down(p0)):
+        for r in _bits(below & masks[p0]):
             to_base = sheaf.restriction(r, p0)
             if len(set(to_base)) != sheaf.sizes[r] or sheaf.sizes[r] != sheaf.sizes[p0]:
                 return None, False

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
@@ -163,23 +162,13 @@ class GrothTopology:
         return cls._from_json(doc)
 
     @classmethod
-    def _from_json(
-        cls, doc: object, poset: FinitePoset | None = None, given: object = None
-    ) -> "GrothTopology":
-        """:meth:`from_json`, on ``poset`` itself when the document's poset is
-        ``given``, the JSON document ``poset`` was read from, with every id
-        an exact ``int``: ``1.0`` and ``true`` equal ``1`` but are read as
-        errors, so a document holding one is read on its own."""
+    def _from_json(cls, doc: object, poset: FinitePoset | None = None) -> "GrothTopology":
+        """:meth:`from_json` on ``poset``, which the caller has found to be
+        the document's own; with None the document's poset is read."""
         if not isinstance(doc, dict):
             raise ParseError("topology JSON must be an object", witness={"document": doc})
-        own = doc.get("poset")
-        if not (
-            poset is not None
-            and given is not None
-            and own == given
-            and set(map(type, chain.from_iterable(own.get("le_pairs", ())))) <= {int}
-        ):
-            poset = FinitePoset.from_json(own)
+        if poset is None:
+            poset = FinitePoset.from_json(doc.get("poset"))
         families = doc.get("covers")
         if not isinstance(families, dict):
             raise ParseError("'covers' is not an object", witness={"covers": families})

@@ -34,7 +34,11 @@ read off the masks, have the ``leq`` and ``lt`` scans they replaced, and
 the tops of each cut of J(X) have the maximal elements of the cut by
 ``lt``.  Presheaf construction, which
 checks composition on cover-edge triples, has the scan over every triple
-that it replaced.
+that it replaced, and the presheaf reader, which looks keys up in a table of
+pair names and leaves every law to the constructor, has the member-by-member
+reader and the constructor loop over the frozenset up-sets that it replaced.
+Naturality, checked on cover-edge squares, has the scan over every strict
+pair with its first failing pair.
 
 The frozenset forms that the library no longer carries live here: the
 frame's down-sets by id, the sieves on p, negation and double negation by
@@ -70,8 +74,8 @@ from sitecalc import (
     subset_subcanonicity_witnesses,
     validate_topology,
 )
-from sitecalc.errors import AxiomViolation, FunctorialityError
-from sitecalc.sheaves import SheafCheck
+from sitecalc.errors import AxiomViolation, FunctorialityError, ParseError
+from sitecalc.sheaves import Presheaf, SheafCheck, _pair_name
 
 
 def all_subsets(n: int):
@@ -782,6 +786,98 @@ def functoriality_scan_oracle(poset: FinitePoset, maps) -> FunctorialityError | 
     return None
 
 
+def presheaf_reader_oracle(doc: dict, poset: FinitePoset) -> Presheaf:
+    """``Presheaf.from_json`` on ``poset`` as it read a document member by
+    member: each size, then each key split at its first ``<=`` with its
+    table type-checked, then :func:`presheaf_constructor_oracle`."""
+    values, tables = doc.get("values", {}), doc.get("maps", {})
+    for field, value in (("values", values), ("maps", tables)):
+        if not isinstance(value, dict):
+            raise ParseError(f"'{field}' is not an object", witness={field: value})
+    # one lookup table per document; index_of raises for an unknown label
+    ids = {label: i for i, label in enumerate(poset.labels)}
+
+    def index(label: str) -> int:
+        return ids[label] if label in ids else poset.index_of(label)
+
+    sizes = [0] * poset.n
+    for label, size in values.items():
+        if type(size) is not int:
+            raise ParseError(f"value size {size!r} is not an integer",
+                             witness={"element": label, "size": size})
+        sizes[index(label)] = size
+    maps = {}
+    for key, tab in tables.items():
+        if "<=" not in key:
+            raise ParseError(f"bad restriction key {key!r}", witness={"key": key})
+        if not (isinstance(tab, list) and all(type(v) is int for v in tab)):
+            raise ParseError(f"restriction {key!r} is not a list of integers",
+                             witness={"key": key, "map": tab})
+        qlab, plab = key.split("<=", 1)
+        maps[(index(qlab.strip()), index(plab.strip()))] = tab
+    return presheaf_constructor_oracle(poset, sizes, maps)
+
+
+def presheaf_constructor_oracle(poset: FinitePoset, sizes, maps) -> Presheaf:
+    """``Presheaf(poset, sizes, maps)`` as its loop checked the laws: the
+    sizes, then for q ascending each p in the frozenset ``up(q) - {q}`` a
+    missing or non-function table, then keys that are no strict pair, then
+    composition on the triples whose lower step is a cover edge, with the
+    first triple of the full scan as the witness.  Sizes and entries are
+    not type-checked."""
+    sizes = tuple(sizes)
+    labels = poset.labels
+    if len(sizes) != poset.n or any(s < 0 for s in sizes):
+        witness = dict(zip(labels, sizes)) if len(sizes) == poset.n else list(sizes)
+        raise ParseError(f"bad value sizes {sizes}", witness={"sizes": witness})
+
+    def broken(message: str, **elems: int) -> FunctorialityError:
+        witness = {k: labels[e] for k, e in elems.items()}
+        return FunctorialityError(message, witness=witness, **elems)
+
+    cleaned: dict[tuple[int, int], tuple[int, ...]] = {}
+    for q in range(poset.n):
+        for p in poset.up(q) - {q}:
+            if (q, p) not in maps:
+                raise broken(f"missing restriction for {labels[q]} <= {labels[p]}", q=q, p=p)
+            tab = tuple(maps[(q, p)])
+            if len(tab) != sizes[p] or any(not 0 <= v < sizes[q] for v in tab):
+                raise broken(
+                    f"restriction for {labels[q]} <= {labels[p]} "
+                    f"is not a function between the value sets",
+                    q=q,
+                    p=p,
+                )
+            cleaned[(q, p)] = tab
+    for key in maps:
+        if key not in cleaned:
+            named = _pair_name(labels, key)
+            raise ParseError(
+                f"restriction {named!r} does not match a strict pair", witness={"key": named}
+            )
+    for r, q in poset.hasse_pairs():
+        lower = cleaned[(r, q)]
+        if any(
+            tuple(lower[b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
+            for p in poset.up(q) - {q}
+        ):
+            r, q, p = next(
+                (r, q, p)
+                for r in range(poset.n)
+                for q in poset.up(r) - {r}
+                for p in poset.up(q) - {q}
+                if tuple(cleaned[(r, q)][b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
+            )
+            raise broken(
+                f"composite restriction violated at "
+                f"{labels[r]} <= {labels[q]} <= {labels[p]}",
+                r=r,
+                q=q,
+                p=p,
+            )
+    return Presheaf._trusted(poset, sizes, cleaned)
+
+
 def _strict_pairs(poset: FinitePoset) -> list[tuple[int, int]]:
     return [(q, p) for q in range(poset.n) for p in range(poset.n) if q != p and poset.leq(q, p)]
 
@@ -833,6 +929,20 @@ def iso_orbit(presheaf) -> frozenset:
             tables.append(tuple(table))
         out.add(tuple(tables))
     return frozenset(out)
+
+
+def naturality_failure(source, target, components) -> tuple[int, int] | None:
+    """The first strict pair (q, p), in index order, whose naturality square
+    fails: G(q <= p) after the component at p differs from the component at
+    q after F(q <= p).  None when the components are natural."""
+    for q, p in _strict_pairs(source.poset):
+        down_s, down_t = source.restriction(q, p), target.restriction(q, p)
+        if any(
+            down_t[components[p][a]] != components[q][down_s[a]]
+            for a in range(source.sizes[p])
+        ):
+            return (q, p)
+    return None
 
 
 def natural_iso_oracle(f, g) -> bool:

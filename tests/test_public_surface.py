@@ -1,7 +1,8 @@
 """The public names of ``sitecalc``, pinned, so that a change to the surface
 is a deliberate edit of this list; and the frozenset layer, the constant
-predicates, the set fixpoint of the order relation and the frame quotient
-that left the library, which must resolve nowhere."""
+predicates, the set fixpoint of the order relation, the frame quotient, the
+second presheaf reader and the all-pairs naturality scan that left the
+library, which must resolve nowhere."""
 
 import types
 
@@ -43,6 +44,7 @@ REMOVED = (
     "double_negation", "double_negation_nucleus", "extract_subset", "is_complete",
     "nucleus_is_complete", "congruence_is_complete", "_close_relation", "_implication_masks",
     "_nucleus_subset", "_congruence_subset", "_is_id", "quotient_frame", "QuotientFrame",
+    "_read_in_bulk", "naturality_failure",
 )
 
 REMOVED_ATTRIBUTES = (

@@ -1,26 +1,31 @@
 """The sheaf requests' single-pass paths against the member-by-member code
-they stand in for: the bulk presheaf reader against the reader it falls
-back to, naturality on cover edges against the scan of every strict pair,
-the isomorphism-class buckets, and ``sheaf check`` reading one poset."""
+they stand in for: the presheaf reader and constructor against the reader
+and constructor loop they replaced, naturality on cover edges against the
+scan of every strict pair, the isomorphism-class buckets, and ``sheaf
+check`` reading one poset."""
 
 import json
 from itertools import product
 
 import pytest
-from conftest import iso_orbit
+from conftest import iso_orbit, naturality_failure, presheaf_reader_oracle
 
 import sitecalc.sheaves
 from sitecalc import (
     CATALOG_NAMES,
     FinitePoset,
+    FunctorialityError,
+    ParseError,
     SiteCalcError,
     catalog,
     catalog_poset,
+    enumerate_downsets,
     enumerate_presheaves,
+    nucleus_from_topology,
     subset_topology,
 )
 from sitecalc.cli import main
-from sitecalc.sheaves import Presheaf, _is_natural, _iso_key, _read_in_bulk, naturality_failure
+from sitecalc.sheaves import Presheaf, _is_natural, _iso_key
 
 # chain3 with two values everywhere: every pair, including 0 <= 2, and one
 # composite triple
@@ -60,59 +65,93 @@ MUTATIONS = {
 }
 
 
-def _read(doc: dict, poset: FinitePoset):
+def _read(reader, doc: dict, poset: FinitePoset):
     """The presheaf, or the error's code, message and witness."""
     try:
-        return Presheaf.from_json(doc, poset)
+        return reader(doc, poset)
     except SiteCalcError as err:
         return err.to_json()
 
 
-def _both_readers(doc: dict, poset: FinitePoset, monkeypatch) -> tuple:
-    bulk = _read(doc, poset)
-    with monkeypatch.context() as patched:
-        patched.setattr(sitecalc.sheaves, "_read_in_bulk", lambda *args: None)
-        members = _read(doc, poset)
-    return bulk, members
+def _both_readers(doc: dict, poset: FinitePoset) -> tuple:
+    return _read(Presheaf.from_json, doc, poset), _read(presheaf_reader_oracle, doc, poset)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
-def test_bulk_reader_agrees_with_the_member_reader(mutation, monkeypatch):
-    doc = MUTATIONS[mutation]
+def test_bulk_reader_agrees_with_the_member_reader(mutation):
+    """``from_json`` gives the result or error of the member-by-member
+    reader it replaced; a key with spaces around ``<=`` is split."""
     chain3 = catalog_poset("chain3")
-    bulk, members = _both_readers(doc, chain3, monkeypatch)
-    assert bulk == members
-    accepted = _read_in_bulk(chain3, doc["values"], doc["maps"])
-    assert (accepted is not None) == (mutation == "valid")
-    if accepted is not None:
-        assert accepted == members and accepted.maps == members.maps
+    read, expected = _both_readers(MUTATIONS[mutation], chain3)
+    assert read == expected
+    assert isinstance(read, Presheaf) == (mutation in {"valid", "spaced key"})
+    if isinstance(read, Presheaf):
+        assert read.maps == expected.maps
+        assert all(type(tab) is tuple for tab in read.maps.values())
 
 
 @pytest.mark.parametrize(
     "labels", [["a", "a<=b", "b"], [" a", "b", "c"], ["a", "b", "c "]], ids=["<=", "lead", "trail"]
 )
-def test_labels_that_keys_cannot_name_exactly_go_member_by_member(labels, monkeypatch):
+def test_labels_that_keys_cannot_name_exactly_go_member_by_member(labels):
     """Keys split at their first ``<=`` and drop surrounding whitespace, so
     with such labels a key can name another pair than its text says: the
-    bulk reader declines and the member reader decides."""
+    pairs of such labels are left out of the name table, and their keys are
+    split as the member reader split them."""
     chain3 = FinitePoset(labels, [(0, 1), (1, 2)])
     name = {i: label for i, label in enumerate(labels)}
     tables = [(0, 1, [1, 0]), (0, 2, [0, 1]), (1, 2, [1, 0])]
     maps = {f"{name[q]}<={name[p]}": tab for q, p, tab in tables}
     doc = {"values": {label: 2 for label in labels}, "maps": maps}
-    assert _read_in_bulk(chain3, doc["values"], doc["maps"]) is None
-    bulk, members = _both_readers(doc, chain3, monkeypatch)
-    assert bulk == members
+    read, expected = _both_readers(doc, chain3)
+    assert read == expected
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_bulk_reader_reads_every_written_presheaf(name):
     p = catalog()[name]
     for f in enumerate_presheaves(p, 2, max_elements=p.n):
-        doc = json.loads(json.dumps(f.to_json()))
-        g = _read_in_bulk(p, doc["values"], doc["maps"])
+        g = Presheaf.from_json(json.loads(json.dumps(f.to_json())), p)
         assert g == f and type(g.sizes) is tuple
         assert all(type(tab) is tuple for tab in g.maps.values())
+
+
+def test_missing_restrictions_are_named_in_index_order():
+    """0 < 2 and 0 < 9 on ten elements: ``up(0)`` as a frozenset lists 9
+    before 2, the strict pairs list 0 <= 2 first."""
+    poset = FinitePoset(10, [(0, 2), (0, 9)])
+    with pytest.raises(FunctorialityError) as exc:
+        Presheaf(poset, [1] * 10, {})
+    assert exc.value.message == "missing restriction for 0 <= 2"
+    assert (exc.value.q, exc.value.p) == (0, 2)
+    assert exc.value.witness == {"q": "0", "p": "2"}
+
+
+@pytest.mark.parametrize("size", [2.0, True], ids=["float", "bool"])
+def test_library_sizes_must_be_exact_integers(size):
+    chain3 = catalog_poset("chain3")
+    maps = {(0, 1): (0, 1), (0, 2): (0, 1), (1, 2): (0, 1)}
+    with pytest.raises(ParseError) as exc:
+        Presheaf(chain3, [2, size, 2], maps)
+    assert exc.value.witness == {"sizes": {"0": 2, "1": size, "2": 2}}
+
+
+@pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)], ids=str)
+def test_library_entries_must_be_exact_integers(pair, entry):
+    """An entry equal to 1 but not an ``int`` is a FunctorialityError at
+    its pair; the constructor loop it replaced stored such an entry, or,
+    for a float at (1, 2), ended in a bare TypeError."""
+    chain3 = catalog_poset("chain3")
+    maps = {(0, 1): [0, 1], (0, 2): [0, 1], (1, 2): [0, 1]}
+    maps[pair] = [0, entry]
+    with pytest.raises(FunctorialityError) as exc:
+        Presheaf(chain3, [2, 2, 2], maps)
+    q, p = pair
+    assert (exc.value.q, exc.value.p) == pair
+    assert exc.value.message == (
+        f"restriction for {q} <= {p} is not a function between the value sets"
+    )
 
 
 def _components(f: Presheaf, g: Presheaf, every: bool):
@@ -220,16 +259,31 @@ def test_sheaf_check_parses_one_poset_when_the_documents_embed_it(tmp_path, caps
 @pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
 def test_topology_poset_equal_only_as_a_value_is_read_on_its_own(entry, tmp_path, capsys):
     """``1.0`` and ``true`` equal ``1``, so the document compares equal to
-    ``--poset``; it is read on its own and its ParseError stands."""
-    doc = catalog_poset("chain3").to_json()
+    ``--poset``; it is read on its own and its ParseError stands, for the
+    topology and presheaf documents of ``sheaf check`` and the nucleus
+    document of ``convert --from``, under ``--poset`` as JSON and as text."""
+    chain3 = catalog_poset("chain3")
+    doc = chain3.to_json()
     pairs = [list(pair) for pair in doc["le_pairs"]]
     assert pairs[1] == [0, 1]
     pairs[1] = [0, entry]
     inexact = {**doc, "le_pairs": pairs}
     assert inexact == doc
-    code, out = _sheaf_check(tmp_path, capsys, doc, inexact, doc)
-    assert code == 1 and out["error"]["code"] == "ParseError"
-    assert out["error"]["witness"] == {"pair": [0, entry]}
+    nucleus = nucleus_from_topology(subset_topology(chain3, {0, 2}), enumerate_downsets(chain3))
+    text = "elements: 0 1 2\nle: 0 1\nle: 1 2\n"
+    for poset_doc in (doc, text):
+        outs = [
+            _sheaf_check(tmp_path, capsys, poset_doc, inexact, doc),
+            _sheaf_check(tmp_path, capsys, poset_doc, doc, inexact),
+        ]
+        code = main([
+            "convert", "--poset", _write(tmp_path, "p.json", poset_doc), "--from", "nucleus",
+            "--input", _write(tmp_path, "n.json", {**nucleus.to_json(), "poset": inexact}),
+        ])
+        outs.append((code, json.loads(capsys.readouterr().out)))
+        for code, out in outs:
+            assert code == 1 and out["error"]["code"] == "ParseError"
+            assert out["error"]["witness"] == {"pair": [0, entry]}
 
 
 def test_presheaf_on_another_order_of_the_labels_is_a_mismatch(tmp_path, capsys):
