@@ -3,9 +3,8 @@
 Elements are dense integer indices ``0..n-1``; labels are display metadata
 only.  The order relation is stored fully closed (reflexive-transitive)
 as masks only, the up mask and the down mask of each element, with a
-linear extension fixed once per poset; the cover pairs, the strict pairs
-and the frozenset views of the up-sets and down-sets are built from the
-masks on first read.
+linear extension fixed once per poset; the cover pairs and the strict
+pairs are built from the masks on first read.
 
 A down-set is an int bitmask, bit p set iff p is in it.  A
 :class:`DownSetFrame` enumerates all down-sets of a poset as masks, with
@@ -29,9 +28,9 @@ map of the inclusion X -> P.  Only a rejected table is scanned pair by pair,
 for the witness of its first failing law.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The cover and strict pairs, the frozenset views and the
-induced-subposet memo on :class:`FinitePoset` are write-once and
-idempotent, so concurrent recomputation is benign.
+concurrent readers.  The cover and strict pairs and the induced-subposet
+memo on :class:`FinitePoset` are write-once and idempotent, so concurrent
+recomputation is benign.
 """
 
 from __future__ import annotations
@@ -64,14 +63,12 @@ class FinitePoset:
     cycle and its least partner.  The order is stored as masks only:
     ``up_masks`` and ``down_masks``, the mask of each element's up-set and
     down-set, with ``linear_extension``, the elements ordered by
-    (|down(e)|, e), so every element comes after those below it.  The
-    frozenset views ``up(p)`` and ``down(p)`` are built from the masks on
-    first read.
+    (|down(e)|, e), so every element comes after those below it.
     """
 
     __slots__ = (
         "n", "labels", "up_masks", "down_masks", "linear_extension",
-        "_up_sets", "_down_sets", "_hasse", "_strict", "_induced_cache", "_hash",
+        "_hasse", "_strict", "_induced_cache", "_hash",
     )
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
@@ -113,8 +110,6 @@ class FinitePoset:
         self.up_masks = tuple(up)
         self.down_masks = tuple(down)
         self.linear_extension = tuple(sorted(range(n), key=lambda e: (down[e].bit_count(), e)))
-        self._up_sets: tuple[frozenset[int], ...] | None = None
-        self._down_sets: tuple[frozenset[int], ...] | None = None
         self._hasse: tuple[tuple[int, int], ...] | None = None
         self._strict: tuple[tuple[int, int], ...] | None = None
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
@@ -127,16 +122,6 @@ class FinitePoset:
 
     def lt(self, i: int, j: int) -> bool:
         return i != j and self.up_masks[i] >> j & 1 == 1
-
-    def up(self, p: int) -> frozenset[int]:
-        if self._up_sets is None:
-            self._up_sets = tuple(frozenset(_bits(m)) for m in self.up_masks)
-        return self._up_sets[p]
-
-    def down(self, p: int) -> frozenset[int]:
-        if self._down_sets is None:
-            self._down_sets = tuple(frozenset(_bits(m)) for m in self.down_masks)
-        return self._down_sets[p]
 
     def index_of(self, label: str) -> int:
         try:
@@ -786,6 +771,22 @@ def restriction_frame_map(
 # -- order morphisms -----------------------------------------------------
 
 
+def _monotonicity_failure(
+    source: FinitePoset, target: FinitePoset, mapping: Sequence[int]
+) -> tuple[int, int] | None:
+    """The first pair x <= y of the source, x ascending, then y ascending,
+    whose images are not in order in the target, or None when the map is
+    monotone: every y in the up-set of x must map into the up-set of the
+    image of x."""
+    above = target.up_masks
+    for x, up in enumerate(source.up_masks):
+        reach = above[mapping[x]]
+        for y in _bits(up):
+            if not reach >> mapping[y] & 1:
+                return x, y
+    return None
+
+
 @dataclass(frozen=True)
 class OrderMorphism:
     """A monotone map between finite posets, validated on construction."""
@@ -807,13 +808,23 @@ class OrderMorphism:
                 raise NotOrderMorphismError(
                     f"image {i!r} is not a target element", witness={"id": i}
                 )
-        for x in range(self.source.n):
-            for y in self.source.up(x):
-                if not self.target.leq(self.mapping[x], self.mapping[y]):
-                    raise NotOrderMorphismError(
-                        f"monotonicity fails at {self.source.labels[x]} <= {self.source.labels[y]}",
-                        witness={"x": self.source.labels[x], "y": self.source.labels[y]},
-                    )
+        failure = _monotonicity_failure(self.source, self.target, mapping)
+        if failure is not None:
+            x, y = (self.source.labels[e] for e in failure)
+            raise NotOrderMorphismError(
+                f"monotonicity fails at {x} <= {y}", witness={"x": x, "y": y}
+            )
+
+    @classmethod
+    def _trusted(
+        cls, source: FinitePoset, target: FinitePoset, mapping: tuple[int, ...]
+    ) -> "OrderMorphism":
+        """The map ``mapping``, which must be monotone, unchecked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "source", source)
+        object.__setattr__(out, "target", target)
+        object.__setattr__(out, "mapping", mapping)
+        return out
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -822,15 +833,15 @@ class OrderMorphism:
         return frozenset(self.mapping[x] for x in subset)
 
     def is_isomorphism(self) -> bool:
-        if self.source.n != self.target.n or len(set(self.mapping)) != self.source.n:
-            return False
-        inv = [0] * self.target.n
-        for x, fx in enumerate(self.mapping):
-            inv[fx] = x
-        return all(
-            self.source.leq(inv[a], inv[b])
-            for a in range(self.target.n)
-            for b in self.target.up(a)
+        """A monotone bijection sends the pairs x <= y of the source to
+        distinct pairs of the target, so its inverse is monotone iff both
+        orders hold equally many pairs."""
+        source, target = self.source, self.target
+        return (
+            source.n == target.n
+            and len(set(self.mapping)) == source.n
+            and sum(m.bit_count() for m in source.up_masks)
+            == sum(m.bit_count() for m in target.up_masks)
         )
 
     def inverse(self) -> "OrderMorphism":
@@ -839,21 +850,16 @@ class OrderMorphism:
         inv = [0] * self.target.n
         for x, fx in enumerate(self.mapping):
             inv[fx] = x
-        return OrderMorphism(self.target, self.source, tuple(inv))
+        return OrderMorphism._trusted(self.target, self.source, tuple(inv))
 
 
 def all_order_morphisms(source: FinitePoset, target: FinitePoset) -> list[OrderMorphism]:
     """Every monotone map source -> target, in lexicographic mapping order."""
-    out = []
-    for mapping in product(range(target.n), repeat=source.n):
-        ok = all(
-            target.leq(mapping[x], mapping[y])
-            for x in range(source.n)
-            for y in source.up(x)
-        )
-        if ok:
-            out.append(OrderMorphism(source, target, mapping))
-    return out
+    return [
+        OrderMorphism._trusted(source, target, mapping)
+        for mapping in product(range(target.n), repeat=source.n)
+        if _monotonicity_failure(source, target, mapping) is None
+    ]
 
 
 def all_order_isomorphisms(source: FinitePoset, target: FinitePoset) -> list[OrderMorphism]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, permutations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BasePointError,
@@ -846,9 +846,11 @@ def _comparison(
     topology: GrothTopology,
     base_presheaves: Sequence[Presheaf] | None,
     value_cap: int,
+    keep: Container[int] = (),
 ) -> tuple[ComparisonReport, list[ExtendedPresheaf]]:
-    """:func:`comparison_check`, with the Ran_X extension of each presheaf
-    on the subset that it built, in sample order."""
+    """:func:`comparison_check`, with the Ran_X extension it built of each
+    presheaf on the subset whose sample index is in ``keep``, in sample
+    order; the others are dropped as soon as they are checked."""
     xs = frozenset(subset)
     elems = sorted(xs)
     induced = restrict_topology(poset, topology, xs)
@@ -861,7 +863,8 @@ def _comparison(
     for idx, base in enumerate(base_presheaves):
         base_ok = is_sheaf(base, induced).ok
         ext = extend_presheaf(base, poset, xs)
-        extensions.append(ext)
+        if idx in keep:
+            extensions.append(ext)
         ext_ok = is_sheaf(ext.presheaf, topology).ok
         counit = _counit_components(ext, elems)
         restricted = restrict_presheaf(ext.presheaf, xs)
@@ -1083,8 +1086,12 @@ def kx_sheaf_equivalence_check(
     sub_presheaves = enumerate_presheaves(
         sub_poset, value_cap, max_elements=sub_poset.n, max_value_cap=value_cap
     )
+    # only the first member of each class keeps its extension
+    firsts: dict[int, int] = {}
+    for i, label in enumerate(_iso_classes(sub_presheaves)[1]):
+        firsts.setdefault(label, i)
     comparison, extensions = _comparison(
-        ambient, amb_subset, amb_topology, sub_presheaves, value_cap
+        ambient, amb_subset, amb_topology, sub_presheaves, value_cap, set(firsts.values())
     )
     sheaf_reps, sheaf_labels = _iso_classes(sample)
     transported_reps, transported_labels = _iso_classes(transported)
@@ -1098,12 +1105,7 @@ def kx_sheaf_equivalence_check(
     covered = 0
     cap_skipped = 0
     rep_keys = [_iso_key(f) for f in sheaf_reps]
-    classes = 0
-    # the first member of each class is the one whose label is new
-    for ext, label in zip(extensions, _iso_classes(sub_presheaves)[1]):
-        if label < classes:
-            continue
-        classes += 1
+    for ext in extensions:
         lifted = ext.presheaf
         if not reduced:
             lifted = restrict_presheaf(lifted, range(poset.n))

@@ -36,14 +36,16 @@ the poset built once: ``covers_json`` once per key of its own call, and the
 ``enumerate`` verb once per key of the whole census, whose document then
 holds each family once and refers to it from every J(X) with that key.
 
-The finest subcanonical subset topology is J(C) for a closed-form C.
+The finest subcanonical topology is J(C) for a closed-form C, and J(X) is
+subcanonical iff C <= X (see :func:`canonical_subset_report`), so
+:func:`is_subcanonical` is that one mask test.
 
 Each topology builds, on first read, the tops of every cut X & down(p),
 its maximal elements, which fix a matching family on the cut; the sheaf
 check reads them.
 
-Site morphisms and subcanonicity read X too, through the least cover
-L_p = down(X & down(p)), the weakest cover of p:
+Site morphisms and the subcanonicity witnesses read X too, through the
+least cover L_p = down(X & down(p)), the weakest cover of p:
 
 - phi: (P, J(X)) -> (Q, J(Y)) preserves covers at p iff
   Y & down(phi p) <= down(phi(X & down(p))), the image of L_p; it has
@@ -87,7 +89,6 @@ from .poset import (
     _downset_masks,
     _mask,
     _maximal,
-    heyting_implication,
 )
 
 DEFAULT_BRUTE_FORCE_CAP = 4
@@ -210,7 +211,7 @@ def find_axiom_violation(poset: FinitePoset, fams: Sequence[set[int]]) -> AxiomV
                 f"maximal sieve missing from the covers of {labels[p]}",
                 axiom="maximality",
                 p=p,
-                sieve=poset.down(p),
+                sieve=frozenset(_bits(down)),
             )
     below = [[(q, principal[q], fams[q]) for q in _bits(down) if q != p]
              for p, down in enumerate(principal)]
@@ -514,18 +515,6 @@ def dense_topology(poset: FinitePoset) -> GrothTopology:
     return subset_topology(poset, poset.minimal_elements())
 
 
-def canonical_constructors(poset: FinitePoset) -> dict[str, GrothTopology]:
-    """The named stock topologies; 'atomic' appears only when it is defined."""
-    out = {
-        "indiscrete": indiscrete_topology(poset),
-        "discrete": discrete_topology(poset),
-        "dense": dense_topology(poset),
-    }
-    if poset.is_downwards_directed():
-        out["atomic"] = atomic_topology(poset)
-    return out
-
-
 def derived_topology(poset: FinitePoset, subset: Iterable[int]) -> GrothTopology:
     """The subset topology with the empty sieve removed everywhere.
 
@@ -556,9 +545,11 @@ def dense_violation(poset: FinitePoset, topology: GrothTopology, subset: Iterabl
     """First element p whose cut sieve down(D & down(p)) is not a cover, that
     is, misses part of X & down(p); None exactly when X <= D."""
     _require_poset(poset, topology)
-    subset = _element_ids(poset, subset)
-    for p in range(poset.n):
-        if not topology.subset & poset.down(p) <= poset.down_closure(subset & poset.down(p)):
+    ds = _mask(_element_ids(poset, subset))
+    xs = _mask(topology.subset)
+    down = poset.down_masks
+    for p, d in enumerate(down):
+        if xs & d & ~_down_closure(down, ds & d):
             return p
     return None
 
@@ -623,7 +614,9 @@ def _require_same_poset(j: GrothTopology, k: GrothTopology) -> FinitePoset:
 
 
 def topology_leq(j: GrothTopology, k: GrothTopology) -> bool:
-    """Pointwise inclusion of cover families, which J reverses."""
+    """Pointwise inclusion of cover families: k's generating subset inside
+    j's.  It stays public so that callers compare topologies without having
+    to know that J reverses inclusion."""
     _require_same_poset(j, k)
     return k.subset <= j.subset
 
@@ -709,18 +702,20 @@ def site_morphism_report(
     source cover of p, iff phi(X & down(p)) <= down(Y & down(phi p)).
     """
     _require_endpoints(phi, source, target)
-    p_poset, q_poset = phi.source, phi.target
+    p_down, q_down = phi.source.down_masks, phi.target.down_masks
+    xs, ys = _mask(source.subset), _mask(target.subset)
+    mapping = phi.mapping
     cover_violations = []
     clp_violations = []
-    for p in range(p_poset.n):
-        cut = source.subset & p_poset.down(p)
-        image = phi.image_of(cut)
-        target_cut = target.subset & q_poset.down(phi(p))
-        if not target_cut <= q_poset.down_closure(image):
-            cover_violations.append((p, p_poset.down_closure(cut)))
-        least = q_poset.down_closure(target_cut)
-        if not image <= least:
-            clp_violations.append((p, least))
+    for p, down in enumerate(p_down):
+        cut = xs & down
+        image = _mask(mapping[x] for x in _bits(cut))
+        target_cut = ys & q_down[mapping[p]]
+        if target_cut & ~_down_closure(q_down, image):
+            cover_violations.append((p, frozenset(_bits(_down_closure(p_down, cut)))))
+        least = _down_closure(q_down, target_cut)
+        if image & ~least:
+            clp_violations.append((p, frozenset(_bits(least))))
     return SiteMorphismReport(tuple(cover_violations), tuple(clp_violations))
 
 
@@ -768,14 +763,6 @@ def adjoint_transfer_consistent(
 # -- subcanonicity -----------------------------------------------------------
 
 
-def representable_is_sheaf(poset: FinitePoset, topology: GrothTopology, p: int) -> bool:
-    """No element off the cone of p may have a cover inside the down-set of p;
-    the least cover down(X & down(q)) of q lies in it iff X & down(q) does."""
-    _require_poset(poset, topology)
-    dn = poset.down(p)
-    return all(poset.leq(q, p) or not topology.subset & poset.down(q) <= dn for q in range(poset.n))
-
-
 def subcanonicity_report(
     poset: FinitePoset, topology: GrothTopology
 ) -> tuple[tuple[int, int, frozenset[int]], ...]:
@@ -783,52 +770,50 @@ def subcanonicity_report(
     q fails for p iff q is not <= p and X & down(q) <= down(p), and the cover
     is the first in sorted-member order of the covers of q inside down(p)."""
     _require_poset(poset, topology)
+    down = poset.down_masks
+    xs = _mask(topology.subset)
     out = []
-    for p in range(poset.n):
-        dn = poset.down(p)
-        for q in range(poset.n):
-            cut = topology.subset & poset.down(q)
-            if not poset.leq(q, p) and cut <= dn:
-                out.append((p, q, _first_sieve_between(poset, cut, dn & poset.down(q))))
+    for p, high in enumerate(down):
+        for q, dq in enumerate(down):
+            cut = xs & dq
+            if not high >> q & 1 and not cut & ~high:
+                out.append((p, q, frozenset(_bits(_first_sieve_between(down, cut, high & dq)))))
     return tuple(out)
 
 
-def _first_sieve_between(
-    poset: FinitePoset, cut: frozenset[int], high: frozenset[int]
-) -> frozenset[int]:
+def _first_sieve_between(down: Sequence[int], cut: int, high: int) -> int:
     """The first down-set in sorted-member order between down(cut) and the
-    down-set ``high``: the shortest prefix of sorted(high) that is a down-set
-    holding ``cut``.  Any other such down-set either extends that prefix or
-    first differs from sorted(high) by skipping a member, so it sorts later."""
-    prefix: set[int] = set()
-    closed = set(cut)  # cut | down(prefix)
-    for e in sorted(high):
+    down-set ``high``, all masks: the shortest prefix of high's members,
+    ascending, that is a down-set holding ``cut``.  Any other such down-set
+    either extends that prefix or first differs from high by skipping a
+    member, so it sorts later."""
+    prefix = 0
+    closed = cut  # cut | down(prefix)
+    for e in _bits(high):
         if closed == prefix:
             break
-        prefix.add(e)
-        closed |= poset.down(e)
-    return frozenset(prefix)
+        prefix |= 1 << e
+        closed |= down[e]
+    return prefix
+
+
+def _least_subcanonical(poset: FinitePoset) -> int:
+    """The mask of C = {q : some p with q not <= p has down(q) - {q} <= down(p)},
+    the least subcanonical generator (see :func:`canonical_subset_report`)."""
+    down = poset.down_masks
+    out = 0
+    for q, dq in enumerate(down):
+        strict = dq ^ 1 << q
+        if any(not high >> q & 1 and not strict & ~high for high in down):
+            out |= 1 << q
+    return out
 
 
 def is_subcanonical(poset: FinitePoset, topology: GrothTopology) -> bool:
-    return all(representable_is_sheaf(poset, topology, p) for p in range(poset.n))
-
-
-def subset_subcanonicity_witnesses(
-    poset: FinitePoset, subset: Iterable[int]
-) -> tuple[tuple[int, frozenset[int]], ...]:
-    """Elements p where implication from the subset fails to fix the cone of p.
-
-    Empty exactly when the subset topology is subcanonical; each witness
-    carries the computed implication value.
-    """
-    xs = _element_ids(poset, subset)
-    out = []
-    for p in range(poset.n):
-        value = heyting_implication(poset, xs, poset.down(p))
-        if value != poset.down(p):
-            out.append((p, value))
-    return tuple(out)
+    """Whether every representable is a sheaf: J(X) is subcanonical iff X
+    holds the least subcanonical generator C."""
+    _require_poset(poset, topology)
+    return not _least_subcanonical(poset) & ~_mask(topology.subset)
 
 
 @dataclass(frozen=True)
@@ -855,14 +840,6 @@ def canonical_subset_report(poset: FinitePoset) -> CanonicalSubsetReport:
     For m minimal in such a difference, down(m) - down(p) = {m}, so m lies in
     C = {q : some p with q not <= p has down(q) - {q} <= down(p)}.  Every
     subcanonical X contains C, its singleton differences, and C meets every
-    difference, so C is the unique least generator; O(n^2) subset tests.
+    difference, so C is the unique least generator; O(n^2) mask tests.
     """
-    least = frozenset(
-        q
-        for q in range(poset.n)
-        if any(
-            not poset.leq(q, p) and poset.down(q) - {q} <= poset.down(p)
-            for p in range(poset.n)
-        )
-    )
-    return CanonicalSubsetReport((least,), unique=True)
+    return CanonicalSubsetReport((frozenset(_bits(_least_subcanonical(poset))),), unique=True)

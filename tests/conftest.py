@@ -15,10 +15,12 @@ family-building formulas they replaced: J(X), lx, extension and the
 density witness on raw sieves, and the conversions between topologies and
 nuclei, congruences and sublocales by cover membership.  The least
 subcanonical generating subset has the scan over every subset that its
-closed form replaced.  Sheaf checks have the all-covers scan that the
-least-cover decision replaced, with families from the raw product of value
-sets.  The topology census has the search over every family of sieves, which
-re-derives the normal form the census assumes, and the axiom scan on masks
+closed form replaced, and subcanonicity, now C <= X, has the per-element
+Heyting criterion and the representable-by-representable test.  Sheaf
+checks have the all-covers scan that the least-cover decision replaced,
+with families from the raw product of value sets.  The topology census
+has the search over every family of sieves, which re-derives the normal
+form the census assumes, and the axiom scan on masks
 has the frozenset scan it replaced, with every sieve from ``brute_sieves``.
 ``covers_of`` reads the production cover listing back as frozensets, for
 comparison with these oracles.  Site-morphism reports, subcanonicity and
@@ -41,7 +43,8 @@ Naturality, checked on cover-edge squares, has the scan over every strict
 pair with its first failing pair.
 
 The frozenset forms that the library no longer carries live here: the
-frame's down-sets by id, the sieves on p, negation and double negation by
+up-set and down-set of one element (``up_set``, ``down_set``, from the
+``leq`` scan), the frame's down-sets by id, the sieves on p, negation and double negation by
 the defining union, and the cut closure with its completion, an input
 builder for nucleus tables that are lawful on chains only.  The closed-form
 isomorphism between a subset sublocale and D(X) has the frozenset
@@ -71,7 +74,6 @@ from sitecalc import (
     FinitePoset,
     NotSurjectiveError,
     catalog,
-    subset_subcanonicity_witnesses,
     validate_topology,
 )
 from sitecalc.errors import AxiomViolation, FunctorialityError, ParseError
@@ -88,7 +90,7 @@ def brute_downsets(poset: FinitePoset) -> list[frozenset[int]]:
     """All down-sets by filtering every subset."""
     out = []
     for s in all_subsets(poset.n):
-        if all(q in s for p in s for q in poset.down(p)):
+        if all(q in s for p in s for q in down_set(poset, p)):
             out.append(s)
     return out
 
@@ -103,10 +105,10 @@ def downsets_oracle(poset: FinitePoset, elems=None) -> list[frozenset[int]]:
     of P), grown as frozensets along a linear extension, then sorted by
     characteristic vector."""
     elems = range(poset.n) if elems is None else elems
-    order = sorted(elems, key=lambda e: (len(poset.down(e)), e))
+    order = sorted(elems, key=lambda e: (len(down_set(poset, e)), e))
     sets: list[frozenset[int]] = [frozenset()]
     for e in order:
-        pred = poset.down(e) - {e}
+        pred = down_set(poset, e) - {e}
         sets.extend([s | {e} for s in sets if pred <= s])
     sets.sort(key=lambda d: char_key(poset.n, d))
     return sets
@@ -136,8 +138,8 @@ def recursive_downset_count(poset: FinitePoset, elems: frozenset[int] | None = N
         return 1
     p = min(elems)
     return recursive_downset_count(
-        poset, elems - (poset.up(p) & elems)
-    ) + recursive_downset_count(poset, elems - (poset.down(p) & elems))
+        poset, elems - (up_set(poset, p) & elems)
+    ) + recursive_downset_count(poset, elems - (down_set(poset, p) & elems))
 
 
 def downwards_directed_oracle(poset: FinitePoset, subset=None) -> bool:
@@ -185,6 +187,21 @@ def order_sets_oracle(poset: FinitePoset) -> tuple[list[frozenset[int]], list[fr
     return up, down
 
 
+@cache
+def _order_sets(poset: FinitePoset) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    return order_sets_oracle(poset)
+
+
+def up_set(poset: FinitePoset, p: int) -> frozenset[int]:
+    """The up-set of p as a frozenset, from ``order_sets_oracle`` once per poset."""
+    return _order_sets(poset)[0][p]
+
+
+def down_set(poset: FinitePoset, p: int) -> frozenset[int]:
+    """The down-set of p as a frozenset, from ``order_sets_oracle`` once per poset."""
+    return _order_sets(poset)[1][p]
+
+
 def minimal_elements_oracle(poset: FinitePoset, subset=None) -> frozenset[int]:
     """The members of the subset with no member strictly below, by ``lt``."""
     univ = frozenset(range(poset.n) if subset is None else subset)
@@ -196,7 +213,7 @@ def hasse_pairs_oracle(poset: FinitePoset) -> tuple[tuple[int, int], ...]:
     then q ascending, by scanning every r."""
     out = []
     for p in range(poset.n):
-        for q in sorted(poset.down(p) - {p}):
+        for q in sorted(down_set(poset, p) - {p}):
             if not any(poset.lt(q, r) and poset.lt(r, p) for r in range(poset.n)):
                 out.append((q, p))
     return tuple(out)
@@ -220,7 +237,7 @@ def frame_downsets(frame) -> tuple[frozenset[int], ...]:
 def sieves_on(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
     """The sieves on p, the down-sets inside down(p), in frame id order,
     grown as frozensets by ``downsets_oracle``."""
-    return tuple(downsets_oracle(poset, poset.down(p)))
+    return tuple(downsets_oracle(poset, down_set(poset, p)))
 
 
 def negation(poset: FinitePoset, a) -> frozenset[int]:
@@ -235,14 +252,14 @@ def double_negation(poset: FinitePoset, a) -> frozenset[int]:
 def upper_bounds(poset: FinitePoset, subset) -> frozenset[int]:
     acc = frozenset(range(poset.n))
     for a in subset:
-        acc &= poset.up(a)
+        acc &= up_set(poset, a)
     return acc
 
 
 def lower_bounds(poset: FinitePoset, subset) -> frozenset[int]:
     acc = frozenset(range(poset.n))
     for a in subset:
-        acc &= poset.down(a)
+        acc &= down_set(poset, a)
     return acc
 
 
@@ -484,7 +501,7 @@ def preimage_table_oracle(source, target, phi) -> tuple[int, ...]:
 @cache
 def brute_sieves(poset: FinitePoset, p: int) -> tuple[frozenset[int], ...]:
     """The down-sets below p, by filtering every down-set."""
-    return tuple(d for d in brute_downsets(poset) if d <= poset.down(p))
+    return tuple(d for d in brute_downsets(poset) if d <= down_set(poset, p))
 
 
 def stock_covers(poset: FinitePoset, name: str, subset=frozenset()) -> list[frozenset]:
@@ -493,15 +510,15 @@ def stock_covers(poset: FinitePoset, name: str, subset=frozenset()) -> list[froz
     for p in range(poset.n):
         sieves = brute_sieves(poset, p)
         if name == "indiscrete":
-            fam = [poset.down(p)]
+            fam = [down_set(poset, p)]
         elif name == "discrete":
             fam = sieves
         elif name == "dense":
-            fam = [s for s in sieves if poset.down(p) <= poset.up_closure(s)]
+            fam = [s for s in sieves if down_set(poset, p) <= poset.up_closure(s)]
         elif name == "atomic":
             fam = [s for s in sieves if s]
         else:  # "derived": the sieves over the subset cut, minus the empty one
-            fam = [s for s in sieves if s and subset & poset.down(p) <= s]
+            fam = [s for s in sieves if s and subset & down_set(poset, p) <= s]
         covers.append(frozenset(fam))
     return covers
 
@@ -536,15 +553,15 @@ def saturated_join_covers(j, k) -> list[frozenset]:
             for r in sieves[p]:
                 if r in fam or r in additions:
                     continue
-                if any(all(r & poset.down(q) in fams[q] for q in s) for s in fam):
+                if any(all(r & down_set(poset, q) in fams[q] for q in s) for s in fam):
                     additions.add(r)
             if additions:
                 fam |= additions
                 changed = True
             for s in list(fam):
-                for q in poset.down(p):
-                    if q != p and s & poset.down(q) not in fams[q]:
-                        fams[q].add(s & poset.down(q))
+                for q in down_set(poset, p):
+                    if q != p and s & down_set(poset, q) not in fams[q]:
+                        fams[q].add(s & down_set(poset, q))
                         changed = True
     return [frozenset(f) for f in fams]
 
@@ -568,7 +585,7 @@ def subset_covers_oracle(poset: FinitePoset, subset) -> list[frozenset]:
     """J(X) by filtering every down-set below p for the cut X & down(p)."""
     xs = frozenset(subset)
     return [
-        frozenset(s for s in brute_sieves(poset, p) if xs & poset.down(p) <= s)
+        frozenset(s for s in brute_sieves(poset, p) if xs & down_set(poset, p) <= s)
         for p in range(poset.n)
     ]
 
@@ -590,7 +607,7 @@ def lx_covers(poset: FinitePoset, subset) -> list[frozenset]:
     return [
         frozenset(
             s for s in brute_sieves(poset, p)
-            if all(s & poset.down(x) & xs for x in xs & poset.down(p))
+            if all(s & down_set(poset, x) & xs for x in xs & down_set(poset, p))
         )
         for p in range(poset.n)
     ]
@@ -607,8 +624,8 @@ def extended_covers(poset: FinitePoset, subset, inner) -> list[frozenset]:
         frozenset(
             s for s in brute_sieves(poset, p)
             if all(
-                frozenset(pos[e] for e in s & xs & poset.down(x)) in inner_covers[pos[x]]
-                for x in xs & poset.down(p)
+                frozenset(pos[e] for e in s & xs & down_set(poset, x)) in inner_covers[pos[x]]
+                for x in xs & down_set(poset, p)
             )
         )
         for p in range(poset.n)
@@ -619,7 +636,7 @@ def dense_violation_scan(poset: FinitePoset, topology, subset) -> int | None:
     """First element whose down-closed subset cut is not among its covers."""
     covers = subset_covers_oracle(poset, topology.subset)
     for p in range(poset.n):
-        if poset.down_closure(subset & poset.down(p)) not in covers[p]:
+        if poset.down_closure(subset & down_set(poset, p)) not in covers[p]:
             return p
     return None
 
@@ -628,7 +645,7 @@ def cover_elements(topology, d: frozenset[int]) -> frozenset[int]:
     """The elements p at which the cut d & down(p) is a cover."""
     poset = topology.poset
     covers = subset_covers_oracle(poset, topology.subset)
-    return frozenset(p for p in range(poset.n) if d & poset.down(p) in covers[p])
+    return frozenset(p for p in range(poset.n) if d & down_set(poset, p) in covers[p])
 
 
 def nucleus_table_from_covers(topology, frame) -> tuple[int, ...]:
@@ -669,7 +686,7 @@ def covers_from_congruence(congruence) -> list[frozenset]:
     return [
         frozenset(
             s for s in brute_sieves(poset, p)
-            if congruence.related(frame.id_of(s), frame.id_of(poset.down(p)))
+            if congruence.related(frame.id_of(s), frame.id_of(down_set(poset, p)))
         )
         for p in range(poset.n)
     ]
@@ -711,6 +728,28 @@ def congruence_complete_scan(congruence) -> bool:
         if not congruence.related(frame.meet_all(pooled), frame.meet_all(joins[i] for i in chosen)):
             return False
     return True
+
+
+def subset_subcanonicity_witnesses(poset: FinitePoset, subset) -> tuple:
+    """(p, value) for each p whose down-set implication from the subset does
+    not fix: value = {q : down(q) & X <= down(p)}, by frozensets."""
+    xs = frozenset(subset)
+    out = []
+    for p in range(poset.n):
+        dn = down_set(poset, p)
+        value = frozenset(q for q in range(poset.n) if down_set(poset, q) & xs <= dn)
+        if value != dn:
+            out.append((p, value))
+    return tuple(out)
+
+
+def representable_is_sheaf(poset: FinitePoset, topology, p: int) -> bool:
+    """No q off the cone of p has a cover of J(X) inside down(p); the least
+    cover down(X & down(q)) lies in it iff X & down(q) does."""
+    dn = down_set(poset, p)
+    return all(
+        q in dn or not topology.subset & down_set(poset, q) <= dn for q in range(poset.n)
+    )
 
 
 def canonical_scan_oracle(poset: FinitePoset) -> list[frozenset[int]]:
@@ -759,7 +798,7 @@ def cut_tops_oracle(poset: FinitePoset, subset) -> tuple[tuple[int, ...], ...]:
     ascending, by ``lt`` on every pair of the cut."""
     out = []
     for p in range(poset.n):
-        cut = frozenset(subset) & poset.down(p)
+        cut = frozenset(subset) & down_set(poset, p)
         out.append(tuple(sorted(t for t in cut if not any(poset.lt(t, u) for u in cut))))
     return tuple(out)
 
@@ -771,8 +810,8 @@ def functoriality_scan_oracle(poset: FinitePoset, maps) -> FunctorialityError | 
     hold an in-range table for every strict pair."""
     labels = poset.labels
     for r in range(poset.n):
-        for q in poset.up(r) - {r}:
-            for p in poset.up(q) - {q}:
+        for q in up_set(poset, r) - {r}:
+            for p in up_set(poset, q) - {q}:
                 via = tuple(maps[(r, q)][b] for b in maps[(q, p)])
                 if via != tuple(maps[(r, p)]):
                     return FunctorialityError(
@@ -837,7 +876,7 @@ def presheaf_constructor_oracle(poset: FinitePoset, sizes, maps) -> Presheaf:
 
     cleaned: dict[tuple[int, int], tuple[int, ...]] = {}
     for q in range(poset.n):
-        for p in poset.up(q) - {q}:
+        for p in up_set(poset, q) - {q}:
             if (q, p) not in maps:
                 raise broken(f"missing restriction for {labels[q]} <= {labels[p]}", q=q, p=p)
             tab = tuple(maps[(q, p)])
@@ -859,13 +898,13 @@ def presheaf_constructor_oracle(poset: FinitePoset, sizes, maps) -> Presheaf:
         lower = cleaned[(r, q)]
         if any(
             tuple(lower[b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
-            for p in poset.up(q) - {q}
+            for p in up_set(poset, q) - {q}
         ):
             r, q, p = next(
                 (r, q, p)
                 for r in range(poset.n)
-                for q in poset.up(r) - {r}
-                for p in poset.up(q) - {q}
+                for q in up_set(poset, r) - {r}
+                for p in up_set(poset, q) - {q}
                 if tuple(cleaned[(r, q)][b] for b in cleaned[(q, p)]) != cleaned[(r, p)]
             )
             raise broken(
@@ -986,7 +1025,7 @@ def subcanonicity_scan_oracle(poset: FinitePoset, topology) -> tuple:
             if poset.leq(q, p):
                 continue
             for s in sorted(covers[q], key=sorted):
-                if s <= poset.down(p):
+                if s <= down_set(poset, p):
                     out.append((p, q, s))
                     break
     return tuple(out)
@@ -998,7 +1037,7 @@ def complete_scan_oracle(topology) -> bool:
     poset = topology.poset
     covers = subset_covers_oracle(poset, topology.subset)
     for p in range(poset.n):
-        acc = poset.down(p)
+        acc = down_set(poset, p)
         for s in covers[p]:
             acc &= s
         if acc not in covers[p]:
@@ -1010,7 +1049,7 @@ def filters_of_sieves(poset: FinitePoset, p: int) -> list[frozenset[frozenset[in
     """The filters of the sieve lattice of p that hold the maximal sieve, by
     testing every family of the other sieves for up-closure and meets."""
     sieves = brute_sieves(poset, p)
-    top = poset.down(p)
+    top = down_set(poset, p)
     others = [s for s in sieves if s != top]
     out = []
     for bits in range(1 << len(others)):
@@ -1031,7 +1070,7 @@ def axiom_scan_oracle(poset: FinitePoset, covers) -> AxiomViolation | None:
     each non-cover."""
     labels = poset.labels
     for p in range(poset.n):
-        dn = poset.down(p)
+        dn = down_set(poset, p)
         for s in sorted(covers[p], key=sorted):
             if not s <= dn or poset.down_closure(s) != s:
                 return AxiomViolation(
@@ -1041,19 +1080,19 @@ def axiom_scan_oracle(poset: FinitePoset, covers) -> AxiomViolation | None:
                     sieve=s,
                 )
     for p in range(poset.n):
-        if poset.down(p) not in covers[p]:
+        if down_set(poset, p) not in covers[p]:
             return AxiomViolation(
                 f"maximal sieve missing from the covers of {labels[p]}",
                 axiom="maximality",
                 p=p,
-                sieve=poset.down(p),
+                sieve=down_set(poset, p),
             )
     for p in range(poset.n):
         for s in sorted(covers[p], key=sorted):
-            for q in sorted(poset.down(p)):
+            for q in sorted(down_set(poset, p)):
                 if q == p:
                     continue
-                restricted = s & poset.down(q)
+                restricted = s & down_set(poset, q)
                 if restricted not in covers[q]:
                     return AxiomViolation(
                         f"stability fails at ({labels[p]}, {sorted(labels[i] for i in s)}, "
@@ -1069,7 +1108,7 @@ def axiom_scan_oracle(poset: FinitePoset, covers) -> AxiomViolation | None:
             if r in covers[p]:
                 continue
             for s in sorted(covers[p], key=sorted):
-                if all(r & poset.down(q) in covers[q] for q in s):
+                if all(r & down_set(poset, q) in covers[q] for q in s):
                     return AxiomViolation(
                         f"transitivity fails at ({labels[p]}, "
                         f"{sorted(labels[i] for i in s)}); "
@@ -1087,15 +1126,15 @@ def census_oracle(poset: FinitePoset) -> tuple:
     assigned along a linear extension with stability pruning; each full
     assignment goes through the oracle axiom scan and then validate_topology, and
     the result is sorted by the cover families of the topologies found."""
-    order = sorted(range(poset.n), key=lambda e: (len(poset.down(e)), e))
+    order = sorted(range(poset.n), key=lambda e: (len(down_set(poset, e)), e))
     choices = {p: filters_of_sieves(poset, p) for p in order}
     found = []
     assignment: dict[int, frozenset[frozenset[int]]] = {}
 
     def compatible(p, fam):
         return all(
-            s & poset.down(q) in assignment[q]
-            for q in poset.down(p) if q != p and q in assignment
+            s & down_set(poset, q) in assignment[q]
+            for q in down_set(poset, p) if q != p and q in assignment
             for s in fam
         )
 

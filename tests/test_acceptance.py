@@ -13,9 +13,12 @@ from conftest import (
     census_oracle,
     covers_of,
     double_negation,
+    down_set,
     frame_downsets,
+    representable_is_sheaf,
     sieves_on,
     subset_covers_oracle,
+    subset_subcanonicity_witnesses,
 )
 
 from sitecalc import (
@@ -40,12 +43,10 @@ from sitecalc import (
     lx_topology,
     nucleus_from_topology,
     parse_poset,
-    representable_is_sheaf,
     restrict_topology,
     site_morphism_report,
     subset_forms,
     subset_of_labels,
-    subset_subcanonicity_witnesses,
     subset_topology,
     topology_from_nucleus,
     validate_topology,
@@ -120,7 +121,7 @@ def test_criterion_4_subcanonicity_example():
     assert witnesses, "the one-generator topology must fail"
     p, value = witnesses[0]
     assert lam.labels[p] == "x"
-    assert value == lam.down(lam.index_of("z")) == frozenset(
+    assert value == down_set(lam, lam.index_of("z")) == frozenset(
         {lam.index_of("x"), lam.index_of("z")}
     )
     j_bad = subset_topology(lam, bad)

@@ -2,18 +2,12 @@
 the scan over every subset and against the lemma behind the closed form."""
 
 import pytest
-from conftest import LADDER, canonical_scan_oracle, grid
+from conftest import LADDER, canonical_scan_oracle, grid, subset_subcanonicity_witnesses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sitecalc import (
-    FinitePoset,
-    canonical_subset_report,
-    catalog,
-    subset_subcanonicity_witnesses,
-)
+from sitecalc import FinitePoset, canonical_subset_report, catalog
 from sitecalc import poset as poset_module
-from sitecalc import sites
 
 ORACLE_POSETS = {**catalog(), **LADDER, "grid3x3": grid(3, 3)}
 
@@ -96,8 +90,6 @@ def _refuse(*args, **kwargs):
 )
 def test_report_runs_without_the_scan(monkeypatch, p, expected):
     with monkeypatch.context() as patch:
-        patch.setattr(sites, "subset_subcanonicity_witnesses", _refuse)
-        patch.setattr(sites, "heyting_implication", _refuse)
         patch.setattr(poset_module, "heyting_implication", _refuse)
         report = canonical_subset_report(p)
     assert report.unique and report.subset == expected

@@ -8,7 +8,7 @@ import io
 import json
 
 import pytest
-from conftest import antichain, fence, grid
+from conftest import antichain, down_set, fence, grid
 
 from sitecalc import FinitePoset, Presheaf, catalog
 from sitecalc.cli import main
@@ -27,7 +27,9 @@ def _labels(poset: FinitePoset, keep) -> str:
 
 def _constant_presheaf(poset: FinitePoset, size: int) -> dict:
     """The constant presheaf on ``size`` values, identity restrictions."""
-    maps = {(q, p): tuple(range(size)) for p in range(poset.n) for q in poset.down(p) if q != p}
+    maps = {
+        (q, p): tuple(range(size)) for p in range(poset.n) for q in down_set(poset, p) if q != p
+    }
     return Presheaf(poset, [size] * poset.n, maps).to_json()
 
 

@@ -15,6 +15,7 @@ from conftest import (
     brute_sieves,
     chain_poset,
     char_key,
+    down_set,
     downsets_oracle,
     fan,
     fence,
@@ -36,7 +37,7 @@ DISTINCT_KEYS = {
 
 def _keys(poset) -> set:
     return {
-        (p, poset.down_closure(xs & poset.down(p)))
+        (p, poset.down_closure(xs & down_set(poset, p)))
         for xs in all_subsets(poset.n)
         for p in range(poset.n)
     }
@@ -125,10 +126,10 @@ def test_listing_reads_every_chunk(poset):
     for xs in (frozenset(), frozenset({0}), frozenset(range(1, poset.n, 3))):
         expected = {}
         for p in range(poset.n):
-            least = poset.down_closure(xs & poset.down(p))
+            least = poset.down_closure(xs & down_set(poset, p))
             expected[poset.labels[p]] = [
                 [poset.labels[i] for i in sorted(s)]
-                for s in downsets_oracle(poset, poset.down(p))
+                for s in downsets_oracle(poset, down_set(poset, p))
                 if least <= s
             ]
         assert shared.covers_json(xs) == expected

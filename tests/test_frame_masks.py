@@ -11,6 +11,7 @@ from conftest import (
     LADDER,
     antichain,
     chain_poset,
+    down_set,
     downset_masks_sorting_oracle,
     downsets_oracle,
     fan,
@@ -49,7 +50,7 @@ def assert_frame_matches_oracle(poset: FinitePoset) -> None:
     assert frame.to_json()["downsets"] == [[poset.labels[p] for p in sorted(d)] for d in oracle]
     covers = discrete_topology(poset).covers_json()
     for p in range(poset.n):
-        sieves = downsets_oracle(poset, poset.down(p))
+        sieves = downsets_oracle(poset, down_set(poset, p))
         assert covers[poset.labels[p]] == [[poset.labels[e] for e in sorted(s)] for s in sieves]
 
 

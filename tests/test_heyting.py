@@ -9,6 +9,7 @@ from conftest import (
     dm_closure,
     dm_completion,
     double_negation,
+    down_set,
     frame_downsets,
     heyting_union_oracle,
     negation,
@@ -41,8 +42,8 @@ def test_heyting_matches_defining_union(catalog_pair):
 def test_heyting_example_from_wedge():
     lam = catalog_poset("Lambda")
     x = subset_of_labels(lam, ["y"])
-    y = lam.down(lam.index_of("x"))
-    assert heyting_implication(lam, x, y) == lam.down(lam.index_of("z"))
+    y = down_set(lam, lam.index_of("x"))
+    assert heyting_implication(lam, x, y) == down_set(lam, lam.index_of("z"))
 
 
 def test_heyting_trivial_cases(catalog_pair):
@@ -237,7 +238,7 @@ def test_dm_completion_contains_principal_ideals(catalog_pair):
     _, p = catalog_pair
     fixed = set(dm_completion(p))
     for q in range(p.n):
-        assert p.down(q) in fixed
+        assert down_set(p, q) in fixed
 
 
 def test_dm_examples_against_scan():

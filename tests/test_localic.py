@@ -10,6 +10,7 @@ from conftest import (
     covers_of,
     dm_closure,
     double_negation,
+    down_set,
     frame_downsets,
     heyting_union_oracle,
     nucleus_complete_scan,
@@ -293,7 +294,7 @@ def test_double_negation_examples():
     framev = enumerate_downsets(v)
     nucv = Nucleus(framev, _double_negation_table(v, framev))
     y = v.index_of("y")
-    assert framev.downset(nucv.table[framev.id_of(v.down(y))]) == frozenset({y})
+    assert framev.downset(nucv.table[framev.id_of(down_set(v, y))]) == frozenset({y})
 
 
 def test_double_negation_gives_the_dense_topology(catalog_pair):

@@ -1,10 +1,19 @@
 """Site morphisms, the covering lifting property, and subcanonicity."""
 
 import pytest
-from conftest import all_subsets
+from conftest import (
+    LADDER,
+    all_subsets,
+    down_set,
+    grid,
+    representable_is_sheaf,
+    subset_subcanonicity_witnesses,
+)
 
 from sitecalc import (
+    FinitePoset,
     NotOrderIsomorphismError,
+    NotOrderMorphismError,
     OrderMorphism,
     PosetMismatchError,
     adjoint_transfer_consistent,
@@ -17,13 +26,13 @@ from sitecalc import (
     indiscrete_topology,
     is_site_isomorphism,
     is_subcanonical,
-    representable_is_sheaf,
     site_morphism_report,
     subcanonicity_report,
     subset_of_labels,
-    subset_subcanonicity_witnesses,
     subset_topology,
 )
+
+ORACLE_POSETS = {**catalog(), **LADDER, "grid3x3": grid(3, 3)}
 
 
 def test_identity_is_site_isomorphism(catalog_pair):
@@ -144,7 +153,7 @@ def test_wedge_subcanonicity_example():
     witnesses = subset_subcanonicity_witnesses(lam, bad_subset)
     p, value = witnesses[0]
     assert lam.labels[p] == "x"
-    assert value == lam.down(lam.index_of("z"))
+    assert value == down_set(lam, lam.index_of("z"))
 
 
 def test_indiscrete_is_subcanonical(catalog_pair):
@@ -152,17 +161,26 @@ def test_indiscrete_is_subcanonical(catalog_pair):
     assert is_subcanonical(p, indiscrete_topology(p))
 
 
-def test_heyting_criterion_matches_representables(catalog_pair):
-    _, p = catalog_pair
+@pytest.mark.parametrize("name", sorted(ORACLE_POSETS))
+def test_heyting_criterion_matches_representables(name):
+    p = ORACLE_POSETS[name]
+    least = canonical_subset_report(p).subset
     for x in all_subsets(p.n):
         witnesses = {q for q, _ in subset_subcanonicity_witnesses(p, x)}
         j = subset_topology(p, x)
         for q in range(p.n):
             assert representable_is_sheaf(p, j, q) == (q not in witnesses)
+        assert {q for q, _, _ in subcanonicity_report(p, j)} == witnesses
+        assert is_subcanonical(p, j) == (not witnesses) == (least <= x)
         if p.is_downwards_directed():
             k = derived_topology(p, x)
             for q in range(p.n):
                 assert representable_is_sheaf(p, k, q) == (q not in witnesses)
+
+
+def test_subcanonicity_needs_a_topology_on_the_poset():
+    with pytest.raises(PosetMismatchError):
+        is_subcanonical(catalog_poset("V"), indiscrete_topology(catalog_poset("Lambda")))
 
 
 def test_canonical_subset_search():
@@ -173,9 +191,19 @@ def test_canonical_subset_search():
     chain2 = catalog_poset("chain2")
     report = canonical_subset_report(chain2)
     assert report.unique and report.subset == frozenset({1})
-    for name, p in catalog().items():
+    for name, p in ORACLE_POSETS.items():
         rep = canonical_subset_report(p)
         for x in rep.minimal_subsets:
-            assert not subset_subcanonicity_witnesses(p, x)
+            assert not subset_subcanonicity_witnesses(p, x), name
             for drop in x:
-                assert subset_subcanonicity_witnesses(p, x - {drop})
+                assert subset_subcanonicity_witnesses(p, x - {drop}), name
+
+
+def test_monotonicity_witness_is_the_first_failing_pair():
+    """On 0 < 1 < 2 sent to a < a < b in an antichain, the Hasse edge 1 <= 2
+    holds its images apart too, but the first failing pair, x ascending and
+    then y ascending, is 0 <= 2."""
+    chain3 = catalog_poset("chain3")
+    with pytest.raises(NotOrderMorphismError) as exc:
+        OrderMorphism(chain3, FinitePoset(["a", "b"]), (0, 0, 1))
+    assert exc.value.witness == {"x": "0", "y": "2"}

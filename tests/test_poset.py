@@ -8,6 +8,7 @@ from conftest import (
     close_relation,
     covers_of,
     cycle_witness_oracle,
+    down_set,
     downwards_directed_oracle,
     frame_downsets,
     hasse_pairs_oracle,
@@ -23,6 +24,7 @@ from sitecalc import (
     DuplicateElementError,
     FinitePoset,
     FrameTooLargeError,
+    NotOrderIsomorphismError,
     NotOrderMorphismError,
     OrderMorphism,
     ParseError,
@@ -171,9 +173,9 @@ def test_sieves_are_bounded_downsets(catalog_pair):
     listed = covers_of(discrete_topology(p))
     for q in range(p.n):
         for s in listed[q]:
-            assert s <= p.down(q)
+            assert s <= down_set(p, q)
             assert p.down_closure(s) == s
-        assert listed[q] == {d for d in brute_downsets(p) if d <= p.down(q)}
+        assert listed[q] == {d for d in brute_downsets(p) if d <= down_set(p, q)}
 
 
 def test_export_dot_chain2():
@@ -239,6 +241,21 @@ def test_order_isomorphism_census():
     assert len(all_order_isomorphisms(catalog_poset("V"), catalog_poset("V"))) == 2
 
 
+def test_inverse_of_an_order_isomorphism():
+    """The inverse undoes the map and is itself a checked monotone map; a
+    monotone bijection that reflects no order has none."""
+    for name in ("V", "diamond", "antichain3"):
+        p = catalog_poset(name)
+        for phi in all_order_isomorphisms(p, p):
+            inv = phi.inverse()
+            assert inv == OrderMorphism(p, p, inv.mapping)
+            assert [inv(phi(x)) for x in range(p.n)] == list(range(p.n))
+    onto_chain = OrderMorphism(catalog_poset("antichain2"), catalog_poset("chain2"), (0, 1))
+    assert not onto_chain.is_isomorphism()
+    with pytest.raises(NotOrderIsomorphismError):
+        onto_chain.inverse()
+
+
 def test_all_order_morphisms_are_monotone():
     chain3 = catalog_poset("chain3")
     maps = all_order_morphisms(chain3, chain3)
@@ -286,11 +303,11 @@ def shuffled_posets(draw):
 @given(shuffled_posets())
 def test_masks_and_linear_extension_match_the_down_sets(case):
     p, _ = case
-    assert p.down_masks == tuple(sum(1 << q for q in p.down(e)) for e in range(p.n))
-    assert p.linear_extension == tuple(sorted(range(p.n), key=lambda e: (len(p.down(e)), e)))
+    assert p.down_masks == tuple(sum(1 << q for q in down_set(p, e)) for e in range(p.n))
+    assert p.linear_extension == tuple(sorted(range(p.n), key=lambda e: (len(down_set(p, e)), e)))
     seen: set[int] = set()
     for e in p.linear_extension:
-        assert p.down(e) - {e} <= seen
+        assert down_set(p, e) - {e} <= seen
         seen.add(e)
     assert seen == set(range(p.n))
 
@@ -347,8 +364,8 @@ def test_closure_and_cycle_witness_match_the_set_fixpoint(case):
 
 def _check_order_masks(p, subset):
     up, down = order_sets_oracle(p)
-    assert [p.up(e) for e in range(p.n)] == up
-    assert [p.down(e) for e in range(p.n)] == down
+    assert p.up_masks == tuple(sum(1 << q for q in s) for s in up)
+    assert p.down_masks == tuple(sum(1 << q for q in s) for s in down)
     assert p.relation_pairs() == tuple((i, j) for i in range(p.n) for j in sorted(up[i]))
     assert p.minimal_elements() == minimal_elements_oracle(p)
     assert p.minimal_elements(subset) == minimal_elements_oracle(p, subset)

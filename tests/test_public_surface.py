@@ -1,10 +1,13 @@
 """The public names of ``sitecalc``, pinned, so that a change to the surface
 is a deliberate edit of this list; and the frozenset layer, the constant
 predicates, the set fixpoint of the order relation, the frame quotient, the
-second presheaf reader and the all-pairs naturality scan that left the
-library, which must resolve nowhere."""
+second presheaf reader, the all-pairs naturality scan and the subcanonicity
+entry points that a closed form answers, which left the library and must
+resolve nowhere, in the code or in the README."""
 
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,7 @@ PUBLIC = (
     "OrderMorphism", "ParseError", "PosetMismatchError", "Presheaf", "SiteCalcError",
     "Sublocale", "TooLargeError", "TooLargeForBruteForceError", "adjoin_zero",
     "adjoint_transfer_consistent", "all_order_isomorphisms", "all_order_morphisms",
-    "amalgamations", "atomic_topology", "canonical_constructors", "canonical_subset_report",
+    "amalgamations", "atomic_topology", "canonical_subset_report",
     "catalog", "catalog_poset", "choose_base_point", "comparison_check",
     "congruence_from_nucleus", "congruence_from_topology", "dense_topology",
     "derived_topology", "discrete_topology", "enumerate_all_topologies", "enumerate_downsets",
@@ -30,11 +33,11 @@ PUBLIC = (
     "is_site_isomorphism", "is_subcanonical", "join", "kx_sheaf_equivalence_check",
     "lx_topology", "lxy_topology", "matching_families", "meet", "mx_frame_isomorphism",
     "natural_iso_exists", "nucleus_from_congruence", "nucleus_from_sublocale",
-    "nucleus_from_topology", "parse_poset", "representable_is_sheaf",
+    "nucleus_from_topology", "parse_poset",
     "restrict_presheaf", "restrict_topology", "restriction_frame_map",
     "site_morphism_report", "subcanonicity_report", "sublocale_from_nucleus",
     "sublocale_from_topology", "subset_forms", "subset_of_labels",
-    "subset_subcanonicity_witnesses", "subset_topology", "topology_from_congruence",
+    "subset_topology", "topology_from_congruence",
     "topology_from_nucleus", "topology_from_sublocale", "topology_leq", "upper_adjoint",
     "validate_topology", "verify_commuting_diagram", "yoneda_presheaf",
 )
@@ -44,7 +47,8 @@ REMOVED = (
     "double_negation", "double_negation_nucleus", "extract_subset", "is_complete",
     "nucleus_is_complete", "congruence_is_complete", "_close_relation", "_implication_masks",
     "_nucleus_subset", "_congruence_subset", "_is_id", "quotient_frame", "QuotientFrame",
-    "_read_in_bulk", "naturality_failure",
+    "_read_in_bulk", "naturality_failure", "representable_is_sheaf",
+    "subset_subcanonicity_witnesses", "canonical_constructors",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -56,7 +60,13 @@ REMOVED_ATTRIBUTES = (
     (poset.FrameMap, "apply"),
     (localic.Nucleus, "apply"),
     (localic.FactorizationWitness, "quotient"),
+    (poset.FinitePoset, "up"),
+    (poset.FinitePoset, "down"),
+    (poset.FinitePoset, "_up_sets"),
+    (poset.FinitePoset, "_down_sets"),
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_public_names_are_pinned():
@@ -77,3 +87,14 @@ def test_removed_names_resolve_nowhere(name):
 @pytest.mark.parametrize("owner, name", REMOVED_ATTRIBUTES, ids=lambda x: getattr(x, "__name__", x))
 def test_removed_views_resolve_nowhere(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_readme_names_no_removed_entry():
+    """No public entry of ``REMOVED`` is a whole word of a code span of the
+    README, inline or fenced; prose may still say "negation"."""
+    text = README.read_text(encoding="utf-8")
+    fenced = re.findall(r"```.*?```", text, re.S)
+    inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    code = "\n".join(fenced + inline)
+    named = [n for n in REMOVED if not n.startswith("_") and re.search(rf"\b{n}\b", code)]
+    assert named == []

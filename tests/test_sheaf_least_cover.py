@@ -9,8 +9,10 @@ import pytest
 from conftest import (
     all_subsets,
     cut_tops_oracle,
+    down_set,
     functoriality_scan_oracle,
     sheaf_scan_oracle,
+    up_set,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +47,7 @@ def presheaves_with_subset(draw):
     sizes: list[int] = []
     maps = {}
     for p in range(n):
-        below = sorted(linear.down(p) - {p})
+        below = sorted(down_set(linear, p) - {p})
         families = [
             fam for fam in product(*(range(sizes[q]) for q in below))
             if all(
@@ -186,13 +188,13 @@ def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
     for xs in all_subsets(p.n):
         topology = subset_topology(p, xs)
         wide = [
-            (frozenset(xs) & p.down(q), tops)
+            (frozenset(xs) & down_set(p, q), tops)
             for q, tops in enumerate(cut_tops_oracle(p, xs)) if len(tops) >= 2
         ]
         shared = {
             cut
             for cut, tops in wide
-            if any(cut & p.down(t) & p.down(u) for t in tops for u in tops if t < u)
+            if any(cut & down_set(p, t) & down_set(p, u) for t in tops for u in tops if t < u)
         }
         has_wide_cut = has_wide_cut or bool(wide)
         has_shared_cut = has_shared_cut or bool(shared)
@@ -255,7 +257,7 @@ def test_constructor_matches_the_full_scan_on_every_changed_entry(name):
             for i in range(len(tab)):
                 maps = {**f.maps, key: tab[:i] + (1 - tab[i],) + tab[i + 1:]}
                 verdicts.add(_assert_constructor_matches_the_scan(p, f.sizes, maps))
-    has_triple = any(p.up(q) - {q} for _, q in p.hasse_pairs())
+    has_triple = any(up_set(p, q) - {q} for _, q in p.hasse_pairs())
     assert (False in verdicts) == has_triple
 
 

@@ -5,7 +5,7 @@ import hashlib
 from itertools import permutations, product
 
 import pytest
-from conftest import all_subsets
+from conftest import all_subsets, down_set, representable_is_sheaf, up_set
 
 from sitecalc import (
     BasePointError,
@@ -44,7 +44,7 @@ CHAIN2 = catalog_poset("chain2")
 def constant_presheaf(poset, size):
     maps = {}
     for q in range(poset.n):
-        for p in poset.up(q) - {q}:
+        for p in up_set(poset, q) - {q}:
             maps[(q, p)] = tuple(range(size))
     return Presheaf(poset, (size,) * poset.n, maps)
 
@@ -136,7 +136,7 @@ def test_atomic_sheaves_have_bijective_restrictions():
         for f in enumerate_presheaves(p, 2):
             if is_sheaf(f, j).ok:
                 for q in range(p.n):
-                    for r in p.up(q) - {q}:
+                    for r in up_set(p, q) - {q}:
                         tab = f.restriction(q, r)
                         assert len(set(tab)) == f.sizes[r] == f.sizes[q]
 
@@ -268,7 +268,7 @@ def test_yoneda_examples():
 
 
 def test_yoneda_matches_representable_criterion():
-    from sitecalc import catalog, representable_is_sheaf
+    from sitecalc import catalog
 
     for name, p in catalog().items():
         for j in enumerate_all_topologies(p):
@@ -341,7 +341,7 @@ def test_amalgamation_recipe_matches_direct_search():
                 if not is_sheaf(f, j).ok:
                     continue
                 for q in range(p.n):
-                    cut = sorted(x & p.down(q))
+                    cut = sorted(x & down_set(p, q))
                     sieve = p.down_closure(cut)
                     for fam in matching_families(f, cut):
                         extended = {

@@ -7,6 +7,7 @@ from conftest import (
     LADDER,
     all_subsets,
     covers_of,
+    down_set,
     fan,
     site_morphism_scan_oracle,
     subcanonicity_scan_oracle,
@@ -70,11 +71,11 @@ def check_site_morphism(phi, x, y):
     cover_scan, clp_scan = site_morphism_scan_oracle(phi, j, k)
     assert [e for e, _ in report.cover_violations] == sorted({e for e, _ in cover_scan})
     for e, witness in report.cover_violations:
-        assert witness == p.down_closure(x & p.down(e))
+        assert witness == p.down_closure(x & down_set(p, e))
         assert (e, witness) in cover_scan
     assert [e for e, _ in report.clp_violations] == sorted({e for e, _ in clp_scan})
     for e, witness in report.clp_violations:
-        assert witness == q.down_closure(y & q.down(phi.mapping[e]))
+        assert witness == q.down_closure(y & down_set(q, phi.mapping[e]))
         assert (e, witness) in clp_scan
 
 

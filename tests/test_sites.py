@@ -1,7 +1,15 @@
 """Topology constructors, the axioms, the lattice of topologies, enumeration."""
 
 import pytest
-from conftest import LADDER, all_subsets, complete_scan_oracle, covers_of, powerset, sieves_on
+from conftest import (
+    LADDER,
+    all_subsets,
+    complete_scan_oracle,
+    covers_of,
+    down_set,
+    powerset,
+    sieves_on,
+)
 
 from sitecalc import (
     AxiomViolation,
@@ -13,7 +21,6 @@ from sitecalc import (
     PosetMismatchError,
     TooLargeForBruteForceError,
     atomic_topology,
-    canonical_constructors,
     catalog,
     catalog_poset,
     dense_topology,
@@ -56,7 +63,7 @@ def test_atomic_candidate_fails_stability_on_v():
 
 def test_indiscrete_candidate_is_valid():
     v = catalog_poset("V")
-    covers = [frozenset((v.down(q),)) for q in range(v.n)]
+    covers = [frozenset((down_set(v, q),)) for q in range(v.n)]
     assert validate_topology(v, covers) == indiscrete_topology(v)
 
 
@@ -88,7 +95,7 @@ def test_subset_topology_explicit_families_on_v():
     assert covers_of(j)[z] == frozenset({frozenset(), frozenset({z})})
     # oracle: the filter of sieves containing the cut, computed raw
     for p in range(v.n):
-        cut = subset_of_labels(v, ["y"]) & v.down(p)
+        cut = subset_of_labels(v, ["y"]) & down_set(v, p)
         assert covers_of(j)[p] == frozenset(s for s in sieves_on(v, p) if cut <= s)
 
 
@@ -103,7 +110,7 @@ def test_subset_topology_caches_minimum_covers(catalog_pair):
     for x in all_subsets(p.n):
         j = subset_topology(p, x)
         for q in range(p.n):
-            least = p.down_closure(x & p.down(q))
+            least = p.down_closure(x & down_set(p, q))
             assert least in covers_of(j)[q]
             assert all(least <= s for s in covers_of(j)[q])
 
@@ -138,17 +145,14 @@ def test_leq_reverses_generating_subsets(catalog_pair):
 
 def test_canonical_constructors():
     v = catalog_poset("V")
-    got = canonical_constructors(v)
-    assert set(got) == {"indiscrete", "discrete", "dense"}
     with pytest.raises(NotDownwardsDirectedError):
         atomic_topology(v)
     x = v.index_of("x")
-    assert covers_of(got["dense"])[x] == frozenset(
+    assert covers_of(dense_topology(v))[x] == frozenset(
         {subset_of_labels(v, ["y", "z"]), frozenset(range(3))}
     )
     chain2 = catalog_poset("chain2")
-    constructors = canonical_constructors(chain2)
-    assert covers_of(constructors["atomic"])[1] == frozenset(
+    assert covers_of(atomic_topology(chain2))[1] == frozenset(
         {frozenset({0}), frozenset({0, 1})}
     )
 
@@ -453,7 +457,9 @@ def test_documents_one_sieve_off_j_of_x_get_the_full_checks_verdict(name):
             first = min(base[q], key=sorted)
             changes = [{s} for s in sieves_on(p, q)]
             changes += [
-                {first, r} for r in map(frozenset, powerset(p.down(q))) if r not in sieves_on(p, q)
+                {first, r}
+                for r in map(frozenset, powerset(down_set(p, q)))
+                if r not in sieves_on(p, q)
             ]
             for change in changes:
                 covers = [set(fam) for fam in base]
@@ -461,7 +467,7 @@ def test_documents_one_sieve_off_j_of_x_get_the_full_checks_verdict(name):
                 doc = _document(p, covers)
                 want = _outcome(lambda: validate_topology(p, covers))
                 assert _outcome(lambda: GrothTopology.from_json(doc)) == want
-                x = [r for r in range(p.n) if covers[r] == {frozenset(p.down(r))}]
+                x = [r for r in range(p.n) if covers[r] == {frozenset(down_set(p, r))}]
                 listed = [set(fam) for fam in covers_of(subset_topology(p, x))]
                 assert isinstance(want, GrothTopology) == (covers == listed)
             doc = _document(p, base)

@@ -48,7 +48,6 @@ from sitecalc import (
     restrict_topology,
     sublocale_from_topology,
     subset_of_labels,
-    subset_subcanonicity_witnesses,
     subset_topology,
     topology_from_congruence,
     topology_from_nucleus,
@@ -240,12 +239,6 @@ def test_dense_violation_checks_its_subset():
     p = catalog_poset("chain2")
     t = discrete_topology(p)
     assert _bad_id(lambda: dense_violation(p, t, [-1])) == {"id": "-1"}
-
-
-def test_subcanonicity_witnesses_check_their_subset():
-    p = catalog_poset("chain2")
-    assert _bad_id(lambda: subset_subcanonicity_witnesses(p, [9])) == {"id": "9"}
-    assert _bad_id(lambda: subset_subcanonicity_witnesses(p, ["a"])) == {"id": "'a'"}
 
 
 @pytest.mark.parametrize(

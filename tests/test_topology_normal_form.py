@@ -12,6 +12,7 @@ from conftest import (
     complete_scan_oracle,
     congruence_complete_scan,
     covers_of,
+    down_set,
     fan,
     grid,
     nucleus_complete_scan,
@@ -66,7 +67,7 @@ def _topologies(p):
 
 def _is_dense(p, t, x):
     covers = subset_covers_oracle(p, t.subset)
-    return all(p.down_closure(x & p.down(q)) in covers[q] for q in range(p.n))
+    return all(p.down_closure(x & down_set(p, q)) in covers[q] for q in range(p.n))
 
 
 @pytest.mark.parametrize("name", sorted(POSETS))
@@ -168,7 +169,7 @@ def perturbed_subset_topologies(draw):
     xs = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
     covers = [set(fam) for fam in covers_of(subset_topology(p, xs))]
     q = draw(st.integers(min_value=0, max_value=n - 1))
-    below = sorted(p.down(q))
+    below = sorted(down_set(p, q))
     if draw(st.booleans()):
         s = draw(st.sampled_from(sieves_on(p, q)))
     else:
@@ -226,7 +227,7 @@ def _droppable(p, xs, covers):
         (q, s)
         for q in range(p.n)
         for s in sorted(covers[q], key=sorted)
-        if s != p.down_closure(xs & p.down(q)) and s != p.down(q)
+        if s != p.down_closure(xs & down_set(p, q)) and s != down_set(p, q)
     ]
 
 
