@@ -122,10 +122,6 @@ class FunctorialityError(SiteCalcError):
         self.p = p
 
 
-class NotMatchingError(SiteCalcError):
-    pass
-
-
 class TooLargeError(SiteCalcError):
     pass
 

@@ -15,6 +15,9 @@ Each law is checked once, on the least data that decides it:
   law by law, for the first failure in index order;
 - naturality is checked on the squares of cover edges, which between
   functors imply every square;
+- matching families are listed by one enumeration, :func:`_matching_tuples`,
+  which checks a family on the cover pairs of its member set, read off the
+  down masks; the sheaf verdict, its witness and Ran_X read it;
 - a sheaf verdict counts matching families only on cuts whose tops share
   an element of X below them (see :func:`_least_cover_failures`);
 - isomorphism classes are searched only among presheaves with equal value
@@ -33,14 +36,16 @@ from .errors import (
     BasePointError,
     FunctorialityError,
     NotDownwardsDirectedError,
-    NotMatchingError,
     ParseError,
     PosetMismatchError,
     TooLargeError,
 )
-from .poset import DEFAULT_FRAME_CAP, FinitePoset, _bits, _down_closure, _downset_masks, _mask
+from .poset import (
+    DEFAULT_FRAME_CAP, FinitePoset, _bits, _down_closure, _downset_masks, _mask, _maximal
+)
 from .sites import (
     GrothTopology,
+    _element_ids,
     derived_topology,
     restrict_topology,
     subset_topology,
@@ -289,50 +294,52 @@ def _pair_name(labels: Sequence[str], key: object) -> str:
     return repr(key)
 
 
-def matching_violation(
-    presheaf: Presheaf, cover: Iterable[int], assignment: Mapping[int, int]
-) -> tuple[int, int] | None:
-    """A pair (y, x) with y <= x whose restriction disagrees, or None."""
-    poset = presheaf.poset
-    elems = sorted(cover)
-    for x in elems:
-        for y in elems:
-            if y != x and poset.leq(y, x):
-                if presheaf.restriction(y, x)[assignment[x]] != assignment[y]:
-                    return (y, x)
-    return None
-
-
 def matching_families(
     presheaf: Presheaf, cover: Iterable[int]
 ) -> Iterator[dict[int, int]]:
-    """All matching families over a cover, in lexicographic value order."""
-    return _extend_families(presheaf, sorted(cover), 0, {})
+    """All matching families over a cover, in lexicographic value order;
+    PosetMismatchError names a cover member that is no element id."""
+    elems = sorted(_element_ids(presheaf.poset, cover))
+    return (dict(zip(elems, values)) for values in _matching_tuples(presheaf, elems))
 
 
-def _extend_families(
-    presheaf: Presheaf, elems: Sequence[int], idx: int, assignment: dict[int, int]
-) -> Iterator[dict[int, int]]:
-    """The matching families extending ``assignment``, the values on
-    ``elems[:idx]``, by depth-first choice of the values that follow."""
-    if idx == len(elems):
-        yield dict(assignment)
-        return
-    poset = presheaf.poset
-    x = elems[idx]
-    for v in range(presheaf.sizes[x]):
-        ok = True
-        for y in elems[:idx]:
-            if poset.leq(y, x) and presheaf.restriction(y, x)[v] != assignment[y]:
-                ok = False
-                break
-            if poset.leq(x, y) and presheaf.restriction(x, y)[assignment[y]] != v:
-                ok = False
-                break
-        if ok:
-            assignment[x] = v
-            yield from _extend_families(presheaf, elems, idx + 1, assignment)
-            del assignment[x]
+def _matching_tuples(presheaf: Presheaf, elems: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The matching families on ``elems``, ascending element ids, as tuples
+    of their values in that order, lazily and in lexicographic order.
+
+    A family is checked only along the cover pairs y < x of ``elems`` as a
+    subposet, each when the later of its two members is chosen: every
+    comparable pair of members is a composite of such pairs, and F is
+    functorial.  The order is read from the down masks alone."""
+    down, maps, sizes = presheaf.poset.down_masks, presheaf.maps, presheaf.sizes
+    members = _mask(elems)
+    # per position k, positions following the ids: (j, table, lower) for
+    # each cover pair of elems[k] with the member at an earlier position j,
+    # lower when elems[j] is the lower member of the pair
+    checks: list[list[tuple[int, tuple[int, ...], bool]]] = [[] for _ in elems]
+    for k, x in enumerate(elems):
+        for y in _bits(_maximal(down, members & down[x] ^ 1 << x)):
+            j = (members & (1 << y) - 1).bit_count()
+            if y < x:
+                checks[k].append((j, maps[y, x], True))
+            else:
+                checks[j].append((k, maps[y, x], False))
+
+    # one lazy layer per member: each prefix extended by every value that
+    # agrees with the prefix along the member's cover pairs
+    def grow(prefixes, values, pairs):
+        for prefix in prefixes:
+            for v in values:
+                for j, tab, lower in pairs:
+                    if (tab[v] != prefix[j]) if lower else (tab[prefix[j]] != v):
+                        break
+                else:
+                    yield prefix + (v,)
+
+    families: Iterator[tuple[int, ...]] = iter(((),))
+    for x, pairs in zip(elems, checks):
+        families = grow(families, range(sizes[x]), pairs)
+    return families
 
 
 def _restriction_index(
@@ -346,25 +353,6 @@ def _restriction_index(
     for a, key in enumerate(keys):
         index.setdefault(key, []).append(a)
     return index
-
-
-def amalgamations(
-    presheaf: Presheaf,
-    p: int,
-    cover: Iterable[int],
-    assignment: Mapping[int, int],
-) -> tuple[int, ...]:
-    """All values at p restricting to the family on every cover element."""
-    elems = sorted(frozenset(cover))
-    bad = matching_violation(presheaf, elems, assignment)
-    if bad is not None:
-        labels = presheaf.poset.labels
-        raise NotMatchingError(
-            f"family is not matching at {labels[bad[0]]} <= {labels[bad[1]]}",
-            witness={"y": labels[bad[0]], "x": labels[bad[1]]},
-        )
-    key = tuple(assignment[x] for x in elems)
-    return tuple(_restriction_index(presheaf, p, elems).get(key, ()))
 
 
 class SheafCheck:
@@ -456,9 +444,10 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
       empty family, with no top.
 
     Only a cut whose tops share an element of X below them counts its
-    families, stopping at |F(p)| + 1: with F(p) separated, its images are
-    |F(p)| of them.  The separation of every s is decided first, into one
-    mask, and the same pass reads X off the tops into another."""
+    families, by :func:`_matching_tuples` on the cut, stopping at
+    |F(p)| + 1: with F(p) separated, its images are |F(p)| of them.  The
+    separation of every s is decided first, into one mask, and the same
+    pass reads X off the tops into another."""
     poset, sizes, maps = presheaf.poset, presheaf.sizes, presheaf.maps
     tops = topology._cut_tops()
     unseparated = members = 0
@@ -484,7 +473,7 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
             if sizes[p] != families:
                 yield p
         elif next(
-            islice(matching_families(presheaf, _bits(members & down[p])), sizes[p], None), None
+            islice(_matching_tuples(presheaf, _bits(members & down[p])), sizes[p], None), None
         ) is not None:
             yield p
 
@@ -520,13 +509,13 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
     covers = _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, _down_closure(down, cut))
     for elems in sorted(map(_bits, covers)):
         index = _restriction_index(presheaf, p, elems)
-        for family in matching_families(presheaf, elems):
-            hits = index.get(tuple(family[x] for x in elems), [])
+        for family in _matching_tuples(presheaf, elems):
+            hits = index.get(family, [])
             if len(hits) != 1:
                 return {
                     "p": poset.labels[p],
                     "cover": [poset.labels[i] for i in elems],
-                    "family": {poset.labels[k]: v for k, v in family.items()},
+                    "family": {poset.labels[k]: v for k, v in zip(elems, family)},
                     "amalgamations": hits,
                 }
     return None
@@ -536,8 +525,9 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
 
 
 def restrict_presheaf(presheaf: Presheaf, subset: Iterable[int]) -> Presheaf:
-    """Reindex values and restrictions to the induced subposet."""
-    elems = sorted(set(subset))
+    """Reindex values and restrictions to the induced subposet;
+    PosetMismatchError names a subset member that is no element id."""
+    elems = sorted(_element_ids(presheaf.poset, subset))
     sub = presheaf.poset.induced(elems)
     sizes = [presheaf.sizes[e] for e in elems]
     tables = presheaf.maps
@@ -563,20 +553,18 @@ def extend_presheaf(
 ) -> ExtendedPresheaf:
     """Materialize the matching families below each element.
 
-    ``base`` lives on the induced subposet of ``subset``; its index order
-    is that of the subset, so each family is read off
-    :func:`matching_families` in support order.
+    ``base`` lives on the induced subposet of ``subset``, whose index order
+    is that of the subset, so the families on X & down(p) are those of
+    :func:`_matching_tuples` on the base ids of the support, in support
+    order.  PosetMismatchError names a subset member that is no element id.
     """
-    elems = sorted(set(subset))
+    elems = sorted(_element_ids(poset, subset))
     pos = {e: k for k, e in enumerate(elems)}
     if base.poset != poset.induced(elems):
         raise PosetMismatchError("base presheaf is not on the induced subposet")
     down, members = poset.down_masks, _mask(elems)
     support = tuple(tuple(_bits(members & below)) for below in down)
-    families = tuple(
-        tuple(tuple(fam.values()) for fam in matching_families(base, [pos[x] for x in xs]))
-        for xs in support
-    )
+    families = tuple(tuple(_matching_tuples(base, [pos[x] for x in xs])) for xs in support)
     lookups = [{fam: i for i, fam in enumerate(fams)} for fams in families]
     maps = {}
     for q, p in poset._strict_pairs():

@@ -18,7 +18,11 @@ subcanonical generating subset has the scan over every subset that its
 closed form replaced, and subcanonicity, now C <= X, has the per-element
 Heyting criterion and the representable-by-representable test.  Sheaf
 checks have the all-covers scan that the least-cover decision replaced,
-with families from the raw product of value sets.  The topology census
+with families from the raw product of value sets.  The matching-family
+kernel, which checks the cover pairs of the member set on masks, has the
+depth-first search by ``leq`` on every pair that it replaced, and the
+pair check and amalgamation search that left the library live here as
+``matching_violation`` and ``amalgamations``.  The topology census
 has the search over every family of sieves, which re-derives the normal
 form the census assumes, and the axiom scan on masks
 has the frozenset scan it replaced, with every sieve from ``brute_sieves``.
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, combinations, permutations, product
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -791,6 +796,54 @@ def sheaf_scan_oracle(presheaf, topology) -> SheafCheck:
                         "amalgamations": hits,
                     })
     return SheafCheck(ok=True)
+
+
+def matching_families_oracle(
+    presheaf: Presheaf, elems: Sequence[int], idx: int, assignment: dict[int, int]
+) -> Iterator[dict[int, int]]:
+    """The matching families extending ``assignment``, the values on
+    ``elems[:idx]``, by depth-first choice of the values that follow."""
+    if idx == len(elems):
+        yield dict(assignment)
+        return
+    poset = presheaf.poset
+    x = elems[idx]
+    for v in range(presheaf.sizes[x]):
+        ok = True
+        for y in elems[:idx]:
+            if poset.leq(y, x) and presheaf.restriction(y, x)[v] != assignment[y]:
+                ok = False
+                break
+            if poset.leq(x, y) and presheaf.restriction(x, y)[assignment[y]] != v:
+                ok = False
+                break
+        if ok:
+            assignment[x] = v
+            yield from matching_families_oracle(presheaf, elems, idx + 1, assignment)
+            del assignment[x]
+
+
+def matching_violation(presheaf, cover, assignment) -> tuple[int, int] | None:
+    """A pair (y, x) with y <= x whose restriction disagrees, or None."""
+    poset = presheaf.poset
+    elems = sorted(cover)
+    for x in elems:
+        for y in elems:
+            if y != x and poset.leq(y, x):
+                if presheaf.restriction(y, x)[assignment[x]] != assignment[y]:
+                    return (y, x)
+    return None
+
+
+def amalgamations(presheaf, p: int, cover, assignment) -> tuple[int, ...]:
+    """All values at p restricting to a matching family on every cover
+    element, by testing every value at p."""
+    elems = sorted(frozenset(cover))
+    assert matching_violation(presheaf, elems, assignment) is None
+    return tuple(
+        a for a in range(presheaf.sizes[p])
+        if all(presheaf.restriction(x, p)[a] == assignment[x] for x in elems)
+    )
 
 
 def cut_tops_oracle(poset: FinitePoset, subset) -> tuple[tuple[int, ...], ...]:

@@ -2,8 +2,10 @@
 is a deliberate edit of this list; and the frozenset layer, the constant
 predicates, the set fixpoint of the order relation, the frame quotient, the
 second presheaf reader, the all-pairs naturality scan and the subcanonicity
-entry points that a closed form answers, which left the library and must
-resolve nowhere, in the code or in the README."""
+entry points that a closed form answers, the pair check and amalgamation
+search beside the matching-family kernel, and the error only that search
+raised, which left the library and must resolve nowhere, in the code or in
+the README; and ``sheaves`` reads the order through masks only."""
 
 import re
 import types
@@ -12,19 +14,19 @@ from pathlib import Path
 import pytest
 
 import sitecalc
-from sitecalc import localic, poset, sheaves, sites
+from sitecalc import errors, localic, poset, sheaves, sites
 
 PUBLIC = (
     "ALIASES", "AxiomViolation", "BasePointError", "CATALOG_NAMES", "Congruence",
     "CycleError", "DownSetFrame", "DuplicateElementError", "FinitePoset", "FrameMap",
     "FrameTooLargeError", "FunctorialityError", "GrothTopology", "InvalidInnerTopologyError",
     "NotACongruenceError", "NotAFrameMorphismError", "NotANucleusError", "NotASublocaleError",
-    "NotDenseError", "NotDownwardsDirectedError", "NotMatchingError",
-    "NotOrderIsomorphismError", "NotOrderMorphismError", "NotSurjectiveError", "Nucleus",
+    "NotDenseError", "NotDownwardsDirectedError", "NotOrderIsomorphismError",
+    "NotOrderMorphismError", "NotSurjectiveError", "Nucleus",
     "OrderMorphism", "ParseError", "PosetMismatchError", "Presheaf", "SiteCalcError",
     "Sublocale", "TooLargeError", "TooLargeForBruteForceError", "adjoin_zero",
     "adjoint_transfer_consistent", "all_order_isomorphisms", "all_order_morphisms",
-    "amalgamations", "atomic_topology", "canonical_subset_report",
+    "atomic_topology", "canonical_subset_report",
     "catalog", "catalog_poset", "choose_base_point", "comparison_check",
     "congruence_from_nucleus", "congruence_from_topology", "dense_topology",
     "derived_topology", "discrete_topology", "enumerate_all_topologies", "enumerate_downsets",
@@ -49,6 +51,7 @@ REMOVED = (
     "_nucleus_subset", "_congruence_subset", "_is_id", "quotient_frame", "QuotientFrame",
     "_read_in_bulk", "naturality_failure", "representable_is_sheaf",
     "subset_subcanonicity_witnesses", "canonical_constructors",
+    "amalgamations", "matching_violation", "_extend_families", "NotMatchingError",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -67,6 +70,7 @@ REMOVED_ATTRIBUTES = (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SHEAVES = Path(sheaves.__file__)
 
 
 def test_public_names_are_pinned():
@@ -80,7 +84,7 @@ def test_public_names_are_pinned():
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_resolve_nowhere(name):
-    for module in (sitecalc, poset, sites, localic, sheaves):
+    for module in (sitecalc, errors, poset, sites, localic, sheaves):
         assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -98,3 +102,8 @@ def test_readme_names_no_removed_entry():
     code = "\n".join(fenced + inline)
     named = [n for n in REMOVED if not n.startswith("_") and re.search(rf"\b{n}\b", code)]
     assert named == []
+
+
+def test_sheaves_read_the_order_through_masks_only():
+    source = SHEAVES.read_text(encoding="utf-8")
+    assert [call for call in (".leq(", ".lt(", ".up(", ".down(") if call in source] == []

@@ -1,26 +1,83 @@
-"""The Ran_X families, the natural-isomorphism search and the class labels of
-`sitecalc.sheaves`, against oracles that share none of their code."""
+"""The matching-family kernel, the Ran_X families, the natural-isomorphism
+search and the class labels of `sitecalc.sheaves`, against oracles that
+share none of their code."""
 
 from functools import cache
 
 import pytest
-from conftest import all_subsets, iso_orbit, natural_iso_oracle, ran_oracle
+from conftest import (
+    LADDER,
+    all_subsets,
+    iso_orbit,
+    matching_families_oracle,
+    natural_iso_oracle,
+    ran_oracle,
+)
 
 from sitecalc import (
     CATALOG_NAMES,
+    FinitePoset,
+    Presheaf,
     catalog,
     derived_topology,
     enumerate_presheaves,
     extend_presheaf,
     is_sheaf,
     kx_sheaf_equivalence_check,
+    matching_families,
     natural_iso_exists,
 )
-from sitecalc.sheaves import _iso_classes
+from sitecalc.poset import _bits
+from sitecalc.sheaves import _iso_classes, _matching_tuples
 
 SMALL = [name for name in CATALOG_NAMES if catalog()[name].n <= 3]
 # (catalog name, value cap) of every presheaf list the iso checks run on
 ISO_LISTS = [(name, 2) for name in SMALL] + [("chain2", 3), ("V", 3)]
+
+
+def assert_kernel_matches_the_oracle(presheaf, elems) -> list[dict[int, int]]:
+    """The kernel's tuples are the oracle's families in the oracle's order,
+    which the oracle returns."""
+    expected = list(matching_families_oracle(presheaf, elems, 0, {}))
+    assert list(_matching_tuples(presheaf, elems)) == [tuple(fam.values()) for fam in expected]
+    return expected
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, *LADDER])
+def test_matching_tuples_match_the_oracle_on_every_member_set(name):
+    """Every member set, not only cuts and sieves, at value cap 2, and at
+    cap 3 for n <= 3; on the catalog, the public dicts too."""
+    p = {**catalog(), **LADDER}[name]
+    for cap in (2, 3) if p.n <= 3 else (2,):
+        for f in enumerate_presheaves(p, cap, max_elements=p.n, max_value_cap=cap):
+            for mask in range(1 << p.n):
+                expected = assert_kernel_matches_the_oracle(f, _bits(mask))
+                if name in CATALOG_NAMES:
+                    assert list(matching_families(f, _bits(mask))) == expected
+
+
+def test_cover_pair_off_the_hasse_edges_is_checked():
+    """On chain3 the members {0, 2} form a cover pair of the member set
+    that is no Hasse edge of the poset: F(0 <= 2) swaps, so two of the four
+    tuples match."""
+    chain3 = catalog()["chain3"]
+    f = Presheaf(chain3, (2, 2, 2), {(0, 1): (1, 0), (1, 2): (0, 1), (0, 2): (1, 0)})
+    assert list(_matching_tuples(f, [0, 2])) == [(0, 1), (1, 0)]
+    assert_kernel_matches_the_oracle(f, [0, 2])
+
+
+def test_every_upper_cover_of_a_member_is_checked():
+    """The bowtie c, d < a, b with identity tables except F(d <= b), which
+    swaps: d must equal a and differ from b, which both equal c, so no
+    family exists; a kernel that skips d < b finds two."""
+    bowtie = FinitePoset(["a", "b", "c", "d"], [(2, 0), (2, 1), (3, 0), (3, 1)])
+    identity = (0, 1)
+    f = Presheaf(
+        bowtie, (2, 2, 2, 2),
+        {(2, 0): identity, (2, 1): identity, (3, 0): identity, (3, 1): (1, 0)},
+    )
+    assert list(_matching_tuples(f, [0, 1, 2, 3])) == []
+    assert_kernel_matches_the_oracle(f, [0, 1, 2, 3])
 
 
 @cache

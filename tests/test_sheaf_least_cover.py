@@ -11,6 +11,7 @@ from conftest import (
     cut_tops_oracle,
     down_set,
     functoriality_scan_oracle,
+    matching_families_oracle,
     sheaf_scan_oracle,
     up_set,
 )
@@ -31,6 +32,8 @@ from sitecalc import (
     restrict_presheaf,
     subset_topology,
 )
+from sitecalc.poset import _bits
+from sitecalc.sheaves import _matching_tuples
 
 
 @st.composite
@@ -76,6 +79,18 @@ def presheaves_with_subset(draw):
 def test_least_cover_verdict_and_witness_match_the_all_covers_scan(case):
     presheaf, topology = case
     assert is_sheaf(presheaf, topology) == sheaf_scan_oracle(presheaf, topology)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presheaves_with_subset())
+def test_matching_tuples_match_the_oracle_on_relabelled_posets(case):
+    """Every member set of a random poset whose index order need not be a
+    linear extension, so a lower cover may come later in the member list."""
+    presheaf, _ = case
+    for mask in range(1 << presheaf.poset.n):
+        elems = _bits(mask)
+        expected = matching_families_oracle(presheaf, elems, 0, {})
+        assert list(_matching_tuples(presheaf, elems)) == [tuple(f.values()) for f in expected]
 
 
 def _scan_forbidden(*args):
@@ -177,13 +192,13 @@ def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
     p = catalog()[name]
     presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
     counted: list[frozenset[int]] = []
-    original = sitecalc.sheaves.matching_families
+    original = sitecalc.sheaves._matching_tuples
 
-    def counting(presheaf, cover):
-        counted.append(frozenset(cover))
-        return original(presheaf, cover)
+    def counting(presheaf, elems):
+        counted.append(frozenset(elems))
+        return original(presheaf, elems)
 
-    monkeypatch.setattr(sitecalc.sheaves, "matching_families", counting)
+    monkeypatch.setattr(sitecalc.sheaves, "_matching_tuples", counting)
     reached = has_wide_cut = has_shared_cut = False
     for xs in all_subsets(p.n):
         topology = subset_topology(p, xs)

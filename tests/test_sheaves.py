@@ -5,18 +5,24 @@ import hashlib
 from itertools import permutations, product
 
 import pytest
-from conftest import all_subsets, down_set, representable_is_sheaf, up_set
+from conftest import (
+    all_subsets,
+    amalgamations,
+    down_set,
+    matching_violation,
+    representable_is_sheaf,
+    up_set,
+)
 
 from sitecalc import (
     BasePointError,
     FunctorialityError,
     NotDenseError,
     NotDownwardsDirectedError,
-    NotMatchingError,
+    PosetMismatchError,
     Presheaf,
     TooLargeError,
     adjoin_zero,
-    amalgamations,
     atomic_topology,
     catalog_poset,
     choose_base_point,
@@ -37,6 +43,7 @@ from sitecalc import (
     topology_leq,
     yoneda_presheaf,
 )
+from sitecalc.sheaves import _restriction_index
 
 CHAIN2 = catalog_poset("chain2")
 
@@ -80,35 +87,65 @@ def test_presheaf_shape_errors():
         Presheaf(CHAIN2, (1, 2), {(0, 1): (0, 2)})  # value out of range
 
 
+def amalgamated(presheaf, p, family):
+    """The values at p that ``_restriction_index`` groups under a family,
+    given as a dict over its cover."""
+    elems = sorted(family)
+    key = tuple(family[x] for x in elems)
+    return tuple(_restriction_index(presheaf, p, elems).get(key, ()))
+
+
 def test_amalgamation_of_maximal_cover():
     f = constant_presheaf(CHAIN2, 2)
     for a in range(2):
         family = {0: f.restriction(0, 1)[a], 1: a}
-        assert amalgamations(f, 1, {0, 1}, family) == (a,)
+        assert amalgamated(f, 1, family) == amalgamations(f, 1, {0, 1}, family) == (a,)
 
 
 def test_empty_cover_amalgamations():
     f = constant_presheaf(CHAIN2, 2)
-    assert amalgamations(f, 1, frozenset(), {}) == (0, 1)
-    assert amalgamations(f, 1, frozenset({0}), {0: 0}) == (0,)
+    assert amalgamated(f, 1, {}) == amalgamations(f, 1, frozenset(), {}) == (0, 1)
+    assert amalgamated(f, 1, {0: 0}) == amalgamations(f, 1, frozenset({0}), {0: 0}) == (0,)
 
 
 def test_collapsing_restriction_amalgamations():
     f = Presheaf(CHAIN2, (1, 2), {(0, 1): (0, 0)})
-    assert amalgamations(f, 1, {0}, {0: 0}) == (0, 1)
-
-
-def test_non_matching_family_is_rejected():
-    chain3 = catalog_poset("chain3")
-    f = constant_presheaf(chain3, 2)
-    with pytest.raises(NotMatchingError):
-        amalgamations(f, 2, {0, 1}, {0: 0, 1: 1})
+    assert amalgamated(f, 1, {0: 0}) == amalgamations(f, 1, {0}, {0: 0}) == (0, 1)
 
 
 def test_matching_families_are_deterministic():
     f = constant_presheaf(CHAIN2, 2)
     fams = list(matching_families(f, {0, 1}))
     assert fams == [{0: 0, 1: 0}, {0: 1, 1: 1}]
+
+
+BAD_IDS = [-1, 5, 0.0, "a"]
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_matching_families_take_element_ids(bad):
+    """The cover is checked when the function is called, before any family
+    is asked for: -1 no longer indexes the last element."""
+    f = constant_presheaf(CHAIN2, 2)
+    with pytest.raises(PosetMismatchError) as exc:
+        matching_families(f, {bad})
+    assert exc.value.witness == {"id": repr(bad)}
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_restrict_presheaf_takes_element_ids(bad):
+    f = constant_presheaf(CHAIN2, 2)
+    with pytest.raises(PosetMismatchError) as exc:
+        restrict_presheaf(f, [0, bad])
+    assert exc.value.witness == {"id": repr(bad)}
+
+
+@pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
+def test_extend_presheaf_takes_element_ids(bad):
+    base = constant_presheaf(catalog_poset("point"), 2)
+    with pytest.raises(PosetMismatchError) as exc:
+        extend_presheaf(base, CHAIN2, {bad})
+    assert exc.value.witness == {"id": repr(bad)}
 
 
 def test_everything_is_a_sheaf_for_indiscrete(catalog_pair):
@@ -350,13 +387,14 @@ def test_amalgamation_recipe_matches_direct_search():
                             ]
                             for z in sieve
                         }
-                        via_recipe = amalgamations(f, q, sieve, extended)
+                        assert matching_violation(f, sieve, extended) is None
+                        via_recipe = amalgamated(f, q, extended)
                         direct = tuple(
                             a
                             for a in range(f.sizes[q])
                             if all(f.restriction(c, q)[a] == fam[c] for c in cut)
                         )
-                        assert via_recipe == direct
+                        assert via_recipe == amalgamations(f, q, sieve, extended) == direct
 
 
 def test_comparison_check_requires_denseness():
