@@ -173,7 +173,7 @@ def _load_topology(path: str, poset: FinitePoset, given: object) -> sites.GrothT
     """The topology in the file, on ``poset`` itself when the document
     embeds ``given``."""
     doc = _load_json(path)
-    return sites.GrothTopology._from_json(doc, poset if _embeds(given, doc) else None)
+    return sites.GrothTopology.from_json(doc, poset if _embeds(given, doc) else None)
 
 
 def _split_elements(poset: FinitePoset, raw: str) -> frozenset[int]:

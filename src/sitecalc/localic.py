@@ -284,44 +284,26 @@ class Congruence(_Presentation):
     to finite ones, so the scan checks one-sided binary compatibility
     against a class representative, which implies compatibility of every
     finite family.
+
+    The constructor is the one check of the classes, for documents and
+    library callers alike: in one pass, a member of a class's set that is
+    not an exact in-range int, or an empty class, is a NotACongruenceError;
+    then the classes must partition the frame.  :meth:`from_json` checks
+    only that the document lists lists of ints.
     """
 
     __slots__ = ()
 
     def __init__(self, frame: DownSetFrame, classes: Iterable[Iterable[int]]):
-        self._build(frame, classes, parsing=False)
-
-    def _build(self, frame: DownSetFrame, classes: Iterable, parsing: bool) -> None:
-        """Check the classes in one pass, then accept them.  A member of a
-        class's set that is not an exact in-range int, or an empty class, is
-        a NotACongruenceError.  When ``parsing`` a JSON document, a class
-        that is not a list, or a listed member that is not an int, is a
-        ParseError instead, and it outranks a NotACongruenceError found
-        before it, which waits until the pass ends.  The ParseError looks at
-        the list because the set merges 2.0 into 2."""
-        normalized, size, error = [], len(frame), None
-
-        def unparsed(c: object) -> ParseError:
-            return ParseError(f"class {c!r} is not a list of ids", witness={"class": c})
-
+        normalized, size = [], len(frame)
         for c in classes:
-            if parsing and not isinstance(c, list):
-                raise unparsed(c)
-            if parsing and not all(isinstance(a, int) for a in c):
-                raise unparsed(c)
             cls = frozenset(c)
             for a in cls:
                 if not (type(a) is int and 0 <= a < size):
-                    error = error or NotACongruenceError(
-                        f"{a!r} is not a down-set id", witness={"id": a}
-                    )
+                    raise NotACongruenceError(f"{a!r} is not a down-set id", witness={"id": a})
             if not cls:
-                error = error or NotACongruenceError("a class is empty", witness={"class": []})
-            if error and not parsing:
-                raise error
+                raise NotACongruenceError("a class is empty", witness={"class": []})
             normalized.append(cls)
-        if error:
-            raise error
         classes = tuple(sorted(normalized, key=min))
         class_of = [-1] * size
         for ci, cls in enumerate(classes):
@@ -403,11 +385,16 @@ class Congruence(_Presentation):
 
     @classmethod
     def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Congruence":
+        """A class that is not a list, or a listed member that is not an int,
+        is a ParseError, and it outranks every NotACongruenceError of the
+        constructor.  The check looks at the list because the constructor's
+        sets merge 2.0 into 2."""
         classes = _json_list(doc, "classes", "congruence")
         frame = frame if frame is not None else frame_for_json(doc)
-        out = cls.__new__(cls)
-        out._build(frame, classes, parsing=True)
-        return out
+        for c in classes:
+            if not (isinstance(c, list) and all(isinstance(a, int) for a in c)):
+                raise ParseError(f"class {c!r} is not a list of ids", witness={"class": c})
+        return cls(frame, classes)
 
 
 class Sublocale(_Presentation):

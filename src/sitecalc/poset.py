@@ -13,11 +13,11 @@ lexicographic order on characteristic vectors, so golden files stay
 byte-identical across runs.  Meets, joins and implications are computed on
 the masks; one down-set converts to a frozenset of element ids on request.
 
-Rows of labels held as masks go through one private kernel,
-:class:`_LabelRows`, both ways: a row read from outside becomes a mask off
-one label-to-bit table, and a row written out is joined from one fragment
-per 8-bit chunk of its mask, label lists for library callers or encoded
-JSON text for the CLI writer.
+Each poset keeps one label-to-bit table, built on first use, and every
+reader of labels from outside looks them up there.  Rows of labels held as
+masks are written out by one private kernel, :class:`_LabelRows`: a row is
+joined from one fragment per 8-bit chunk of its mask, label lists for
+library callers or encoded JSON text for the CLI writer.
 
 A :class:`FrameMap` D(P) -> D(Q) is a table of ids.  By Birkhoff duality
 the frame morphisms among them are exactly the preimage maps of monotone
@@ -57,35 +57,55 @@ DEFAULT_FRAME_CAP = 2**20
 class FinitePoset:
     """A finite partial order on elements ``0..n-1``.
 
-    The constructor accepts an arbitrary generating relation and closes it
-    reflexively and transitively on masks; a closure that violates
-    antisymmetry raises :class:`CycleError` naming the least element on a
-    cycle and its least partner.  The order is stored as masks only:
-    ``up_masks`` and ``down_masks``, the mask of each element's up-set and
-    down-set, with ``linear_extension``, the elements ordered by
-    (|down(e)|, e), so every element comes after those below it.
+    The constructor is the one check of its input, for documents and
+    library callers alike, in this order: every label is a string, every
+    generating pair is a list or tuple of two exact ``int`` ids below n
+    (both a ParseError naming the offending value), the labels are
+    distinct (DuplicateElementError), and the closure is antisymmetric.
+    It closes the pairs reflexively and transitively on masks; a closure
+    that violates antisymmetry raises :class:`CycleError` naming the least
+    element on a cycle and its least partner.  The order is stored as masks
+    only: ``up_masks`` and ``down_masks``, the mask of each element's up-set
+    and down-set, with ``linear_extension``, the elements ordered by
+    (|down(e)|, e), so every element comes after those below it.  The
+    label-to-bit table that :meth:`index_of` reads is built on first use.
     """
 
     __slots__ = (
         "n", "labels", "up_masks", "down_masks", "linear_extension",
-        "_hasse", "_strict", "_induced_cache", "_hash",
+        "_hasse", "_strict", "_induced_cache", "_hash", "_bits",
     )
 
-    def __init__(self, labels: int | Sequence[str], pairs: Iterable[tuple[int, int]] = ()):
+    def __init__(self, labels: int | Sequence[str], pairs: Iterable[Sequence[int]] = ()):
         if isinstance(labels, int):
             labels = tuple(str(i) for i in range(labels))
         else:
             labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise DuplicateElementError(f"duplicate element names in {labels!r}")
+            for label in labels:
+                if not isinstance(label, str):
+                    raise ParseError(
+                        f"element {label!r} is not a string", witness={"element": label}
+                    )
         n = len(labels)
         up = [1 << i for i in range(n)]
         edges = []
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParseError(f"relation pair ({a}, {b}) out of range for {n} elements")
+        for pair in pairs:
+            if not (
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and type(pair[0]) is type(pair[1]) is int
+                and 0 <= pair[0] < n
+                and 0 <= pair[1] < n
+            ):
+                raise ParseError(
+                    f"le_pairs entry {pair!r} is not a pair of ids below {n}",
+                    witness={"pair": pair},
+                )
+            a, b = pair
             up[a] |= 1 << b
             edges.append((a, b))
+        if len(set(labels)) != n:
+            raise DuplicateElementError(f"duplicate element names in {labels!r}")
         changed = True
         while changed:  # up[a] takes in up[b] for each pair until nothing grows
             changed = False
@@ -114,6 +134,7 @@ class FinitePoset:
         self._strict: tuple[tuple[int, int], ...] | None = None
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
         self._hash = hash((self.labels, self.up_masks))
+        self._bits: dict[str, int] | None = None
 
     # -- order queries -------------------------------------------------
 
@@ -123,10 +144,16 @@ class FinitePoset:
     def lt(self, i: int, j: int) -> bool:
         return i != j and self.up_masks[i] >> j & 1 == 1
 
+    def _label_bits(self) -> dict[str, int]:
+        """Each label's bit, its id the bit length less one.  Built once."""
+        if self._bits is None:
+            self._bits = {label: 1 << i for i, label in enumerate(self.labels)}
+        return self._bits
+
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_bits()[label].bit_length() - 1
+        except (KeyError, TypeError):  # not a label, or unhashable
             raise ParseError(f"unknown element {label!r}", witness={"element": label}) from None
 
     def relation_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -220,9 +247,9 @@ class FinitePoset:
     def from_json(cls, doc: dict) -> "FinitePoset":
         """Read ``{"elements": [str, ...], "le_pairs": [[i, j], ...]}``.
 
-        Anything else, including an unknown key, a non-list, a non-string
-        label or a pair that is not two in-range integer ids, is a ParseError
-        with the offending value as its witness.
+        Any other shape, an unknown key or a field that is not a list, is a
+        ParseError with the offending value as its witness; the constructor
+        checks the entries.
         """
         if not isinstance(doc, dict) or "elements" not in doc:
             raise ParseError("poset JSON must contain an 'elements' list", witness={"poset": doc})
@@ -232,26 +259,8 @@ class FinitePoset:
         elements, pairs = doc["elements"], doc.get("le_pairs", [])
         if not isinstance(elements, list):
             raise ParseError("'elements' is not a list", witness={"elements": elements})
-        for label in elements:
-            if not isinstance(label, str):
-                raise ParseError(
-                    f"element {label!r} is not a string", witness={"element": label}
-                )
         if not isinstance(pairs, list):
             raise ParseError("'le_pairs' is not a list", witness={"le_pairs": pairs})
-        n = len(elements)
-        for pair in pairs:
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and type(pair[0]) is type(pair[1]) is int
-                and 0 <= pair[0] < n
-                and 0 <= pair[1] < n
-            ):
-                raise ParseError(
-                    f"le_pairs entry {pair!r} is not a pair of ids below {n}",
-                    witness={"pair": pair},
-                )
         return cls(elements, pairs)
 
 
@@ -384,12 +393,10 @@ class _Fragments(dict):
 
 
 class _LabelRows:
-    """Rows of one poset's labels held as masks, read in and written out.
+    """Rows of one poset's labels held as masks, written out.
 
-    In, ``bits`` maps each label to its bit, so a row of labels from outside
-    becomes a mask with one lookup per label.  Out, ``rows(masks)`` gives
-    the labels of each mask's elements, ascending, as fresh lists for
-    library callers, or, for a writer of JSON text, as a
+    ``rows(masks)`` gives the labels of each mask's elements, ascending, as
+    fresh lists for library callers, or, for a writer of JSON text, as a
     :class:`_Text`; ``pairs(table)`` gives an id table as ``[i, table[i]]``
     rows the same two ways.  A row is joined from one fragment per 8-bit
     chunk of its mask, read off a table per chunk position: a list of
@@ -399,19 +406,12 @@ class _LabelRows:
     one document renders each fragment once for it.
     """
 
-    __slots__ = ("labels", "text", "_bits", "_tables")
+    __slots__ = ("labels", "text", "_tables")
 
     def __init__(self, labels: Sequence[str], text: bool = False):
         self.labels = labels
         self.text = text
-        self._bits: dict[str, int] | None = None
         self._tables: dict[str | None, list[_Fragments]] = {}
-
-    @property
-    def bits(self) -> dict[str, int]:
-        if self._bits is None:
-            self._bits = {label: 1 << i for i, label in enumerate(self.labels)}
-        return self._bits
 
     def rows(self, masks: Sequence[int]) -> list[list[str]] | _Text:
         if self.text:
@@ -551,7 +551,7 @@ class DownSetFrame:
 
     def id_of(self, downset: Iterable[int]) -> int:
         members = frozenset(downset)
-        if all(isinstance(p, int) and 0 <= p < self.poset.n for p in members):
+        if all(type(p) is int and 0 <= p < self.poset.n for p in members):
             i = self.mask_index.get(_mask(members))
             if i is not None:
                 return i

@@ -144,7 +144,11 @@ class Presheaf:
     def from_json(cls, doc: dict, poset: FinitePoset | None = None) -> "Presheaf":
         """Read ``{"values": {label: size}, "maps": {"q<=p": [value, ...]}}``;
         any other shape is a ParseError with the offending value as witness.
-        Labels become element ids here, and the constructor checks the laws."""
+        Labels become element ids here, and the laws are checked once: when
+        every key names a strict pair and no size is negative, the tables go
+        straight to the functor check, and a document it declines, like any
+        other, is read key by key, so that its ParseError comes first, and
+        then checked by the constructor."""
         if not isinstance(doc, dict):
             raise ParseError("presheaf JSON must be an object", witness={"document": doc})
         poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
@@ -152,13 +156,7 @@ class Presheaf:
         for field, value in (("values", values), ("maps", tables)):
             if not isinstance(value, dict):
                 raise ParseError(f"'{field}' is not an object", witness={field: value})
-        # one lookup table per document; index_of raises for an unknown label
-        labels = poset.labels
-        ids = {label: i for i, label in enumerate(labels)}
-
-        def index(label: str) -> int:
-            return ids[label] if label in ids else poset.index_of(label)
-
+        index = poset.index_of
         sizes = [0] * poset.n
         for label, size in values.items():
             if type(size) is not int:
@@ -168,30 +166,29 @@ class Presheaf:
         # a key that is the name of a pair of labels holding no "<=" and no
         # surrounding whitespace splits into exactly that pair, so it is
         # looked up whole; any other key is split at its first "<="
+        labels = poset.labels
         exact = [label == label.strip() and "<=" not in label for label in labels]
         names = {
             f"{labels[q]}<={labels[p]}": (q, p)
             for q, p in poset._strict_pairs()
             if exact[q] and exact[p]
         }
+        maps = dict(zip(map(names.get, tables), tables.values()))
+        if None not in maps and min(sizes, default=0) >= 0:
+            functor = _functor_tables(poset, sizes, maps)
+            if functor is not None:
+                return cls._trusted(poset, sizes, functor)
 
         def pair_of(key: str, tab: object) -> tuple[int, int]:
             if "<=" not in key:
                 raise ParseError(f"bad restriction key {key!r}", witness={"key": key})
-            if not (isinstance(tab, list) and all(type(v) is int for v in tab)):
+            if not (isinstance(tab, (list, tuple)) and all(type(v) is int for v in tab)):
                 raise ParseError(f"restriction {key!r} is not a list of integers",
                                  witness={"key": key, "map": tab})
             qlab, plab = key.split("<=", 1)
             return index(qlab.strip()), index(plab.strip())
 
-        tabs = tables.values()
-        maps = dict(zip(map(names.get, tables), tabs))
-        if (
-            None in maps
-            or not set(map(type, tabs)) <= {list}
-            or not set(map(type, chain.from_iterable(tabs))) <= {int}
-        ):  # a key to split or a bad key or table: read key by key, in order
-            maps = {pair_of(key, tab): tab for key, tab in tables.items()}
+        maps = {pair_of(key, tab): tab for key, tab in tables.items()}
         return cls(poset, sizes, maps)
 
 

@@ -157,15 +157,12 @@ class GrothTopology:
         return self._json(_LabelRows(self.poset.labels))
 
     @classmethod
-    def from_json(cls, doc: object) -> "GrothTopology":
+    def from_json(cls, doc: object, poset: FinitePoset | None = None) -> "GrothTopology":
         """Read ``{"poset": {...}, "covers": {label: [[label, ...], ...]}}`` and
-        validate it; any other shape is a ParseError with the offending value."""
-        return cls._from_json(doc)
-
-    @classmethod
-    def _from_json(cls, doc: object, poset: FinitePoset | None = None) -> "GrothTopology":
-        """:meth:`from_json` on ``poset``, which the caller has found to be
-        the document's own; with None the document's poset is read."""
+        validate it; any other shape is a ParseError with the offending value.
+        The covers are read on ``poset`` when given, which the caller has
+        found to be the document's own; with None the document's poset is
+        read."""
         if not isinstance(doc, dict):
             raise ParseError("topology JSON must be an object", witness={"document": doc})
         if poset is None:
@@ -300,16 +297,15 @@ def _downset_counter(poset: FinitePoset, limit: int) -> Callable[[int], int]:
 
 def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
     """Each element's family, given as label rows under its label, as a set
-    of masks, empty for an element with none.  A row becomes a mask off one
-    label-to-bit table per document, its bits combined by OR, so a label
+    of masks, empty for an element with none.  A row becomes a mask off the
+    poset's label-to-bit table, its bits combined by OR, so a label
     repeated in a row is one member and cannot carry into the next bit.  A
     family that is not read so is checked member by member: an unknown
     label, or a family that is not lists of labels, is a ParseError."""
-    bits = _LabelRows(poset.labels).bits
-    get = bits.__getitem__
+    get = poset._label_bits().__getitem__
     fams: list[set[int]] = [set() for _ in range(poset.n)]
     for label, sieves in families.items():
-        p = get(label).bit_length() - 1 if label in bits else poset.index_of(label)
+        p = poset.index_of(label)
         try:
             if type(sieves) is list and set(map(type, sieves)) <= {list}:
                 fams[p] = {reduce(or_, map(get, s), 0) for s in sieves}

@@ -171,6 +171,17 @@ def test_id_of_rejects_what_is_not_a_down_set(members):
         frame.id_of(members)
 
 
+@pytest.mark.parametrize("members", [[True], [False, True], [1.0], [0, 1.0]])
+def test_id_of_takes_exact_ints_only(members):
+    """A bool or a float equals an int id but names no element, so on the
+    antichain {a, b} it is no down-set: ``[True]`` once read as {b} and
+    ``[False, True]`` as the top."""
+    frame = enumerate_downsets(FinitePoset(["a", "b"]))
+    with pytest.raises(KeyError):
+        frame.id_of(members)
+    assert (frame.id_of([1]), frame.id_of([0, 1])) == (1, 3)
+
+
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -467,10 +467,11 @@ def test_sublocale_members_are_read_off_the_downsets_of_x(poset):
     ],
 )
 def test_congruence_members_are_checked_once_with_their_codes(classes, code, witness):
-    """One pass over the classes keeps each input's error: a listed member
-    that is no int, 2.0 beside 2 among them, is a ParseError from a
-    document, and it outranks a bool, an out-of-range id or an empty class
-    found before it, which stay NotACongruenceError."""
+    """Each check runs once and keeps each input's error: the reader's pass
+    over the listed classes makes a class that is no list of ints, 2.0
+    beside 2 among them, a ParseError, before the constructor sees any
+    class, so it outranks a bool, an out-of-range id or an empty class
+    listed before it, which the constructor makes a NotACongruenceError."""
     frame = enumerate_downsets(catalog_poset("chain2"))
     doc = {**frame.to_json(), "classes": classes}
     with pytest.raises(SiteCalcError) as err:

@@ -80,6 +80,43 @@ def test_parse_errors(text, err):
         parse_poset(text)
 
 
+@pytest.mark.parametrize(
+    "labels, pairs, witness",
+    [
+        (["a", "b"], [(True, 0)], {"pair": (True, 0)}),
+        (2, [(0.0, 1)], {"pair": (0.0, 1)}),
+        (2, [("0", 1)], {"pair": ("0", 1)}),
+        (2, [(0, 1, 2)], {"pair": (0, 1, 2)}),
+        (2, [(0, 2)], {"pair": (0, 2)}),
+        (2, [0], {"pair": 0}),
+        (["a", "a"], [(0, 5)], {"pair": (0, 5)}),
+        ([1, 2], [], {"element": 1}),
+        (["a", None], [(0.0, 1)], {"element": None}),
+    ],
+    ids=["bool", "float", "str", "triple", "out-of-range", "not-a-pair", "before-duplicate",
+         "int-label", "label-first"],
+)
+def test_constructor_checks_library_input_as_the_json_reader_does(labels, pairs, witness):
+    """The constructor is the one check of a poset's entries: what the JSON
+    reader rejects is a ParseError with the same text and witness when a
+    library caller gives it, labels first, then pairs, then duplicates."""
+    with pytest.raises(ParseError) as err:
+        FinitePoset(labels, pairs)
+    assert err.value.witness == witness
+    (key, value), = witness.items()
+    if key == "pair":
+        assert str(err.value) == f"le_pairs entry {value!r} is not a pair of ids below 2"
+    else:
+        assert str(err.value) == f"element {value!r} is not a string"
+
+
+@pytest.mark.parametrize("label", ["c", 0, None, ["a"], {"a": 1}])
+def test_index_of_names_any_non_label(label):
+    with pytest.raises(ParseError) as err:
+        FinitePoset(["a", "b"]).index_of(label)
+    assert err.value.witness == {"element": label}
+
+
 def test_poset_json_round_trip(catalog_pair):
     _, p = catalog_pair
     assert FinitePoset.from_json(p.to_json()) == p

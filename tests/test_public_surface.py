@@ -5,7 +5,8 @@ second presheaf reader, the all-pairs naturality scan and the subcanonicity
 entry points that a closed form answers, the pair check and amalgamation
 search beside the matching-family kernel, and the error only that search
 raised, which left the library and must resolve nowhere, in the code or in
-the README; and ``sheaves`` reads the order through masks only."""
+the README; ``sheaves`` reads the order through masks only; and the
+readers find labels in the poset's one label table."""
 
 import re
 import types
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import sitecalc
-from sitecalc import errors, localic, poset, sheaves, sites
+from sitecalc import cli, errors, localic, poset, sheaves, sites
 
 PUBLIC = (
     "ALIASES", "AxiomViolation", "BasePointError", "CATALOG_NAMES", "Congruence",
@@ -67,10 +68,14 @@ REMOVED_ATTRIBUTES = (
     (poset.FinitePoset, "down"),
     (poset.FinitePoset, "_up_sets"),
     (poset.FinitePoset, "_down_sets"),
+    (poset._LabelRows, "bits"),
+    (localic.Congruence, "_build"),
+    (sites.GrothTopology, "_from_json"),
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SHEAVES = Path(sheaves.__file__)
+LABEL_READERS = [Path(m.__file__) for m in (sites, sheaves, localic, cli)]
 
 
 def test_public_names_are_pinned():
@@ -107,3 +112,13 @@ def test_readme_names_no_removed_entry():
 def test_sheaves_read_the_order_through_masks_only():
     source = SHEAVES.read_text(encoding="utf-8")
     assert [call for call in (".leq(", ".lt(", ".up(", ".down(") if call in source] == []
+
+
+@pytest.mark.parametrize("path", LABEL_READERS, ids=lambda p: p.name)
+def test_labels_are_looked_up_in_the_posets_one_table(path):
+    """Every label from outside is found through the poset's own table, by
+    ``index_of`` or ``_label_bits``, never by a search or a table of the
+    reader's own."""
+    source = path.read_text(encoding="utf-8")
+    built = ("labels.index(", "{label: i for i, label in enumerate(")
+    assert [text for text in built if text in source] == []
