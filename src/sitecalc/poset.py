@@ -58,9 +58,10 @@ class FinitePoset:
     """A finite partial order on elements ``0..n-1``.
 
     The constructor is the one check of its input, for documents and
-    library callers alike, in this order: every label is a string, every
-    generating pair is a list or tuple of two exact ``int`` ids below n
-    (both a ParseError naming the offending value), the labels are
+    library callers alike, in this order: the labels, unless a count, and
+    the pairs are iterables, every label is a string, every generating pair
+    is a list or tuple of two exact ``int`` ids below n (each a ParseError
+    naming the offending value, as the JSON reader words it), the labels are
     distinct (DuplicateElementError), and the closure is antisymmetric.
     It closes the pairs reflexively and transitively on masks; a closure
     that violates antisymmetry raises :class:`CycleError` naming the least
@@ -80,7 +81,11 @@ class FinitePoset:
         if isinstance(labels, int):
             labels = tuple(str(i) for i in range(labels))
         else:
-            labels = tuple(labels)
+            try:
+                members = iter(labels)
+            except TypeError:
+                raise ParseError("'elements' is not a list", witness={"elements": labels}) from None
+            labels = tuple(members)
             for label in labels:
                 if not isinstance(label, str):
                     raise ParseError(
@@ -89,7 +94,11 @@ class FinitePoset:
         n = len(labels)
         up = [1 << i for i in range(n)]
         edges = []
-        for pair in pairs:
+        try:
+            entries = iter(pairs)
+        except TypeError:
+            raise ParseError("'le_pairs' is not a list", witness={"le_pairs": pairs}) from None
+        for pair in entries:
             if not (
                 isinstance(pair, (list, tuple))
                 and len(pair) == 2
@@ -379,10 +388,10 @@ class _Text:
 
 
 class _Fragments(dict):
-    """The fragment of each value of one 8-bit chunk of a row's mask, from
-    ``pieces``, the fragment of each of its bits, and ``self[0]``, the empty
-    one: built on first lookup, as the fragment of the value without its top
-    bit followed by that bit's."""
+    """The fragment of each value of one 8-bit chunk of a row's mask, for
+    :class:`_LabelRows`, from ``pieces``, the fragment of each of its bits,
+    and ``self[0]``, the empty one: built on first lookup, as the fragment
+    of the value without its top bit followed by that bit's."""
 
     __slots__ = ("pieces",)
 

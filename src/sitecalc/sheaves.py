@@ -115,9 +115,6 @@ class Presheaf:
             self._identities = tuple(tuple(range(size)) for size in self.sizes)
         return self._identities[p]
 
-    def value(self, p: int) -> range:
-        return range(self.sizes[p])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Presheaf) and (self.poset, self.sizes, self.maps) == (
             other.poset, other.sizes, other.maps
@@ -146,9 +143,10 @@ class Presheaf:
         any other shape is a ParseError with the offending value as witness.
         Labels become element ids here, and the laws are checked once: when
         every key names a strict pair and no size is negative, the tables go
-        straight to the functor check, and a document it declines, like any
-        other, is read key by key, so that its ParseError comes first, and
-        then checked by the constructor."""
+        straight to the functor check, and a document it declines is read key
+        by key, so that its ParseError comes first, and then scanned law by
+        law for the first failure; any other document is read key by key and
+        checked by the constructor."""
         if not isinstance(doc, dict):
             raise ParseError("presheaf JSON must be an object", witness={"document": doc})
         poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
@@ -174,7 +172,8 @@ class Presheaf:
             if exact[q] and exact[p]
         }
         maps = dict(zip(map(names.get, tables), tables.values()))
-        if None not in maps and min(sizes, default=0) >= 0:
+        named = None not in maps and min(sizes, default=0) >= 0
+        if named:
             functor = _functor_tables(poset, sizes, maps)
             if functor is not None:
                 return cls._trusted(poset, sizes, functor)
@@ -189,6 +188,8 @@ class Presheaf:
             return index(qlab.strip()), index(plab.strip())
 
         maps = {pair_of(key, tab): tab for key, tab in tables.items()}
+        if named:  # the sizes are sound and these are the tables the functor check declined
+            return cls._trusted(poset, sizes, _scanned_tables(poset, sizes, maps))
         return cls(poset, sizes, maps)
 
 

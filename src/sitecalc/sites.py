@@ -17,9 +17,10 @@ and conversion computes X in closed form (min: minimal elements):
   Y & down(p) <= s, as Y <= D.
 
 Families from outside, in :func:`validate_topology`, must hold element ids
-and must equal J(X) for the X read off them, checked without listing J(X):
-each family must be the whole interval between L_p and down(p), by bounds,
-down-closure and count.  Otherwise the axiom scan finds the exact witness,
+and must equal J(X) for the X read off them: each family is compared with
+the covers of p in J(X), listed by the down-set kernel and capped at the
+family's own size, so the work is bounded by the size of the input.
+Otherwise the axiom scan finds the exact witness,
 and families that pass it, refuting the normal form, raise instead of being
 replaced by J(X).  A topology document is read straight into masks, one
 label-to-bit table per document, and goes through the same check; the CLI
@@ -65,10 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AxiomViolation,
+    FrameTooLargeError,
     InvalidInnerTopologyError,
     NotDenseError,
     NotDownwardsDirectedError,
@@ -82,7 +84,6 @@ from .poset import (
     DEFAULT_FRAME_CAP,
     FinitePoset,
     OrderMorphism,
-    _Fragments,
     _LabelRows,
     _bits,
     _down_closure,
@@ -273,28 +274,6 @@ def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
     return [_down_closure(principal, xs & down) for down in principal]
 
 
-def _downset_counter(poset: FinitePoset, limit: int) -> Callable[[int], int]:
-    """A function giving |D(Q)| for Q the subposet on a mask, or a number
-    above ``limit`` once it is known to exceed it; its memo is shared by
-    every mask it is given.  The down-sets without the last element e of Q
-    are those of Q - up(e); those with it are down(e) & Q joined to those
-    of Q - down(e)."""
-    up, down = poset.up_masks, poset.down_masks
-    memo = {0: 1}
-
-    def count(m: int) -> int:
-        got = memo.get(m)
-        if got is None:
-            e = m.bit_length() - 1
-            got = count(m & ~up[e])
-            if got <= limit:
-                got += count(m & ~down[e])
-            memo[m] = got
-        return got
-
-    return count
-
-
 def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
     """Each element's family, given as label rows under its label, as a set
     of masks, empty for an element with none.  A row becomes a mask off the
@@ -324,57 +303,20 @@ def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
     return fams
 
 
-class _Closures(_Fragments):
-    """The down-closure of each value of one 8-bit chunk of a mask, from
-    ``pieces``, the principal down-set of each of its bits: built on first
-    lookup, as the closure of the value without its top bit joined with
-    that bit's down-set."""
-
-    __slots__ = ()
-
-    def __missing__(self, chunk: int) -> int:
-        high = chunk.bit_length() - 1
-        out = self[chunk] = self[chunk ^ 1 << high] | self.pieces[high]
-        return out
-
-
-def _closure_of(principal: Sequence[int]) -> Callable[[int], int]:
-    """The down-closure of a mask, from the masks of the principal down-sets,
-    joined from one :class:`_Closures` table per 8-bit chunk of the mask."""
-    tables = []
-    for base in range(0, len(principal), 8):
-        table = _Closures({0: 0})
-        table.pieces = principal[base:base + 8]
-        tables.append((base, table))
-    if len(tables) == 1:
-        return tables[0][1].__getitem__
-
-    def closure(mask: int) -> int:
-        out = 0
-        for base, table in tables:
-            out |= table[mask >> base & 255]
-        return out
-
-    return closure
-
-
 def _equals_j_of(poset: FinitePoset, fams: Sequence[set[int]], xs: int) -> bool:
-    """Whether the families of masks are J(X), X given as a mask, without
-    listing J(X).  The covers of p in J(X) are the down-sets between
-    L_p = down(X & down(p)) and down(p), as many as the down-sets of
-    down(p) - L_p; so a family equals them iff its masks are down-closed,
-    lie between the two and are that many.  Each down-closure is read off
-    chunk tables of the poset's down-sets, and one count serves every p."""
+    """Whether the families of masks are J(X), X given as a mask.  The covers
+    of p in J(X) are the down-sets between L_p = down(X & down(p)) and
+    down(p), listed by the down-set kernel up to the size of p's family, so
+    a short family on a wide element stops the listing at once: more covers
+    than the family holds means it is not J(X)."""
     down = poset.down_masks
-    closure = _closure_of(down)
-    least = [closure(xs & high) for high in down]
-    for p, high in enumerate(down):
-        low = least[p]
-        for s in fams[p]:
-            if s & ~high or low & ~s or closure(s) != s:
-                return False
-    count = _downset_counter(poset, max(map(len, fams), default=0))
-    return all(len(fam) == count(high & ~low) for fam, high, low in zip(fams, down, least))
+    try:
+        return all(
+            fam == set(_downset_masks(poset, high, len(fam), least))
+            for fam, high, least in zip(fams, down, _least_covers(down, xs))
+        )
+    except FrameTooLargeError:
+        return False
 
 
 class _CoverListing:

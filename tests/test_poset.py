@@ -92,9 +92,13 @@ def test_parse_errors(text, err):
         (["a", "a"], [(0, 5)], {"pair": (0, 5)}),
         ([1, 2], [], {"element": 1}),
         (["a", None], [(0.0, 1)], {"element": None}),
+        (3.5, [], {"elements": 3.5}),
+        (None, [], {"elements": None}),
+        (["a"], 5, {"le_pairs": 5}),
+        (["a"], None, {"le_pairs": None}),
     ],
     ids=["bool", "float", "str", "triple", "out-of-range", "not-a-pair", "before-duplicate",
-         "int-label", "label-first"],
+         "int-label", "label-first", "float-labels", "no-labels", "int-pairs", "no-pairs"],
 )
 def test_constructor_checks_library_input_as_the_json_reader_does(labels, pairs, witness):
     """The constructor is the one check of a poset's entries: what the JSON
@@ -106,8 +110,17 @@ def test_constructor_checks_library_input_as_the_json_reader_does(labels, pairs,
     (key, value), = witness.items()
     if key == "pair":
         assert str(err.value) == f"le_pairs entry {value!r} is not a pair of ids below 2"
-    else:
+    elif key == "element":
         assert str(err.value) == f"element {value!r} is not a string"
+    else:
+        assert str(err.value) == f"'{key}' is not a list"
+
+
+def test_constructor_takes_any_iterable_of_labels_and_of_pairs():
+    want = FinitePoset(["a", "b"], [(0, 1)])
+    assert FinitePoset(("a", "b"), ((0, 1),)) == want
+    assert FinitePoset(iter(["a", "b"]), (pair for pair in [[0, 1]])) == want
+    assert FinitePoset("ab", {(0, 1)}) == want
 
 
 @pytest.mark.parametrize("label", ["c", 0, None, ["a"], {"a": 1}])

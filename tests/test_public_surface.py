@@ -53,6 +53,7 @@ REMOVED = (
     "_read_in_bulk", "naturality_failure", "representable_is_sheaf",
     "subset_subcanonicity_witnesses", "canonical_constructors",
     "amalgamations", "matching_violation", "_extend_families", "NotMatchingError",
+    "_Closures", "_closure_of", "_downset_counter",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -71,6 +72,7 @@ REMOVED_ATTRIBUTES = (
     (poset._LabelRows, "bits"),
     (localic.Congruence, "_build"),
     (sites.GrothTopology, "_from_json"),
+    (sheaves.Presheaf, "value"),
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -90,6 +90,30 @@ def test_bulk_reader_agrees_with_the_member_reader(mutation):
         assert all(type(tab) is tuple for tab in read.maps.values())
 
 
+def test_a_declined_document_is_checked_by_the_functor_tables_once(monkeypatch):
+    """A document whose keys all name strict pairs but whose tables break a
+    functor law goes from the declined functor check straight to the law
+    by law scan, which names the broken composite."""
+    chain = FinitePoset(["a", "b", "c"], [(0, 1), (1, 2)])
+    doc = {
+        "values": {"a": 2, "b": 2, "c": 2},
+        "maps": {"a<=b": [0, 1], "b<=c": [0, 1], "a<=c": [1, 0]},
+    }
+    calls = []
+    checked = sitecalc.sheaves._functor_tables
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(sitecalc.sheaves, "_functor_tables", counted)
+    with pytest.raises(FunctorialityError) as exc:
+        Presheaf.from_json(doc, chain)
+    assert exc.value.message == "composite restriction violated at a <= b <= c"
+    assert exc.value.witness == {"r": "a", "q": "b", "p": "c"}
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "labels", [["a", "a<=b", "b"], [" a", "b", "c"], ["a", "b", "c "]], ids=["<=", "lead", "trail"]
 )

@@ -7,6 +7,7 @@ from conftest import (
     complete_scan_oracle,
     covers_of,
     down_set,
+    fan,
     powerset,
     sieves_on,
 )
@@ -429,18 +430,57 @@ def _document(p, families):
     "poset", [*catalog().values(), *LADDER.values()], ids=[*catalog(), *LADDER]
 )
 def test_documents_of_j_of_x_are_accepted_from_masks(poset, monkeypatch):
-    """Every J(X) document is accepted by bounds and count alone: neither a
-    listing of sieves nor the axiom scan runs."""
+    """Every J(X) document is accepted by listing each element's covers from
+    its least cover, capped at the size of its family in the document; the
+    axiom scan never runs."""
+    listed = sites._downset_masks
+    element = {down: q for q, down in enumerate(poset.down_masks)}
 
     def refuse(*args):
-        raise AssertionError("a J(X) document was listed or scanned")
+        raise AssertionError("a J(X) document was scanned")
 
     topologies = [subset_topology(poset, xs) for xs in all_subsets(poset.n)]
     docs = [t.to_json() for t in topologies]
-    monkeypatch.setattr(sites, "_downset_masks", refuse)
     monkeypatch.setattr(sites, "find_axiom_violation", refuse)
     for topology, doc in zip(topologies, docs):
+        least = sites._least_covers(poset.down_masks, sites._mask(topology.subset))
+
+        def guarded(p, within, cap, start=0):
+            q = element[within]
+            assert start == least[q] and cap <= len(doc["covers"][poset.labels[q]])
+            return listed(p, within, cap, start)
+
+        monkeypatch.setattr(sites, "_downset_masks", guarded)
         assert GrothTopology.from_json(doc) == topology
+
+
+def test_a_short_family_on_a_wide_element_stops_the_listing_at_once(monkeypatch):
+    """The top of fan(18) has 2^18 + 1 sieves.  A document giving it only its
+    maximal sieve and the empty one, and every atom its maximal sieve, has
+    the stability witness it had before, and no listing asks for more
+    sieves than the top's family holds."""
+    p = fan(18)
+    labels = p.labels
+    covers = {labels[q]: [[labels[e] for e in sorted(down_set(p, q))]] for q in range(p.n)}
+    covers["top"].append([])
+    caps = []
+    listed = sites._downset_masks
+
+    def counted(poset, within, cap, start=0):
+        caps.append(cap)
+        return listed(poset, within, cap, start)
+
+    monkeypatch.setattr(sites, "_downset_masks", counted)
+    with pytest.raises(AxiomViolation) as exc:
+        GrothTopology.from_json({"poset": p.to_json(), "covers": covers})
+    err = exc.value
+    assert err.to_json() == {
+        "code": "AxiomViolation", "message": "stability fails at (top, [], t0)", "witness": None
+    }
+    assert (err.axiom, err.p, err.sieve, err.q, err.other) == (
+        "stability", 18, frozenset(), 0, frozenset()
+    )
+    assert max(caps, default=0) <= 2
 
 
 @pytest.mark.parametrize("name", SMALL + ("chain4", "diamond"))
