@@ -3,12 +3,18 @@
 Exit codes: 0 on success with JSON (or DOT) on stdout, 1 on domain errors
 with an ``{"error": {code, message, witness}}`` envelope, 2 on usage
 errors.  All output is deterministic; the library is randomness-free.
+
+:func:`main` runs each verb with the cyclic garbage collector paused, as
+verbs leave no reference cycles for it to free, and restores the caller's
+setting; the pause is process-wide, so it covers every thread of a host
+while a verb runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from itertools import chain
@@ -381,21 +387,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "convert":
-        forward = args.topology is not None and args.to is not None
-        reverse = args.from_ is not None and args.input is not None
-        if forward == reverse:
-            parser.error("convert wants either --topology/--to or --from/--input")
+    """Run one verb, argument parsing included, and return its exit code.
+
+    The cyclic garbage collector is paused while the verb runs, and the
+    caller's setting is restored on every exit, a usage error's
+    ``SystemExit`` included.  Reference counting frees what a verb builds,
+    since no verb leaves a reference cycle, so the collections that the
+    containers of a large document would set off scan for nothing.  The
+    pause is process-wide: a host calling ``main`` from several threads
+    pauses collection for all of them while a verb runs."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
-    except SiteCalcError as err:
-        _emit({"error": err.to_json()})
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError) as err:
-        _emit({"error": {"code": type(err).__name__, "message": str(err), "witness": None}})
-        return 1
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.verb == "convert":
+            forward = args.topology is not None and args.to is not None
+            reverse = args.from_ is not None and args.input is not None
+            if forward == reverse:
+                parser.error("convert wants either --topology/--to or --from/--input")
+        try:
+            return args.func(args)
+        except SiteCalcError as err:
+            _emit({"error": err.to_json()})
+            return 1
+        except (OSError, json.JSONDecodeError, KeyError) as err:
+            _emit({"error": {"code": type(err).__name__, "message": str(err), "witness": None}})
+            return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def console_main() -> None:

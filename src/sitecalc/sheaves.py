@@ -608,7 +608,9 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     Components are assigned along a linear extension, so the lower covers
     of p are assigned before p: each square of a cover edge is checked once,
     when its top is assigned, which suffices by :func:`_is_natural`, and
-    the search is exhaustive.
+    the search is exhaustive.  It backtracks over an explicit stack of the
+    untried components at each assigned position, depth first, so it
+    leaves no reference cycle behind.
     """
     if f.poset != g.poset or f.sizes != g.sizes:
         return False
@@ -617,21 +619,21 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
     lower: list[list[int]] = [[] for _ in range(poset.n)]
     for q, p in poset.hasse_pairs():
         lower[p].append(q)
-    comps: dict[int, tuple[int, ...]] = {}
-
-    def assign(idx: int) -> bool:
-        if idx == len(order):
+    comps: list[tuple[int, ...]] = [()] * poset.n  # stale entries are reassigned before read
+    untried = [permutations(range(f.sizes[p])) for p in order[:1]]
+    while untried:
+        p = order[len(untried) - 1]
+        for comp in untried[-1]:
+            if all(_square_commutes(f, g, q, p, comps[q], comp) for q in lower[p]):
+                break
+        else:
+            untried.pop()
+            continue
+        if len(untried) == len(order):
             return True
-        p = order[idx]
-        below = lower[p]
-        for comp in permutations(range(f.sizes[p])):
-            if all(_square_commutes(f, g, q, p, comps[q], comp) for q in below):
-                comps[p] = comp  # a stale entry is reassigned before it is read
-                if assign(idx + 1):
-                    return True
-        return False
-
-    return assign(0)
+        comps[p] = comp
+        untried.append(permutations(range(f.sizes[order[len(untried)]])))
+    return not order  # the empty poset's one transformation, or none found
 
 
 def _iso_key(presheaf: Presheaf) -> tuple:

@@ -398,13 +398,12 @@ def _validate_masks(poset: FinitePoset, fams: Sequence[set[int]]) -> GrothTopolo
     """:func:`validate_topology` on families already read into masks."""
     xs = _mask(p for p, down in enumerate(poset.down_masks) if fams[p] == {down})
     if not _equals_j_of(poset, fams, xs):
-        violation = find_axiom_violation(poset, fams)
-        if violation is None:
-            violation = NotSubsetGeneratedError(
-                "the covers satisfy every axiom but are not J(X)",
-                witness={"subset": sorted(poset.labels[i] for i in _bits(xs))},
-            )
-        raise violation
+        # raised unbound: an exception held in a local of the frame its
+        # traceback holds is a reference cycle
+        raise find_axiom_violation(poset, fams) or NotSubsetGeneratedError(
+            "the covers satisfy every axiom but are not J(X)",
+            witness={"subset": sorted(poset.labels[i] for i in _bits(xs))},
+        )
     return GrothTopology(poset, _bits(xs))
 
 

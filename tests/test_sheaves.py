@@ -297,6 +297,30 @@ def test_sheaf_witnesses_leave_no_reference_cycles():
     assert any(w is not None for w in witnesses)
 
 
+def test_natural_iso_search_leaves_no_reference_cycles():
+    presheaves = enumerate_presheaves(catalog_poset("V"), 2)
+    gc.collect()
+    gc.disable()
+    try:
+        found = [natural_iso_exists(f, g) for f in presheaves for g in presheaves[:8]]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(found) and not all(found)
+
+
+def test_kx_report_leaves_no_reference_cycles():
+    diamond = catalog_poset("diamond")
+    gc.collect()
+    gc.disable()
+    try:
+        report = kx_sheaf_equivalence_check(diamond, {1, 2})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report.ok
+
+
 def test_yoneda_examples():
     top = yoneda_presheaf(CHAIN2, 1)
     assert top.sizes == (1, 1)
