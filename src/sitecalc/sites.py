@@ -20,16 +20,14 @@ Families from outside, in :func:`validate_topology`, must hold element ids
 and must equal J(X) for the X read off them: each family is compared with
 the covers of p in J(X), listed by the down-set kernel and capped at the
 family's own size, so the work is bounded by the size of the input.
-Otherwise the axiom scan finds the exact witness,
-and families that pass it, refuting the normal form, raise instead of being
-replaced by J(X).  A topology document is read straight into masks, one
-label-to-bit table per document, and goes through the same check; the CLI
-hands it the ``--poset`` poset when the document embeds the same JSON.  The
-scan runs on masks: the sieves
-on p come from the same down-set kernel, and transitivity tests each cover
-against one held set per non-cover.  Subset arguments go through one id
-check.  The census :func:`enumerate_all_topologies` lists J(X) for the 2^n
-subsets X.
+Otherwise the axiom scan finds the exact witness; families that are not
+J(X) always fail an axiom, so none is replaced by J(X).  A topology
+document is read straight into masks, one label-to-bit table per document,
+and goes through the same check; the CLI hands it the ``--poset`` poset
+when the document embeds the same JSON.  The scan runs on masks, and reads
+its transitivity witness off the normal form within the same bound.
+Subset arguments go through one id check.  The census
+:func:`enumerate_all_topologies` lists J(X) for the 2^n subsets X.
 
 A cover family depends only on the key (p, L_p), so the JSON listing of
 covers lists each key once, from the down masks and linear extension that
@@ -56,7 +54,8 @@ least cover L_p = down(X & down(p)), the weakest cover of p:
 - the representable of p fails for q iff q is not <= p and some cover of q
   lies in down(p), that is iff L_q does: X & down(q) <= down(p).
 
-Witness searches iterate elements in index order and sieves in
+Witness searches iterate elements in index order, but transitivity takes
+the least id among the minimal failing elements, and sieves in
 sorted-member order, so reported counterexamples are deterministic; JSON
 listings instead order sieves by their stable frame id.
 """
@@ -66,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -75,7 +74,6 @@ from .errors import (
     NotDenseError,
     NotDownwardsDirectedError,
     NotOrderIsomorphismError,
-    NotSubsetGeneratedError,
     ParseError,
     PosetMismatchError,
     TooLargeForBruteForceError,
@@ -176,16 +174,21 @@ class GrothTopology:
 
 def find_axiom_violation(poset: FinitePoset, fams: Sequence[set[int]]) -> AxiomViolation | None:
     """First axiom failure in deterministic witness order, or None: the sieve,
-    maximality, stability and transitivity passes in turn, each with p
-    ascending, then sieves in sorted-member order, then q ascending.
+    maximality, stability and transitivity passes in turn.  The first three
+    run p ascending, then sieves in sorted-member order, then q ascending;
+    the families are sets of masks, as :func:`validate_topology` reads them.
 
-    The families, one per element, are sets of masks, as
-    :func:`validate_topology` reads them.  Each pass returns
-    the least failure of p in sorted-member order; frozensets are built only
-    for the returned violation.  Transitivity: a non-cover r of p fails at
-    the cover s iff s lies in the held set H_r = {q <= p : r & down(q)
-    covers q}, so the first such s is searched once per distinct H_r, and
-    only for an H_r holding every cover's common part.
+    Transitivity is read off the normal form, X the elements whose only
+    cover is their maximal sieve.  Once the first three passes hold, every
+    family lies in J(X): x in X & down(p) and a cover s of p give
+    s & down(x) in fams[x] = {down(x)}.  So a failure (p, s, r) has r in
+    J(X)(p) - fams[p], and at a minimal p whose family is not J(X)(p) every
+    such r fails at every cover s other than down(p), which exists as p is
+    not in X: for q in s, fams[q] = J(X)(q) holds r & down(q).  The witness
+    is the least such p by id, the first such r in sorted-member order,
+    among the first |fams[p]| + 1 sieves holding L_p = down(X & down(p)),
+    and the first such s; with ids a linear extension, p is the first
+    element with a failure.
     """
     labels = poset.labels
     principal = poset.down_masks
@@ -211,12 +214,11 @@ def find_axiom_violation(poset: FinitePoset, fams: Sequence[set[int]]) -> AxiomV
                 p=p,
                 sieve=frozenset(_bits(down)),
             )
-    below = [[(q, principal[q], fams[q]) for q in _bits(down) if q != p]
-             for p, down in enumerate(principal)]
     for p, fam in enumerate(fams):
+        below = [(q, principal[q], fams[q]) for q in _bits(principal[p]) if q != p]
         failing = {}  # cover -> its first q whose cut is no cover
         for s in fam:
-            for q, dq, fq in below[p]:
+            for q, dq, fq in below:
                 if s & dq not in fq:
                     failing[s] = q
                     break
@@ -231,41 +233,22 @@ def find_axiom_violation(poset: FinitePoset, fams: Sequence[set[int]]) -> AxiomV
                 q=q,
                 other=frozenset(_bits(s & principal[q])),
             )
-    for p, fam in enumerate(fams):
-        common = principal[p]
-        for s in fam:
-            common &= s
-        needed = [entry for entry in below[p] if common >> entry[0] & 1]
-        first_inside: dict[int, int | None] = {}  # H_r -> first cover inside it
-        found = {}  # non-cover r -> its witness cover
-        for r in _downset_masks(poset, principal[p], DEFAULT_FRAME_CAP):
-            if r in fam:
-                continue
-            for q, dq, fq in needed:
-                if r & dq not in fq:
-                    break  # q is in every cover but not in H_r
-            else:
-                held = 0
-                for q, dq, fq in below[p]:
-                    if r & dq in fq:
-                        held |= 1 << q
-                if held not in first_inside:
-                    inside = [s for s in fam if not s & ~held]
-                    first_inside[held] = min(inside, key=_bits) if inside else None
-                if first_inside[held] is not None:
-                    found[r] = first_inside[held]
-        if found:
-            r = min(found, key=_bits)
-            s = found[r]
-            return AxiomViolation(
-                f"transitivity fails at ({labels[p]}, {names(s)}); "
-                f"{names(r)} should be a cover",
-                axiom="transitivity",
-                p=p,
-                sieve=frozenset(_bits(s)),
-                other=frozenset(_bits(r)),
-            )
-    return None
+    xs = _mask(p for p, fam in enumerate(fams) if len(fam) == 1)  # each holds down(p)
+    unlike = _mask(_unlike_j_of(poset, fams, xs))
+    if not unlike:
+        return None
+    p = _bits(_maximal(poset.up_masks, unlike))[0]  # with the up masks, the minimal ones
+    fam, high = fams[p], principal[p]
+    least = _down_closure(principal, xs & high)
+    r = next(r for r in _sieves_between(principal, least, high) if r not in fam)
+    s = min((s for s in fam if s != high), key=_bits)
+    return AxiomViolation(
+        f"transitivity fails at ({labels[p]}, {names(s)}); {names(r)} should be a cover",
+        axiom="transitivity",
+        p=p,
+        sieve=frozenset(_bits(s)),
+        other=frozenset(_bits(r)),
+    )
 
 
 def _least_covers(principal: Sequence[int], xs: int) -> list[int]:
@@ -303,20 +286,51 @@ def _family_rows(poset: FinitePoset, families: dict) -> list[set[int]]:
     return fams
 
 
-def _equals_j_of(poset: FinitePoset, fams: Sequence[set[int]], xs: int) -> bool:
-    """Whether the families of masks are J(X), X given as a mask.  The covers
-    of p in J(X) are the down-sets between L_p = down(X & down(p)) and
-    down(p), listed by the down-set kernel up to the size of p's family, so
-    a short family on a wide element stops the listing at once: more covers
-    than the family holds means it is not J(X)."""
+def _unlike_j_of(poset: FinitePoset, fams: Sequence[set[int]], xs: int) -> Iterator[int]:
+    """The elements whose family is not their covers in J(X), X given as a
+    mask, ascending.  The covers of p in J(X) are the down-sets between
+    L_p = down(X & down(p)) and down(p), listed by the down-set kernel up to
+    the size of p's family, so a short family on a wide element stops the
+    listing at once: more covers than the family holds means it differs."""
     down = poset.down_masks
-    try:
-        return all(
-            fam == set(_downset_masks(poset, high, len(fam), least))
-            for fam, high, least in zip(fams, down, _least_covers(down, xs))
-        )
-    except FrameTooLargeError:
-        return False
+    for p, (fam, high, least) in enumerate(zip(fams, down, _least_covers(down, xs))):
+        try:
+            if fam == set(_downset_masks(poset, high, len(fam), least)):
+                continue
+        except FrameTooLargeError:
+            pass
+        yield p
+
+
+def _sieves_between(down: Sequence[int], least: int, high: int) -> Iterator[int]:
+    """The down-sets between the down-sets ``least`` and ``high``, all masks,
+    in sorted-member order.
+
+    Depth first, adding members of ``high`` in ascending order.  A node is a
+    prefix, its closure (``least`` joined with the down-sets of the prefix's
+    members) and the members above its last one still to try; it is a
+    down-set when it equals its closure.  A member e is added only while the
+    closure holds nothing below e outside the prefix, which no later member
+    could add, so every node entered leads to a down-set: its closure.  The
+    stack holds the nodes to come back to."""
+    prefix, closed, rest = 0, least, high
+    stack = []
+    while True:
+        if closed == prefix:
+            yield prefix
+        while True:  # down to the next node, or back up
+            bit = rest & -rest
+            if rest and not closed & ~prefix & bit - 1:
+                rest ^= bit
+                grown = closed | down[bit.bit_length() - 1]
+                if not grown & ~prefix & bit - 1:
+                    stack.append((prefix, closed, rest))
+                    prefix, closed = prefix | bit, grown
+                    break
+            elif stack:
+                prefix, closed, rest = stack.pop()
+            else:
+                return
 
 
 class _CoverListing:
@@ -387,23 +401,20 @@ def _family_masks(poset: FinitePoset, covers: Sequence[Iterable]) -> list[set[in
 def validate_topology(poset: FinitePoset, covers: Sequence[Iterable]) -> GrothTopology:
     """J(X) when the families, one per element, equal it for X read off them,
     the elements whose only cover is their maximal sieve.  Otherwise the
-    axiom scan's first violation raises, and families that pass it, refuting
-    the normal form, raise NotSubsetGeneratedError instead of being replaced
-    by J(X).  A wrong number of families or a member that is not an element
-    id raises PosetMismatchError first."""
+    axiom scan's first violation raises: families that are not J(X) always
+    fail an axiom (see :func:`find_axiom_violation`).  A wrong number of
+    families or a member that is not an element id raises
+    PosetMismatchError first."""
     return _validate_masks(poset, _family_masks(poset, covers))
 
 
 def _validate_masks(poset: FinitePoset, fams: Sequence[set[int]]) -> GrothTopology:
     """:func:`validate_topology` on families already read into masks."""
     xs = _mask(p for p, down in enumerate(poset.down_masks) if fams[p] == {down})
-    if not _equals_j_of(poset, fams, xs):
-        # raised unbound: an exception held in a local of the frame its
-        # traceback holds is a reference cycle
-        raise find_axiom_violation(poset, fams) or NotSubsetGeneratedError(
-            "the covers satisfy every axiom but are not J(X)",
-            witness={"subset": sorted(poset.labels[i] for i in _bits(xs))},
-        )
+    if next(_unlike_j_of(poset, fams, xs), None) is not None:
+        # never None here; raised unbound: an exception held in a local of
+        # the frame its traceback holds is a reference cycle
+        raise find_axiom_violation(poset, fams)
     return GrothTopology(poset, _bits(xs))
 
 
@@ -708,30 +719,14 @@ def subcanonicity_report(
     is the first in sorted-member order of the covers of q inside down(p)."""
     _require_poset(poset, topology)
     down = poset.down_masks
-    xs = _mask(topology.subset)
+    least = _least_covers(down, _mask(topology.subset))
     out = []
     for p, high in enumerate(down):
         for q, dq in enumerate(down):
-            cut = xs & dq
-            if not high >> q & 1 and not cut & ~high:
-                out.append((p, q, frozenset(_bits(_first_sieve_between(down, cut, high & dq)))))
+            if not high >> q & 1 and not least[q] & ~high:
+                first = next(_sieves_between(down, least[q], high & dq))
+                out.append((p, q, frozenset(_bits(first))))
     return tuple(out)
-
-
-def _first_sieve_between(down: Sequence[int], cut: int, high: int) -> int:
-    """The first down-set in sorted-member order between down(cut) and the
-    down-set ``high``, all masks: the shortest prefix of high's members,
-    ascending, that is a down-set holding ``cut``.  Any other such down-set
-    either extends that prefix or first differs from high by skipping a
-    member, so it sorts later."""
-    prefix = 0
-    closed = cut  # cut | down(prefix)
-    for e in _bits(high):
-        if closed == prefix:
-            break
-        prefix |= 1 << e
-        closed |= down[e]
-    return prefix
 
 
 def _least_subcanonical(poset: FinitePoset) -> int:

@@ -1120,7 +1120,9 @@ def axiom_scan_oracle(poset: FinitePoset, covers) -> AxiomViolation | None:
     frozenset scan that the mask scan ``find_axiom_violation`` replaced, with
     every sieve on p from ``brute_sieves``.  Each pass runs p ascending, then
     sieves in sorted-member order; transitivity re-tests every cover of p for
-    each non-cover."""
+    each non-cover, and reports the least id among the minimal elements with
+    a failure, which is the first failing element when ids are a linear
+    extension."""
     labels = poset.labels
     for p in range(poset.n):
         dn = down_set(poset, p)
@@ -1156,22 +1158,29 @@ def axiom_scan_oracle(poset: FinitePoset, covers) -> AxiomViolation | None:
                         q=q,
                         other=restricted,
                     )
+    failures = {}  # p -> its first failing (non-cover, cover) pair
     for p in range(poset.n):
         for r in sorted(brute_sieves(poset, p), key=sorted):
             if r in covers[p]:
                 continue
-            for s in sorted(covers[p], key=sorted):
-                if all(r & down_set(poset, q) in covers[q] for q in s):
-                    return AxiomViolation(
-                        f"transitivity fails at ({labels[p]}, "
-                        f"{sorted(labels[i] for i in s)}); "
-                        f"{sorted(labels[i] for i in r)} should be a cover",
-                        axiom="transitivity",
-                        p=p,
-                        sieve=s,
-                        other=r,
-                    )
-    return None
+            s = next((s for s in sorted(covers[p], key=sorted)
+                      if all(r & down_set(poset, q) in covers[q] for q in s)), None)
+            if s is not None:
+                failures[p] = (r, s)
+                break
+    minimal = [p for p in failures if not any(q in failures for q in down_set(poset, p) - {p})]
+    if not minimal:
+        return None
+    p = min(minimal)
+    r, s = failures[p]
+    return AxiomViolation(
+        f"transitivity fails at ({labels[p]}, {sorted(labels[i] for i in s)}); "
+        f"{sorted(labels[i] for i in r)} should be a cover",
+        axiom="transitivity",
+        p=p,
+        sieve=s,
+        other=r,
+    )
 
 
 def census_oracle(poset: FinitePoset) -> tuple:

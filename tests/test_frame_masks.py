@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     LADDER,
     antichain,
+    brute_downsets,
     chain_poset,
     down_set,
     downset_masks_sorting_oracle,
@@ -35,6 +36,7 @@ from sitecalc import poset as poset_module
 from sitecalc.cli import main
 from sitecalc.errors import FrameTooLargeError, PosetMismatchError
 from sitecalc.poset import _bits, _down_closure, _downset_masks, _mask
+from sitecalc.sites import _sieves_between
 
 KINDS = ("nucleus", "congruence", "sublocale")
 
@@ -104,6 +106,24 @@ def test_downset_masks_match_the_sorting_oracle_on_the_ladder(poset):
         assert _downset_masks(poset, poset.down_masks[p], 10**6, least) == (
             downset_masks_sorting_oracle(poset, poset.down_masks[p], least)
         )
+
+
+@pytest.mark.parametrize(
+    "poset", [*catalog().values(), *LADDER.values()], ids=[*catalog(), *LADDER]
+)
+def test_sieve_walk_matches_the_member_list_sort(poset):
+    """For every X, p and q, the walk from L = down(X & down(q)) up to
+    H = down(p) & down(q) lists the down-sets between L and H sorted by
+    member list, and none when L is not inside H."""
+    down = poset.down_masks
+    downsets = [_mask(d) for d in brute_downsets(poset)]
+    for x in range(1 << poset.n):
+        for dq in down:
+            least = _down_closure(down, x & dq)
+            for dp in down:
+                high = dp & dq
+                between = [d for d in downsets if not least & ~d and not d & ~high]
+                assert list(_sieves_between(down, least, high)) == sorted(between, key=_bits)
 
 
 @pytest.mark.parametrize(

@@ -483,6 +483,39 @@ def test_a_short_family_on_a_wide_element_stops_the_listing_at_once(monkeypatch)
     assert max(caps, default=0) <= 2
 
 
+@pytest.mark.parametrize("k", [20, 24])
+def test_a_two_cover_family_on_a_wide_element_gets_the_transitivity_witness(k, monkeypatch):
+    """On fan(k), each atom listing itself and the empty sieve and the top
+    listing its maximal sieve and the empty one pass every axiom but
+    transitivity: the top needs its 2^k + 1 sieves.  The witness is read off
+    the first sieves holding the top's least cover, and no listing asks for
+    more sieves than the family it checks holds, two."""
+    p = fan(k)
+    labels = p.labels
+    covers = {labels[q]: [[labels[q]], []] for q in range(k)}
+    covers["top"] = [sorted(labels), []]
+    caps = []
+    listed = sites._downset_masks
+
+    def counted(poset, within, cap, start=0):
+        caps.append(cap)
+        return listed(poset, within, cap, start)
+
+    monkeypatch.setattr(sites, "_downset_masks", counted)
+    with pytest.raises(AxiomViolation) as exc:
+        GrothTopology.from_json({"poset": p.to_json(), "covers": covers})
+    err = exc.value
+    assert err.to_json() == {
+        "code": "AxiomViolation",
+        "message": "transitivity fails at (top, []); ['t0'] should be a cover",
+        "witness": None,
+    }
+    assert (err.axiom, err.p, err.sieve, err.q, err.other) == (
+        "transitivity", k, frozenset(), None, frozenset({0})
+    )
+    assert caps and max(caps) <= 2
+
+
 @pytest.mark.parametrize("name", SMALL + ("chain4", "diamond"))
 def test_documents_one_sieve_off_j_of_x_get_the_full_checks_verdict(name):
     """Toggling any one sieve on p in any family of any J(X), swapping its

@@ -2,14 +2,18 @@
 
 The cover listing, the closed-form constructors and conversions are checked
 against the family-building formulas they replaced (the oracles in
-``conftest.py``), and validation is checked to refuse, not normalize, valid
-families that differ from J(X).
+``conftest.py``), and validation is checked to end every family of sieves
+in J(X) or in the axiom scan's violation.
 """
+
+from itertools import product
 
 import pytest
 from conftest import (
     LADDER,
     all_subsets,
+    axiom_scan_oracle,
+    brute_sieves,
     congruence_classes_from_covers,
     covers_from_congruence,
     covers_from_nucleus,
@@ -19,6 +23,7 @@ from conftest import (
     extended_covers,
     lx_covers,
     nucleus_table_from_covers,
+    powerset,
     restricted_covers,
     subset_covers_oracle,
     sublocale_members_from_covers,
@@ -27,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sitecalc import (
+    AxiomViolation,
     Congruence,
     FinitePoset,
     GrothTopology,
@@ -54,9 +60,7 @@ from sitecalc import (
     topology_from_sublocale,
     validate_topology,
 )
-from sitecalc import sites
 from sitecalc.sites import dense_violation
-from sitecalc.errors import NotSubsetGeneratedError
 
 POSETS = {**catalog(), **LADDER}
 
@@ -150,28 +154,32 @@ def test_closed_forms_match_the_oracles_on_random_posets(case):
     check_conversions(subset_topology(p, x), enumerate_downsets(p))
 
 
-# -- validation refuses valid families that are not J(X) -----------------------
+# -- validation has no outcome besides J(X) and an axiom violation --------------
 
 
-def _drop_the_empty_sieve(monkeypatch):
-    """Make the check against J count the empty sieve, mask 0, out of every
-    family: J(X) stops being the topology it should be, while raw families
-    stay valid."""
-    original = sites._equals_j_of
-
-    def broken(poset, fams, xs):
-        return original(poset, [{s for s in fam if s} for fam in fams], xs)
-
-    monkeypatch.setattr(sites, "_equals_j_of", broken)
-
-
-def test_census_refuses_valid_families_that_are_not_j_of_x(monkeypatch):
-    p = catalog_poset("chain2")
-    families = list(covers_of(discrete_topology(p)))
-    _drop_the_empty_sieve(monkeypatch)
-    with pytest.raises(NotSubsetGeneratedError) as exc:
-        validate_topology(p, families)
-    assert exc.value.witness == {"subset": []}
+@pytest.mark.parametrize("name", ["chain2", "chain3", "V", "Lambda"])
+def test_every_family_of_sieves_is_j_of_x_or_an_axiom_violation(name):
+    """Every assignment of a set of its sieves to each element ends in the
+    J(X) that lists exactly those families, or in the violation the axiom
+    scan finds: no families pass the axioms without being J(X).  V's top has
+    id 0, so its ids are not a linear extension."""
+    p = catalog_poset(name)
+    choices = [[frozenset(f) for f in powerset(brute_sieves(p, q))] for q in range(p.n)]
+    outcomes = set()
+    for covers in product(*choices):
+        want = axiom_scan_oracle(p, covers)
+        try:
+            got = covers_of(validate_topology(p, covers))
+        except AxiomViolation as err:
+            assert want is not None
+            assert (err.axiom, err.p, err.sieve, err.q, err.other, err.message) == (
+                want.axiom, want.p, want.sieve, want.q, want.other, want.message
+            )
+            outcomes.add(err.axiom)
+        else:
+            assert want is None and got == covers
+            outcomes.add("J(X)")
+    assert {"J(X)", "transitivity"} <= outcomes
 
 
 def test_constructor_takes_a_subset_of_elements():
