@@ -77,13 +77,6 @@ class AxiomViolation(SiteCalcError):
         self.other = other
 
 
-class NotSubsetGeneratedError(SiteCalcError):
-    """A nucleus, congruence or sublocale from outside that satisfies every
-    law but is not the one its subset X generates: a counterexample to the
-    normal form, which no finite poset should produce.  Cover families need
-    no such error: those that are not J(X) always fail an axiom."""
-
-
 class NotDownwardsDirectedError(SiteCalcError):
     pass
 

@@ -22,8 +22,9 @@ down(p) - {p} differ under the table or the partition, or some member
 cutting down(p) to down(p) - {p}, and the form X generates is rebuilt in
 one pass over the down-set bitmasks.  A match is a proof.  On a mismatch the
 exhaustive law scan runs and raises the witness of the first violated
-law; an input that passes it contradicts the normal form and raises
-NotSubsetGeneratedError instead of being accepted.
+law.  An input that passes it contradicts the normal form, so only a faulty
+reader or builder can produce one; it raises the kind's own error with
+witness ``{"law": "subset", "subset": [...]}`` instead of being accepted.
 
 A frame surjection f = phi^-1 factors through the congruence of
 J(phi(Q)): f(d) depends only on the cut d & phi(Q), and the induced
@@ -43,7 +44,6 @@ from .errors import (
     NotACongruenceError,
     NotANucleusError,
     NotASublocaleError,
-    NotSubsetGeneratedError,
     NotSurjectiveError,
     ParseError,
     PosetMismatchError,
@@ -149,14 +149,16 @@ class _Presentation:
         self, frame: DownSetFrame, xs: frozenset[int], view: object, scanned: object
     ) -> None:
         """Keep a view from outside when it is the one X generates.  Otherwise
-        the law scan runs on ``scanned`` and raises the first violation; an
-        input that passes it refutes the normal form and raises too."""
+        the law scan runs on ``scanned`` and raises the first violation.
+        Should none fail, which the normal form rules out on a finite poset,
+        the kind's own error names the subset check and X, so a faulty
+        ``_generate`` or X reader still rejects instead of accepting."""
         if view != self._generate(frame, xs):
             self._check_laws(frame, scanned)
             kind, labels = type(self).__name__.lower(), frame.poset.labels
-            raise NotSubsetGeneratedError(
-                f"the {kind} satisfies every law but is not generated by a subset",
-                witness={"subset": sorted(labels[i] for i in xs)},
+            raise self._error(
+                f"the {kind} satisfies every law but is not the form its subset generates",
+                witness={"law": "subset", "subset": sorted(labels[i] for i in xs)},
             )
         self._fill(frame, xs, view)
 
@@ -186,6 +188,7 @@ class Nucleus(_Presentation):
     """
 
     __slots__ = ()
+    _error = NotANucleusError
 
     def __init__(self, frame: DownSetFrame, table: Sequence[int]):
         table, size = tuple(table), len(frame)
@@ -293,6 +296,7 @@ class Congruence(_Presentation):
     """
 
     __slots__ = ()
+    _error = NotACongruenceError
 
     def __init__(self, frame: DownSetFrame, classes: Iterable[Iterable[int]]):
         normalized, size = [], len(frame)
@@ -409,6 +413,7 @@ class Sublocale(_Presentation):
     """
 
     __slots__ = ()
+    _error = NotASublocaleError
 
     def __init__(self, frame: DownSetFrame, members: Iterable[int]):
         members, size = frozenset(members), len(frame)

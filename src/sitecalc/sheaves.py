@@ -40,12 +40,11 @@ from .errors import (
     PosetMismatchError,
     TooLargeError,
 )
-from .poset import (
-    DEFAULT_FRAME_CAP, FinitePoset, _bits, _down_closure, _downset_masks, _mask, _maximal
-)
+from .poset import FinitePoset, _bits, _down_closure, _mask, _maximal
 from .sites import (
     GrothTopology,
     _element_ids,
+    _sieves_between,
     derived_topology,
     restrict_topology,
     subset_topology,
@@ -489,11 +488,12 @@ def _disjoint_below(down: Sequence[int], xs: int, tops: Sequence[int]) -> bool:
 
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
     """The first matching family on a cover of p without a unique
-    amalgamation, covers, grown from the least cover down(X & down(p)), in
-    sorted-member order and families in lexicographic order; one index of
-    F(p) per cover.  With an empty cut the first cover is the empty sieve,
-    whose one family, the empty one, has every value at p as an
-    amalgamation."""
+    amalgamation: covers walked lazily from the least cover down(X & down(p))
+    in sorted-member order by :func:`_sieves_between`, as every witness walks
+    its sieves, so the scan stops at the first failing cover however wide p
+    is; families in lexicographic order, one index of F(p) per cover.  With
+    an empty cut the first cover is the empty sieve, whose one family, the
+    empty one, has every value at p as an amalgamation."""
     poset = presheaf.poset
     down = poset.down_masks
     cut = _mask(topology.subset) & down[p]
@@ -504,8 +504,7 @@ def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | N
             "family": {},
             "amalgamations": list(range(presheaf.sizes[p])),
         }
-    covers = _downset_masks(poset, down[p], DEFAULT_FRAME_CAP, _down_closure(down, cut))
-    for elems in sorted(map(_bits, covers)):
+    for elems in map(_bits, _sieves_between(down, _down_closure(down, cut), down[p])):
         index = _restriction_index(presheaf, p, elems)
         for family in _matching_tuples(presheaf, elems):
             hits = index.get(family, [])

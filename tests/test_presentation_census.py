@@ -1,7 +1,8 @@
 """Every lawful nucleus, congruence and sublocale on a catalog frame is the
 form of exactly one generating subset X, so there are 2^n of each and the
-constructors' NotSubsetGeneratedError branch is unreachable.  Every unlawful
-one is rejected by its law scan, which runs once per rejected document."""
+constructors' subset fallback, the kind's error with law "subset" after a
+clean law scan, is unreachable.  Every unlawful one is rejected by its law
+scan, which runs once per rejected document."""
 
 from collections import Counter
 from itertools import product

@@ -3,10 +3,12 @@ is a deliberate edit of this list; and the frozenset layer, the constant
 predicates, the set fixpoint of the order relation, the frame quotient, the
 second presheaf reader, the all-pairs naturality scan and the subcanonicity
 entry points that a closed form answers, the pair check and amalgamation
-search beside the matching-family kernel, and the error only that search
-raised, which left the library and must resolve nowhere, in the code or in
-the README; ``sheaves`` reads the order through masks only; and the
-readers find labels in the poset's one label table."""
+search beside the matching-family kernel, the error only that search
+raised, and the error of a lawful presentation that no subset generates,
+which the normal form rules out, all of which left the library and must
+resolve nowhere, in the code or in the README; ``sheaves`` reads the order
+through masks only; and the readers find labels in the poset's one label
+table."""
 
 import re
 import types
@@ -53,7 +55,7 @@ REMOVED = (
     "_read_in_bulk", "naturality_failure", "representable_is_sheaf",
     "subset_subcanonicity_witnesses", "canonical_constructors",
     "amalgamations", "matching_violation", "_extend_families", "NotMatchingError",
-    "_Closures", "_closure_of", "_downset_counter",
+    "_Closures", "_closure_of", "_downset_counter", "NotSubsetGeneratedError",
 )
 
 REMOVED_ATTRIBUTES = (

@@ -10,6 +10,7 @@ from conftest import (
     all_subsets,
     cut_tops_oracle,
     down_set,
+    fan,
     functoriality_scan_oracle,
     matching_families_oracle,
     sheaf_scan_oracle,
@@ -32,6 +33,8 @@ from sitecalc import (
     restrict_presheaf,
     subset_topology,
 )
+from sitecalc import poset as poset_module
+from sitecalc import sites
 from sitecalc.poset import _bits
 from sitecalc.sheaves import _matching_tuples
 
@@ -131,6 +134,37 @@ def test_large_bottom_value_set_on_chain2():
     assert time.perf_counter() - start < 2.0
     assert not check.ok
     assert check.witness == {"p": "1", "cover": ["0"], "family": {"0": 2}, "amalgamations": []}
+
+
+def _fan_with_two_values_on_top(k):
+    """fan(k), one value on each atom and two on the top, under J({t0}):
+    the top's first cover, {t0}, has a family with two amalgamations."""
+    poset = fan(k)
+    presheaf = Presheaf(poset, [1] * k + [2], {(i, k): (0, 0) for i in range(k)})
+    return presheaf, subset_topology(poset, {0})
+
+
+def _listing_forbidden(*args):
+    raise AssertionError("the sieves on an element were listed")
+
+
+@pytest.mark.parametrize("k", [20, 24])
+def test_wide_element_witness_walks_from_the_least_cover(k, monkeypatch):
+    """The top of fan(k) has 2^k + 1 sieves; the witness is the first cover
+    of the walk, read with the down-set listing refused in every module
+    that holds it."""
+    presheaf, topology = _fan_with_two_values_on_top(k)
+    for module in (sites, poset_module, sitecalc.sheaves):
+        if hasattr(module, "_downset_masks"):
+            monkeypatch.setattr(module, "_downset_masks", _listing_forbidden)
+    assert is_sheaf(presheaf, topology).witness == {
+        "p": "top", "cover": ["t0"], "family": {"t0": 0}, "amalgamations": [0, 1]
+    }
+
+
+def test_wide_element_witness_matches_the_all_covers_scan():
+    presheaf, topology = _fan_with_two_values_on_top(8)
+    assert is_sheaf(presheaf, topology) == sheaf_scan_oracle(presheaf, topology)
 
 
 def test_identity_restriction_is_cached():

@@ -207,12 +207,37 @@ except NotAFrameMorphismError as err:
 """
 
 
-def test_factorization_checks_survive_optimization():
+BROKEN_GENERATOR = """
+from sitecalc import NotANucleusError, Nucleus, catalog_poset, enumerate_downsets, localic
+from sitecalc import nucleus_from_topology, subset_topology
+
+p = catalog_poset("chain2")
+frame = enumerate_downsets(p)
+table = nucleus_from_topology(subset_topology(p, {0}), frame).table
+localic.Nucleus._generate = staticmethod(lambda frame, subset: ())
+try:
+    Nucleus(frame, table)
+except NotANucleusError as err:
+    print(err.witness["law"], err.witness["subset"])
+"""
+
+
+def _run_optimized(script: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(sitecalc.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", BROKEN_KERNEL],
+        [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "preimage"
+    return done.stdout.strip()
+
+
+def test_factorization_checks_survive_optimization():
+    assert _run_optimized(BROKEN_KERNEL) == "preimage"
+
+
+def test_presentation_subset_fallback_survives_optimization():
+    """A lawful table that a faulty ``_generate`` no longer matches passes
+    the law scan and is still rejected, by the kind's own error."""
+    assert _run_optimized(BROKEN_GENERATOR) == "subset ['0']"
