@@ -28,7 +28,6 @@ from .poset import (
     FinitePoset,
     _LabelRows,
     _Text,
-    enumerate_downsets,
     export_dot,
     parse_poset,
     subset_of_labels,
@@ -176,10 +175,12 @@ def _embeds(given: object, doc: object) -> bool:
 
 
 def _load_topology(path: str, poset: FinitePoset, given: object) -> sites.GrothTopology:
-    """The topology in the file, on ``poset`` itself when the document
-    embeds ``given``."""
+    """The topology in the file, read on ``poset`` when the document names
+    it; a document with no ``poset`` field is left to its reader."""
     doc = _load_json(path)
-    return sites.GrothTopology.from_json(doc, poset if _embeds(given, doc) else None)
+    _require_document_poset(poset, given, doc)
+    named = isinstance(doc, dict) and "poset" in doc
+    return sites.GrothTopology.from_json(doc, poset if named else None)
 
 
 def _split_elements(poset: FinitePoset, raw: str) -> frozenset[int]:
@@ -230,10 +231,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _require_document_poset(poset: FinitePoset, given: object, doc: object) -> None:
-    """PosetMismatchError when a presentation or presheaf document names a
-    poset other than ``--poset``, whose JSON document is ``given``.  The
-    document's poset is read unless it :func:`_embeds` ``given``; a document
-    with no ``poset`` field is left to its reader."""
+    """PosetMismatchError when a topology, presentation or presheaf document
+    names a poset other than ``--poset``, whose JSON document is ``given``.
+    The document's poset is read unless it :func:`_embeds` ``given``; a
+    document with no ``poset`` field is left to its reader."""
     if not isinstance(doc, dict) or "poset" not in doc or _embeds(given, doc):
         return
     own = FinitePoset.from_json(doc["poset"])
@@ -250,10 +251,9 @@ def _require_document_poset(poset: FinitePoset, given: object, doc: object) -> N
 
 def _cmd_convert(args) -> int:
     poset, given = _read_poset(args.poset)
-    frame = enumerate_downsets(poset)
     if args.to is not None:
         topology = _load_topology(args.topology, poset, given)
-        view = localic.nucleus_from_topology(topology, frame)
+        view = localic.nucleus_from_topology(topology)
         if args.to == "congruence":
             view = localic.congruence_from_nucleus(view)
         elif args.to == "sublocale":
@@ -263,11 +263,11 @@ def _cmd_convert(args) -> int:
     doc = _load_json(args.input)
     _require_document_poset(poset, given, doc)
     if args.from_ == "nucleus":
-        nucleus = localic.Nucleus.from_json(doc, frame)
+        nucleus = localic.Nucleus.from_json(doc, poset)
     elif args.from_ == "congruence":
-        nucleus = localic.nucleus_from_congruence(localic.Congruence.from_json(doc, frame))
+        nucleus = localic.nucleus_from_congruence(localic.Congruence.from_json(doc, poset))
     else:
-        nucleus = localic.nucleus_from_sublocale(localic.Sublocale.from_json(doc, frame))
+        nucleus = localic.nucleus_from_sublocale(localic.Sublocale.from_json(doc, poset))
     _emit(localic.topology_from_nucleus(nucleus)._json(_LabelRows(poset.labels, text=True)))
     return 0
 

@@ -5,10 +5,12 @@ nuclei, congruences and sublocales of D(P) are in bijection with
 topologies, so each presentation is X as well.  Nuclei, congruences and
 sublocales are stored, like topologies, as their frame and X; the lookup
 table, the partition and the member set are views built from X on first
-read and then kept.  All three views read one kernel, the fibres of
-d -> d & X.  The nucleus j of J(X), d -> {p : X & down(p) <= d}, depends
-only on the cut d & X and keeps it, so j(d) is the greatest down-set in
-d's fibre:
+read and then kept.  The frame is the poset's one D(P), built once; only
+the constructors, whose ids it numbers, are given it, and the JSON readers
+take a poset as every reader does.  All three views read one kernel, the
+fibres of d -> d & X.  The nucleus j of J(X), d -> {p : X & down(p) <= d},
+depends only on the cut d & X and keeps it, so j(d) is the greatest
+down-set in d's fibre:
 
 - the nucleus sends each down-set to the greatest member of its fibre.
 - the congruence is the partition into fibres.
@@ -46,7 +48,6 @@ from .errors import (
     NotASublocaleError,
     NotSurjectiveError,
     ParseError,
-    PosetMismatchError,
 )
 from .poset import (
     DownSetFrame,
@@ -249,9 +250,10 @@ class Nucleus(_Presentation):
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Nucleus":
+    def from_json(cls, doc: dict, poset: FinitePoset | None = None) -> "Nucleus":
         pairs = _json_list(doc, "pairs", "nucleus")
-        frame = frame if frame is not None else frame_for_json(doc)
+        poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
+        frame = enumerate_downsets(poset)
         size, unlisted = len(frame), object()
         table = [unlisted] * size
         for pair in pairs:
@@ -388,13 +390,14 @@ class Congruence(_Presentation):
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Congruence":
+    def from_json(cls, doc: dict, poset: FinitePoset | None = None) -> "Congruence":
         """A class that is not a list, or a listed member that is not an int,
         is a ParseError, and it outranks every NotACongruenceError of the
         constructor.  The check looks at the list because the constructor's
         sets merge 2.0 into 2."""
         classes = _json_list(doc, "classes", "congruence")
-        frame = frame if frame is not None else frame_for_json(doc)
+        poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
+        frame = enumerate_downsets(poset)
         for c in classes:
             if not (isinstance(c, list) and all(isinstance(a, int) for a in c)):
                 raise ParseError(f"class {c!r} is not a list of ids", witness={"class": c})
@@ -480,34 +483,21 @@ class Sublocale(_Presentation):
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict, frame: DownSetFrame | None = None) -> "Sublocale":
+    def from_json(cls, doc: dict, poset: FinitePoset | None = None) -> "Sublocale":
         members = _json_list(doc, "members", "sublocale")
         for i in members:
             if not isinstance(i, int):
                 raise ParseError(f"member {i!r} is not an id", witness={"member": i})
-        frame = frame if frame is not None else frame_for_json(doc)
-        return cls(frame, members)
-
-
-def frame_for_json(doc: dict) -> DownSetFrame:
-    return enumerate_downsets(FinitePoset.from_json(doc.get("poset")))
+        poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
+        return cls(enumerate_downsets(poset), members)
 
 
 # -- conversions between the four presentations ----------------------------
 
 
-def _topology_frame(topology: GrothTopology, frame: DownSetFrame | None) -> DownSetFrame:
-    frame = frame if frame is not None else enumerate_downsets(topology.poset)
-    if frame.poset != topology.poset:
-        raise PosetMismatchError("topology and frame live on different posets")
-    return frame
-
-
-def nucleus_from_topology(
-    topology: GrothTopology, frame: DownSetFrame | None = None
-) -> Nucleus:
+def nucleus_from_topology(topology: GrothTopology) -> Nucleus:
     """Send a down-set to the elements whose cut along it is a cover."""
-    return Nucleus._trusted(_topology_frame(topology, frame), topology.subset)
+    return Nucleus._trusted(enumerate_downsets(topology.poset), topology.subset)
 
 
 def topology_from_nucleus(nucleus: Nucleus) -> GrothTopology:
@@ -535,11 +525,9 @@ def nucleus_from_sublocale(sublocale: Sublocale) -> Nucleus:
     return Nucleus._trusted(sublocale.frame, sublocale.subset)
 
 
-def congruence_from_topology(
-    topology: GrothTopology, frame: DownSetFrame | None = None
-) -> Congruence:
+def congruence_from_topology(topology: GrothTopology) -> Congruence:
     """Relate two down-sets when they cut to covers at exactly the same elements."""
-    return Congruence._trusted(_topology_frame(topology, frame), topology.subset)
+    return Congruence._trusted(enumerate_downsets(topology.poset), topology.subset)
 
 
 def topology_from_congruence(congruence: Congruence) -> GrothTopology:
@@ -547,11 +535,9 @@ def topology_from_congruence(congruence: Congruence) -> GrothTopology:
     return GrothTopology(congruence.frame.poset, congruence.subset)
 
 
-def sublocale_from_topology(
-    topology: GrothTopology, frame: DownSetFrame | None = None
-) -> Sublocale:
+def sublocale_from_topology(topology: GrothTopology) -> Sublocale:
     """Members are the down-sets containing every element they cover."""
-    return Sublocale._trusted(_topology_frame(topology, frame), topology.subset)
+    return Sublocale._trusted(enumerate_downsets(topology.poset), topology.subset)
 
 
 def topology_from_sublocale(sublocale: Sublocale) -> GrothTopology:
@@ -569,9 +555,7 @@ class SubsetForms:
     sublocale: Sublocale
 
 
-def subset_forms(
-    poset: FinitePoset, subset: Iterable[int], frame: DownSetFrame | None = None
-) -> SubsetForms:
+def subset_forms(poset: FinitePoset, subset: Iterable[int]) -> SubsetForms:
     """The nucleus, congruence, and sublocale generated by a subset.
 
     The congruence identifies down-sets with equal subset cut; the nucleus
@@ -579,7 +563,7 @@ def subset_forms(
     from the subset; the sublocale collects those greatest members.
     """
     topology = GrothTopology(poset, subset)
-    frame = _topology_frame(topology, frame)
+    frame = enumerate_downsets(poset)
     return SubsetForms(
         *(cls._trusted(frame, topology.subset) for cls in (Nucleus, Congruence, Sublocale))
     )
@@ -596,9 +580,7 @@ class SublocaleFrameIso:
     backward: dict  # sub-frame id -> member id
 
 
-def mx_frame_isomorphism(
-    poset: FinitePoset, subset: Iterable[int], frame: DownSetFrame | None = None
-) -> SublocaleFrameIso:
+def mx_frame_isomorphism(poset: FinitePoset, subset: Iterable[int]) -> SublocaleFrameIso:
     """The isomorphism between the sublocale of J(X) and D(X), the down-set
     frame of X as an induced subposet, in closed form.
 
@@ -609,12 +591,12 @@ def mx_frame_isomorphism(
     inverse; meets of members are intersections and joins are j of unions,
     so both are preserved.
     """
-    frame = frame if frame is not None else enumerate_downsets(poset)
-    forms = subset_forms(poset, subset, frame)
+    forms = subset_forms(poset, subset)
+    frame = forms.nucleus.frame
     elems = sorted(forms.nucleus.subset)
-    sub = enumerate_downsets(poset.induced(elems))
-    cut = restriction_frame_map(frame, elems, sub).table
-    forward = {m: cut[m] for m in sorted(forms.sublocale.members)}
+    cut = restriction_frame_map(frame, elems)
+    sub = cut.target
+    forward = {m: cut.table[m] for m in sorted(forms.sublocale.members)}
     table, index = forms.nucleus.table, frame.mask_index
     lift = [frame.principal[e] for e in elems]  # down(e) in P, by the index of e in X
     backward = {y: table[index[_down_closure(lift, mask)]] for y, mask in enumerate(sub.masks)}
@@ -678,12 +660,11 @@ def verify_commuting_diagram(poset: FinitePoset, cap: int = 4) -> DiagramReport:
     along, so this replays X round trips; the oracles that rebuild each
     presentation from cover membership alone live in the tests.
     """
-    frame = enumerate_downsets(poset)
     failures: list[str] = []
     topologies = enumerate_all_topologies(poset, cap=cap)
     for idx, topology in enumerate(topologies):
         tag = f"topology #{idx}"
-        nuc = nucleus_from_topology(topology, frame)
+        nuc = nucleus_from_topology(topology)
         if topology_from_nucleus(nuc) != topology:
             failures.append(f"{tag}: topology/nucleus round trip")
         cong = congruence_from_nucleus(nuc)
@@ -692,9 +673,9 @@ def verify_commuting_diagram(poset: FinitePoset, cap: int = 4) -> DiagramReport:
         sub = sublocale_from_nucleus(nuc)
         if nucleus_from_sublocale(sub) != nuc:
             failures.append(f"{tag}: nucleus/sublocale round trip")
-        if congruence_from_topology(topology, frame) != cong:
+        if congruence_from_topology(topology) != cong:
             failures.append(f"{tag}: congruence triangle")
-        if sublocale_from_topology(topology, frame) != sub:
+        if sublocale_from_topology(topology) != sub:
             failures.append(f"{tag}: sublocale triangle")
         if topology_from_congruence(cong) != topology:
             failures.append(f"{tag}: congruence/topology round trip")

@@ -7,11 +7,13 @@ linear extension fixed once per poset; the cover pairs and the strict
 pairs are built from the masks on first read.
 
 A down-set is an int bitmask, bit p set iff p is in it.  A
-:class:`DownSetFrame` enumerates all down-sets of a poset as masks, with
+:class:`DownSetFrame` holds all down-sets of a poset as masks, with
 stable integer ids in the order of the bit-reversed masks, which is the
 lexicographic order on characteristic vectors, so golden files stay
-byte-identical across runs.  Meets, joins and implications are computed on
-the masks; one down-set converts to a frozenset of element ids on request.
+byte-identical across runs.  D(P) depends on P alone, so the poset keeps
+its masks and ids, listed on first read, for every frame of it.  Meets,
+joins and implications are computed on the masks; one down-set converts to
+a frozenset of element ids on request.
 
 Each poset keeps one label-to-bit table, built on first use, and every
 reader of labels from outside looks them up there.  Rows of labels held as
@@ -28,9 +30,10 @@ map of the inclusion X -> P.  Only a rejected table is scanned pair by pair,
 for the witness of its first failing law.
 
 All types are immutable after construction and safe to share across
-concurrent readers.  The cover and strict pairs and the induced-subposet
-memo on :class:`FinitePoset` are write-once and idempotent, so concurrent
-recomputation is benign.
+concurrent readers.  The cover and strict pairs, the label table, D(P) and
+the induced-subposet memo on :class:`FinitePoset` are write-once and
+idempotent, so concurrent recomputation is benign.  D(P) is kept as ints,
+not as a frame, which would point back at the poset in a reference cycle.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .errors import (
     NotOrderIsomorphismError,
     NotOrderMorphismError,
     ParseError,
-    PosetMismatchError,
 )
 
 DEFAULT_FRAME_CAP = 2**20
@@ -69,12 +71,12 @@ class FinitePoset:
     only: ``up_masks`` and ``down_masks``, the mask of each element's up-set
     and down-set, with ``linear_extension``, the elements ordered by
     (|down(e)|, e), so every element comes after those below it.  The
-    label-to-bit table that :meth:`index_of` reads is built on first use.
+    label table of :meth:`index_of` and D(P) are built on first use.
     """
 
     __slots__ = (
         "n", "labels", "up_masks", "down_masks", "linear_extension",
-        "_hasse", "_strict", "_induced_cache", "_hash", "_bits",
+        "_hasse", "_strict", "_induced_cache", "_hash", "_bits", "_frame",
     )
 
     def __init__(self, labels: int | Sequence[str], pairs: Iterable[Sequence[int]] = ()):
@@ -144,6 +146,7 @@ class FinitePoset:
         self._induced_cache: dict[tuple[int, ...], FinitePoset] = {}
         self._hash = hash((self.labels, self.up_masks))
         self._bits: dict[str, int] | None = None
+        self._frame: tuple[tuple[int, ...], dict[int, int]] | None = None
 
     # -- order queries -------------------------------------------------
 
@@ -520,39 +523,21 @@ class DownSetFrame:
     ``masks`` holds the down-sets by id, ``mask_index`` maps a mask back to
     its id and ``principal`` holds the mask of each principal down-set; the
     frame operations run on these alone.  ``downset(i)`` converts one mask
-    to a frozenset.  Masks given to the constructor must be exactly D(P) in
-    id order; :func:`enumerate_downsets` builds them so and skips the check.
+    to a frozenset.  The masks and ids are the poset's own, listed by its
+    first frame; FrameTooLargeError names ``cap`` when D(P) holds more
+    down-sets.  Frames are equal when their posets are.
     """
 
     __slots__ = ("poset", "masks", "mask_index", "principal")
 
-    def __init__(self, poset: FinitePoset, masks: Sequence[int]):
-        masks = tuple(masks)
-        expected = _downset_masks(poset, (1 << poset.n) - 1, DEFAULT_FRAME_CAP)
-        for i, (m, e) in enumerate(zip(masks, expected)):
-            if type(m) is not int or m != e:
-                raise PosetMismatchError(
-                    f"mask {m!r} at id {i} is not the down-set that D(P) lists there",
-                    witness={"id": i, "mask": m if type(m) is int else repr(m)},
-                )
-        if len(masks) != len(expected):
-            raise PosetMismatchError(
-                f"{len(masks)} masks for the {len(expected)} down-sets of the poset",
-                witness={"masks": len(masks), "downsets": len(expected)},
-            )
-        self._fill(poset, masks)
-
-    @classmethod
-    def _trusted(cls, poset: FinitePoset, masks: Sequence[int]) -> "DownSetFrame":
-        """The frame on ``masks``, which must be D(P) in id order, unchecked."""
-        out = cls.__new__(cls)
-        out._fill(poset, tuple(masks))
-        return out
-
-    def _fill(self, poset: FinitePoset, masks: tuple[int, ...]) -> None:
+    def __init__(self, poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP):
+        if poset._frame is None:
+            masks = tuple(_downset_masks(poset, (1 << poset.n) - 1, cap))
+            poset._frame = masks, dict(zip(masks, range(len(masks))))
+        elif len(poset._frame[0]) > cap:
+            raise FrameTooLargeError(f"more than {cap} down-sets", witness={"cap": cap})
         self.poset = poset
-        self.masks = masks
-        self.mask_index = dict(zip(masks, range(len(masks))))
+        self.masks, self.mask_index = poset._frame
         self.principal = poset.down_masks
 
     def __len__(self) -> int:
@@ -604,14 +589,10 @@ class DownSetFrame:
         return self.mask_index[out]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DownSetFrame)
-            and self.poset == other.poset
-            and self.masks == other.masks
-        )
+        return isinstance(other, DownSetFrame) and self.poset == other.poset
 
     def __hash__(self) -> int:
-        return hash((self.poset, self.masks))
+        return hash(self.poset)
 
     def _json(self, rows: _LabelRows) -> dict:
         """The JSON form, with the down-sets as ``rows`` writes them."""
@@ -622,8 +603,8 @@ class DownSetFrame:
 
 
 def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> DownSetFrame:
-    """Materialize D(P) with stable ids; FrameTooLargeError beyond ``cap``."""
-    return DownSetFrame._trusted(poset, _downset_masks(poset, (1 << poset.n) - 1, cap))
+    """D(P) with stable ids; FrameTooLargeError beyond ``cap``."""
+    return DownSetFrame(poset, cap)
 
 
 # -- Heyting structure --------------------------------------------------
@@ -763,14 +744,11 @@ def upper_adjoint(f: FrameMap) -> FrameMap:
     return FrameMap(tgt, src, table)
 
 
-def restriction_frame_map(
-    frame: DownSetFrame, subset: Iterable[int], sub_frame: DownSetFrame | None = None
-) -> FrameMap:
+def restriction_frame_map(frame: DownSetFrame, subset: Iterable[int]) -> FrameMap:
     """The frame surjection D(P) -> D(X) given by A |-> A & X: the preimage
     map of the inclusion X -> P, X renumbered in index order."""
     elems = sorted(set(subset))
-    if sub_frame is None:
-        sub_frame = enumerate_downsets(frame.poset.induced(elems))
+    sub_frame = enumerate_downsets(frame.poset.induced(elems))
     fibres = [0] * frame.poset.n
     for k, e in enumerate(elems):
         fibres[e] = 1 << k

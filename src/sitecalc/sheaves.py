@@ -52,6 +52,7 @@ from .sites import (
 
 DEFAULT_ELEMENT_CAP = 3
 DEFAULT_VALUE_CAP = 2
+VALUE_BUDGET = 2**16  # values summed over P; sheaf checks read each value set
 
 
 class Presheaf:
@@ -60,7 +61,8 @@ class Presheaf:
     ``sizes[p]`` is the cardinality of the value at ``p``; ``maps[(q, p)]``
     (for each strict comparable pair) sends values at ``p`` down to values
     at ``q``.  Construction checks the laws: every size is an exact ``int``
-    of at least 0, each strict pair has one list or tuple of exact ``int``s
+    of at least 0, the sizes sum to at most :data:`VALUE_BUDGET` (else a
+    TooLargeError), each strict pair has one list or tuple of exact ``int``s
     that is a function between the value sets, no other key is given, and
     composition holds.  The private :meth:`_trusted`, which the library's
     own functorial-by-construction builders use, skips the check.
@@ -78,6 +80,7 @@ class Presheaf:
         if len(sizes) != poset.n or not set(map(type, sizes)) <= {int} or min(sizes, default=0) < 0:
             witness = dict(zip(poset.labels, sizes)) if len(sizes) == poset.n else list(sizes)
             raise ParseError(f"bad value sizes {sizes}", witness={"sizes": witness})
+        _spend_values(sizes)
         tables = _functor_tables(poset, sizes, maps)
         if tables is None:
             tables = _scanned_tables(poset, sizes, maps)
@@ -145,7 +148,8 @@ class Presheaf:
         straight to the functor check, and a document it declines is read key
         by key, so that its ParseError comes first, and then scanned law by
         law for the first failure; any other document is read key by key and
-        checked by the constructor."""
+        checked by the constructor.  Either way sizes past the budget are
+        refused before the functor laws are checked."""
         if not isinstance(doc, dict):
             raise ParseError("presheaf JSON must be an object", witness={"document": doc})
         poset = poset if poset is not None else FinitePoset.from_json(doc.get("poset"))
@@ -173,6 +177,7 @@ class Presheaf:
         maps = dict(zip(map(names.get, tables), tables.values()))
         named = None not in maps and min(sizes, default=0) >= 0
         if named:
+            _spend_values(sizes)
             functor = _functor_tables(poset, sizes, maps)
             if functor is not None:
                 return cls._trusted(poset, sizes, functor)
@@ -190,6 +195,16 @@ class Presheaf:
         if named:  # the sizes are sound and these are the tables the functor check declined
             return cls._trusted(poset, sizes, _scanned_tables(poset, sizes, maps))
         return cls(poset, sizes, maps)
+
+
+def _spend_values(sizes: Sequence[int]) -> None:
+    """TooLargeError when sizes, exact ints of at least 0, pass the budget."""
+    spent = sum(sizes)
+    if spent > VALUE_BUDGET:
+        raise TooLargeError(
+            f"{spent} values exceed the budget of {VALUE_BUDGET}",
+            witness={"phase": "values", "budget": VALUE_BUDGET, "spent": spent},
+        )
 
 
 def _functor_tables(

@@ -186,7 +186,7 @@ def test_criterion_7_dense_is_double_negation():
         table = [frame.id_of(double_negation(poset, d)) for d in frame_downsets(frame)]
         nucleus = Nucleus(frame, table)  # validated as input from outside
         assert nucleus.subset == poset.minimal_elements(), name
-        assert nucleus == nucleus_from_topology(dense, frame), name
+        assert nucleus == nucleus_from_topology(dense), name
         assert topology_from_nucleus(nucleus) == dense, name
     print(
         "\nACCEPTANCE 7 PASS: the frozenset double-negation table, validated as "
@@ -198,12 +198,12 @@ def test_criterion_8_generating_subset_extraction():
     for name, poset in CATALOG.items():
         frame = enumerate_downsets(poset)
         for x in all_subsets(poset.n):
-            forms = subset_forms(poset, x, frame)
+            forms = subset_forms(poset, x)
             assert Congruence(frame, forms.congruence.classes).subset == x, (name, x)
         for topology in enumerate_all_topologies(poset):
-            cong = congruence_from_topology(topology, frame)
+            cong = congruence_from_topology(topology)
             outside = Congruence(frame, cong.classes)  # validated as input from outside
-            rebuilt = subset_forms(poset, outside.subset, frame).congruence
+            rebuilt = subset_forms(poset, outside.subset).congruence
             assert outside == rebuilt == cong, name
     print(
         "\nACCEPTANCE 8 PASS: the subset read off the classes of every subset "

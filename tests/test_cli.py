@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,12 @@ from sitecalc import (
     Presheaf,
     catalog_poset,
     congruence_from_nucleus,
-    enumerate_downsets,
     nucleus_from_topology,
     sublocale_from_nucleus,
     subset_topology,
 )
 from sitecalc.cli import main
+from sitecalc.sheaves import VALUE_BUDGET
 
 V_TEXT = "elements: x y z\nle: y x\nle: z x\n"
 CHAIN2_TEXT = "elements: 0 1\nle: 0 1\n"
@@ -466,14 +467,65 @@ def test_malformed_topology_json_is_a_parse_error(capsys, tmp_path, chain2_file,
 
 @pytest.mark.parametrize(
     "argv",
-    [["subcanonical"], ["convert", "--to", "nucleus"], ["convert", "--to", "sublocale"]],
+    [
+        ["subcanonical"],
+        ["convert", "--to", "nucleus"],
+        ["convert", "--to", "sublocale"],
+        ["sheaf", "check", "--presheaf"],
+    ],
 )
 def test_topology_on_another_poset_is_a_mismatch(capsys, tmp_path, v_file, chain2_file, argv):
+    """A topology document on another poset than ``--poset`` names the first
+    difference, as a presentation or presheaf document does."""
     path = tmp_path / "v.json"
     path.write_text(json.dumps(_topology_doc(capsys, v_file, "y")))
+    presheaf = tmp_path / "presheaf.json"
+    presheaf.write_text(json.dumps(CHAIN2_PRESHEAF))
+    if argv[-1] == "--presheaf":
+        argv = [*argv, str(presheaf)]
     code, out = run(capsys, *argv, "--poset", chain2_file, "--topology", str(path))
     assert code == 1
-    assert _error(out)["code"] == "PosetMismatchError"
+    error = _error(out)
+    assert (error["code"], error["witness"]) == (
+        "PosetMismatchError", {"document": ["x", "y", "z"], "poset": ["0", "1"]}
+    )
+
+
+@pytest.mark.parametrize(
+    "poset_text, subset, values, maps",
+    [
+        (V_TEXT, "x", {"x": 2, "y": 2**70, "z": 2}, {"y<=x": [1, 1], "z<=x": [1, 1]}),
+        (
+            "elements: bot a b top\nle: bot a\nle: bot b\nle: a top\nle: b top\n",
+            "bot,a,b",
+            {"bot": 10**6, "a": 1, "b": 1, "top": 1},
+            {"bot<=a": [0], "bot<=b": [0], "bot<=top": [0], "a<=top": [0], "b<=top": [0]},
+        ),
+    ],
+    ids=["V-huge-value-set", "diamond-long-minimal-value-set"],
+)
+def test_presheaf_past_the_value_budget_is_refused(
+    capsys, tmp_path, poset_text, subset, values, maps
+):
+    """Value sets summing past the budget end in TooLargeError at once: a
+    size of 2**70 once ended in an OverflowError traceback, and the verdict
+    read every value of a minimal element, 10**6 of them here."""
+    poset_file = tmp_path / "p.poset"
+    poset_file.write_text(poset_text)
+    topology = tmp_path / "topology.json"
+    topology.write_text(json.dumps(_topology_doc(capsys, str(poset_file), subset)))
+    presheaf = tmp_path / "presheaf.json"
+    presheaf.write_text(json.dumps({"values": values, "maps": maps}))
+    argv = ["--poset", str(poset_file), "--topology", str(topology), "--presheaf", str(presheaf)]
+    start = time.perf_counter()
+    code, out = run(capsys, "sheaf", "check", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    error = _error(out)
+    spent = sum(values.values())
+    assert (error["code"], error["witness"]) == (
+        "TooLargeError", {"phase": "values", "budget": VALUE_BUDGET, "spent": spent}
+    )
 
 
 ANTICHAIN_PQ = FinitePoset(["p", "q"])  # 4 down-sets
@@ -625,14 +677,15 @@ def test_presheaf_parse_errors_carry_labelled_witnesses(
 
 
 # Integers reach 10,000: on chain2, is_sheaf is linear in the value-set
-# sizes, and 10,000 values at each element take about 3 ms.  Sizes of 10^6
-# are still left out: is_sheaf has no work budget yet, and its separation
-# test alone would hold one restriction key per value of F(s), about 80 MB
-# (10 MB at 10^5).
+# sizes, and 10,000 values at each element take about 3 ms.  The value
+# budget's first refused total and 2**70, which once ended in an
+# OverflowError traceback, are drawn as well; sizes between are refused
+# like them.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(min_value=-3, max_value=10_000)
+    | st.sampled_from([VALUE_BUDGET + 1, 2**70])
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -644,8 +697,7 @@ def _fuzz_documents():
     """A valid document of each kind on chain2, and the CLI verb that reads it."""
     chain2 = catalog_poset("chain2")
     topology = subset_topology(chain2, {0})
-    frame = enumerate_downsets(chain2)
-    nucleus = nucleus_from_topology(topology, frame)
+    nucleus = nucleus_from_topology(topology)
     presentations = {
         "nucleus": nucleus,
         "congruence": congruence_from_nucleus(nucleus),

@@ -137,7 +137,7 @@ def test_no_pairwise_scan_runs_on_accepted_maps(monkeypatch):
     assert frame_morphism_violation(f) is None
     g = upper_adjoint(f)
     witness = homomorphism_factorization(f)
-    forms = subset_forms(poset, evens, frame)
+    forms = subset_forms(poset, evens)
     assert tuple(g.table[t] for t in f.table) == forms.nucleus.table
     assert witness.kernel == forms.congruence
     assert all(f.table[a] == witness.iso[c] for a, c in enumerate(forms.congruence.class_of))

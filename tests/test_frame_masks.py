@@ -24,17 +24,26 @@ from hypothesis import strategies as st
 
 from sitecalc import (
     CATALOG_NAMES,
+    Congruence,
     DownSetFrame,
     FinitePoset,
     GrothTopology,
+    Nucleus,
+    Sublocale,
     catalog,
+    congruence_from_topology,
     discrete_topology,
     enumerate_downsets,
+    mx_frame_isomorphism,
+    nucleus_from_topology,
+    sublocale_from_topology,
+    subset_forms,
     subset_topology,
 )
 from sitecalc import poset as poset_module
+from sitecalc import sites
 from sitecalc.cli import main
-from sitecalc.errors import FrameTooLargeError, PosetMismatchError
+from sitecalc.errors import FrameTooLargeError
 from sitecalc.poset import _bits, _down_closure, _downset_masks, _mask
 from sitecalc.sites import _sieves_between
 
@@ -146,42 +155,52 @@ def test_frame_listing_reads_every_mask(poset):
     assert len({id(row) for row in listing}) == len(listing)
 
 
-@pytest.mark.parametrize(
-    "masks, witness",
-    [
-        ([0, 2, 3], {"id": 1, "mask": 2}),
-        ([0, 3], {"id": 1, "mask": 3}),
-        ([0, 3, 1], {"id": 1, "mask": 3}),
-        ([0, True, 3], {"id": 1, "mask": "True"}),
-        ([0, 1, 3, 3], {"masks": 4, "downsets": 3}),
-        ([], {"masks": 0, "downsets": 3}),
-    ],
-    ids=["not-a-downset", "missing", "out-of-order", "bool", "extra", "empty"],
-)
-def test_frame_constructor_takes_exactly_the_downsets(masks, witness):
-    """Masks that are not D(P) in id order name the first offending one; on
-    [0, 3] the identity map used to end in a bare KeyError."""
-    chain2 = catalog()["chain2"]
-    with pytest.raises(PosetMismatchError) as err:
-        DownSetFrame(chain2, masks)
-    assert err.value.witness == witness
-    assert DownSetFrame(chain2, [0, 1, 3]) == enumerate_downsets(chain2)
+def test_downsets_are_listed_once_per_poset(monkeypatch):
+    """D(P) depends on P alone: every frame of one poset, from the
+    enumerator, the conversions, the readers and the closed forms, reads
+    the masks listed by its first, and they all compare equal."""
+    p = fence(6)
+    built = []
 
+    def counted(poset, *args):
+        if poset is p:
+            built.append(args)
+        return listing(poset, *args)
 
-def test_enumerated_frames_skip_the_constructor_check(monkeypatch):
-    def refuse(self, poset, masks):
-        raise AssertionError("the checking constructor ran")
-
-    monkeypatch.setattr(DownSetFrame, "__init__", refuse)
-    assert len(enumerate_downsets(antichain(5))) == 32
+    listing = poset_module._downset_masks
+    for module in (poset_module, sites):
+        monkeypatch.setattr(module, "_downset_masks", counted)
+    x = frozenset({0, 3, 4})
+    t = subset_topology(p, x)
+    forms = subset_forms(p, x)
+    frames = [
+        enumerate_downsets(p),
+        nucleus_from_topology(t).frame,
+        congruence_from_topology(t).frame,
+        sublocale_from_topology(t).frame,
+        forms.nucleus.frame,
+        Nucleus.from_json(forms.nucleus.to_json(), p).frame,
+        Congruence.from_json(forms.congruence.to_json(), p).frame,
+        Sublocale.from_json(forms.sublocale.to_json(), p).frame,
+        mx_frame_isomorphism(p, x).sublocale.frame,
+    ]
+    assert len(built) == 1
+    assert all(frame == frames[0] and frame.masks is frames[0].masks for frame in frames)
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])
 def test_frame_cap_is_exact(k):
+    """The cap holds on the first frame of a poset, which lists D(P), and on
+    every later one, which reads the masks the poset kept."""
     with pytest.raises(FrameTooLargeError) as err:
         enumerate_downsets(antichain(k), cap=2**k - 1)
     assert err.value.witness == {"cap": 2**k - 1}
-    assert len(enumerate_downsets(antichain(k), cap=2**k)) == 2**k
+    poset = antichain(k)
+    assert len(enumerate_downsets(poset, cap=2**k)) == 2**k
+    with pytest.raises(FrameTooLargeError) as err:
+        DownSetFrame(poset, 2**k - 1)
+    assert err.value.witness == {"cap": 2**k - 1}
+    assert DownSetFrame(poset, 2**k) == enumerate_downsets(poset)
 
 
 @pytest.mark.parametrize("members", [{1}, {2}, {-1}, {0, -1}, {10**9}, {"a"}])

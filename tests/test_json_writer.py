@@ -187,7 +187,7 @@ def test_rows_from_masks_write_the_bytes_of_the_plain_documents(name):
     for xs in (range(0), range(1, poset.n, 3), range(poset.n)):
         topology = subset_topology(poset, xs)
         assert _dumps(topology._json(_text(poset))) == reference(topology.to_json())
-        forms = subset_forms(poset, xs, frame)
+        forms = subset_forms(poset, xs)
         for form in (forms.nucleus, forms.congruence, forms.sublocale):
             assert _dumps(form._json(_text(poset))) == reference(form.to_json())
 

@@ -67,15 +67,15 @@ def _identity_nucleus(frame):
 def test_nucleus_of_extreme_topologies(catalog_pair):
     _, p = catalog_pair
     frame = enumerate_downsets(p)
-    assert nucleus_from_topology(indiscrete_topology(p), frame) == _identity_nucleus(frame)
-    dis = nucleus_from_topology(discrete_topology(p), frame)
+    assert nucleus_from_topology(indiscrete_topology(p)) == _identity_nucleus(frame)
+    dis = nucleus_from_topology(discrete_topology(p))
     assert dis.table == (frame.top_id,) * len(frame)
 
 
 def test_nucleus_example_on_chain2():
     chain2 = catalog_poset("chain2")
     frame = enumerate_downsets(chain2)
-    nuc = nucleus_from_topology(subset_topology(chain2, {0}), frame)
+    nuc = nucleus_from_topology(subset_topology(chain2, {0}))
     assert frame.downset(nuc.table[frame.id_of({0})]) == frozenset({0, 1})
     assert frame.downset(nuc.table[frame.id_of(())]) == frozenset()
 
@@ -101,7 +101,7 @@ def test_congruence_examples():
         Nucleus(frame, (frame.top_id,) * len(frame))
     )
     assert len(total.classes) == 1
-    j0 = nucleus_from_topology(subset_topology(chain2, {0}), frame)
+    j0 = nucleus_from_topology(subset_topology(chain2, {0}))
     cong = congruence_from_nucleus(j0)
     assert set(cong.classes) == {
         frozenset({frame.id_of(frozenset())}),
@@ -155,7 +155,7 @@ def test_sublocale_witness_is_the_first_failure_in_id_order(name):
     frame = enumerate_downsets(p)
     rejected = 0
     for x in all_subsets(p.n):
-        members = sublocale_from_topology(subset_topology(p, x), frame).members
+        members = sublocale_from_topology(subset_topology(p, x)).members
         for i in range(len(frame)):
             perturbed = sorted(members ^ {i}, reverse=True)
             expected = sublocale_failure_oracle(frame, perturbed)
@@ -174,10 +174,10 @@ def test_sublocale_witness_is_the_first_failure_in_id_order(name):
 def test_subset_forms_extremes(catalog_pair):
     _, p = catalog_pair
     frame = enumerate_downsets(p)
-    full = subset_forms(p, range(p.n), frame)
+    full = subset_forms(p, range(p.n))
     assert full.nucleus == _identity_nucleus(frame)
     assert full.sublocale.members == frozenset(range(len(frame)))
-    empty = subset_forms(p, frozenset(), frame)
+    empty = subset_forms(p, frozenset())
     assert empty.nucleus.table == (frame.top_id,) * len(frame)
     assert empty.sublocale.members == frozenset({frame.top_id})
 
@@ -189,20 +189,19 @@ def test_subset_forms_fixed_points_on_chain2():
     xs = frozenset({0})
     fixed = {d for d in frame_downsets(frame) if heyting_union_oracle(chain2, xs, d) == d}
     assert fixed == {frozenset(), frozenset({0, 1})}
-    forms = subset_forms(chain2, xs, frame)
+    forms = subset_forms(chain2, xs)
     assert {frame.downset(i) for i in forms.sublocale.members} == fixed
-    assert forms.sublocale == sublocale_from_topology(subset_topology(chain2, xs), frame)
+    assert forms.sublocale == sublocale_from_topology(subset_topology(chain2, xs))
 
 
 def test_subset_forms_match_topology_conversions(catalog_pair):
     _, p = catalog_pair
-    frame = enumerate_downsets(p)
     for x in all_subsets(p.n):
-        forms = subset_forms(p, x, frame)
+        forms = subset_forms(p, x)
         j = subset_topology(p, x)
-        assert forms.nucleus == nucleus_from_topology(j, frame)
-        assert forms.congruence == congruence_from_topology(j, frame)
-        assert forms.sublocale == sublocale_from_topology(j, frame)
+        assert forms.nucleus == nucleus_from_topology(j)
+        assert forms.congruence == congruence_from_topology(j)
+        assert forms.sublocale == sublocale_from_topology(j)
         assert topology_from_nucleus(forms.nucleus) == j
 
 
@@ -210,7 +209,7 @@ def test_subset_congruence_relates_equal_cuts(catalog_pair):
     _, p = catalog_pair
     frame = enumerate_downsets(p)
     for x in all_subsets(p.n):
-        cong = subset_forms(p, x, frame).congruence
+        cong = subset_forms(p, x).congruence
         for a in range(len(frame)):
             for b in range(len(frame)):
                 assert cong.related(a, b) == (
@@ -225,7 +224,7 @@ def test_subset_nucleus_is_adjoint_composite(catalog_pair):
         f = restriction_frame_map(frame, x)
         g = upper_adjoint(f)
         composite = tuple(g.table[f.table[a]] for a in range(len(frame)))
-        assert composite == subset_forms(p, x, frame).nucleus.table
+        assert composite == subset_forms(p, x).nucleus.table
 
 
 # -- the fibres of d -> d & X ---------------------------------------------------
@@ -247,7 +246,7 @@ def test_fibre_tops_are_the_members_and_the_nucleus_values(name):
         table = nucleus_table_from_covers(j, frame)
         assert sublocale_members_from_covers(j, frame) == tops
         assert all(table[a] == max(f) for f in fibres.values() for a in f)
-        forms = subset_forms(p, x, frame)
+        forms = subset_forms(p, x)
         assert forms.nucleus.table == table
         assert forms.congruence.classes == tuple(map(frozenset, fibres.values()))
         assert forms.sublocale.members == tops
@@ -257,7 +256,7 @@ def test_fibre_tops_are_the_members_and_the_nucleus_values(name):
 def test_fibre_views_at_8192_downsets(x):
     p, x = antichain(13), frozenset(x)
     frame = enumerate_downsets(p)
-    forms = subset_forms(p, x, frame)
+    forms = subset_forms(p, x)
     classes, members = forms.congruence.classes, forms.sublocale.members
     assert len(frame) == 8192
     assert len(classes) == len(members) == 2 ** len(x)
@@ -274,9 +273,9 @@ def test_mx_frame_isomorphism(catalog_pair):
     _, p = catalog_pair
     frame = enumerate_downsets(p)
     for x in all_subsets(p.n):
-        iso = mx_frame_isomorphism(p, x, frame)
+        iso = mx_frame_isomorphism(p, x)
         assert (iso.forward, iso.backward) == sublocale_frame_iso_oracle(p, x, frame)
-        assert iso.sublocale == sublocale_from_topology(subset_topology(p, x), frame)
+        assert iso.sublocale == sublocale_from_topology(subset_topology(p, x))
         assert iso.sub_frame == enumerate_downsets(p.induced(sorted(x)))
 
 
@@ -315,9 +314,9 @@ def test_conversion_monotonicity():
         data = [
             (
                 t,
-                nucleus_from_topology(t, frame),
-                congruence_from_topology(t, frame),
-                sublocale_from_topology(t, frame),
+                nucleus_from_topology(t),
+                congruence_from_topology(t),
+                sublocale_from_topology(t),
             )
             for t in tops
         ]
@@ -338,7 +337,7 @@ def test_sublocales_closed_under_intersection():
         p = catalog_poset(name)
         frame = enumerate_downsets(p)
         subs = [
-            sublocale_from_topology(t, frame) for t in enumerate_all_topologies(p)
+            sublocale_from_topology(t) for t in enumerate_all_topologies(p)
         ]
         for s1 in subs:
             for s2 in subs:
@@ -351,9 +350,8 @@ def test_sublocales_closed_under_intersection():
 
 def test_everything_is_complete_on_finite_frames(catalog_pair):
     _, p = catalog_pair
-    frame = enumerate_downsets(p)
     for t in enumerate_all_topologies(p):
-        nuc = nucleus_from_topology(t, frame)
+        nuc = nucleus_from_topology(t)
         assert nucleus_complete_scan(nuc)
         assert congruence_complete_scan(congruence_from_nucleus(nuc))
 
@@ -377,7 +375,7 @@ def test_factorization_of_restriction():
     f = restriction_frame_map(frame, {0})
     witness = homomorphism_factorization(f)
     assert len(witness.kernel.classes) == 2 == len(f.target)
-    assert witness.kernel == subset_forms(chain2, {0}, frame).congruence
+    assert witness.kernel == subset_forms(chain2, {0}).congruence
 
 
 def test_factorization_rejects_non_surjections():
@@ -396,7 +394,7 @@ def test_extract_subset_round_trip(catalog_pair):
     _, p = catalog_pair
     frame = enumerate_downsets(p)
     for x in all_subsets(p.n):
-        cong = subset_forms(p, x, frame).congruence
+        cong = subset_forms(p, x).congruence
         assert Congruence(frame, cong.classes).subset == x
     diag = congruence_from_nucleus(_identity_nucleus(frame))
     assert Congruence(frame, diag.classes).subset == frozenset(range(p.n))
@@ -406,10 +404,9 @@ def test_extract_subset_round_trip(catalog_pair):
 
 def test_direct_conversion_round_trips():
     chain2 = catalog_poset("chain2")
-    frame = enumerate_downsets(chain2)
     for x in all_subsets(chain2.n):
         j = subset_topology(chain2, x)
-        nuc = nucleus_from_topology(j, frame)
+        nuc = nucleus_from_topology(j)
         cong = congruence_from_nucleus(nuc)
         sub = sublocale_from_nucleus(nuc)
         assert nucleus_from_congruence(cong) == nuc
@@ -427,11 +424,10 @@ def test_commuting_diagram(catalog_pair):
 
 def test_localic_json_round_trips():
     chain2 = catalog_poset("chain2")
-    frame = enumerate_downsets(chain2)
-    forms = subset_forms(chain2, {0}, frame)
-    assert Nucleus.from_json(forms.nucleus.to_json(), frame) == forms.nucleus
-    assert Congruence.from_json(forms.congruence.to_json(), frame) == forms.congruence
-    assert Sublocale.from_json(forms.sublocale.to_json(), frame) == forms.sublocale
+    forms = subset_forms(chain2, {0})
+    assert Nucleus.from_json(forms.nucleus.to_json(), chain2) == forms.nucleus
+    assert Congruence.from_json(forms.congruence.to_json(), chain2) == forms.congruence
+    assert Sublocale.from_json(forms.sublocale.to_json(), chain2) == forms.sublocale
     assert Nucleus.from_json(forms.nucleus.to_json()) == forms.nucleus
 
 
@@ -475,7 +471,7 @@ def test_congruence_members_are_checked_once_with_their_codes(classes, code, wit
     frame = enumerate_downsets(catalog_poset("chain2"))
     doc = {**frame.to_json(), "classes": classes}
     with pytest.raises(SiteCalcError) as err:
-        Congruence.from_json(doc, frame)
+        Congruence.from_json(doc, frame.poset)
     assert (err.value.code, err.value.witness) == (code, witness)
     if code == "NotACongruenceError":
         with pytest.raises(NotACongruenceError) as err:

@@ -156,12 +156,12 @@ def test_each_rejected_document_runs_its_law_scan_once(monkeypatch):
         p = catalog_poset(name)
         frame = enumerate_downsets(p)
         for x in all_subsets(p.n):
-            forms = subset_forms(p, x, frame)
+            forms = subset_forms(p, x)
             for cls, kind, field in kinds:
                 for doc in _corrupted(getattr(forms, kind).to_json(), field, len(frame)):
                     calls.clear()
                     try:
-                        cls.from_json(doc, frame)
+                        cls.from_json(doc, p)
                     except (NotANucleusError, NotACongruenceError, NotASublocaleError):
                         assert calls == {cls: 1}, (name, x, kind, doc[field])
                         rejected[cls] += 1

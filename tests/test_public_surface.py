@@ -4,12 +4,14 @@ predicates, the set fixpoint of the order relation, the frame quotient, the
 second presheaf reader, the all-pairs naturality scan and the subcanonicity
 entry points that a closed form answers, the pair check and amalgamation
 search beside the matching-family kernel, the error only that search
-raised, and the error of a lawful presentation that no subset generates,
-which the normal form rules out, all of which left the library and must
+raised, the error of a lawful presentation that no subset generates,
+which the normal form rules out, and the helpers that built or checked a
+frame handed in beside its poset, all of which left the library and must
 resolve nowhere, in the code or in the README; ``sheaves`` reads the order
-through masks only; and the readers find labels in the poset's one label
-table."""
+through masks only; the readers find labels in the poset's one label
+table; and no module imports a name it does not use."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -56,6 +58,7 @@ REMOVED = (
     "subset_subcanonicity_witnesses", "canonical_constructors",
     "amalgamations", "matching_violation", "_extend_families", "NotMatchingError",
     "_Closures", "_closure_of", "_downset_counter", "NotSubsetGeneratedError",
+    "frame_for_json", "_topology_frame",
 )
 
 REMOVED_ATTRIBUTES = (
@@ -64,6 +67,8 @@ REMOVED_ATTRIBUTES = (
     (poset.DownSetFrame, "__iter__"),
     (poset.DownSetFrame, "_downsets"),
     (poset.DownSetFrame, "_index"),
+    (poset.DownSetFrame, "_trusted"),
+    (poset.DownSetFrame, "_fill"),
     (poset.FrameMap, "apply"),
     (localic.Nucleus, "apply"),
     (localic.FactorizationWitness, "quotient"),
@@ -80,6 +85,7 @@ REMOVED_ATTRIBUTES = (
 README = Path(__file__).resolve().parent.parent / "README.md"
 SHEAVES = Path(sheaves.__file__)
 LABEL_READERS = [Path(m.__file__) for m in (sites, sheaves, localic, cli)]
+MODULES = sorted(p for p in Path(sitecalc.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
 def test_public_names_are_pinned():
@@ -126,3 +132,28 @@ def test_labels_are_looked_up_in_the_posets_one_table(path):
     source = path.read_text(encoding="utf-8")
     built = ("labels.index(", "{label: i for i, label in enumerate(")
     assert [text for text in built if text in source] == []
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name a module reads, those of quoted annotations included."""
+    nodes = list(ast.walk(tree))
+    notes = [getattr(node, field, None) for node in nodes for field in ("annotation", "returns")]
+    for note in notes:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            nodes += ast.walk(ast.parse(note.value, mode="eval"))
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_no_unused_name(path):
+    """A module of the library, ``__init__`` aside, which re-exports, uses
+    every name it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    assert sorted(imported - _names_used(tree)) == []

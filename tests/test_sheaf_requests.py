@@ -19,7 +19,6 @@ from sitecalc import (
     SiteCalcError,
     catalog,
     catalog_poset,
-    enumerate_downsets,
     enumerate_presheaves,
     nucleus_from_topology,
     subset_topology,
@@ -293,7 +292,7 @@ def test_topology_poset_equal_only_as_a_value_is_read_on_its_own(entry, tmp_path
     pairs[1] = [0, entry]
     inexact = {**doc, "le_pairs": pairs}
     assert inexact == doc
-    nucleus = nucleus_from_topology(subset_topology(chain3, {0, 2}), enumerate_downsets(chain3))
+    nucleus = nucleus_from_topology(subset_topology(chain3, {0, 2}))
     text = "elements: 0 1 2\nle: 0 1\nle: 1 2\n"
     for poset_doc in (doc, text):
         outs = [

@@ -24,7 +24,6 @@ from sitecalc import (
     catalog,
     congruence_from_topology,
     enumerate_all_topologies,
-    enumerate_downsets,
     enumerate_presheaves,
     is_sheaf,
     is_site_isomorphism,
@@ -145,7 +144,7 @@ def test_subcanonicity_witness_enumerates_no_sieves(monkeypatch):
     assert [len(w) for w in expected] == [144, 122, 110, 0, 132]
 
 
-def _check_without_listing_sieves(p, subsets, frame=None):
+def _check_without_listing_sieves(p, subsets, conversions=False):
     ident = OrderMorphism(p, p, tuple(range(p.n)))
     for x in subsets:
         j = subset_topology(p, x)
@@ -156,10 +155,10 @@ def _check_without_listing_sieves(p, subsets, frame=None):
         subcanonicity_report(p, j)
         assert GrothTopology.from_json(j.to_json()) == j
         assert validate_topology(p, covers_of(j)) == j
-        if frame is not None:
-            assert topology_from_nucleus(nucleus_from_topology(j, frame)) == j
-            assert topology_from_congruence(congruence_from_topology(j, frame)) == j
-            assert topology_from_sublocale(sublocale_from_topology(j, frame)) == j
+        if conversions:
+            assert topology_from_nucleus(nucleus_from_topology(j)) == j
+            assert topology_from_congruence(congruence_from_topology(j)) == j
+            assert topology_from_sublocale(sublocale_from_topology(j)) == j
 
 
 def test_no_report_reads_the_cover_table(monkeypatch):
@@ -185,7 +184,7 @@ def test_no_report_reads_the_cover_table(monkeypatch):
 
     monkeypatch.setattr(sites, "_downset_masks", grown_from_a_least_cover(sites._downset_masks))
     for name, p in catalog().items():
-        _check_without_listing_sieves(p, all_subsets(p.n), enumerate_downsets(p))
+        _check_without_listing_sieves(p, all_subsets(p.n), conversions=True)
         assert len(enumerate_all_topologies(p)) == 2**p.n
         assert verify_commuting_diagram(p).ok
         for x in all_subsets(p.n):

@@ -93,11 +93,11 @@ def check_extensions(p, d):
 def check_conversions(t, frame):
     """Both directions between t and its nucleus, congruence and sublocale,
     each against its cover-membership form."""
-    nuc = nucleus_from_topology(t, frame)
+    nuc = nucleus_from_topology(t)
     assert nuc.table == nucleus_table_from_covers(t, frame)
-    cong = congruence_from_topology(t, frame)
+    cong = congruence_from_topology(t)
     assert set(cong.classes) == congruence_classes_from_covers(t, frame)
-    sub = sublocale_from_topology(t, frame)
+    sub = sublocale_from_topology(t)
     assert sub.members == sublocale_members_from_covers(t, frame)
     # the reverse direction starts from presentations built and validated
     # without the library's conversions
@@ -247,12 +247,3 @@ def test_dense_violation_checks_its_subset():
     p = catalog_poset("chain2")
     t = discrete_topology(p)
     assert _bad_id(lambda: dense_violation(p, t, [-1])) == {"id": "-1"}
-
-
-@pytest.mark.parametrize(
-    "convert", [nucleus_from_topology, congruence_from_topology, sublocale_from_topology]
-)
-def test_conversions_reject_a_frame_on_another_poset(convert):
-    t = subset_topology(catalog_poset("chain2"), {0})
-    with pytest.raises(PosetMismatchError):
-        convert(t, enumerate_downsets(catalog_poset("antichain2")))

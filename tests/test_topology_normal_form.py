@@ -40,7 +40,6 @@ from sitecalc import (
     derived_topology,
     discrete_topology,
     enumerate_all_topologies,
-    enumerate_downsets,
     extend_topology,
     indiscrete_topology,
     join,
@@ -84,9 +83,8 @@ def test_completeness_predicates_match_the_scans(name):
     of p meet in the least cover, and implication from X and cutting by X
     commute with intersections.  The scans over every family check it."""
     p = POSETS[name]
-    frame = enumerate_downsets(p)
     for t in _topologies(p):
-        nuc = nucleus_from_topology(t, frame)
+        nuc = nucleus_from_topology(t)
         cong = congruence_from_nucleus(nuc)
         assert complete_scan_oracle(t)
         assert nucleus_complete_scan(nuc)
@@ -130,15 +128,14 @@ def _scan_forbidden(poset, covers):
 def test_valid_topologies_never_reach_the_axiom_scan(name, monkeypatch):
     p = POSETS[name]
     tops = _topologies(p)
-    frame = enumerate_downsets(p)
     monkeypatch.setattr(sites, "find_axiom_violation", _scan_forbidden)
     built = set()
     for t in tops:
         assert validate_topology(p, covers_of(t)) == t
         assert GrothTopology.from_json(t.to_json()) == t
-        assert topology_from_nucleus(nucleus_from_topology(t, frame)) == t
-        assert topology_from_congruence(congruence_from_topology(t, frame)) == t
-        assert topology_from_sublocale(sublocale_from_topology(t, frame)) == t
+        assert topology_from_nucleus(nucleus_from_topology(t)) == t
+        assert topology_from_congruence(congruence_from_topology(t)) == t
+        assert topology_from_sublocale(sublocale_from_topology(t)) == t
         for k in tops:
             built |= {meet(t, k), join(t, k)}
         for x in all_subsets(p.n):

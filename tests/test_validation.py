@@ -55,24 +55,23 @@ def test_valid_presentations_skip_the_law_scan(name, monkeypatch):
     p = POSETS[name]
     frame = enumerate_downsets(p)
     for t in enumerate_all_topologies(p, cap=p.n):
-        nuc = nucleus_from_topology(t, frame)
-        cong = congruence_from_topology(t, frame)
-        sub = sublocale_from_topology(t, frame)
+        nuc = nucleus_from_topology(t)
+        cong = congruence_from_topology(t)
+        sub = sublocale_from_topology(t)
         assert congruence_from_nucleus(nuc) == cong
         assert sublocale_from_nucleus(nuc) == sub
         assert nucleus_from_congruence(cong) == nuc
         assert nucleus_from_sublocale(sub) == nuc
-        assert Nucleus.from_json(nuc.to_json(), frame) == nuc
+        assert Nucleus.from_json(nuc.to_json(), p) == nuc
     Nucleus(frame, tuple(frame.id_of(double_negation(p, d)) for d in frame_downsets(frame)))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_POSETS))
 def test_conversions_match_direct_formulas(name):
     p = ORACLE_POSETS[name]
-    frame = enumerate_downsets(p)
     for t in enumerate_all_topologies(p, cap=p.n):
-        cong = congruence_from_topology(t, frame)
-        sub = sublocale_from_topology(t, frame)
+        cong = congruence_from_topology(t)
+        sub = sublocale_from_topology(t)
         assert nucleus_from_congruence(cong).table == class_join_table(cong)
         assert nucleus_from_sublocale(sub).table == least_member_table(sub)
 
@@ -106,7 +105,7 @@ def _outcome(build):
 def test_nucleus_verdict_matches_law_scan(case, data):
     p, xs = case
     frame = enumerate_downsets(p)
-    table = list(subset_forms(p, xs, frame).nucleus.table)
+    table = list(subset_forms(p, xs).nucleus.table)
     a = data.draw(st.integers(0, len(frame) - 1))
     table[a] = data.draw(st.integers(0, len(frame) - 1))
     assert _outcome(lambda: Nucleus(frame, table)) == _outcome(
@@ -119,7 +118,7 @@ def test_nucleus_verdict_matches_law_scan(case, data):
 def test_congruence_verdict_matches_law_scan(case, data):
     p, xs = case
     frame = enumerate_downsets(p)
-    classes = [set(c) for c in subset_forms(p, xs, frame).congruence.classes]
+    classes = [set(c) for c in subset_forms(p, xs).congruence.classes]
     a = data.draw(st.integers(0, len(frame) - 1))
     target = data.draw(st.integers(0, len(classes)))
     for c in classes:
@@ -139,7 +138,7 @@ def test_congruence_verdict_matches_law_scan(case, data):
 def test_sublocale_verdict_matches_law_scan(case, data):
     p, xs = case
     frame = enumerate_downsets(p)
-    members = set(subset_forms(p, xs, frame).sublocale.members)
+    members = set(subset_forms(p, xs).sublocale.members)
     members ^= {data.draw(st.integers(0, len(frame) - 1))}
     assert _outcome(lambda: Sublocale(frame, members)) == _outcome(
         lambda: Sublocale._check_laws(frame, members)
@@ -168,7 +167,7 @@ def test_bad_ids_and_empty_classes_are_domain_errors():
     doc = Nucleus(frame, range(size)).to_json()
     doc["pairs"].append([size, 0])
     with pytest.raises(NotANucleusError) as exc:
-        Nucleus.from_json(doc, frame)
+        Nucleus.from_json(doc, frame.poset)
     assert exc.value.witness == {"pair": [size, 0]}
     for bad in (size, -1):
         with pytest.raises(NotACongruenceError) as exc:
@@ -213,7 +212,7 @@ from sitecalc import nucleus_from_topology, subset_topology
 
 p = catalog_poset("chain2")
 frame = enumerate_downsets(p)
-table = nucleus_from_topology(subset_topology(p, {0}), frame).table
+table = nucleus_from_topology(subset_topology(p, {0})).table
 localic.Nucleus._generate = staticmethod(lambda frame, subset: ())
 try:
     Nucleus(frame, table)
