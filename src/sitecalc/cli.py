@@ -49,11 +49,12 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
     mappers in one pass; ``_Fallback`` for anything else it does not know.
     A ``_Text`` writes its own text: label rows held as masks and id
     tables, from the library's document builders.  ``memo`` marks each
-    ``_Text`` and list of lists it renders by (id, ``nl``) and keeps the
-    text of one it meets a second time: a value that the document holds k
-    times at one level is rendered twice, not k times, and one held once
-    keeps no copy of its text.  Ids are stable while the document, which
-    holds every object, is being written."""
+    ``_Text`` it renders by (id, ``nl``) and keeps the text of one it meets
+    a second time: a ``_Text`` that the document holds k times at one level,
+    as the rows a cover listing shares, is rendered twice, not k times, and
+    one held once keeps no copy of its text.  No other container is shared
+    inside a CLI document, so no other is marked.  Ids are stable while the
+    document, which holds every object, is being written."""
     kind = type(obj)
     if kind is str:
         return _encode_str(obj)
@@ -67,13 +68,12 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
         return json.dumps(obj)
     if len(nl) > _MAX_INDENT:
         raise _Fallback  # a cycle, or nesting left to json's own limits
-    ref = (id(obj), nl)
-    text = memo.get(ref)
-    if text:
-        return text
     if kind is _Text:
-        text = obj.render(nl)
-        memo[ref] = text if ref in memo else ""
+        ref = (id(obj), nl)
+        text = memo.get(ref)
+        if not text:
+            text = obj.render(nl)
+            memo[ref] = text if ref in memo else ""
         return text
     inner = nl + "  "
     sep = "," + inner
@@ -101,9 +101,7 @@ def _render(obj, nl: str, memo: dict[tuple[int, str], str]) -> str:
             deep = inner + "  "
             join, head, tail = ("," + deep).join, "[" + deep, inner + "]"
             rows = [f"{head}{join(map(encode, row))}{tail}" if row else "[]" for row in obj]
-            text = "[" + inner + sep.join(rows) + nl + "]"
-            memo[ref] = text if ref in memo else ""
-            return text
+            return "[" + inner + sep.join(rows) + nl + "]"
     return "[" + inner + sep.join([_render(x, inner, memo) for x in obj]) + nl + "]"
 
 
@@ -113,8 +111,8 @@ def _dumps(obj) -> str:
     writes the value it holds.  A non-``str`` key, a subclass, an unknown
     type or a cycle hands the whole document to ``json.dumps``, so its key
     coercion and its errors stay as they are; the documents that hold a
-    ``_Text`` have none of these.  The memo of rendered lists lives for this
-    call only."""
+    ``_Text`` have none of these.  The memo of rendered ``_Text`` values
+    lives for this call only."""
     try:
         return _render(obj, "\n", {})
     except _Fallback:

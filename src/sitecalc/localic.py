@@ -54,8 +54,8 @@ from .poset import (
     FinitePoset,
     FrameMap,
     _LabelRows,
-    _down_closure,
     _frame_dual,
+    _implication,
     _mask,
     _members,
     enumerate_downsets,
@@ -105,7 +105,7 @@ def _split_subset(frame: DownSetFrame, label: Sequence[int]) -> frozenset[int]:
     index = frame.mask_index
     return frozenset(
         p
-        for p, down in enumerate(frame.principal)
+        for p, down in enumerate(frame.poset.down_masks)
         if label[index[down]] != label[index[_punctured(down, p)]]
     )
 
@@ -114,7 +114,7 @@ def _sublocale_subset(frame: DownSetFrame, members: Iterable[int]) -> frozenset[
     """X = {p : some member cuts down(p) to down(p) - {p}}."""
     member_masks = [frame.masks[i] for i in members]
     xs = set()
-    for p, down in enumerate(frame.principal):
+    for p, down in enumerate(frame.poset.down_masks):
         below = _punctured(down, p)
         if any(m & down == below for m in member_masks):
             xs.add(p)
@@ -458,17 +458,16 @@ class Sublocale(_Presentation):
         """The greatest member of each fibre of d -> d & X.  The cuts d & X
         are the down-sets y of X as an induced subposet, grown along P's
         linear extension, and the greatest down-set cutting to y is
-        j(down(y)) = {q : X & down(q) <= y}, all of P but the up-closure of
-        X - y: |D(X)| members, with no pass over D(P)."""
+        j(down(y)) = {q : X & down(q) <= y}, implication from X into y:
+        |D(X)| members, with no pass over D(P)."""
         xs = _mask(subset)
         poset, index = frame.poset, frame.mask_index
         cuts = [0]
         for e in poset.linear_extension:
             if xs >> e & 1:
-                pred = frame.principal[e] & xs ^ 1 << e
+                pred = poset.down_masks[e] & xs ^ 1 << e
                 cuts.extend([y | 1 << e for y in cuts if y & pred == pred])
-        full = (1 << poset.n) - 1
-        return frozenset(index[full ^ _down_closure(poset.up_masks, xs & ~y)] for y in cuts)
+        return frozenset(index[_implication(poset, xs & ~y)] for y in cuts)
 
     @property
     def members(self) -> frozenset[int]:
@@ -589,18 +588,15 @@ def mx_frame_isomorphism(poset: FinitePoset, subset: Iterable[int]) -> Sublocale
     generates.  Implication from X depends only on the cut d & X and leaves
     it unchanged, and j(down(y)) & X = y, so the two maps are mutually
     inverse; meets of members are intersections and joins are j of unions,
-    so both are preserved.
+    so both are preserved.  The members are one per fibre of d -> d & X,
+    so forward is a bijection onto D(X), and backward, the member whose cut
+    is y, is read off it by inverting.
     """
-    forms = subset_forms(poset, subset)
-    frame = forms.nucleus.frame
-    elems = sorted(forms.nucleus.subset)
-    cut = restriction_frame_map(frame, elems)
-    sub = cut.target
-    forward = {m: cut.table[m] for m in sorted(forms.sublocale.members)}
-    table, index = forms.nucleus.table, frame.mask_index
-    lift = [frame.principal[e] for e in elems]  # down(e) in P, by the index of e in X
-    backward = {y: table[index[_down_closure(lift, mask)]] for y, mask in enumerate(sub.masks)}
-    return SublocaleFrameIso(forms.sublocale, sub, forward, backward)
+    sublocale = subset_forms(poset, subset).sublocale
+    cut = restriction_frame_map(sublocale.frame, sorted(sublocale.subset))
+    forward = {m: cut.table[m] for m in sorted(sublocale.members)}
+    backward = dict(sorted((y, m) for m, y in forward.items()))
+    return SublocaleFrameIso(sublocale, cut.target, forward, backward)
 
 
 # -- the factorization of a frame surjection ---------------------------------

@@ -11,9 +11,9 @@ A down-set is an int bitmask, bit p set iff p is in it.  A
 stable integer ids in the order of the bit-reversed masks, which is the
 lexicographic order on characteristic vectors, so golden files stay
 byte-identical across runs.  D(P) depends on P alone, so the poset keeps
-its masks and ids, listed on first read, for every frame of it.  Meets,
-joins and implications are computed on the masks; one down-set converts to
-a frozenset of element ids on request.
+its masks and ids, listed on first read, and a frame is a view of them.
+Meets, joins and implications are computed on the masks; one down-set
+converts to a frozenset of element ids on request.
 
 Each poset keeps one label-to-bit table, built on first use, and every
 reader of labels from outside looks them up there.  Rows of labels held as
@@ -190,14 +190,11 @@ class FinitePoset:
         return next((p for p, up in enumerate(self.up_masks) if up == full), None)
 
     def is_downwards_directed(self, subset: Iterable[int] | None = None) -> bool:
-        """Every pair has a lower bound inside the given universe: the masks
-        of their down-sets meet inside it."""
+        """Every pair has a lower bound inside the given universe iff it has
+        at most one minimal element: two minimal ones have no lower bound in
+        it, and a unique one lies below every member.  Empty is directed."""
         univ = (1 << self.n) - 1 if subset is None else _mask(subset)
-        down = self.down_masks
-        elems = _bits(univ)
-        return all(
-            down[a] & down[b] & univ for i, a in enumerate(elems) for b in elems[i + 1:]
-        )
+        return _maximal(self.up_masks, univ).bit_count() <= 1
 
     def hasse_pairs(self) -> tuple[tuple[int, int], ...]:
         """Hasse-diagram pairs (q, p) with q < p and nothing strictly between,
@@ -518,27 +515,25 @@ class DownSetFrame:
     positions in the order of the bit-reversed masks, which is the
     lexicographic order on characteristic vectors, so they are stable for
     a fixed poset, and adding an element to a down-set always gives a
-    larger id.  Meets are intersections and joins are unions.
+    larger id: the empty down-set is id 0 and P the last.  Meets are
+    intersections and joins are unions.
 
-    ``masks`` holds the down-sets by id, ``mask_index`` maps a mask back to
-    its id and ``principal`` holds the mask of each principal down-set; the
-    frame operations run on these alone.  ``downset(i)`` converts one mask
-    to a frozenset.  The masks and ids are the poset's own, listed by its
-    first frame; FrameTooLargeError names ``cap`` when D(P) holds more
-    down-sets.  Frames are equal when their posets are.
+    A frame is a view of the poset's D(P) and holds its masks and ids only:
+    ``masks`` holds the down-sets by id and ``mask_index`` maps a mask back
+    to its id; the rest, the principal down-sets too, is read off the poset.
+    ``downset(i)`` converts one mask to a frozenset.  The poset's first
+    frame lists D(P); FrameTooLargeError names ``DEFAULT_FRAME_CAP`` when it
+    holds more down-sets.  Frames are equal when their posets are.
     """
 
-    __slots__ = ("poset", "masks", "mask_index", "principal")
+    __slots__ = ("poset", "masks", "mask_index")
 
-    def __init__(self, poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP):
+    def __init__(self, poset: FinitePoset):
         if poset._frame is None:
-            masks = tuple(_downset_masks(poset, (1 << poset.n) - 1, cap))
+            masks = tuple(_downset_masks(poset, (1 << poset.n) - 1, DEFAULT_FRAME_CAP))
             poset._frame = masks, dict(zip(masks, range(len(masks))))
-        elif len(poset._frame[0]) > cap:
-            raise FrameTooLargeError(f"more than {cap} down-sets", witness={"cap": cap})
         self.poset = poset
         self.masks, self.mask_index = poset._frame
-        self.principal = poset.down_masks
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -556,11 +551,11 @@ class DownSetFrame:
 
     @property
     def bottom_id(self) -> int:
-        return self.mask_index[0]
+        return 0
 
     @property
     def top_id(self) -> int:
-        return self.mask_index[(1 << self.poset.n) - 1]
+        return len(self.masks) - 1
 
     def meet(self, i: int, j: int) -> int:
         return self.mask_index[self.masks[i] & self.masks[j]]
@@ -581,12 +576,7 @@ class DownSetFrame:
         return self.mask_index[acc]
 
     def heyting(self, i: int, j: int) -> int:
-        outside = self.masks[i] & ~self.masks[j]
-        out = 0
-        for p, down in enumerate(self.principal):
-            if not down & outside:
-                out |= 1 << p
-        return self.mask_index[out]
+        return self.mask_index[_implication(self.poset, self.masks[i] & ~self.masks[j])]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, DownSetFrame) and self.poset == other.poset
@@ -602,25 +592,30 @@ class DownSetFrame:
         return self._json(_LabelRows(self.poset.labels))
 
 
-def enumerate_downsets(poset: FinitePoset, cap: int = DEFAULT_FRAME_CAP) -> DownSetFrame:
-    """D(P) with stable ids; FrameTooLargeError beyond ``cap``."""
-    return DownSetFrame(poset, cap)
+def enumerate_downsets(poset: FinitePoset) -> DownSetFrame:
+    """D(P) with stable ids; FrameTooLargeError beyond ``DEFAULT_FRAME_CAP``."""
+    return DownSetFrame(poset)
 
 
 # -- Heyting structure --------------------------------------------------
 
 
+def _implication(poset: FinitePoset, outside: int) -> int:
+    """{p : down(p) & outside is empty}, all of P less the up-closure of
+    ``outside``, bits beyond P ignored: X => Y for outside = X - Y."""
+    full = (1 << poset.n) - 1
+    return full ^ _down_closure(poset.up_masks, outside & full)
+
+
 def heyting_implication(
     poset: FinitePoset, x: Iterable[int], y: Iterable[int]
 ) -> frozenset[int]:
-    """The largest down-set A with A & X <= Y, for arbitrary subsets X, Y.
-
-    Computed pointwise as ``{p : down(p) & X <= Y}``, which is down-closed
-    by construction; the defining union over all down-sets is kept as a
-    test oracle.
+    """The largest down-set A with A & X <= Y, for arbitrary subsets X, Y:
+    ``{p : down(p) & X <= Y}``, all of P less the up-closure of X - Y, which
+    is down-closed by construction.  Ids of X outside P are ignored; the
+    defining union over all down-sets is kept as a test oracle.
     """
-    outside = _mask(x) & ~_mask(y)
-    return frozenset(p for p, down in enumerate(poset.down_masks) if not down & outside)
+    return frozenset(_bits(_implication(poset, _mask(x) & ~_mask(y))))
 
 
 # -- maps between frames -------------------------------------------------
@@ -682,7 +677,7 @@ def _dual_fibres(f: FrameMap) -> list[int] | None:
     index, masks = src.mask_index, tgt.masks
     fibres, seen = [0] * src.poset.n, 0
     for p in src.poset.linear_extension:
-        image = masks[table[index[src.principal[p]]]]
+        image = masks[table[index[src.poset.down_masks[p]]]]
         fibres[p] = image & ~seen
         seen |= image
     if seen != (1 << tgt.poset.n) - 1 or _preimage_table(src, tgt, fibres) != table:
@@ -736,7 +731,7 @@ def upper_adjoint(f: FrameMap) -> FrameMap:
     principal down-sets below it."""
     fibres = _frame_dual(f)
     src, tgt = f.source, f.target
-    images = [_down_closure(fibres, down) for down in src.principal]
+    images = [_down_closure(fibres, down) for down in src.poset.down_masks]
     table = tuple(
         src.mask_index[_mask(p for p, image in enumerate(images) if not image & ~e)]
         for e in tgt.masks

@@ -36,9 +36,10 @@ on bitmasks, has the frozenset enumeration and characteristic-vector sort
 that it replaced.  The order closure on masks has the set fixpoint it
 replaced, with the least cycle witness read off that closure; the up-sets
 and down-sets, the minimal elements, directedness and the Hasse pairs,
-read off the masks, have the ``leq`` and ``lt`` scans they replaced, and
-the tops of each cut of J(X) have the maximal elements of the cut by
-``lt``.  Presheaf construction, which
+read off the masks, have the ``leq`` and ``lt`` scans they replaced;
+directedness, now a count of minimal elements, also has the pairwise scan
+of down-set masks it replaced; and the tops of each cut of J(X) have the
+maximal elements of the cut by ``lt``.  Presheaf construction, which
 checks composition on cover-edge triples, has the scan over every triple
 that it replaced, and the presheaf reader, which looks keys up in a table of
 pair names and leaves every law to the constructor, has the member-by-member
@@ -154,6 +155,15 @@ def downwards_directed_oracle(poset: FinitePoset, subset=None) -> bool:
     return all(
         any(poset.leq(c, a) and poset.leq(c, b) for c in univ) for a in univ for b in univ
     )
+
+
+def directed_pairs_oracle(poset: FinitePoset, subset=None) -> bool:
+    """Every pair of the universe has a lower bound in it: the masks of
+    their down-sets meet inside it, pair by pair."""
+    univ = (1 << poset.n) - 1 if subset is None else sum(1 << e for e in set(subset))
+    down = poset.down_masks
+    elems = [e for e in range(poset.n) if univ >> e & 1]
+    return all(down[a] & down[b] & univ for i, a in enumerate(elems) for b in elems[i + 1:])
 
 
 def close_relation(n: int, pairs) -> list[set[int]]:

@@ -419,6 +419,22 @@ def test_malformed_poset_json_is_a_parse_error(capsys, tmp_path, doc, witness):
     assert error["witness"] == witness
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elements a b\n", "cannot parse line 'elements a b'"),
+        ("elements:\nle: a b\n", "'elements:' line names no elements"),
+        ("elements:   # none yet\n", "'elements:' line names no elements"),
+    ],
+)
+def test_malformed_poset_text_is_a_parse_error(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.poset"
+    path.write_text(text)
+    code, out = run(capsys, "validate", "--poset", str(path))
+    assert code == 1
+    assert _error(out) == {"code": "ParseError", "message": message, "witness": None}
+
+
 def test_presheaf_json_round_trip_via_cli_format():
     f = Presheaf(catalog_poset("chain2"), (2, 1), {(0, 1): (0,)})
     assert Presheaf.from_json(f.to_json()) == f

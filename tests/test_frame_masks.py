@@ -189,18 +189,20 @@ def test_downsets_are_listed_once_per_poset(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])
-def test_frame_cap_is_exact(k):
-    """The cap holds on the first frame of a poset, which lists D(P), and on
-    every later one, which reads the masks the poset kept."""
+def test_frame_cap_is_exact(k, monkeypatch):
+    """``DEFAULT_FRAME_CAP`` bounds the listing of D(P), read when a fresh
+    poset lists it: one below 2**k refuses a k-element antichain, and 2**k
+    lists it whole.  The bound guards the listing only, so the D(P) a poset
+    holds is handed out again after the bound is lowered."""
+    monkeypatch.setattr(poset_module, "DEFAULT_FRAME_CAP", 2**k - 1)
     with pytest.raises(FrameTooLargeError) as err:
-        enumerate_downsets(antichain(k), cap=2**k - 1)
+        DownSetFrame(antichain(k))
     assert err.value.witness == {"cap": 2**k - 1}
+    monkeypatch.setattr(poset_module, "DEFAULT_FRAME_CAP", 2**k)
     poset = antichain(k)
-    assert len(enumerate_downsets(poset, cap=2**k)) == 2**k
-    with pytest.raises(FrameTooLargeError) as err:
-        DownSetFrame(poset, 2**k - 1)
-    assert err.value.witness == {"cap": 2**k - 1}
-    assert DownSetFrame(poset, 2**k) == enumerate_downsets(poset)
+    assert len(enumerate_downsets(poset)) == 2**k
+    monkeypatch.setattr(poset_module, "DEFAULT_FRAME_CAP", 2**k - 1)
+    assert DownSetFrame(poset).masks is enumerate_downsets(poset).masks
 
 
 @pytest.mark.parametrize("members", [{1}, {2}, {-1}, {0, -1}, {10**9}, {"a"}])

@@ -39,6 +39,27 @@ def test_heyting_matches_defining_union(catalog_pair):
             assert heyting_implication(p, x, y) == heyting_union_oracle(p, x, y)
 
 
+def test_heyting_ignores_ids_outside_the_poset(catalog_pair):
+    """Ids of X or Y that name no element of P change nothing, as they never
+    lie below an element."""
+    _, p = catalog_pair
+    beyond = {p.n, p.n + 7}
+    for x in all_subsets(p.n):
+        for y in all_subsets(p.n):
+            imp = heyting_union_oracle(p, x, y)
+            assert heyting_implication(p, x | beyond, y) == imp
+            assert heyting_implication(p, x | beyond, y | {p.n}) == imp
+
+
+def test_frame_heyting_matches_defining_union(catalog_pair):
+    _, p = catalog_pair
+    frame = enumerate_downsets(p)
+    downsets = frame_downsets(frame)
+    for i, a in enumerate(downsets):
+        for j, b in enumerate(downsets):
+            assert frame.heyting(i, j) == frame.id_of(heyting_union_oracle(p, a, b))
+
+
 def test_heyting_example_from_wedge():
     lam = catalog_poset("Lambda")
     x = subset_of_labels(lam, ["y"])

@@ -139,6 +139,23 @@ def test_adjoint_transfer_rejects_non_adjoint_pairs():
         )
 
 
+def test_site_morphism_report_needs_the_sites_posets():
+    """Either end of the morphism off its site's poset is a mismatch."""
+    chain2, v = catalog_poset("chain2"), catalog_poset("V")
+    ident = OrderMorphism(chain2, chain2, (0, 1))
+    for j, k in (
+        (indiscrete_topology(v), indiscrete_topology(chain2)),
+        (indiscrete_topology(chain2), indiscrete_topology(v)),
+    ):
+        with pytest.raises(PosetMismatchError) as exc:
+            site_morphism_report(ident, j, k)
+        assert exc.value.to_json() == {
+            "code": "PosetMismatchError",
+            "message": "morphism endpoints do not match the sites",
+            "witness": None,
+        }
+
+
 # -- subcanonicity ---------------------------------------------------------
 
 

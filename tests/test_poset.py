@@ -8,6 +8,7 @@ from conftest import (
     close_relation,
     covers_of,
     cycle_witness_oracle,
+    directed_pairs_oracle,
     down_set,
     downwards_directed_oracle,
     frame_downsets,
@@ -38,6 +39,7 @@ from sitecalc import (
     parse_poset,
     subset_of_labels,
 )
+from sitecalc import poset as poset_module
 
 
 def test_parse_v_poset():
@@ -211,9 +213,14 @@ def test_frame_contains_extremes_and_is_closed(catalog_pair):
             assert (a & b) in downsets
 
 
-def test_frame_cap():
-    with pytest.raises(FrameTooLargeError):
-        enumerate_downsets(catalog_poset("antichain3"), cap=3)
+def test_frame_cap(monkeypatch):
+    """The one bound on D(P), ``DEFAULT_FRAME_CAP``, read when a poset lists
+    it; a fresh poset, since a catalog poset may already hold its D(P)."""
+    assert poset_module.DEFAULT_FRAME_CAP == 2**20
+    monkeypatch.setattr(poset_module, "DEFAULT_FRAME_CAP", 3)
+    with pytest.raises(FrameTooLargeError) as err:
+        enumerate_downsets(FinitePoset(["a", "b", "c"]))
+    assert err.value.witness == {"cap": 3}
 
 
 def test_sieves_are_bounded_downsets(catalog_pair):
@@ -374,9 +381,15 @@ def test_directedness_and_hasse_pairs_match_the_oracles_on_random_posets(case):
 
 @pytest.mark.parametrize("poset", [*catalog().values(), *LADDER.values()])
 def test_directedness_and_hasse_pairs_match_the_oracles(poset):
+    """Directedness as at most one minimal element, against the ``leq``
+    scan over triples and the pairwise scan of down-set masks, on every
+    subset."""
     for subset in all_subsets(poset.n):
-        assert poset.is_downwards_directed(subset) == downwards_directed_oracle(poset, subset)
+        directed = poset.is_downwards_directed(subset)
+        assert directed == downwards_directed_oracle(poset, subset)
+        assert directed == directed_pairs_oracle(poset, subset)
     assert poset.is_downwards_directed() == downwards_directed_oracle(poset)
+    assert poset.is_downwards_directed() == directed_pairs_oracle(poset)
     assert poset.hasse_pairs() == hasse_pairs_oracle(poset)
     assert poset.hasse_pairs() is poset.hasse_pairs()
 

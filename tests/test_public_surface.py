@@ -5,13 +5,24 @@ second presheaf reader, the all-pairs naturality scan and the subcanonicity
 entry points that a closed form answers, the pair check and amalgamation
 search beside the matching-family kernel, the error only that search
 raised, the error of a lawful presentation that no subset generates,
-which the normal form rules out, and the helpers that built or checked a
-frame handed in beside its poset, all of which left the library and must
-resolve nowhere, in the code or in the README; ``sheaves`` reads the order
+which the normal form rules out, the helpers that built or checked a
+frame handed in beside its poset, and the frame's copy of its poset's
+principal masks, all of which left the library and must resolve nowhere,
+in the code or in the README; ``sheaves`` reads the order
 through masks only; the readers find labels in the poset's one label
-table; and no module imports a name it does not use."""
+table; and no module imports a name it does not use.
+
+The options of the surface are pinned too: ``OPTIONS`` maps each public
+callable with defaulted parameters, an exported callable or a public method
+of an exported class, to the names of those parameters, so adding an option
+is as deliberate an edit as adding a name.  The keyword fields of the error
+types are the witness of their envelope, not options, and are left out.
+``enumerate_presheaves`` keeps ``max_elements`` and ``max_value_cap``,
+although every caller in the library sets them to switch its guard off,
+because the benchmark's workloads pass them (ROADMAP items 6 and 11)."""
 
 import ast
+import inspect
 import re
 import types
 from pathlib import Path
@@ -61,6 +72,22 @@ REMOVED = (
     "frame_for_json", "_topology_frame",
 )
 
+OPTIONS = {
+    "Congruence.from_json": ("poset",),
+    "FinitePoset": ("pairs",),
+    "FinitePoset.is_downwards_directed": ("subset",),
+    "FinitePoset.minimal_elements": ("subset",),
+    "GrothTopology.from_json": ("poset",),
+    "Nucleus.from_json": ("poset",),
+    "Presheaf.from_json": ("poset",),
+    "Sublocale.from_json": ("poset",),
+    "comparison_check": ("base_presheaves", "value_cap"),
+    "enumerate_all_topologies": ("cap",),
+    "enumerate_presheaves": ("value_cap", "max_elements", "max_value_cap"),
+    "kx_sheaf_equivalence_check": ("value_cap",),
+    "verify_commuting_diagram": ("cap",),
+}
+
 REMOVED_ATTRIBUTES = (
     (poset.DownSetFrame, "downsets"),
     (poset.DownSetFrame, "index"),
@@ -69,6 +96,7 @@ REMOVED_ATTRIBUTES = (
     (poset.DownSetFrame, "_index"),
     (poset.DownSetFrame, "_trusted"),
     (poset.DownSetFrame, "_fill"),
+    (poset.DownSetFrame, "principal"),
     (poset.FrameMap, "apply"),
     (localic.Nucleus, "apply"),
     (localic.FactorizationWitness, "quotient"),
@@ -95,6 +123,32 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(sitecalc, name), types.ModuleType)
     )
     assert names == sorted(PUBLIC)
+
+
+def _options(obj) -> tuple[str, ...]:
+    """The names of the parameters of ``obj`` that have a default."""
+    params = inspect.signature(obj).parameters.values()
+    return tuple(p.name for p in params if p.default is not p.empty)
+
+
+def test_options_are_pinned():
+    found = {}
+    for name in PUBLIC:
+        obj = getattr(sitecalc, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        members = [(name, obj)]
+        if isinstance(obj, type):
+            members += [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr in dir(obj)
+                if not attr.startswith("_") and callable(getattr(obj, attr))
+            ]
+        for label, member in members:
+            options = _options(member)
+            if options:
+                found[label] = options
+    assert found == OPTIONS
 
 
 @pytest.mark.parametrize("name", REMOVED)

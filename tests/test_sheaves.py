@@ -140,6 +140,29 @@ def test_restrict_presheaf_takes_element_ids(bad):
     assert exc.value.witness == {"id": repr(bad)}
 
 
+def test_is_sheaf_needs_the_topologys_poset():
+    with pytest.raises(PosetMismatchError) as exc:
+        is_sheaf(constant_presheaf(CHAIN2, 2), indiscrete_topology(catalog_poset("V")))
+    assert exc.value.to_json() == {
+        "code": "PosetMismatchError",
+        "message": "presheaf and topology live on different posets",
+        "witness": None,
+    }
+
+
+@pytest.mark.parametrize("base, subset", [("point", {0, 1}), ("V", {0, 1, 2}), ("chain2", {1, 2})])
+def test_extend_presheaf_needs_a_base_on_the_induced_subposet(base, subset):
+    """A base on a poset of another size, of another order, or with other
+    labels than the induced subposet of chain3 is a mismatch."""
+    with pytest.raises(PosetMismatchError) as exc:
+        extend_presheaf(constant_presheaf(catalog_poset(base), 2), catalog_poset("chain3"), subset)
+    assert exc.value.to_json() == {
+        "code": "PosetMismatchError",
+        "message": "base presheaf is not on the induced subposet",
+        "witness": None,
+    }
+
+
 @pytest.mark.parametrize("bad", BAD_IDS, ids=repr)
 def test_extend_presheaf_takes_element_ids(bad):
     base = constant_presheaf(catalog_poset("point"), 2)

@@ -288,6 +288,14 @@ def test_lxy_topology():
     v = catalog_poset("V")
     with pytest.raises(NotDownwardsDirectedError):
         lxy_topology(v, subset_of_labels(v, ["y", "z"]), frozenset())
+    for outer, inner in ((["x", "y"], ["z"]), ([], ["y"]), (["x"], ["x", "y"])):
+        with pytest.raises(InvalidInnerTopologyError) as exc:
+            lxy_topology(lam, subset_of_labels(lam, outer), subset_of_labels(lam, inner))
+        assert exc.value.to_json() == {
+            "code": "InvalidInnerTopologyError",
+            "message": "inner subset must lie inside the outer subset",
+            "witness": None,
+        }
 
 
 def test_lxy_defaults_to_lx(catalog_pair):

@@ -152,6 +152,16 @@ def test_valid_topologies_never_reach_the_axiom_scan(name, monkeypatch):
     assert built == set(tops)
 
 
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_the_axiom_scan_finds_nothing_in_j_of_x(name):
+    """Validation runs the scan only on families that are not J(X), so its
+    verdict on J(X) itself, no violation, is checked here on every X."""
+    p = POSETS[name]
+    for x in all_subsets(p.n):
+        fams = [{sum(1 << e for e in s) for s in fam} for fam in covers_of(subset_topology(p, x))]
+        assert sites.find_axiom_violation(p, fams) is None
+
+
 # -- the normal form against the axiom scan on perturbed inputs ----------------
 
 

@@ -184,6 +184,14 @@ def test_bad_ids_and_empty_classes_are_domain_errors():
         with pytest.raises(NotANucleusError) as exc:
             Nucleus(frame, [0, bad, 2, 3])
         assert exc.value.witness["value"] is bad
+    for table in ([0, 1, 3], [0, 1, 2, 3, 3], []):
+        with pytest.raises(NotANucleusError) as exc:
+            Nucleus(frame, table)
+        assert exc.value.to_json() == {
+            "code": "NotANucleusError",
+            "message": f"table has {len(table)} entries for a 4-element frame",
+            "witness": None,
+        }
     for bad in (size, -1, True, "top"):
         with pytest.raises(NotASublocaleError) as exc:
             Sublocale(frame, [size - 1, bad])
