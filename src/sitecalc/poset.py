@@ -231,7 +231,9 @@ class FinitePoset:
     # -- value semantics ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        """Equal labels and order; the same object is equal at once, as a
+        presheaf and its topology, which share their poset, are."""
+        return self is other or (
             isinstance(other, FinitePoset)
             and self.labels == other.labels
             and self.up_masks == other.up_masks

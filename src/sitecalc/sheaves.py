@@ -19,7 +19,11 @@ Each law is checked once, on the least data that decides it:
   which checks a family on the cover pairs of its member set, read off the
   down masks; the sheaf verdict, its witness and Ran_X read it;
 - a sheaf verdict counts matching families only on cuts whose tops share
-  an element of X below them (see :func:`_least_cover_failures`);
+  an element of X below them, by grouping each top's values by their
+  restriction to the shared elements and joining the tops on them (see
+  :func:`_family_count`), and a failed verdict builds its witness scan
+  when the witness is first read;
+- Ran_X lists the families once per distinct support;
 - isomorphism classes are searched only among presheaves with equal value
   sizes and equal fibre sizes along each cover edge;
 - the kx report reuses each lift that restricts back to its sheaf, and the
@@ -29,7 +33,7 @@ Each law is checked once, on the least data that decides it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, product
+from itertools import chain, permutations, product
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -84,7 +88,8 @@ class Presheaf:
         tables = _functor_tables(poset, sizes, maps)
         if tables is None:
             tables = _scanned_tables(poset, sizes, maps)
-        self._fill(poset, sizes, tables)
+        self.poset, self.sizes, self.maps = poset, sizes, tables
+        self._identities: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def _trusted(
@@ -96,19 +101,9 @@ class Presheaf:
         """A presheaf that is functorial by construction, left unchecked:
         ``maps`` holds a tuple in range for each strict pair and no other key."""
         presheaf = cls.__new__(cls)
-        presheaf._fill(poset, tuple(sizes), maps)
+        presheaf.poset, presheaf.sizes, presheaf.maps = poset, tuple(sizes), maps
+        presheaf._identities = None
         return presheaf
-
-    def _fill(
-        self,
-        poset: FinitePoset,
-        sizes: tuple[int, ...],
-        maps: dict[tuple[int, int], tuple[int, ...]],
-    ) -> None:
-        self.poset = poset
-        self.sizes = sizes
-        self.maps = maps
-        self._identities: tuple[tuple[int, ...], ...] | None = None
 
     def restriction(self, q: int, p: int) -> tuple[int, ...]:
         if q != p:
@@ -381,19 +376,17 @@ class SheafCheck:
     def __init__(self, ok: bool, witness: dict | None = None):
         self.ok = ok
         self._witness = witness
-        self._search: Iterator[dict] | None = None
-
-    @classmethod
-    def _deferred(cls, search: Iterator[dict]) -> "SheafCheck":
-        """A failed check whose witness is the first item of ``search``."""
-        check = cls(ok=False)
-        check._search = search
-        return check
+        self._search: tuple[Presheaf, GrothTopology, int] | None = None
 
     @property
     def witness(self) -> dict | None:
+        """The witness of the first failing p at which :func:`_sheaf_scan`
+        finds one: the kept first failure, then each next one in turn."""
         if self._search is not None:
-            self._witness, self._search = next(self._search), None
+            presheaf, topology, p = self._search
+            while (found := _sheaf_scan(presheaf, topology, p)) is None:
+                p = _least_cover_failure(presheaf, topology, p + 1)
+            self._witness, self._search = found, None
         return self._witness
 
     def __eq__(self, other: object) -> bool:
@@ -424,26 +417,27 @@ def is_sheaf(presheaf: Presheaf, topology: GrothTopology) -> SheafCheck:
     test at every p: F(s) is separated, as a family on L_s is fixed by its
     values on X & down(s), and F(p) is in bijection with the families on
     L_p.  So the test decides ``ok`` exactly, and :func:`_sheaf_scan` never
-    runs for it.  :func:`_least_cover_failures` runs the test on the tops
+    runs for it.  :func:`_least_cover_failure` runs the test on the tops
     of each cut, its maximal elements.  The witness, read lazily, scans the
     failing p in ascending order; every p that passes the test passes the
-    scan, so it is the first failure of the all-covers scan.
+    scan, so it is the first failure of the all-covers scan.  A failed
+    check keeps only its presheaf, topology and first failing p; the scans,
+    and the search for later failures, run when the witness is first read.
     """
     if presheaf.poset != topology.poset:
         raise PosetMismatchError("presheaf and topology live on different posets")
-    failing = _least_cover_failures(presheaf, topology)
-    first = next(failing, None)
-    if first is None:
-        return SheafCheck(ok=True)
-    scans = (_sheaf_scan(presheaf, topology, p) for p in chain((first,), failing))
-    return SheafCheck._deferred(witness for witness in scans if witness is not None)
+    first = _least_cover_failure(presheaf, topology, 0)
+    check = SheafCheck(first is None)
+    if first is not None:
+        check._search = (presheaf, topology, first)
+    return check
 
 
-def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterator[int]:
-    """The elements p, ascending, where some F(s) with s <= p is not
+def _least_cover_failure(presheaf: Presheaf, topology: GrothTopology, start: int) -> int | None:
+    """The least p >= ``start`` where some F(s) with s <= p is not
     separated or F(p) has fewer values than there are matching families on
-    the cut X & down(p).  Each member of a cut lies under one of the cut's
-    tops, its maximal elements, and a family's value there is the
+    the cut X & down(p), or None.  Each member of a cut lies under one of
+    the cut's tops, its maximal elements, and a family's value there is the
     restriction of its value at that top.  Hence:
 
     - separation on tops: F(s) is separated iff restriction to the tops of
@@ -456,10 +450,12 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
       empty family, with no top.
 
     Only a cut whose tops share an element of X below them counts its
-    families, by :func:`_matching_tuples` on the cut, stopping at
-    |F(p)| + 1: with F(p) separated, its images are |F(p)| of them.  The
-    separation of every s is decided first, into one mask, and the same
-    pass reads X off the tops into another."""
+    families, by :func:`_family_count`.  With F(p) separated its images
+    are |F(p)| distinct families, so the count differs from |F(p)| only
+    when it is larger.  The separation of every s is decided first, into
+    one mask, and the same pass reads X off the tops into another.  It
+    returns one failure: :func:`is_sheaf` needs the first only, and the
+    witness asks again past a failing p whose scan passes."""
     poset, sizes, maps = presheaf.poset, presheaf.sizes, presheaf.maps
     tops = topology._cut_tops()
     unseparated = members = 0
@@ -475,30 +471,93 @@ def _least_cover_failures(presheaf: Presheaf, topology: GrothTopology) -> Iterat
         elif sizes[s] > 1:
             unseparated |= 1 << s
     down = poset.down_masks
-    for p, ts in enumerate(tops):
+    for p in range(start, len(tops)):
         if down[p] & unseparated:
-            yield p
-        elif len(ts) < 2 or _disjoint_below(down, members, ts):
+            return p
+        ts = tops[p]
+        shared = len(ts) > 1 and _shared_below(down, members, ts)
+        if shared:
+            families = _family_count(presheaf, ts, _bits(shared))
+        else:
             families = 1
             for t in ts:
                 families *= sizes[t]
-            if sizes[p] != families:
-                yield p
-        elif next(
-            islice(_matching_tuples(presheaf, _bits(members & down[p])), sizes[p], None), None
-        ) is not None:
-            yield p
+        if families != sizes[p]:
+            return p
+    return None
 
 
-def _disjoint_below(down: Sequence[int], xs: int, tops: Sequence[int]) -> bool:
-    """Whether no element of X, given as a mask, lies below two of ``tops``."""
-    seen = 0
+def _shared_below(down: Sequence[int], xs: int, tops: Sequence[int]) -> int:
+    """The elements of X, given as a mask, that lie below two of ``tops``."""
+    seen = shared = 0
     for t in tops:
         below = down[t] & xs
-        if seen & below:
-            return False
+        shared |= seen & below
         seen |= below
-    return True
+    return shared
+
+
+def _family_count(presheaf: Presheaf, tops: Sequence[int], shared: list[int]) -> int:
+    """The number of matching families on a cut with these tops; ``shared``
+    lists, ascending, the members of the cut below two tops.
+
+    A family on the cut is fixed by its values at the tops, and a tuple of
+    top values is a family iff the tops agree on every member below two of
+    them: a member below one top only is fixed by that top, and if x <= y
+    with y below t then x is below t too, so the family's values at x and
+    y come from one top and agree along x <= y.  So the values at each top
+    are grouped by their restriction to the shared members below it, and
+    the tops are joined one by one, fewest groups first, on the shared
+    members they have in common.  The join keeps, per restriction to the
+    shared members still below a later top, the number of tuples of values
+    at the tops joined so far that agree and restrict to it; each group of
+    the last top then adds its size times the entry it restricts to.
+
+    Each value at a top is read once, and each step of the join costs one
+    lookup per kept entry plus one per group that agrees with it.  With two
+    tops every shared member is below both, so the kept entries are the
+    first top's groups, each group of the second is looked up once, and
+    the count is linear in the |F(t)|.  With more tops the kept entries
+    can outnumber the values at every top: two tops joined first that
+    share no member keep the product of their groups, however few values
+    the top that links them has.  Fewest groups first joins the linking
+    top first when it has the fewest groups; in general the cost is not
+    bounded by the |F(t)|."""
+    down, maps, sizes = presheaf.poset.down_masks, presheaf.maps, presheaf.sizes
+    groups = []
+    for t in tops:
+        below = [x for x in shared if down[t] >> x & 1]
+        counts: dict[tuple[int, ...], int] = {}
+        for key in zip(*[maps[x, t] for x in below]) if below else [()] * sizes[t]:
+            counts[key] = counts.get(key, 0) + 1
+        groups.append((below, counts))
+    groups.sort(key=lambda group: len(group[1]))
+    # the shared members below the first top are each below a later one
+    kept, joined = groups[0]
+    for i, (below, counts) in enumerate(groups[1:-1], 2):
+        later = 0
+        for ids, _ in groups[i:]:
+            later |= _mask(ids)
+        common = [x for x in below if x in kept]
+        at = [below.index(x) for x in common]
+        by_common: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        for key, n in counts.items():
+            by_common.setdefault(tuple(key[k] for k in at), []).append((key, n))
+        on = [kept.index(x) for x in common]
+        both = kept + below
+        kept = sorted({x for x in both if later >> x & 1})
+        pick = [both.index(x) for x in kept]
+        step: dict[tuple[int, ...], int] = {}
+        for old, c in joined.items():
+            for key, n in by_common.get(tuple(old[k] for k in on), ()):
+                new = old + key
+                new = tuple(new[k] for k in pick)
+                step[new] = step.get(new, 0) + c * n
+        joined = step
+    # every member still kept is below the last top
+    below, counts = groups[-1]
+    at = [below.index(x) for x in kept]
+    return sum(joined.get(tuple(key[k] for k in at), 0) * n for key, n in counts.items())
 
 
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:
@@ -568,21 +627,36 @@ def extend_presheaf(
     ``base`` lives on the induced subposet of ``subset``, whose index order
     is that of the subset, so the families on X & down(p) are those of
     :func:`_matching_tuples` on the base ids of the support, in support
-    order.  PosetMismatchError names a subset member that is no element id.
+    order.  They are listed once per distinct support, and elements with
+    one support share them.  The table of q < p picks, per family at p,
+    the values of the members below q, and looks the result up among the
+    families at q; it depends on the two supports alone, so it is built
+    once per pair of them.  PosetMismatchError names a subset member that
+    is no element id.
     """
     elems = sorted(_element_ids(poset, subset))
     pos = {e: k for k, e in enumerate(elems)}
     if base.poset != poset.induced(elems):
         raise PosetMismatchError("base presheaf is not on the induced subposet")
-    down, members = poset.down_masks, _mask(elems)
-    support = tuple(tuple(_bits(members & below)) for below in down)
-    families = tuple(tuple(_matching_tuples(base, [pos[x] for x in xs])) for xs in support)
-    lookups = [{fam: i for i, fam in enumerate(fams)} for fams in families]
+    members = _mask(elems)
+    cuts = [members & below for below in poset.down_masks]
+    supports = {cut: tuple(_bits(cut)) for cut in dict.fromkeys(cuts)}
+    listed = {
+        cut: tuple(_matching_tuples(base, [pos[x] for x in xs])) for cut, xs in supports.items()
+    }
+    lookups = {cut: {fam: i for i, fam in enumerate(fams)} for cut, fams in listed.items()}
+    tables: dict[tuple[int, int], tuple[int, ...]] = {}
     maps = {}
     for q, p in poset._strict_pairs():
-        keep = [i for i, x in enumerate(support[p]) if down[q] >> x & 1]
-        maps[(q, p)] = tuple(lookups[q][tuple(fam[i] for i in keep)] for fam in families[p])
+        pair = cuts[q], cuts[p]
+        if pair not in tables:
+            keep = [i for i, x in enumerate(supports[cuts[p]]) if cuts[q] >> x & 1]
+            lookup = lookups[cuts[q]]
+            tables[pair] = tuple(lookup[tuple(fam[i] for i in keep)] for fam in listed[cuts[p]])
+        maps[(q, p)] = tables[pair]
+    families = tuple(listed[cut] for cut in cuts)
     presheaf = Presheaf._trusted(poset, [len(f) for f in families], maps)
+    support = tuple(supports[cut] for cut in cuts)
     return ExtendedPresheaf(presheaf, support, families)
 
 
@@ -590,17 +664,12 @@ def extend_presheaf(
 
 
 def _square_commutes(
-    source: Presheaf,
-    target: Presheaf,
-    q: int,
-    p: int,
-    cq: Sequence[int],
-    cp: Sequence[int],
+    down_t: Sequence[int], down_s: Sequence[int], cq: Sequence[int], cp: Sequence[int]
 ) -> bool:
-    """Whether the naturality square of q < p commutes: restricting after
-    the component at p equals the component at q after restricting."""
-    down_t, down_s = target.restriction(q, p), source.restriction(q, p)
-    return all(down_t[cp[a]] == cq[down_s[a]] for a in range(source.sizes[p]))
+    """Whether the naturality square of q < p commutes, given the target's
+    and the source's restriction tables along it: restricting after the
+    component at p equals the component at q after restricting."""
+    return list(map(down_t.__getitem__, cp)) == list(map(cq.__getitem__, down_s))
 
 
 def _is_natural(
@@ -610,9 +679,10 @@ def _is_natural(
     edges alone: between functors the square of q < r < p is the square of
     q < r pasted to that of r < p, so every square commutes once those of
     the cover edges do."""
+    down_t, down_s = target.maps, source.maps
     return all(
-        _square_commutes(source, target, q, p, components[q], components[p])
-        for q, p in source.poset.hasse_pairs()
+        _square_commutes(down_t[edge], down_s[edge], components[edge[0]], components[edge[1]])
+        for edge in source.poset.hasse_pairs()
     )
 
 
@@ -630,15 +700,19 @@ def natural_iso_exists(f: Presheaf, g: Presheaf) -> bool:
         return False
     poset = f.poset
     order = poset.linear_extension
-    lower: list[list[int]] = [[] for _ in range(poset.n)]
+    # per p, its lower covers q with the tables of g and of f along q < p
+    lower: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in order]
     for q, p in poset.hasse_pairs():
-        lower[p].append(q)
+        lower[p].append((q, g.maps[q, p], f.maps[q, p]))
     comps: list[tuple[int, ...]] = [()] * poset.n  # stale entries are reassigned before read
     untried = [permutations(range(f.sizes[p])) for p in order[:1]]
     while untried:
         p = order[len(untried) - 1]
-        for comp in untried[-1]:
-            if all(_square_commutes(f, g, q, p, comps[q], comp) for q in lower[p]):
+        for comp in untried[-1]:  # up to the first whose squares all commute
+            for q, gt, ft in lower[p]:
+                if not _square_commutes(gt, ft, comps[q], comp):
+                    break
+            else:
                 break
         else:
             untried.pop()
@@ -714,11 +788,14 @@ def enumerate_presheaves(
             witness={"max_elements": max_elements, "max_value_cap": max_value_cap},
         )
     edges = poset.hasse_pairs()
-    pairs = poset._strict_pairs()
     routes = _routes(poset, edges)
     made = set(routes)
-    triples = [
-        (r, q, p)
+    # the composed tables are held by slot: the edges, then the routes
+    slot_pairs = [*edges, *((q, p) for q, _, p in routes)]
+    slot = {pair: k for k, pair in enumerate(slot_pairs)}
+    route_slots = [(slot[q, r], slot[r, p]) for q, r, p in routes]
+    triple_slots = [
+        (slot[r, p], slot[r, q], slot[q, p])
         for r, q in edges
         for p in _bits(poset.up_masks[q] ^ 1 << q)
         if (r, q, p) not in made
@@ -728,15 +805,14 @@ def enumerate_presheaves(
         # the first edge varies slowest, as in a depth-first assignment
         tables = [product(range(sizes[q]), repeat=sizes[p]) for q, p in edges]
         for choice in product(*tables):
-            composed = dict(zip(edges, choice))
-            for q, r, p in routes:
-                composed[q, p] = tuple(map(composed[q, r].__getitem__, composed[r, p]))
-            if all(
-                composed[r, p] == tuple(map(composed[r, q].__getitem__, composed[q, p]))
-                for r, q, p in triples
-            ):
-                maps = {pair: composed[pair] for pair in pairs}
-                out.append(Presheaf._trusted(poset, sizes, maps))
+            composed = list(choice)
+            for qr, rp in route_slots:
+                composed.append(tuple(map(composed[qr].__getitem__, composed[rp])))
+            for rp, rq, qp in triple_slots:
+                if composed[rp] != tuple(map(composed[rq].__getitem__, composed[qp])):
+                    break
+            else:
+                out.append(Presheaf._trusted(poset, sizes, dict(zip(slot_pairs, composed))))
     return out
 
 
@@ -921,22 +997,24 @@ def _bottom_restrictions(
     """Restriction maps from each element to the adjoined bottom, built as
     inverse-at-the-base-point composites; checked for independence of the
     mediating element."""
-    masks = sheaf.poset.down_masks
+    masks, sizes = sheaf.poset.down_masks, sheaf.sizes
+    inverses: dict[int, list[int]] = {}  # per r <= p0, the inverse of F(r <= p0)
+    for r in _bits(masks[p0]):
+        to_base = sheaf.restriction(r, p0)
+        if len(set(to_base)) != sizes[r] or sizes[r] != sizes[p0]:
+            return None, False
+        inv = inverses[r] = [0] * sizes[r]
+        for a, b in enumerate(to_base):
+            inv[b] = a
     tables: dict[int, tuple[int, ...]] = {}
     for p, below in enumerate(masks):
-        seen = set()
-        for r in _bits(below & masks[p0]):
-            to_base = sheaf.restriction(r, p0)
-            if len(set(to_base)) != sheaf.sizes[r] or sheaf.sizes[r] != sheaf.sizes[p0]:
-                return None, False
-            inv = [0] * sheaf.sizes[r]
-            for a, b in enumerate(to_base):
-                inv[b] = a
-            down = sheaf.restriction(r, p)
-            seen.add(tuple(inv[down[a]] for a in range(sheaf.sizes[p])))
+        seen = {
+            tuple(map(inverses[r].__getitem__, sheaf.restriction(r, p)))
+            for r in _bits(below & masks[p0])
+        }
         if len(seen) != 1:
             return None, False
-        tables[p] = next(iter(seen))
+        tables[p] = seen.pop()
     return tables, True
 
 

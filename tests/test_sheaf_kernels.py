@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     LADDER,
     all_subsets,
+    down_set,
     iso_orbit,
     matching_families_oracle,
     natural_iso_oracle,
@@ -18,6 +19,7 @@ from sitecalc import (
     CATALOG_NAMES,
     FinitePoset,
     Presheaf,
+    adjoin_zero,
     catalog,
     derived_topology,
     enumerate_presheaves,
@@ -108,6 +110,28 @@ def test_ran_families_and_maps_match_the_raw_product(name):
             assert ext.families == families
             assert ext.presheaf.sizes == tuple(len(f) for f in families)
             assert ext.presheaf.maps == maps
+
+
+@pytest.mark.parametrize(
+    "name, xs", [("chain3", {1}), ("Lambda", {1}), ("diamond", {1}), ("diamond", {1, 2})]
+)
+def test_ran_on_the_kx_ambients_matches_the_raw_product(name, xs):
+    """The ambient of the kx report when the cone of X misses part of P:
+    adjoin_zero(P) under X with the new bottom.  Every element outside the
+    cone shares its support with the bottom, and so does P's least element
+    when there is one, so supports repeat."""
+    ambient = adjoin_zero(catalog()[name])
+    subset = {*xs, ambient.n - 1}
+    supports = [frozenset(subset & down_set(ambient, p)) for p in range(ambient.n)]
+    assert len(set(supports)) < ambient.n
+    sub = ambient.induced(sorted(subset))
+    for base in enumerate_presheaves(sub, 2, max_elements=sub.n):
+        ext = extend_presheaf(base, ambient, subset)
+        support, families, maps = ran_oracle(base, ambient, subset)
+        assert ext.support == support
+        assert ext.families == families
+        assert ext.presheaf.sizes == tuple(len(f) for f in families)
+        assert ext.presheaf.maps == maps
 
 
 @pytest.mark.parametrize("name,cap", ISO_LISTS)

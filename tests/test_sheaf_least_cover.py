@@ -220,19 +220,20 @@ def test_cut_tops_match_the_oracle_on_relabelled_posets(case):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
     """Deciding ``ok`` counts matching families only on cuts with two or
-    more tops that share an element of X below them; tops that share none
-    give the product of their value sizes.  V's wide cut is of the second
-    kind, so of the catalog posets only diamond reaches the count."""
+    more tops that share an element of X below them, and joins the tops on
+    those shared elements; tops that share none give the product of their
+    value sizes.  V's wide cut is of the second kind, so of the catalog
+    posets only diamond reaches the count."""
     p = catalog()[name]
     presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
     counted: list[frozenset[int]] = []
-    original = sitecalc.sheaves._matching_tuples
+    original = sitecalc.sheaves._family_count
 
-    def counting(presheaf, elems):
-        counted.append(frozenset(elems))
-        return original(presheaf, elems)
+    def counting(presheaf, tops, shared):
+        counted.append(frozenset(shared))
+        return original(presheaf, tops, shared)
 
-    monkeypatch.setattr(sitecalc.sheaves, "_matching_tuples", counting)
+    monkeypatch.setattr(sitecalc.sheaves, "_family_count", counting)
     reached = has_wide_cut = has_shared_cut = False
     for xs in all_subsets(p.n):
         topology = subset_topology(p, xs)
@@ -240,11 +241,11 @@ def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
             (frozenset(xs) & down_set(p, q), tops)
             for q, tops in enumerate(cut_tops_oracle(p, xs)) if len(tops) >= 2
         ]
-        shared = {
-            cut
+        below_two = (
+            frozenset(x for x in cut if sum(x in down_set(p, t) for t in tops) >= 2)
             for cut, tops in wide
-            if any(cut & down_set(p, t) & down_set(p, u) for t in tops for u in tops if t < u)
-        }
+        )
+        shared = {members for members in below_two if members}
         has_wide_cut = has_wide_cut or bool(wide)
         has_shared_cut = has_shared_cut or bool(shared)
         for f in presheaves:
@@ -254,6 +255,166 @@ def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
             reached = reached or bool(counted)
     assert has_wide_cut == (name in {"V", "diamond"})
     assert reached == has_shared_cut == (name == "diamond")
+
+
+def _two_tops_over_b(n: int, b_in_a2: int):
+    """P = {a1, a2, b, top}, b < a1, a2 < top, under J({a1, a2, b}): n
+    values at a1 and a2, two at b, none at top, F(b <= a1) constant 0 and
+    F(b <= a2) constant ``b_in_a2``.  The cut of top has tops a1 and a2,
+    which share b; it has n^2 families when ``b_in_a2`` is 0 and none when
+    it is 1."""
+    poset = FinitePoset(["a1", "a2", "b", "top"], [(2, 0), (2, 1), (0, 3), (1, 3)])
+    maps = {(2, 0): (0,) * n, (2, 1): (b_in_a2,) * n, (0, 3): (), (1, 3): (), (2, 3): ()}
+    return Presheaf(poset, (n, n, 2, 0), maps), subset_topology(poset, {0, 1, 2})
+
+
+@pytest.mark.parametrize("b_in_a2", [0, 1], ids=["families", "no-family"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tops_sharing_a_member_match_the_all_covers_scan(n, b_in_a2):
+    presheaf, topology = _two_tops_over_b(n, b_in_a2)
+    check = is_sheaf(presheaf, topology)
+    assert check == sheaf_scan_oracle(presheaf, topology)
+    assert check.ok == bool(b_in_a2)
+
+
+def test_tops_sharing_a_member_are_counted_per_top():
+    """40,002 values, inside the value budget: counting the families of
+    the top's cut over the whole cut multiplies the value sets of a1 and a2
+    (minutes here), while a count per top, grouped by the value at b, reads
+    each value once.  With no family the top has its one amalgamation of
+    none; with n^2 families it fails at once, at the first family."""
+    presheaf, topology = _two_tops_over_b(20_000, 1)
+    start = time.perf_counter()
+    assert is_sheaf(presheaf, topology).ok
+    assert time.perf_counter() - start < 1.0
+    presheaf, topology = _two_tops_over_b(20_000, 0)
+    start = time.perf_counter()
+    check = is_sheaf(presheaf, topology)
+    assert not check.ok
+    assert check.witness == {
+        "p": "top", "cover": ["a1", "a2", "b"], "family": {"a1": 0, "a2": 0, "b": 0},
+        "amalgamations": [],
+    }
+    assert time.perf_counter() - start < 1.0
+
+
+def _one_valued_tops_over_two_members(n: int, b1_in_a2: int):
+    """P = {a1, a2, b1, b2, top}, b1, b2 < a1, a2 < top, under
+    J({a1, a2, b1, b2}): n values at b1 and b2, one at a1 and a2, none at
+    top; a1 restricts to 0 at b1 and b2, a2 to ``b1_in_a2`` at b1 and to 0
+    at b2.  The cut of top has tops a1 and a2 over the incomparable b1 and
+    b2: one family when ``b1_in_a2`` is 0, none when it is 1."""
+    poset = FinitePoset(
+        ["a1", "a2", "b1", "b2", "top"], [(2, 0), (3, 0), (2, 1), (3, 1), (0, 4), (1, 4)]
+    )
+    maps = {(2, 0): (0,), (3, 0): (0,), (2, 1): (b1_in_a2,), (3, 1): (0,)}
+    maps.update({(q, 4): () for q in range(4)})
+    return Presheaf(poset, (1, 1, n, n, 0), maps), subset_topology(poset, range(4))
+
+
+def _linked_tops(n: int, x2_in_t3: int):
+    """P = {x1, x2, t1, t2, t3, top}, x1 < t1, t3 and x2 < t2, t3, all
+    below top, under J({x1, x2, t1, t2, t3}): n values at x1, t1 and t2,
+    n + 1 at x2, one at t3, none at top; t1 and t2 restrict to x1 and x2
+    by the identity, and t3 restricts to 0 at x1 and to n - 1 +
+    ``x2_in_t3`` at x2.  The cut of top has tops t1, t2 and t3; t1 and t2
+    share no member, and t3 links them: one family when ``x2_in_t3`` is 0,
+    none when it is 1."""
+    poset = FinitePoset(
+        ["x1", "x2", "t1", "t2", "t3", "top"],
+        [(0, 2), (0, 4), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
+    )
+    ids = tuple(range(n))
+    maps = {(0, 2): ids, (0, 4): (0,), (1, 3): ids, (1, 4): (n - 1 + x2_in_t3,)}
+    maps.update({(q, 5): () for q in range(5)})
+    return Presheaf(poset, (n, n + 1, n, n, 1, 0), maps), subset_topology(poset, range(5))
+
+
+# per case, the builder and the n that puts 40,000 to 60,000 values on P,
+# inside the value budget
+SHARED_VALUE_CASES = {
+    "two-shared-members": (_one_valued_tops_over_two_members, 20_000),
+    "linked-tops": (_linked_tops, 15_000),
+}
+
+
+@pytest.mark.parametrize("disagree", [0, 1], ids=["families", "no-family"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", sorted(SHARED_VALUE_CASES))
+def test_many_values_below_the_tops_match_the_all_covers_scan(case, n, disagree):
+    presheaf, topology = SHARED_VALUE_CASES[case][0](n, disagree)
+    check = is_sheaf(presheaf, topology)
+    assert check == sheaf_scan_oracle(presheaf, topology)
+    assert check.ok == bool(disagree)
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_VALUE_CASES))
+def test_many_values_below_the_tops_are_joined_from_the_tops(case):
+    """Listing the families on b1 and b2 multiplies their value sets, and
+    so does joining t1 and t2 before t3; joining from the top with fewest
+    groups reads each value once."""
+    build, n = SHARED_VALUE_CASES[case]
+    for disagree in (1, 0):
+        presheaf, topology = build(n, disagree)
+        start = time.perf_counter()
+        assert is_sheaf(presheaf, topology).ok == bool(disagree)
+        assert time.perf_counter() - start < 1.0
+
+
+# posets in a linear extension of their ids whose top has a cut with tops
+# that share elements: three tops over one shared element; a "W", where
+# the outer tops each have one of the two shared elements below them; a
+# crown, where each of three tops has two of the three shared elements
+# below it; and two tops over a shared element beside a third top with
+# none below it
+SHARED_CUT_POSETS = {
+    "three-over-one": (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    "W": (6, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]),
+    "crown": (7, [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5), (3, 6), (4, 6), (5, 6)]),
+    "two-and-one": (5, [(0, 1), (0, 2), (1, 4), (2, 4), (3, 4)]),
+}
+
+
+@st.composite
+def presheaves_on_shared_cuts(draw):
+    """A random functor on one of ``SHARED_CUT_POSETS``, built as in
+    :func:`presheaves_with_subset` with up to four values per element,
+    under J(X) for X the elements below the top."""
+    n, pairs = SHARED_CUT_POSETS[draw(st.sampled_from(sorted(SHARED_CUT_POSETS)))]
+    poset = FinitePoset(n, pairs)
+    sizes: list[int] = []
+    maps = {}
+    for p in range(n):
+        below = sorted(down_set(poset, p) - {p})
+        families = [tuple(f.values()) for f in _oracle_families(poset, sizes, maps, below)]
+        picks = draw(st.lists(st.integers(0, len(families) - 1), max_size=4)) if families else []
+        sizes.append(len(picks))
+        for i, q in enumerate(below):
+            maps[(q, p)] = tuple(families[k][i] for k in picks)
+    return Presheaf(poset, sizes, maps), subset_topology(poset, range(n - 1))
+
+
+def _oracle_families(poset, sizes, maps, elems):
+    """The matching families on ``elems`` of the functor built so far."""
+    partial = Presheaf._trusted(poset, [*sizes, *[0] * (poset.n - len(sizes))], maps)
+    return matching_families_oracle(partial, elems, 0, {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(presheaves_on_shared_cuts())
+def test_grouped_family_count_matches_the_raw_families(case):
+    """The joined count per top against the families on the whole cut,
+    listed by the oracle; and the verdict against the all-covers scan."""
+    presheaf, topology = case
+    poset = presheaf.poset
+    tops = topology._cut_tops()
+    top = poset.n - 1
+    cut = sorted(topology.subset & down_set(poset, top))
+    shared = [x for x in cut if sum(x in down_set(poset, t) for t in tops[top]) >= 2]
+    assert shared
+    expected = sum(1 for _ in matching_families_oracle(presheaf, cut, 0, {}))
+    assert sitecalc.sheaves._family_count(presheaf, tops[top], shared) == expected
+    assert is_sheaf(presheaf, topology) == sheaf_scan_oracle(presheaf, topology)
 
 
 def _assert_constructor_matches_the_scan(poset, sizes, maps) -> bool:

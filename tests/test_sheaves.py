@@ -15,6 +15,7 @@ from conftest import (
 )
 
 from sitecalc import (
+    CATALOG_NAMES,
     BasePointError,
     FunctorialityError,
     NotDenseError,
@@ -286,12 +287,18 @@ ENUMERATION_PINNED = {
     ("Lambda", 2): "5fe3e12206cc77cf74fb159fb79c97363720780f545bb6128f9a07dee861afee",
     ("chain3", 2): "8dbb55afbbd8e14ada6661639a370d210edfcebf9cfa2cd237dc75fe6b3966cd",
     ("diamond", 1): "dc58b3b47f81ea7a06063781c489fb11023fdb6d44ab26666e8106beba17fc39",
+    # the inputs of the sheaf census and of kx, recorded before the
+    # enumerator held its composed tables by slot
+    ("V", 3): "dd4410fee8c3fc548636fccf7752f1877b42bf8b6345ef4cb513c23722153ef8",
+    ("Lambda", 3): "01923832bf93893cceab9fe8a061d1483413c4fdb445952f5e0ce378b755ee89",
+    ("chain3", 3): "fd9c4caafd4af7601ea8c7be645d26b061944bd10e1e5706ca323fa141d4d006",
+    ("diamond", 2): "bec959de7494c07e4e8b4f6a43573a4f4e5ec23eb79da63158cb0727b43ba19a",
 }
 
 
 @pytest.mark.parametrize("name, cap", ENUMERATION_PINNED)
 def test_enumerate_presheaves_order_is_pinned(name, cap):
-    found = enumerate_presheaves(catalog_poset(name), cap, max_elements=4)
+    found = enumerate_presheaves(catalog_poset(name), cap, max_elements=4, max_value_cap=cap)
     text = repr([(f.sizes, sorted(f.maps.items())) for f in found])
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_PINNED[(name, cap)]
 
@@ -342,6 +349,52 @@ def test_kx_report_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert report.ok
+
+
+def test_comparison_reports_leave_no_reference_cycles():
+    """Every subset D of the catalog posets with n <= 4, under every J(X)
+    with X inside D, for which D is dense."""
+    cases = [
+        (p, d, subset_topology(p, x))
+        for p in map(catalog_poset, CATALOG_NAMES)
+        if p.n <= 4
+        for d in all_subsets(p.n)
+        for x in all_subsets(p.n)
+        if x <= d
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        reports = [comparison_check(p, d, j) for p, d, j in cases]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(report.ok for report in reports)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["witnesses-unread", "witnesses-read"])
+def test_census_verdicts_leave_no_reference_cycles(read):
+    """A failed check holds its presheaf, topology and first failing element
+    until the witness is read; dropping it unread, or after the read, frees
+    everything."""
+    cases = []
+    for name in ("V", "Lambda", "chain3"):
+        p = catalog_poset(name)
+        presheaves = enumerate_presheaves(p, 3, max_elements=p.n, max_value_cap=3)
+        cases += [(presheaves, subset_topology(p, x)) for x in all_subsets(p.n)]
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = failed = 0
+        for presheaves, topology in cases:
+            for f in presheaves:
+                check = is_sheaf(f, topology)
+                verdicts += check.ok
+                failed += read and check.witness is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert verdicts and (failed or not read)
 
 
 def test_yoneda_examples():
