@@ -15,14 +15,13 @@ Each law is checked once, on the least data that decides it:
   law by law, for the first failure in index order;
 - naturality is checked on the squares of cover edges, which between
   functors imply every square;
-- matching families are listed by one enumeration, :func:`_matching_tuples`,
-  which checks a family on the cover pairs of its member set, read off the
-  down masks; the sheaf verdict, its witness and Ran_X read it;
+- matching families are found by one walk, :func:`_family_walk`, which
+  takes each position's values from the fibre of a value already fixed:
+  listed on a member set by :func:`_matching_tuples`, for the witness and
+  Ran_X, and counted on a cut's tops by :func:`_family_count`;
 - a sheaf verdict counts matching families only on cuts whose tops share
-  an element of X below them, by grouping each top's values by their
-  restriction to the shared elements and joining the tops on them (see
-  :func:`_family_count`), and a failed verdict builds its witness scan
-  when the witness is first read;
+  an element of X below them, up to one more than the values there, and a
+  failed verdict builds its witness scan when the witness is first read;
 - Ran_X lists the families once per distinct support;
 - isomorphism classes are searched only among presheaves with equal value
   sizes and equal fibre sizes along each cover edge;
@@ -33,7 +32,8 @@ Each law is checked once, on the least data that decides it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
+from math import prod
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -310,43 +310,76 @@ def matching_families(
     return (dict(zip(elems, values)) for values in _matching_tuples(presheaf, elems))
 
 
-def _matching_tuples(presheaf: Presheaf, elems: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The matching families on ``elems``, ascending element ids, as tuples
-    of their values in that order, lazily and in lexicographic order.
+_Check = tuple[Sequence | None, int, Sequence | None]
 
-    A family is checked only along the cover pairs y < x of ``elems`` as a
-    subposet, each when the later of its two members is chosen: every
-    comparable pair of members is a composite of such pairs, and F is
-    functorial.  The order is read from the down masks alone."""
-    down, maps, sizes = presheaf.poset.down_masks, presheaf.maps, presheaf.sizes
-    members = _mask(elems)
-    # per position k, positions following the ids: (j, table, lower) for
-    # each cover pair of elems[k] with the member at an earlier position j,
-    # lower when elems[j] is the lower member of the pair
-    checks: list[list[tuple[int, tuple[int, ...], bool]]] = [[] for _ in elems]
-    for k, x in enumerate(elems):
-        for y in _bits(_maximal(down, members & down[x] ^ 1 << x)):
-            j = (members & (1 << y) - 1).bit_count()
-            if y < x:
-                checks[k].append((j, maps[y, x], True))
-            else:
-                checks[j].append((k, maps[y, x], False))
 
-    # one lazy layer per member: each prefix extended by every value that
-    # agrees with the prefix along the member's cover pairs
-    def grow(prefixes, values, pairs):
+def _family_walk(
+    values: Sequence[Sequence[int]], checks: Sequence[Sequence[_Check]]
+) -> Iterator[tuple[int, ...]]:
+    """The tuples v with v[k] in ``values[k]``, each ascending, such that
+    mine[v[k]] == theirs[v[j]], j < k, for each check (mine, j, theirs) at
+    each position k, None standing for the identity; lazily, in
+    lexicographic order.  Position k tries the fibre of its first check's
+    table at the key read from the prefix, or that key under the identity,
+    its other checks filter, and with no check it tries all its values.  A
+    prefix that no tuple extends is still walked: there is no look-ahead."""
+
+    def grow(prefixes, vals, pairs):
+        if not pairs:
+            for prefix in prefixes:
+                for v in vals:
+                    yield prefix + (v,)
+            return
+        (mine, j, theirs), rest = pairs[0], pairs[1:]
+        fibres: dict[object, list[int]] = {}
+        for v in vals if mine is not None else ():
+            fibres.setdefault(mine[v], []).append(v)
         for prefix in prefixes:
-            for v in values:
-                for j, tab, lower in pairs:
-                    if (tab[v] != prefix[j]) if lower else (tab[prefix[j]] != v):
+            key = prefix[j] if theirs is None else theirs[prefix[j]]
+            for v in fibres.get(key, ()) if mine is not None else (key,) if key in vals else ():
+                for m, i, t in rest:
+                    if (v if m is None else m[v]) != (prefix[i] if t is None else t[prefix[i]]):
                         break
                 else:
                     yield prefix + (v,)
 
     families: Iterator[tuple[int, ...]] = iter(((),))
-    for x, pairs in zip(elems, checks):
-        families = grow(families, range(sizes[x]), pairs)
+    for vals, pairs in zip(values, checks):
+        families = grow(families, vals, pairs)
     return families
+
+
+def _matching_tuples(presheaf: Presheaf, elems: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The matching families on ``elems``, ascending element ids, as tuples
+    of their values in that order, lazily and in lexicographic order.
+
+    :func:`_family_walk` checks a family along the cover pairs y < x of
+    ``elems`` as a subposet, each when its later member is chosen, first
+    those where that member is y: every comparable pair of members is a
+    composite of such pairs, and F is functorial.  Each member x is also
+    checked, at every later member b below it, against the first earlier
+    member above b; a family agrees at b, so this only cuts prefixes.  The
+    order is read from the masks alone."""
+    poset, maps, sizes = presheaf.poset, presheaf.maps, presheaf.sizes
+    down, up = poset.down_masks, poset.up_masks
+    members = _mask(elems)
+    checks: list[list[_Check]] = [[] for _ in elems]
+    for k, x in enumerate(elems):
+        if not (below := members & down[x] ^ 1 << x):
+            continue
+        for y in _bits(_maximal(down, below)):
+            j = (members & (1 << y) - 1).bit_count()
+            if y < x:
+                checks[k].append((maps[y, x], j, None))
+            else:
+                checks[j].insert(0, (None, k, maps[y, x]))
+        earlier = members & (1 << x) - 1
+        for b in _bits(below >> x << x):
+            if above := up[b] & earlier:
+                low = above & -above
+                j = (members & low - 1).bit_count()
+                checks[k].append((maps[b, x], j, maps[b, low.bit_length() - 1]))
+    return _family_walk([range(sizes[x]) for x in elems], checks)
 
 
 def _restriction_index(
@@ -438,24 +471,18 @@ def _least_cover_failure(presheaf: Presheaf, topology: GrothTopology, start: int
     separated or F(p) has fewer values than there are matching families on
     the cut X & down(p), or None.  Each member of a cut lies under one of
     the cut's tops, its maximal elements, and a family's value there is the
-    restriction of its value at that top.  Hence:
-
-    - separation on tops: F(s) is separated iff restriction to the tops of
-      its cut is injective; for s in X the top is s and restriction is the
-      identity, and an empty cut has one family, so |F(s)| <= 1 is needed;
-    - tops with no element of X below two of them, as with fewer than two
-      tops: every member of the cut lies under exactly one top, so any
-      tuple of top values is a family, and there are the product of the
-      |F(t)|; that is |F(p)| for p in X, whose one top is p, and 1, the
-      empty family, with no top.
-
-    Only a cut whose tops share an element of X below them counts its
-    families, by :func:`_family_count`.  With F(p) separated its images
-    are |F(p)| distinct families, so the count differs from |F(p)| only
-    when it is larger.  The separation of every s is decided first, into
-    one mask, and the same pass reads X off the tops into another.  It
-    returns one failure: :func:`is_sheaf` needs the first only, and the
-    witness asks again past a failing p whose scan passes."""
+    restriction of its value at that top.  Hence F(s) is separated iff
+    restriction to the tops of its cut is injective; for s in X the top is
+    s and restriction is the identity, and an empty cut has one family, so
+    |F(s)| <= 1 is needed.  A cut with one top t has |F(t)| families, which
+    is |F(p)| for p in X, and one with none has one, the empty family.
+    :func:`_family_count` counts the families of every cut up to
+    |F(p)| + 1: with F(p) separated its images are |F(p)| distinct
+    families, so the count differs from |F(p)| only when it is larger.  The
+    separation of every s is decided first, into one mask, and the same
+    pass reads X off the tops into another.  It returns one failure:
+    :func:`is_sheaf` needs the first only, and the witness asks again past
+    a failing p whose scan passes."""
     poset, sizes, maps = presheaf.poset, presheaf.sizes, presheaf.maps
     tops = topology._cut_tops()
     unseparated = members = 0
@@ -475,89 +502,60 @@ def _least_cover_failure(presheaf: Presheaf, topology: GrothTopology, start: int
         if down[p] & unseparated:
             return p
         ts = tops[p]
-        shared = len(ts) > 1 and _shared_below(down, members, ts)
-        if shared:
-            families = _family_count(presheaf, ts, _bits(shared))
-        else:
-            families = 1
-            for t in ts:
-                families *= sizes[t]
+        families = sizes[ts[0]] if len(ts) == 1 else _family_count(presheaf, members, ts, sizes[p])
         if families != sizes[p]:
             return p
     return None
 
 
-def _shared_below(down: Sequence[int], xs: int, tops: Sequence[int]) -> int:
-    """The elements of X, given as a mask, that lie below two of ``tops``."""
-    seen = shared = 0
-    for t in tops:
-        below = down[t] & xs
-        shared |= seen & below
-        seen |= below
-    return shared
+def _family_count(presheaf: Presheaf, xs: int, tops: Sequence[int], bound: int) -> int:
+    """The number of matching families on a cut with these tops, X given
+    as a mask, or ``bound`` + 1 if there are more.
 
-
-def _family_count(presheaf: Presheaf, tops: Sequence[int], shared: list[int]) -> int:
-    """The number of matching families on a cut with these tops; ``shared``
-    lists, ascending, the members of the cut below two tops.
-
-    A family on the cut is fixed by its values at the tops, and a tuple of
-    top values is a family iff the tops agree on every member below two of
-    them: a member below one top only is fixed by that top, and if x <= y
-    with y below t then x is below t too, so the family's values at x and
-    y come from one top and agree along x <= y.  So the values at each top
-    are grouped by their restriction to the shared members below it, and
-    the tops are joined one by one, fewest groups first, on the shared
-    members they have in common.  The join keeps, per restriction to the
-    shared members still below a later top, the number of tuples of values
-    at the tops joined so far that agree and restrict to it; each group of
-    the last top then adds its size times the entry it restricts to.
-
-    Each value at a top is read once, and each step of the join costs one
-    lookup per kept entry plus one per group that agrees with it.  With two
-    tops every shared member is below both, so the kept entries are the
-    first top's groups, each group of the second is looked up once, and
-    the count is linear in the |F(t)|.  With more tops the kept entries
-    can outnumber the values at every top: two tops joined first that
-    share no member keep the product of their groups, however few values
-    the top that links them has.  Fewest groups first joins the linking
-    top first when it has the fewest groups; in general the cost is not
-    bounded by the |F(t)|."""
+    A tuple of top values is a family iff the tops agree on every element
+    of X below two of them: a member below one top only is fixed by that
+    top, and if x <= y with y below t then x is below t too, so the
+    family's values at x and y come from one top and agree along x <= y.
+    With no such element there are the product of the |F(t)|.  Otherwise
+    :func:`_family_walk` takes the tops connected, fewest values first,
+    each checked against the first earlier top above each of its elements
+    of X, once per such top, on all its elements at once.  From the last top back to the third, each
+    check first drops the earlier top's values that agree with no later
+    value.  So if each top has one check, as on tops that share elements
+    along a tree, every value tried past the first top yields a family;
+    only a top with two checks can meet a prefix that no family extends."""
     down, maps, sizes = presheaf.poset.down_masks, presheaf.maps, presheaf.sizes
-    groups = []
+    seen = shared = 0  # the elements of X below one of the tops, and below two
     for t in tops:
-        below = [x for x in shared if down[t] >> x & 1]
-        counts: dict[tuple[int, ...], int] = {}
-        for key in zip(*[maps[x, t] for x in below]) if below else [()] * sizes[t]:
-            counts[key] = counts.get(key, 0) + 1
-        groups.append((below, counts))
-    groups.sort(key=lambda group: len(group[1]))
-    # the shared members below the first top are each below a later one
-    kept, joined = groups[0]
-    for i, (below, counts) in enumerate(groups[1:-1], 2):
-        later = 0
-        for ids, _ in groups[i:]:
-            later |= _mask(ids)
-        common = [x for x in below if x in kept]
-        at = [below.index(x) for x in common]
-        by_common: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        for key, n in counts.items():
-            by_common.setdefault(tuple(key[k] for k in at), []).append((key, n))
-        on = [kept.index(x) for x in common]
-        both = kept + below
-        kept = sorted({x for x in both if later >> x & 1})
-        pick = [both.index(x) for x in kept]
-        step: dict[tuple[int, ...], int] = {}
-        for old, c in joined.items():
-            for key, n in by_common.get(tuple(old[k] for k in on), ()):
-                new = old + key
-                new = tuple(new[k] for k in pick)
-                step[new] = step.get(new, 0) + c * n
-        joined = step
-    # every member still kept is below the last top
-    below, counts = groups[-1]
-    at = [below.index(x) for x in kept]
-    return sum(joined.get(tuple(key[k] for k in at), 0) * n for key, n in counts.items())
+        shared |= seen & down[t]
+        seen |= down[t] & xs
+    if not shared:
+        return min(prod(sizes[t] for t in tops), bound + 1)
+    order: list[int] = []
+    checks: list[list[_Check]] = []
+    left, seen = sorted(tops, key=sizes.__getitem__), 0
+    while left:
+        t = next((u for u in left if down[u] & seen), left[0])
+        left.remove(t)
+        pairs, rest = [], down[t] & xs
+        for j, u in enumerate(order):
+            if common := rest & down[u]:  # the elements of X below t whose first top is u
+                rest ^= common
+                below = _bits(common)
+                pairs.append(
+                    (maps[below[0], t], j, maps[below[0], u]) if len(below) == 1 else
+                    (list(zip(*[maps[x, t] for x in below])), j,
+                     list(zip(*[maps[x, u] for x in below])))
+                )
+        checks.append(pairs)
+        order.append(t)
+        seen |= down[t] & xs
+    values: list[Sequence[int]] = [range(sizes[t]) for t in order]
+    for k in range(len(order) - 1, 1, -1):
+        for mine, j, theirs in checks[k]:
+            keys = {mine[v] for v in values[k]}
+            values[j] = [u for u in values[j] if theirs[u] in keys]
+    return sum(1 for _ in islice(_family_walk(values, checks), bound + 1))
 
 
 def _sheaf_scan(presheaf: Presheaf, topology: GrothTopology, p: int) -> dict | None:

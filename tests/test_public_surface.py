@@ -69,7 +69,7 @@ REMOVED = (
     "subset_subcanonicity_witnesses", "canonical_constructors",
     "amalgamations", "matching_violation", "_extend_families", "NotMatchingError",
     "_Closures", "_closure_of", "_downset_counter", "NotSubsetGeneratedError",
-    "frame_for_json", "_topology_frame",
+    "frame_for_json", "_topology_frame", "_shared_below",
 )
 
 OPTIONS = {

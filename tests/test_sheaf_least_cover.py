@@ -35,7 +35,7 @@ from sitecalc import (
 )
 from sitecalc import poset as poset_module
 from sitecalc import sites
-from sitecalc.poset import _bits
+from sitecalc.poset import _bits, _mask
 from sitecalc.sheaves import _matching_tuples
 
 
@@ -220,20 +220,29 @@ def test_cut_tops_match_the_oracle_on_relabelled_posets(case):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
     """Deciding ``ok`` counts matching families only on cuts with two or
-    more tops that share an element of X below them, and joins the tops on
-    those shared elements; tops that share none give the product of their
-    value sizes.  V's wide cut is of the second kind, so of the catalog
-    posets only diamond reaches the count."""
+    more tops, and walks the families only where two of those tops share
+    an element of X below them; tops that share none give the product of
+    their value sizes.  V's wide cut is of the second kind, so of the
+    catalog posets only diamond walks."""
     p = catalog()[name]
     presheaves = enumerate_presheaves(p, 2, max_elements=p.n)
-    counted: list[frozenset[int]] = []
-    original = sitecalc.sheaves._family_count
+    walked: list[frozenset[int]] = []
+    walks: list[int] = []
+    count, walk = sitecalc.sheaves._family_count, sitecalc.sheaves._family_walk
 
-    def counting(presheaf, tops, shared):
-        counted.append(frozenset(shared))
-        return original(presheaf, tops, shared)
+    def counting(presheaf, xs, tops, bound):
+        walks.clear()
+        families = count(presheaf, xs, tops, bound)
+        if walks:
+            walked.append(frozenset(tops))
+        return families
+
+    def walking(*args):
+        walks.append(1)
+        return walk(*args)
 
     monkeypatch.setattr(sitecalc.sheaves, "_family_count", counting)
+    monkeypatch.setattr(sitecalc.sheaves, "_family_walk", walking)
     reached = has_wide_cut = has_shared_cut = False
     for xs in all_subsets(p.n):
         topology = subset_topology(p, xs)
@@ -241,18 +250,18 @@ def test_only_cuts_with_two_tops_count_families(name, monkeypatch):
             (frozenset(xs) & down_set(p, q), tops)
             for q, tops in enumerate(cut_tops_oracle(p, xs)) if len(tops) >= 2
         ]
-        below_two = (
-            frozenset(x for x in cut if sum(x in down_set(p, t) for t in tops) >= 2)
+        shared = {
+            frozenset(tops)
             for cut, tops in wide
-        )
-        shared = {members for members in below_two if members}
+            if any(sum(x in down_set(p, t) for t in tops) >= 2 for x in cut)
+        }
         has_wide_cut = has_wide_cut or bool(wide)
         has_shared_cut = has_shared_cut or bool(shared)
         for f in presheaves:
-            counted.clear()
+            walked.clear()
             assert is_sheaf(f, topology).ok == sheaf_scan_oracle(f, topology).ok
-            assert set(counted) <= shared
-            reached = reached or bool(counted)
+            assert set(walked) <= shared
+            reached = reached or bool(walked)
     assert has_wide_cut == (name in {"V", "diamond"})
     assert reached == has_shared_cut == (name == "diamond")
 
@@ -280,8 +289,8 @@ def test_tops_sharing_a_member_match_the_all_covers_scan(n, b_in_a2):
 def test_tops_sharing_a_member_are_counted_per_top():
     """40,002 values, inside the value budget: counting the families of
     the top's cut over the whole cut multiplies the value sets of a1 and a2
-    (minutes here), while a count per top, grouped by the value at b, reads
-    each value once.  With no family the top has its one amalgamation of
+    (minutes here), while walking the two tops, each value of the second
+    taken from the fibre over b, reads each value once.  With no family the top has its one amalgamation of
     none; with n^2 families it fails at once, at the first family."""
     presheaf, topology = _two_tops_over_b(20_000, 1)
     start = time.perf_counter()
@@ -295,6 +304,150 @@ def test_tops_sharing_a_member_are_counted_per_top():
         "p": "top", "cover": ["a1", "a2", "b"], "family": {"a1": 0, "a2": 0, "b": 0},
         "amalgamations": [],
     }
+    assert time.perf_counter() - start < 1.0
+
+
+def _tops_over_b_with_one_gap(n: int):
+    """P = {a1, a2, b, top} as in :func:`_two_tops_over_b`: n values at a1
+    and a2, two at b, n - 1 at top; F(b <= a1) constant 0, F(b <= a2)
+    sending n - 1 to 0 and the rest to 1, and the top's value v restricting
+    to v at a1, n - 1 at a2 and 0 at b.  The families are (v, n - 1, 0), and
+    the last has no amalgamation; listed in id order, a1 and a2 come before
+    b, the member that links them."""
+    poset = FinitePoset(["a1", "a2", "b", "top"], [(2, 0), (2, 1), (0, 3), (1, 3)])
+    maps = {
+        (2, 0): (0,) * n,
+        (2, 1): (1,) * (n - 1) + (0,),
+        (0, 3): tuple(range(n - 1)),
+        (1, 3): (n - 1,) * (n - 1),
+        (2, 3): (0,) * (n - 1),
+    }
+    return Presheaf(poset, (n, n, 2, n - 1), maps), subset_topology(poset, {0, 1, 2})
+
+
+def _three_tops(n: int, amalgamated: int):
+    """P = {x, y, t1, t2, t3, top}, x < t1, t2 and y < t2, t3, all below
+    top, under J({x, y, t1, t2, t3}): n values at x, y, t1 and t3, n + 1 at
+    t2.  t1 and t3 restrict by the identity; t2 sends v < n to v at x and y,
+    and n to n - 1 at x and 0 at y.  Each value at t2 fixes one of the
+    n + 1 families, and t2 is the only top with n + 1 restrictions to the
+    shared members, so the tops with fewest of them, t1 and t3, share none.
+    The top's values are the first ``amalgamated`` families in
+    lexicographic order, so the next family is the witness."""
+    poset = FinitePoset(
+        ["x", "y", "t1", "t2", "t3", "top"],
+        [(0, 2), (0, 3), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
+    )
+    ids, at_x, at_y = tuple(range(n)), tuple(range(n)) + (n - 1,), tuple(range(n)) + (0,)
+    families = sorted((at_x[v], at_y[v], at_x[v], v, at_y[v]) for v in range(n + 1))
+    maps = {(0, 2): ids, (0, 3): at_x, (1, 3): at_y, (1, 4): ids}
+    maps.update({(q, 5): tuple(f[q] for f in families[:amalgamated]) for q in range(5)})
+    sizes = (n, n, n, n + 1, n, amalgamated)
+    return Presheaf(poset, sizes, maps), subset_topology(poset, range(5))
+
+
+# per case, the function that builds it, the n where it is timed (for the
+# first two the largest that the value budget allows) and the witness
+# family there, whose keys are the witness cover
+THREE_TOPS_COVER = ["x", "y", "t1", "t2", "t3"]
+LINKED_LATER_CASES = {
+    "one-gap-over-b": (
+        _tops_over_b_with_one_gap, 21_800, lambda n: {"a1": n - 1, "a2": n - 1, "b": 0}
+    ),
+    "three-tops-one-value": (
+        lambda n: _three_tops(n, 1), 13_000, lambda n: dict.fromkeys(THREE_TOPS_COVER, 1)
+    ),
+    "three-tops-last-family": (
+        lambda n: _three_tops(n, n), 300, lambda n: dict.fromkeys(THREE_TOPS_COVER, n - 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(LINKED_LATER_CASES))
+def test_members_linked_by_a_later_member_match_the_all_covers_scan(case, n):
+    presheaf, topology = LINKED_LATER_CASES[case][0](n)
+    check = is_sheaf(presheaf, topology)
+    assert check == sheaf_scan_oracle(presheaf, topology)
+    assert not check.ok
+
+
+@pytest.mark.parametrize("case", sorted(LINKED_LATER_CASES))
+def test_members_linked_by_a_later_member_are_read_from_fibres(case):
+    """Listing in id order chooses a1 and a2, or x and y, before the member
+    that links them, and counting by a join of t1 and t3 would keep n^2
+    entries; taking each value from the fibre of the values already fixed
+    decides the check and reads its witness in well under a second.  The
+    last case still walks n^2 prefixes that no family extends, and n^3
+    when every member scans all its values."""
+    build, n, family = LINKED_LATER_CASES[case]
+    presheaf, topology = build(n)
+    start = time.perf_counter()
+    check = is_sheaf(presheaf, topology)
+    assert not check.ok
+    expected = family(n)
+    assert check.witness == {
+        "p": "top", "cover": list(expected), "family": expected, "amalgamations": []
+    }
+    assert time.perf_counter() - start < 1.0
+
+
+def _tops_ruled_out_by_a_later_top(n: int):
+    """P = {x, y, t1, t2, t3, top}, x < t1, t2 and y < t2, t3, all below
+    top, under J({x, y, t1, t2, t3}): one value at x, n at t1 and t2,
+    n + 1 at y and t3, none at top.  F(x <= t1) and F(x <= t2) are
+    constant 0, F(y <= t2) sends v to v and F(y <= t3) is constant n, so
+    every (t1, t2) pair agrees at x and no value of t3 agrees with t2 at y:
+    there is no family.  Taking the tops fewest values first, t1 and t2
+    come before t3."""
+    poset = FinitePoset(
+        ["x", "y", "t1", "t2", "t3", "top"],
+        [(0, 2), (0, 3), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)],
+    )
+    maps = {(0, 2): (0,) * n, (0, 3): (0,) * n, (1, 3): tuple(range(n)), (1, 4): (n,) * (n + 1)}
+    maps.update({(q, 5): () for q in range(5)})
+    return Presheaf(poset, (1, n + 1, n, n, n + 1, 0), maps), subset_topology(poset, range(5))
+
+
+def _tops_sharing_two_members(n: int):
+    """P = {x1, x2, t1, t2, top}, x1, x2 < t1, t2 < top, under
+    J({x1, x2, t1, t2}): one value at x1 and n at the rest.  F(x1 <= t) is
+    constant 0 and F(x2 <= t) the identity, so the families are (v, v),
+    one per value of top.  At x1 alone every value of t2 agrees with every
+    value of t1."""
+    poset = FinitePoset(["x1", "x2", "t1", "t2", "top"], [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    ids = tuple(range(n))
+    maps = {(0, 2): (0,) * n, (0, 3): (0,) * n, (1, 2): ids, (1, 3): ids}
+    maps.update({(0, 4): (0,) * n, (1, 4): ids, (2, 4): ids, (3, 4): ids})
+    return Presheaf(poset, (1, n, n, n, n), maps), subset_topology(poset, range(4))
+
+
+# sheaves whose top's cut has tops that share members, each built with at
+# most 4n + 3 values
+COUNTED_SHEAVES = {
+    "ruled-out-by-a-later-top": _tops_ruled_out_by_a_later_top,
+    "constant-on-one-shared-member": _tops_sharing_two_members,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(COUNTED_SHEAVES))
+def test_counted_tops_match_the_all_covers_scan(case, n):
+    presheaf, topology = COUNTED_SHEAVES[case](n)
+    check = is_sheaf(presheaf, topology)
+    assert check == sheaf_scan_oracle(presheaf, topology)
+    assert check.ok
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED_SHEAVES))
+def test_counted_tops_are_decided_at_the_value_budget(case):
+    """Every pair of values at t1 and t2 agrees at x, or x1; walking the
+    tops without first dropping the values of t2 that no value of t3 agrees
+    with, or trying t2's values by x1 alone, would reach about n^2 pairs."""
+    n = (sitecalc.sheaves.VALUE_BUDGET - 3) // 4
+    presheaf, topology = COUNTED_SHEAVES[case](n)
+    start = time.perf_counter()
+    assert is_sheaf(presheaf, topology).ok
     assert time.perf_counter() - start < 1.0
 
 
@@ -351,8 +504,8 @@ def test_many_values_below_the_tops_match_the_all_covers_scan(case, n, disagree)
 @pytest.mark.parametrize("case", sorted(SHARED_VALUE_CASES))
 def test_many_values_below_the_tops_are_joined_from_the_tops(case):
     """Listing the families on b1 and b2 multiplies their value sets, and
-    so does joining t1 and t2 before t3; joining from the top with fewest
-    groups reads each value once."""
+    so does taking t1 and t2 before t3; walking the tops in a connected
+    order reads each value once."""
     build, n = SHARED_VALUE_CASES[case]
     for disagree in (1, 0):
         presheaf, topology = build(n, disagree)
@@ -403,17 +556,19 @@ def _oracle_families(poset, sizes, maps, elems):
 @settings(max_examples=300, deadline=None)
 @given(presheaves_on_shared_cuts())
 def test_grouped_family_count_matches_the_raw_families(case):
-    """The joined count per top against the families on the whole cut,
-    listed by the oracle; and the verdict against the all-covers scan."""
+    """The count of the top's cut against the families on the whole cut,
+    listed by the oracle: exact with a bound at least that count, and the
+    bound plus one below it; and the verdict against the all-covers scan."""
     presheaf, topology = case
     poset = presheaf.poset
-    tops = topology._cut_tops()
     top = poset.n - 1
     cut = sorted(topology.subset & down_set(poset, top))
-    shared = [x for x in cut if sum(x in down_set(poset, t) for t in tops[top]) >= 2]
-    assert shared
+    tops = topology._cut_tops()[top]
+    assert [x for x in cut if sum(x in down_set(poset, t) for t in tops) >= 2]
     expected = sum(1 for _ in matching_families_oracle(presheaf, cut, 0, {}))
-    assert sitecalc.sheaves._family_count(presheaf, tops[top], shared) == expected
+    for bound in range(expected + 2):
+        count = sitecalc.sheaves._family_count(presheaf, _mask(cut), tops, bound)
+        assert count == min(expected, bound + 1)
     assert is_sheaf(presheaf, topology) == sheaf_scan_oracle(presheaf, topology)
 
 
